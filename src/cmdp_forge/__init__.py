@@ -12,7 +12,7 @@ from .envs import ChainBranch, ChainSpec, GridConfig, PitCost, make_chain, make_
 from .extended import ExtendedMdp, build_extended
 from .model import Cmdp, TabularPolicy, Trajectory, discounted_return, trajectory_cost, validate_cmdp
 from .oracle import OracleStats, enumerate_trajectories, stats
-from .penalties import PenaltyScheme, multi_penalty, penalized_reward
+from .penalties import PenaltyScheme
 from .solver import (
     BoundsReport,
     WorstCaseInfeasible,
@@ -45,8 +45,6 @@ __all__ = [
     "lambda_bounds",
     "make_chain",
     "make_gridworld",
-    "multi_penalty",
-    "penalized_reward",
     "solve",
     "stats",
     "trajectory_cost",

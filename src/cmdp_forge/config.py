@@ -119,8 +119,6 @@ class ExperimentConfig:
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
     key_quantum: float = 0.1
-    exact_quantum: float = 0.25
-    oracle_cap: int = 1_000_000
 
 
 def _grid_from(raw: dict[str, str]) -> GridConfig:
@@ -226,8 +224,6 @@ def load_config(text: str) -> ExperimentConfig:
         epsilon_start=_typed(raw, "epsilon.start", float, 1.0),
         epsilon_end=_typed(raw, "epsilon.end", float, 0.05),
         key_quantum=_typed(raw, "key_quantum", float, 0.1),
-        exact_quantum=_typed(raw, "exact_quantum", float, 0.25),
-        oracle_cap=_typed(raw, "oracle_cap", int, 1_000_000),
     )
     if raw:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(raw)))
@@ -251,7 +247,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if any(l < 0.0 for l in cfg.lambda_grid):
         problems.append("lambda_grid: penalty weights must be >= 0")
     for name in ("window", "target_period", "buffer_capacity", "n_step",
-                 "episodes", "eval_episodes", "update_every", "oracle_cap"):
+                 "episodes", "eval_episodes", "update_every"):
         if getattr(cfg, name) < 1:
             problems.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
     if not (0.0 <= cfg.rho < 1.0):
@@ -266,8 +262,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             f"epsilon: want 0 <= end <= start <= 1, got "
             f"{cfg.epsilon_end}, {cfg.epsilon_start}"
         )
-    if cfg.key_quantum <= 0.0 or cfg.exact_quantum <= 0.0:
-        problems.append("key_quantum and exact_quantum must be > 0")
+    if cfg.key_quantum <= 0.0:
+        problems.append(f"key_quantum: must be > 0, got {cfg.key_quantum}")
     if not cfg.seeds:
         problems.append("seeds: need at least one seed")
     if problems:

@@ -6,6 +6,9 @@ totals hash equally.  Every entry strictly above the budget collapses into a
 single VIOLATED bucket: once over budget, all three penalty shapes depend
 only on the current state's cost (or a constant), never on the exact
 exceedance, so the collapse is lossless for values and policies.
+``ledger_rule`` is the one place that quantises costs and budgets and
+advances a ledger; the builder, ``ExtendedMdp.advance`` and the oracle's
+policy lookup keys all use the rule it returns.
 
 Penalty assessments are charged on transitions.  Arriving at s' from an
 augmented state whose ledger is L pays the assessment for s' computed from
@@ -17,6 +20,7 @@ per-step gamma^-t form and immune to discount underflow.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .model import Cmdp, validate_cmdp
@@ -47,52 +51,63 @@ def quantize(value: float, quantum: float, what: str) -> int:
     return n
 
 
+def ledger_rule(m: Cmdp, quantum: float) -> Callable[[tuple[int, ...], int], tuple[int, ...]]:
+    """Quantise m's costs and budgets and return the ledger advance rule.
+
+    The rule maps (ledger, s_next) to the ledger after arriving at s_next:
+    c <- c + d(s_next) per constraint, collapsing over budget into VIOLATED.
+    Raises QuantizationError naming the first cost or budget that is not a
+    multiple of ``quantum``.
+    """
+    cost_quanta = tuple(
+        tuple(quantize(float(m.costs[k, s]), quantum, f"costs[{k}][s={s}]") for s in range(m.n_states))
+        for k in range(m.n_constraints)
+    )
+    budget_quanta = tuple(
+        quantize(b, quantum, f"budgets[{k}]") for k, b in enumerate(m.budgets)
+    )
+
+    def advance(ledger: tuple[int, ...], s_next: int) -> tuple[int, ...]:
+        out = []
+        for k, entry in enumerate(ledger):
+            if entry == VIOLATED:
+                out.append(VIOLATED)
+                continue
+            c = entry + cost_quanta[k][s_next]
+            out.append(c if c <= budget_quanta[k] else VIOLATED)
+        return tuple(out)
+
+    return advance
+
+
 @dataclass(frozen=True)
 class ExtendedMdp:
-    """Derived, immutable view of ``base`` under penalty weights ``lambdas``."""
+    """Derived, immutable view of ``base`` under penalty weights ``lambdas``.
+
+    ``advance`` is the ledger rule from ``ledger_rule(base, quantum)``.
+    """
 
     base: Cmdp
     lambdas: tuple[float, ...]
     schemes: tuple[PenaltyScheme, ...]
     quantum: float
-    cost_quanta: tuple[tuple[int, ...], ...]  # [k][s]
-    budget_quanta: tuple[int, ...]
     states: tuple[AugState, ...]  # distinct reachable pairs, discovery order
     layers: tuple[tuple[AugState, ...], ...]  # states reachable at epoch t, t = 0..T
     initial: AugState
     initial_penalty: float
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    advance: Callable[[tuple[int, ...], int], tuple[int, ...]] = field(repr=False, compare=False)
     _cost_floats: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.states)})
         object.__setattr__(
             self,
             "_cost_floats",
             tuple(tuple(float(v) for v in row) for row in self.base.costs),
         )
 
-    @property
-    def n_aug_states(self) -> int:
-        return len(self.states)
-
-    def index_of(self, x: AugState) -> int:
-        return self._index[x]
-
     def ledger_cost(self, entry: int) -> float:
         """Float cost total for an Under entry (exact for binary-fraction quanta)."""
         return entry * self.quantum
-
-    def advance(self, ledger: tuple[int, ...], s_next: int) -> tuple[int, ...]:
-        """Ledger after arriving at s_next: c <- c + d(s_next), collapsing over budget."""
-        out = []
-        for k, entry in enumerate(ledger):
-            if entry == VIOLATED:
-                out.append(VIOLATED)
-                continue
-            c = entry + self.cost_quanta[k][s_next]
-            out.append(c if c <= self.budget_quanta[k] else VIOLATED)
-        return tuple(out)
 
     def arrival_penalty(self, ledger: tuple[int, ...], s_next: int, epoch: int) -> float:
         """Total undiscounted penalty for arriving at s_next with prior ledger."""
@@ -110,9 +125,6 @@ class ExtendedMdp:
                 c = self.ledger_cost(entry)
             total += penalty_amount(self.schemes[k], lam, c, d, budget, epoch)
         return total
-
-    def initial_ledger(self) -> tuple[int, ...]:
-        return self.initial[1]
 
 
 def build_extended(
@@ -142,24 +154,7 @@ def build_extended(
     if problems:
         raise ValueError("invalid model: " + "; ".join(problems))
 
-    cost_quanta = tuple(
-        tuple(quantize(float(m.costs[k, s]), quantum, f"costs[{k}][s={s}]") for s in range(m.n_states))
-        for k in range(K)
-    )
-    budget_quanta = tuple(
-        quantize(b, quantum, f"budgets[{k}]") for k, b in enumerate(m.budgets)
-    )
-
-    def advance(ledger: tuple[int, ...], s_next: int) -> tuple[int, ...]:
-        out = []
-        for k, entry in enumerate(ledger):
-            if entry == VIOLATED:
-                out.append(VIOLATED)
-                continue
-            c = entry + cost_quanta[k][s_next]
-            out.append(c if c <= budget_quanta[k] else VIOLATED)
-        return tuple(out)
-
+    advance = ledger_rule(m, quantum)
     initial = (m.s0, advance((0,) * K, m.s0))
     seen: dict[AugState, None] = {initial: None}  # insertion-ordered
     layers: list[tuple[AugState, ...]] = [(initial,)]
@@ -193,27 +188,9 @@ def build_extended(
         lambdas=tuple(float(v) for v in lambdas),
         schemes=tuple(schemes),
         quantum=quantum,
-        cost_quanta=cost_quanta,
-        budget_quanta=budget_quanta,
         states=tuple(seen),
         layers=tuple(layers),
         initial=initial,
         initial_penalty=init_pen,
+        advance=advance,
     )
-
-
-def ledger_key(
-    cost_totals: tuple[float, ...],
-    budgets: tuple[float, ...],
-    quantum: float,
-) -> tuple[int, ...]:
-    """Quantized ledger for table keys in sampled mode.
-
-    Totals are rounded to the nearest quantum; anything strictly over budget
-    saturates into the single VIOLATED bucket.  Only keys quantize: penalty
-    arithmetic always uses the true float totals.
-    """
-    out = []
-    for c, b in zip(cost_totals, budgets):
-        out.append(VIOLATED if c > b else round(c / quantum))
-    return tuple(out)

@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .extended import VIOLATED
-from .penalties import PenaltyScheme
+from .penalties import PenaltyScheme, penalty_amount
 
 
 def ledger_bucket(c: float, budget: float, quantum: float) -> int:
@@ -42,39 +42,23 @@ def penalize_sample(
     r: float,
     c: float,
     d: float,
-    c_next: float,
     lam: float,
     scheme: PenaltyScheme,
     budget: float,
+    t: int,
     gamma: float = 1.0,
-    t: int | None = None,
 ) -> float:
     """Per-sample penalized reward for one stored transition.
 
     c is the cost accumulated before the arrival being assessed, d the
-    arriving state's cost and c_next = c + d the ledger afterwards.  The time
-    index t is required when gamma < 1 (per-step discounting of the penalty)
-    and for the chance scheme's crossing case.
+    arriving state's cost and t the arrival's epoch; the amount is
+    ``penalty_amount``, discounted per step as amount / gamma^t when gamma < 1.
     """
-    if c > budget:
-        amount = lam if scheme is PenaltyScheme.VALUE_AT_RISK else lam * d
-    elif c_next > budget:
-        if scheme is PenaltyScheme.RISK_NEUTRAL:
-            amount = lam * (c + d)
-        elif scheme is PenaltyScheme.VALUE_AT_RISK:
-            if t is None:
-                raise ValueError("chance-scheme crossing penalty needs the time index")
-            amount = lam * (t + 1)
-        else:
-            amount = lam * (c + d - budget)
-    else:
-        return r
+    amount = penalty_amount(scheme, lam, c, d, budget, t)
     if amount == 0.0:
         return r
     if gamma == 1.0:
         return r - amount
-    if t is None:
-        raise ValueError("time index required to discount penalties when gamma < 1")
     return r - amount / gamma**t
 
 
@@ -221,13 +205,13 @@ def safe_q_learning(env, cfg: QLearnerConfig):
             (s2, c2, d2), r, done = env.step(a)
             key2 = obs_key(s2, c2, budget, cfg.key_quantum)
             ep_return += r
-            buffer.push((key, a, r, key2, done, c, d2, c2, t + 1))
+            buffer.push((key, a, r, key2, done, c, d2, t + 1))
             steps += 1
             if steps % cfg.update_every == 0:
                 for _ in range(cfg.batch_size):
-                    bkey, ba, br, bkey2, bdone, bc, bd, bc2, bepoch = buffer.sample(rng)
+                    bkey, ba, br, bkey2, bdone, bc, bd, bepoch = buffer.sample(rng)
                     rt = penalize_sample(
-                        br, bc, bd, bc2, sched.value, cfg.scheme, budget,
+                        br, bc, bd, sched.value, cfg.scheme, budget,
                         gamma=cfg.gamma, t=bepoch,
                     )
                     boot = 0.0
@@ -427,7 +411,7 @@ def safe_actor_critic(env, cfg: ActorCriticConfig):
                 (s2, c2, d2), r, done = env.step(a)
                 key2 = obs_key(s2, c2, budget, cfg.key_quantum)
                 rt = penalize_sample(
-                    r, c, d2, c2, sched.value, cfg.scheme, budget,
+                    r, c, d2, sched.value, cfg.scheme, budget,
                     gamma=cfg.gamma, t=t + 1,
                 )
                 seg.append((key, a, rt, d))

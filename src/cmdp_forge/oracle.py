@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .extended import VIOLATED, quantize
+from .extended import ledger_rule
 from .model import (
     Cmdp,
     TabularPolicy,
@@ -45,31 +45,16 @@ def enumerate_trajectories(
 ) -> list[Trajectory]:
     """All positive-probability depth-T trajectories of ``policy``.
 
-    The running ledger is tracked only to form policy lookup keys (same
-    quantized-key convention as the solver); probabilities and costs are pure
-    path products and sums.
+    The running ledger is tracked only to form policy lookup keys (the
+    solver's own ``ledger_rule``); probabilities and costs are pure path
+    products and sums.
     """
-    K = m.n_constraints
-    cost_quanta = [
-        [quantize(float(m.costs[k, s]), quantum, f"costs[{k}][s={s}]") for s in range(m.n_states)]
-        for k in range(K)
-    ]
-    budget_quanta = [quantize(b, quantum, f"budgets[{k}]") for k, b in enumerate(m.budgets)]
-
-    def advance(ledger, s_next):
-        out = []
-        for k, entry in enumerate(ledger):
-            if entry == VIOLATED:
-                out.append(VIOLATED)
-                continue
-            c = entry + cost_quanta[k][s_next]
-            out.append(c if c <= budget_quanta[k] else VIOLATED)
-        return tuple(out)
+    advance = ledger_rule(m, quantum)
 
     out: list[Trajectory] = []
     states_path = [m.s0]
     actions_path: list[int] = []
-    init_ledger = advance((0,) * K, m.s0)
+    init_ledger = advance((0,) * m.n_constraints, m.s0)
 
     def walk(s: int, ledger, t: int, prob: float):
         if t == m.horizon:

@@ -17,7 +17,6 @@ exactly the budget is safe (the boundary is non-strict on the safe side).
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 
@@ -25,15 +24,6 @@ class PenaltyScheme(str, Enum):
     RISK_NEUTRAL = "rn"
     VALUE_AT_RISK = "var"
     CONDITIONAL_VALUE_AT_RISK = "cvar"
-
-
-class PenaltyOverflow(ArithmeticError):
-    """gamma^t underflowed; callers should switch to undiscounted penalties.
-
-    Solvers and the oracle in this package already charge penalties in
-    trajectory-return space (no gamma^-t factor), which cannot overflow; this
-    error only triggers for the literal per-step form at extreme depths.
-    """
 
 
 def penalty_amount(
@@ -56,59 +46,3 @@ def penalty_amount(
             return lam * (epoch + 1)
         return lam * (cost_before + step_cost - budget)
     return 0.0
-
-
-def penalized_reward(
-    scheme: PenaltyScheme,
-    lam: float,
-    r: float,
-    d: float,
-    c: float,
-    t: int,
-    gamma: float,
-    c_max: float,
-) -> float:
-    """Literal per-step penalized reward r - delta / gamma^t.
-
-    c is the cost accumulated before the assessed state, d that state's cost.
-    Raises PenaltyOverflow when gamma^t underflows to zero (the result would
-    not be finite); use the trajectory-space undiscounted form instead.
-    """
-    delta = penalty_amount(scheme, lam, c, d, c_max, t)
-    if delta == 0.0:
-        return r
-    scale = gamma**t
-    out = r - delta / scale if scale > 0.0 else -math.inf
-    if not math.isfinite(out):
-        raise PenaltyOverflow(
-            f"gamma^t = {gamma}^{t} underflowed; apply penalties undiscounted "
-            "in trajectory-return space instead of dividing per step"
-        )
-    return out
-
-
-def multi_penalty(
-    r: float,
-    terms: list[tuple[PenaltyScheme, float, float, float, float]],
-    t: int,
-    gamma: float,
-) -> float:
-    """Penalized reward with one (scheme, lam, c, d, c_max) term per constraint.
-
-    With a single term this reduces bit-exactly to penalized_reward.
-    """
-    if not terms:
-        raise ValueError("multi_penalty needs at least one constraint term")
-    total = 0.0
-    for scheme, lam, c, d, c_max in terms:
-        total += penalty_amount(scheme, lam, c, d, c_max, t)
-    if total == 0.0:
-        return r
-    scale = gamma**t
-    out = r - total / scale if scale > 0.0 else -math.inf
-    if not math.isfinite(out):
-        raise PenaltyOverflow(
-            f"gamma^t = {gamma}^{t} underflowed; apply penalties undiscounted "
-            "in trajectory-return space instead of dividing per step"
-        )
-    return out

@@ -5,11 +5,20 @@ sum_{u>=t} gamma^u r_u minus all penalty assessments from epoch t+1 on.  The
 epoch-0 assessment is a constant added at the end, so the reported objective
 equals the expected penalized trajectory return exactly, for any discount,
 with no gamma^-t factors anywhere.
+
+Every exact quantity here is one layered backward sweep (``_sweep``) over
+the augmented MDP: ``backward_induction``, ``evaluate_policy``,
+``worst_case_value`` and ``max_safe_cost`` differ only in the terminal
+payoff, the action operator (max with TIE_TOL ties, or a policy's
+expectation), whether step rewards count and the value pinned to a node
+whose ledger is already VIOLATED.  ``unconstrained_value`` is coded apart on
+purpose: it is the independent route the zero-penalty check compares with.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .extended import VIOLATED, AugState, ExtendedMdp, build_extended
@@ -67,32 +76,82 @@ def _pick(best_actions: list[tuple[int, float]]) -> tuple[int, float]:
     raise AssertionError("unreachable: empty action list")
 
 
-def backward_induction(e: ExtendedMdp) -> ValueTable:
-    """Optimal values and greedy actions for the penalized objective."""
+def _sweep(
+    e: ExtendedMdp,
+    terminal: Callable[[tuple[int, ...]], float],
+    policy: TabularPolicy | None = None,
+    rewards: bool = True,
+    violated: float | None = None,
+) -> tuple[list[dict[AugState, float]], list[dict[AugState, int]]]:
+    """One backward pass over e's layers; returns (values, greedy).
+
+    terminal(ledger) is the payoff at layer T.  When ``violated`` is given,
+    a node whose ledger holds VIOLATED is worth that constant at every layer
+    and gets no greedy action.  Without a policy a node takes the max over
+    its actions (``_pick``); with one, the policy-weighted expectation.  An
+    action's sum stops once it reaches -inf, which is how masking propagates.
+    """
     m = e.base
     T = m.horizon
     pows = discount_powers(m.discount, T)
+    neg_inf = -math.inf
+    # Per state: (action, raw reward, successors), shared by every layer.
+    moves = {}
     values: list[dict[AugState, float]] = [dict() for _ in range(T + 1)]
     greedy: list[dict[AugState, int]] = [dict() for _ in range(T)]
     for x in e.layers[T]:
-        values[T][x] = 0.0
+        values[T][x] = violated if violated is not None and VIOLATED in x[1] else terminal(x[1])
     for t in range(T - 1, -1, -1):
         vnext = values[t + 1]
         gt = pows[t]
         layer = values[t]
         glayer = greedy[t]
+        # V(t+1, x2) - arrival penalty depends only on (prior ledger, s2).
+        arrive: dict[tuple[int, ...], dict[int, float]] = {}
         for x in e.layers[t]:
             s, ledger = x
+            if violated is not None and VIOLATED in ledger:
+                layer[x] = violated
+                continue
+            row = arrive.get(ledger)
+            if row is None:
+                row = arrive[ledger] = {}
+            acts = moves.get(s)
+            if acts is None:
+                acts = moves[s] = [(a, m.reward[s, a], m.successors(s, a)) for a in m.actions_at(s)]
+            if policy is not None:
+                pi = policy.probabilities(t, s, ledger)
             scored = []
-            for a in m.actions_at(s):
-                acc = gt * m.reward[s, a]
-                for s2, p in m.successors(s, a):
-                    x2 = (s2, e.advance(ledger, s2))
-                    acc += p * (vnext[x2] - e.arrival_penalty(ledger, s2, t + 1))
+            for a, r, succ in acts:
+                if policy is not None and pi[a] == 0.0:
+                    continue
+                acc = gt * r if rewards else 0.0
+                for s2, p in succ:
+                    v = row.get(s2)
+                    if v is None:
+                        v = row[s2] = (vnext[(s2, e.advance(ledger, s2))]
+                                       - e.arrival_penalty(ledger, s2, t + 1))
+                    acc += p * v
+                    if acc == neg_inf:
+                        break
                 scored.append((a, acc))
-            a, v = _pick(scored)
-            layer[x] = v
-            glayer[x] = a
+            if policy is None:
+                glayer[x], layer[x] = _pick(scored)
+            else:
+                total = 0.0
+                for a, q in scored:
+                    total += pi[a] * q
+                layer[x] = total
+    return values, greedy
+
+
+def _zero(_ledger) -> float:
+    return 0.0
+
+
+def backward_induction(e: ExtendedMdp) -> ValueTable:
+    """Optimal values and greedy actions for the penalized objective."""
+    values, greedy = _sweep(e, _zero)
     return ValueTable(
         values=values,
         greedy=greedy,
@@ -102,29 +161,8 @@ def backward_induction(e: ExtendedMdp) -> ValueTable:
 
 def evaluate_policy(e: ExtendedMdp, policy: TabularPolicy) -> float:
     """Expected penalized return of an arbitrary policy (linear sweep, no max)."""
-    m = e.base
-    T = m.horizon
-    pows = discount_powers(m.discount, T)
-    vnext: dict[AugState, float] = {x: 0.0 for x in e.layers[T]}
-    for t in range(T - 1, -1, -1):
-        gt = pows[t]
-        layer = {}
-        for x in e.layers[t]:
-            s, ledger = x
-            row = policy.probabilities(t, s, ledger)
-            acc = 0.0
-            for a in m.actions_at(s):
-                pa = row[a]
-                if pa == 0.0:
-                    continue
-                q = gt * m.reward[s, a]
-                for s2, p in m.successors(s, a):
-                    x2 = (s2, e.advance(ledger, s2))
-                    q += p * (vnext[x2] - e.arrival_penalty(ledger, s2, t + 1))
-                acc += pa * q
-            layer[x] = acc
-        vnext = layer
-    return vnext[e.initial] - e.initial_penalty
+    values, _ = _sweep(e, _zero, policy=policy)
+    return values[0][e.initial] - e.initial_penalty
 
 
 def unconstrained_value(m: Cmdp) -> tuple[float, list[dict[int, int]]]:
@@ -167,40 +205,16 @@ def worst_case_value(
                        [PenaltyScheme.RISK_NEUTRAL] * m.n_constraints, quantum)
     if any(entry == VIOLATED for entry in e.initial[1]):
         raise WorstCaseInfeasible(f"initial state {m.state_name(m.s0)}")
-    T = m.horizon
-    pows = discount_powers(m.discount, T)
-    vnext = {x: (0.0 if VIOLATED not in x[1] else -math.inf) for x in e.layers[T]}
-    greedy: list[dict[AugState, int]] = [dict() for _ in range(T)]
-    for t in range(T - 1, -1, -1):
-        layer = {}
-        for x in e.layers[t]:
-            s, ledger = x
-            if VIOLATED in ledger:
-                layer[x] = -math.inf
-                continue
-            scored = []
-            for a in m.actions_at(s):
-                acc = pows[t] * m.reward[s, a]
-                for s2, p in m.successors(s, a):
-                    x2 = (s2, e.advance(ledger, s2))
-                    if VIOLATED in x2[1] or vnext[x2] == -math.inf:
-                        acc = -math.inf
-                        break
-                    acc += p * vnext[x2]
-                scored.append((a, acc))
-            a, v = _pick(scored)
-            layer[x] = v
-            greedy[t][x] = a
-        vnext = layer
-    value = vnext[e.initial]
+    values, greedy = _sweep(e, _zero, violated=-math.inf)
+    value = values[0][e.initial]
     if value == -math.inf:
-        desc = _first_dead_end(m, e, greedy)
+        desc = _first_dead_end(m, e)
         raise WorstCaseInfeasible(desc)
     table = ValueTable(values=[], greedy=greedy, initial_value=value)
     return value, table.greedy_policy(m.n_actions)
 
 
-def _first_dead_end(m: Cmdp, e: ExtendedMdp, greedy) -> str:
+def _first_dead_end(m: Cmdp, e: ExtendedMdp) -> str:
     """Name a reachable augmented state with no feasible action."""
     # Walk forward from the initial state through -inf territory.
     frontier = {e.initial}
@@ -246,23 +260,8 @@ def max_safe_cost(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:
         action_names=m.action_names,
     )
     e = build_extended(single, [0.0], [PenaltyScheme.RISK_NEUTRAL], quantum)
-    vnext = {
-        x: (e.ledger_cost(x[1][0]) if x[1][0] != VIOLATED else 0.0)
-        for x in e.layers[m.horizon]
-    }
-    for t in range(m.horizon - 1, -1, -1):
-        layer = {}
-        for x in e.layers[t]:
-            s, ledger = x
-            best = -math.inf
-            for a in m.actions_at(s):
-                acc = 0.0
-                for s2, p in m.successors(s, a):
-                    acc += p * vnext[(s2, e.advance(ledger, s2))]
-                best = max(best, acc)
-            layer[x] = best
-        vnext = layer
-    return vnext[e.initial]
+    values, _ = _sweep(e, lambda ledger: e.ledger_cost(ledger[0]), rewards=False, violated=0.0)
+    return values[0][e.initial]
 
 
 def cost_slack(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:

@@ -37,6 +37,14 @@ def test_unknown_key_is_rejected():
         load_config(CHAIN_TRAIN + "episods = 10\n")
 
 
+@pytest.mark.parametrize("key", ["exact_quantum = 0.25", "oracle_cap = 10"])
+def test_removed_keys_exit_as_unknown(tmp_path, capsys, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(CHAIN_TRAIN + key + "\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "train"]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
 def test_bad_value_is_rejected():
     with pytest.raises(ConfigError, match="gamma"):
         load_config(CHAIN_TRAIN + "gamma = 1.5\n")

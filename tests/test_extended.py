@@ -8,10 +8,10 @@ from cmdp_forge.extended import (
     LedgerCapExceeded,
     QuantizationError,
     build_extended,
-    ledger_key,
     quantize,
 )
 from cmdp_forge.fixtures import fixture, two_action_chain
+from cmdp_forge.learners import ledger_bucket
 from cmdp_forge.model import Cmdp
 from cmdp_forge.penalties import PenaltyScheme, penalty_amount
 from cmdp_forge.solver import backward_induction
@@ -192,7 +192,7 @@ def test_collapsed_values_match_full_resolution_with_branching(scheme):
 
 
 def test_sampled_mode_keys_saturate_over_budget():
-    assert ledger_key((1.73,), (2.0,), 0.1) == (17,)
-    assert ledger_key((2.0,), (2.0,), 0.1) == (20,)
-    assert ledger_key((2.05,), (2.0,), 0.1) == (VIOLATED,)
-    assert ledger_key((0.31, 9.0), (2.0, 2.0), 0.1) == (3, VIOLATED)
+    assert ledger_bucket(1.73, 2.0, 0.1) == 17
+    assert ledger_bucket(2.0, 2.0, 0.1) == 20
+    assert ledger_bucket(2.05, 2.0, 0.1) == VIOLATED
+    assert (ledger_bucket(0.31, 2.0, 0.1), ledger_bucket(9.0, 2.0, 0.1)) == (3, VIOLATED)

@@ -1,17 +1,10 @@
 import math
-import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmdp_forge.penalties import (
-    PenaltyOverflow,
-    PenaltyScheme,
-    multi_penalty,
-    penalized_reward,
-    penalty_amount,
-)
+from cmdp_forge.penalties import PenaltyScheme, penalty_amount
 
 RN = PenaltyScheme.RISK_NEUTRAL
 VAR = PenaltyScheme.VALUE_AT_RISK
@@ -28,27 +21,27 @@ schemes = st.sampled_from(list(PenaltyScheme))
     st.integers(min_value=0, max_value=50),
 )
 def test_zero_weight_never_changes_the_reward(scheme, r, d, c, t):
-    assert penalized_reward(scheme, 0.0, r, d, c, t, 1.0, 2.0) == r
+    assert r - penalty_amount(scheme, 0.0, c, d, 2.0, t) == r
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.2, 1.0, 7.5])
 def test_crossing_case_subtracts_full_running_total(lam):
     # c=0, d=3 crosses a budget of 2: the charge is lam * (c + d).
-    assert penalized_reward(RN, lam, 2.0, 3.0, 0.0, 0, 1.0, 2.0) == 2.0 - 3.0 * lam
+    assert penalty_amount(RN, lam, 0.0, 3.0, 2.0, 0) == 3.0 * lam
 
 
 @pytest.mark.parametrize("lam", [0.1, 1.0, 4.0])
 def test_cvar_crossing_charges_only_the_excess(lam):
-    assert penalized_reward(CVAR, lam, 2.0, 3.0, 0.0, 0, 1.0, 2.0) == 2.0 - lam
+    assert penalty_amount(CVAR, lam, 0.0, 3.0, 2.0, 0) == lam
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
 def test_chance_post_violation_charges_a_constant(lam):
-    assert penalized_reward(VAR, lam, 0.0, 1.0, 5.0, 4, 1.0, 2.0) == -lam
+    assert penalty_amount(VAR, lam, 5.0, 1.0, 2.0, 4) == lam
 
 
 def test_chance_crossing_scales_with_the_epoch():
-    assert penalized_reward(VAR, 2.0, 0.0, 3.0, 0.0, 4, 1.0, 2.0) == -2.0 * 5
+    assert penalty_amount(VAR, 2.0, 0.0, 3.0, 2.0, 4) == 2.0 * 5
 
 
 def test_boundary_totals_are_safe():
@@ -60,42 +53,16 @@ def test_boundary_totals_are_safe():
         assert penalty_amount(scheme, 1.0, 2.0, 0.5, 2.0, 0) > 0.0
 
 
-def test_discount_underflow_raises():
-    with pytest.raises(PenaltyOverflow):
-        penalized_reward(RN, 1.0, 0.0, 3.0, 0.0, 400, 0.1, 2.0)
-
-
-def test_single_constraint_reduces_to_scalar_form():
-    rng = random.Random(7)
-    for _ in range(100):
-        scheme = rng.choice(list(PenaltyScheme))
-        lam = rng.uniform(0, 5)
-        r = rng.uniform(-5, 5)
-        c = rng.uniform(0, 4)
-        d = rng.uniform(0, 4)
-        t = rng.randrange(10)
-        gamma = rng.choice([1.0, 0.9])
-        want = penalized_reward(scheme, lam, r, d, c, t, gamma, 2.0)
-        got = multi_penalty(r, [(scheme, lam, c, d, 2.0)], t, gamma)
-        assert got == want
-
-
 def test_all_constraints_safe_leaves_reward_alone():
-    terms = [(RN, 1.0, 0.0, 1.0, 2.0), (CVAR, 2.0, 0.5, 0.5, 2.0)]
-    assert multi_penalty(3.0, terms, 0, 1.0) == 3.0
+    assert penalty_amount(RN, 1.0, 0.0, 1.0, 2.0, 0) == 0.0
+    assert penalty_amount(CVAR, 2.0, 0.5, 0.5, 2.0, 0) == 0.0
 
 
 def test_mixed_crossing_and_post_violation_sum():
     # Constraint 1 crossing with running total 3; constraint 2 already violated
     # with step cost 1: charges 3 and 2.
-    terms = [(RN, 1.0, 0.0, 3.0, 2.0), (RN, 2.0, 3.0, 1.0, 2.0)]
-    r = 5.0
-    assert multi_penalty(r, terms, 0, 1.0) == r - 3.0 - 2.0
-
-
-def test_multi_requires_a_term():
-    with pytest.raises(ValueError):
-        multi_penalty(1.0, [], 0, 1.0)
+    assert penalty_amount(RN, 1.0, 0.0, 3.0, 2.0, 0) == 3.0
+    assert penalty_amount(RN, 2.0, 3.0, 1.0, 2.0, 0) == 2.0
 
 
 @given(

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cmdp_forge.envs import ChainBranch, ChainSpec, make_chain
+from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, make_chain, make_gridworld
 from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import (
     fixture,
@@ -16,6 +16,7 @@ from cmdp_forge.solver import (
     WorstCaseInfeasible,
     backward_induction,
     cost_slack,
+    evaluate_policy,
     lambda_bounds,
     max_safe_cost,
     solve,
@@ -162,3 +163,31 @@ def test_greedy_layers_cover_the_horizon():
         for x, a in layer.items():
             row = [q for q in range(f.cmdp.n_actions)]
             assert a in row
+
+
+@pytest.fixture(scope="module")
+def desk():
+    return make_gridworld(desk_grid(), "exact")
+
+
+def test_zero_weight_matches_unconstrained_on_the_desk_grid(desk):
+    e = build_extended(desk, [0.0], [RN], 0.25)
+    plain, _ = unconstrained_value(desk)
+    assert abs(backward_induction(e).initial_value - plain) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", list(PenaltyScheme))
+def test_greedy_policy_evaluates_to_the_optimum_on_the_desk_grid(desk, scheme):
+    e = build_extended(desk, [3.0], [scheme], 0.25)
+    vt = backward_induction(e)
+    value = evaluate_policy(e, vt.greedy_policy(desk.n_actions))
+    assert value == pytest.approx(vt.initial_value, abs=1e-9)
+
+
+def test_worst_case_on_the_desk_grid_names_the_dead_end(desk):
+    with pytest.raises(WorstCaseInfeasible, match=r"r4c3@1\.25 with ledger \(5,\) at step 1"):
+        worst_case_value(desk, 0.25)
+
+
+def test_truncated_cost_maximum_on_the_desk_grid(desk):
+    assert max_safe_cost(desk, 0, 0.25) == 1.2209444292711176

@@ -8,7 +8,7 @@ Subcommands:
 
 Common flags: --config PATH, --out DIR (default $CMDP_FORGE_OUT or ./out),
 --seeds a,b,c (overrides the config), --jobs N.  Exit codes: 0 success,
-1 check or run failure, 2 configuration error.
+1 check or run failure, 2 configuration or input-file error.
 
 Outputs are deterministic for a fixed config and seed list; the only
 exception is the wall_ms column of training logs, which records real time.
@@ -39,7 +39,7 @@ from .learners import (
     safe_q_learning,
 )
 from .solver import WorstCaseInfeasible, lambda_bounds
-from .textio import dump_checkpoint, format_number, load_checkpoint, load_cmdp
+from .textio import FormatError, dump_checkpoint, format_number, load_checkpoint, load_cmdp
 from .verification import run_all
 
 TRAIN_COLUMNS = ("episode", "return", "final_cost", "lambda", "epsilon_or_entropy", "wall_ms")
@@ -78,7 +78,7 @@ def _train_one(args):
             episodes=cfg.episodes,
             lr=cfg.lr,
             gamma=cfg.gamma,
-            scheme=cfg.schemes[0],
+            scheme=cfg.scheme,
             lambda0=lam,
             lambda_floor=cfg.lambda_floor,
             buffer_capacity=cfg.buffer_capacity,
@@ -105,7 +105,7 @@ def _train_one(args):
             lr_actor=cfg.lr_actor,
             safe_weight=cfg.safe_weight,
             gamma=cfg.gamma,
-            scheme=cfg.schemes[0],
+            scheme=cfg.scheme,
             lambda0=lam,
             lambda_floor=cfg.lambda_floor,
             window=cfg.window,
@@ -117,10 +117,8 @@ def _train_one(args):
             "safe_ac",
             {
                 "logits": dict(tables.policy.logits),
-                "q1": dict(tables.q1),
-                "q2": dict(tables.q2),
-                "qd1": dict(tables.qd1),
-                "qd2": dict(tables.qd2),
+                "q1": dict(tables.q),
+                "qd1": dict(tables.qd),
             },
             {
                 "quantum": cfg.key_quantum,
@@ -137,9 +135,7 @@ def _train_one(args):
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
-    if len(cfg.schemes) != 1:
-        raise ConfigError("train: learners support exactly one constraint")
-    lams = list(cfg.lambda_grid) if cfg.lambda_grid else [cfg.lambdas[0]]
+    lams = list(cfg.lambda_grid) if cfg.lambda_grid else [cfg.lambda0]
     runs = [(seed, lam) for lam in lams for seed in cfg.seeds]
 
     def tag(seed, lam):
@@ -226,11 +222,10 @@ def _rollout_policy(learner: str, tables: dict, meta: dict):
     else:
         policy = SoftmaxPolicy(n_actions, meta.get("alpha_ent", 0.1))
         policy.logits.update(tables.get("logits", {}))
-        q1, q2 = tables.get("q1", {}), tables.get("q2", {})
-        qd1, qd2 = tables.get("qd1", {}), tables.get("qd2", {})
+        q, qd = tables.get("q1", {}), tables.get("qd1", {})
 
         def select(key, c, d):
-            return constrained_action_select(key, policy, q1, q2, qd1, qd2, c, d, budget)
+            return constrained_action_select(key, policy, q, qd, c, d, budget)
 
     return select, quantum, budget
 
@@ -297,7 +292,11 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint_path: Path, out: Path) -> int
     except OSError as exc:
         print(f"cannot read checkpoint: {exc}", file=sys.stderr)
         return 2
-    per_seed, agg = evaluate_checkpoint(text, cfg)
+    try:
+        per_seed, agg = evaluate_checkpoint(text, cfg)
+    except FormatError as exc:
+        print(f"{checkpoint_path}: {exc}", file=sys.stderr)
+        return 2
     rows = [
         (
             r["seed"], _num(r["mean_return"]), _num(r["mean_cost"]),
@@ -354,13 +353,15 @@ def cmd_verify(cfg: ExperimentConfig | None, out: Path) -> int:
 
 def cmd_bounds(model_path: Path, alpha: float, quantum: float, out: Path) -> int:
     try:
-        m = load_cmdp(model_path.read_text())
+        text = model_path.read_text()
     except OSError as exc:
         print(f"cannot read model file: {exc}", file=sys.stderr)
         return 2
     try:
-        report = lambda_bounds(m, alpha, quantum)
-        rows = report.rows()
+        rows = lambda_bounds(load_cmdp(text), alpha, quantum).rows()
+    except ValueError as exc:  # FormatError and QuantizationError included
+        print(f"{model_path}: {exc}", file=sys.stderr)
+        return 2
     except WorstCaseInfeasible as exc:
         print(f"worst case infeasible: {exc}")
         rows = [("feasible_worst_case", 0.0)]

@@ -97,8 +97,8 @@ class ExperimentConfig:
     grid: GridConfig | None = None
     chain_name: str = ""
     learner: str = "safe_ac"
-    schemes: tuple[PenaltyScheme, ...] = (PenaltyScheme.RISK_NEUTRAL,)
-    lambdas: tuple[float, ...] = (2.0,)
+    scheme: PenaltyScheme = PenaltyScheme.RISK_NEUTRAL
+    lambda0: float = 2.0
     lambda_floor: float = 0.1
     window: int = 32  # M
     target_period: int = 100  # C
@@ -183,27 +183,17 @@ def load_config(text: str) -> ExperimentConfig:
     if learner not in ("safe_q", "safe_ac"):
         raise ConfigError(f"learner: want safe_q or safe_ac, got {learner!r}")
 
-    schemes = []
-    lambdas = []
-    for k in range(1, 10):
-        skey, lkey = f"scheme.{k}", f"lambda.{k}"
-        if skey not in raw and lkey not in raw:
-            break
-        token = raw.pop(skey, "rn")
-        if token not in _SCHEMES:
-            raise ConfigError(f"{skey}: want one of {sorted(_SCHEMES)}, got {token!r}")
-        schemes.append(_SCHEMES[token])
-        lambdas.append(_typed(raw, lkey, float, 2.0))
-    if not schemes:
-        schemes, lambdas = [PenaltyScheme.RISK_NEUTRAL], [2.0]
+    token = raw.pop("scheme.1", "rn")
+    if token not in _SCHEMES:
+        raise ConfigError(f"scheme.1: want one of {sorted(_SCHEMES)}, got {token!r}")
 
     cfg = ExperimentConfig(
         env_kind=env_kind,
         grid=grid,
         chain_name=chain_name,
         learner=learner,
-        schemes=tuple(schemes),
-        lambdas=tuple(lambdas),
+        scheme=_SCHEMES[token],
+        lambda0=_typed(raw, "lambda.1", float, 2.0),
         lambda_floor=_typed(raw, "Lambda_floor", float, 0.1),
         window=_typed(raw, "M", int, 32),
         target_period=_typed(raw, "C", int, 100),
@@ -242,8 +232,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         problems.append(f"alpha: must be in (0, 1], got {cfg.alpha}")
     if cfg.lambda_floor <= 0.0:
         problems.append(f"Lambda_floor: must be > 0, got {cfg.lambda_floor}")
-    if any(l < 0.0 for l in cfg.lambdas):
-        problems.append("lambda.k: penalty weights must be >= 0")
+    if cfg.lambda0 < 0.0:
+        problems.append(f"lambda.1: must be >= 0, got {cfg.lambda0}")
     if any(l < 0.0 for l in cfg.lambda_grid):
         problems.append("lambda_grid: penalty weights must be >= 0")
     for name in ("window", "target_period", "buffer_capacity", "n_step",

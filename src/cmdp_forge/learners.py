@@ -6,10 +6,9 @@ schedule:
   * safe_q_learning: off-policy one-step Q-learning with a replay ring, a
     periodically copied target table, epsilon-greedy exploration that ignores
     feasibility, and per-sample reward penalties.
-  * safe_actor_critic: softmax policy over logits with double reward critics
-    (min target) and double cost critics (max target), n-step backups,
-    Polyak-averaged target tables, feasibility-constrained action selection,
-    and a safe/unsafe actor branch.
+  * safe_actor_critic: softmax policy over logits with one reward critic and
+    one cost critic, n-step backups, Polyak-averaged target tables,
+    feasibility-constrained action selection, and a safe/unsafe actor branch.
 
 Environments expose reset() -> (s, c, d) and step(a) -> ((s, c, d), r, done)
 where c is the cost accumulated including the current state and d is the
@@ -270,31 +269,25 @@ class SoftmaxPolicy:
 def constrained_action_select(
     key,
     policy: SoftmaxPolicy,
-    q1: dict,
-    q2: dict,
-    qd1: dict,
-    qd2: dict,
+    q: dict,
+    qd: dict,
     c: float,
     d: float,
     budget: float,
 ) -> int:
     """Soft-greedy action among those predicted to stay within budget.
 
-    Feasibility adds the pessimistic future-cost estimate to the cost
-    incurred so far, minus the current state's cost (counted in both).
+    Feasibility adds the future-cost estimate to the cost incurred so far,
+    minus the current state's cost (counted in both).
     An empty feasible set falls back to the minimum predicted future cost.
     Ties break to the lowest action index.
     """
     probs = policy.probabilities(key)
-    future = [max(qd1.get((key, a), 0.0), qd2.get((key, a), 0.0)) for a in range(policy.n_actions)]
+    future = [qd.get((key, a), 0.0) for a in range(policy.n_actions)]
     feasible = [a for a in range(policy.n_actions) if future[a] + c - d <= budget]
     if not feasible:
         return _argmax_low([-future[a] for a in range(policy.n_actions)])
-    scores = [
-        min(q1.get((key, a), 0.0), q2.get((key, a), 0.0))
-        - policy.alpha_ent * math.log(probs[a])
-        for a in feasible
-    ]
+    scores = [q.get((key, a), 0.0) - policy.alpha_ent * math.log(probs[a]) for a in feasible]
     return feasible[_argmax_low(scores)]
 
 
@@ -343,36 +336,30 @@ def validate_actor_critic_config(cfg: ActorCriticConfig) -> list[str]:
 
 
 class ActorCriticTables:
-    """Policy logits plus double reward/cost critics and their targets."""
+    """Policy logits plus one reward critic and one cost critic, each with a target.
+
+    There is a single critic per signal because tabular twins with equal
+    initialisation and equal targets stay identical, so a min/max over them
+    is the identity.
+    """
 
     def __init__(self, n_actions: int, alpha_ent: float):
         self.policy = SoftmaxPolicy(n_actions, alpha_ent)
-        self.q1: dict = defaultdict(float)
-        self.q2: dict = defaultdict(float)
-        self.qd1: dict = defaultdict(float)
-        self.qd2: dict = defaultdict(float)
-        self.tq1: dict = defaultdict(float)
-        self.tq2: dict = defaultdict(float)
-        self.tqd1: dict = defaultdict(float)
-        self.tqd2: dict = defaultdict(float)
+        self.q: dict = defaultdict(float)
+        self.qd: dict = defaultdict(float)
+        self.tq: dict = defaultdict(float)
+        self.tqd: dict = defaultdict(float)
         # Keys whose target entries still lag their main entries.
         self.dirty: set = set()
 
     def select(self, key, c: float, d: float, budget: float) -> int:
-        return constrained_action_select(
-            key, self.policy, self.q1, self.q2, self.qd1, self.qd2, c, d, budget
-        )
+        return constrained_action_select(key, self.policy, self.q, self.qd, c, d, budget)
 
     def polyak(self, rho: float) -> None:
         settled = []
         for entry in self.dirty:
             gap = 0.0
-            for main, targ in (
-                (self.q1, self.tq1),
-                (self.q2, self.tq2),
-                (self.qd1, self.tqd1),
-                (self.qd2, self.tqd2),
-            ):
+            for main, targ in ((self.q, self.tq), (self.qd, self.tqd)):
                 targ[entry] = rho * targ[entry] + (1.0 - rho) * main[entry]
                 gap = max(gap, abs(targ[entry] - main[entry]))
             if gap < 1e-12:
@@ -424,30 +411,25 @@ def safe_actor_critic(env, cfg: ActorCriticConfig):
             else:
                 probs = tables.policy.probabilities(key)
                 a_tilde = tables.policy.sample(key, rng)
-                ret_boot = min(
-                    tables.tq1.get((key, a_tilde), 0.0),
-                    tables.tq2.get((key, a_tilde), 0.0),
-                ) - cfg.alpha_ent * math.log(probs[a_tilde])
-                a_next = tables.select(key, c, d, budget)
-                cost_boot = max(
-                    tables.tqd1.get((key, a_next), 0.0),
-                    tables.tqd2.get((key, a_next), 0.0),
+                ret_boot = (
+                    tables.tq.get((key, a_tilde), 0.0)
+                    - cfg.alpha_ent * math.log(probs[a_tilde])
                 )
+                a_next = tables.select(key, c, d, budget)
+                cost_boot = tables.tqd.get((key, a_next), 0.0)
             ret_target = ret_boot
             cost_target = cost_boot
             for (k_i, a_i, rt_i, d_i) in reversed(seg):
                 ret_target = rt_i + cfg.gamma * ret_target
                 cost_target = d_i + cfg.gamma * cost_target
                 entry = (k_i, a_i)
-                tables.q1[entry] += cfg.lr_critic * (ret_target - tables.q1[entry])
-                tables.q2[entry] += cfg.lr_critic * (ret_target - tables.q2[entry])
-                tables.qd1[entry] += cfg.lr_critic * (cost_target - tables.qd1[entry])
-                tables.qd2[entry] += cfg.lr_critic * (cost_target - tables.qd2[entry])
+                tables.q[entry] += cfg.lr_critic * (ret_target - tables.q[entry])
+                tables.qd[entry] += cfg.lr_critic * (cost_target - tables.qd[entry])
                 tables.dirty.add(entry)
                 probs = tables.policy.probabilities(k_i)
                 if safe:
                     weight = cfg.safe_weight * (
-                        min(tables.tq1.get(entry, 0.0), tables.tq2.get(entry, 0.0))
+                        tables.tq.get(entry, 0.0)
                         - cfg.alpha_ent * math.log(probs[a_i])
                     )
                 else:

@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .extended import VIOLATED, AugState, ExtendedMdp, build_extended
-from .model import Cmdp, TabularPolicy, discount_powers
+from .model import Cmdp, TabularPolicy, deterministic_policy, discount_powers
 from .penalties import PenaltyScheme
 
 # Action values within this distance of the row maximum count as ties;
@@ -58,14 +58,7 @@ class ValueTable:
         for t, layer in enumerate(self.greedy):
             for x, a in layer.items():
                 choices[(t, x[0], x[1])] = a
-        return TabularPolicy(
-            table={
-                key: tuple(1.0 if b == a else 0.0 for b in range(n_actions))
-                for key, a in choices.items()
-            },
-            kind="deterministic",
-            time_dependent=True,
-        )
+        return deterministic_policy(choices, n_actions, time_dependent=True)
 
 
 def _pick(best_actions: list[tuple[int, float]]) -> tuple[int, float]:

@@ -210,20 +210,30 @@ def load_checkpoint(text: str) -> tuple[str, dict[str, dict], dict[str, float]]:
     meta: dict[str, float] = {}
     tables: dict[str, dict] = {}
     for lineno, section, key, value in _parse_lines(text):
-        if section is None:
-            if key == "format":
-                if value != "checkpoint.v1":
-                    raise FormatError(f"unsupported checkpoint format {value!r}")
-            elif key == "learner":
-                learner = value
-            else:
-                meta[key] = float(value)
-            continue
-        parts = key.split()
-        if len(parts) != 3:
-            raise FormatError(f"line {lineno}: expected 'state bucket action = value'")
-        s, bucket, a = parts
-        tables.setdefault(section, {})[((int(s), _parse_bucket(bucket)), int(a))] = float(value)
+        try:
+            if section is None:
+                if key == "format":
+                    if value != "checkpoint.v1":
+                        raise FormatError(f"unsupported checkpoint format {value!r}")
+                elif key == "learner":
+                    learner = value
+                else:
+                    meta[key] = float(value)
+                continue
+            parts = key.split()
+            if len(parts) != 3:
+                raise FormatError(f"line {lineno}: expected 'state bucket action = value'")
+            s, bucket, a = parts
+            tables.setdefault(section, {})[((int(s), _parse_bucket(bucket)), int(a))] = float(value)
+        except ValueError as exc:
+            if isinstance(exc, FormatError):
+                raise
+            raise FormatError(f"line {lineno}: {exc}") from None
     if learner is None:
         raise FormatError("checkpoint missing a learner key")
+    if learner not in ("safe_q", "safe_ac"):
+        raise FormatError(f"unknown learner {learner!r}; want safe_q or safe_ac")
+    for name in ("quantum", "budget", "n_actions"):
+        if name not in meta:
+            raise FormatError(f"checkpoint missing a {name} key")
     return learner, tables, meta

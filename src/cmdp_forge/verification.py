@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .extended import build_extended
 from .fixtures import Fixture
-from .model import Cmdp, TabularPolicy
+from .model import Cmdp, deterministic_policy
 from .oracle import (
     chance_penalty_steps,
     enumerate_trajectories,
@@ -78,6 +78,13 @@ def _greedy_oracle(f: Fixture, lambdas, schemes, cap=1_000_000):
     return value, policy, stats(trajs, f.cmdp, lambdas, schemes), trajs
 
 
+def _gap(f: Fixture) -> float:
+    """Best unconstrained return minus the masked always-safe return."""
+    best, _ = unconstrained_value(f.cmdp)
+    worst, _ = worst_case_value(f.cmdp, f.quantum)
+    return best - worst
+
+
 def _rn(f: Fixture):
     return [PenaltyScheme.RISK_NEUTRAL] * f.cmdp.n_constraints
 
@@ -128,9 +135,7 @@ def check_violation_cost_bound(
         if not f.worst_case_feasible:
             rep.notes.append(f"{f.name}: skipped, worst case infeasible so the gap is undefined")
             continue
-        best, _ = unconstrained_value(f.cmdp)
-        worst, _ = worst_case_value(f.cmdp, f.quantum)
-        gap = best - worst
+        gap = _gap(f)
         K = f.cmdp.n_constraints
         for lam in lambda_grid:
             _, _, st, _ = _greedy_oracle(f, [lam] * K, _rn(f))
@@ -148,13 +153,12 @@ def check_expected_cost_feasibility(
     for f in fixtures:
         if not f.worst_case_feasible or f.cmdp.n_constraints != 1:
             continue
-        best, _ = unconstrained_value(f.cmdp)
-        worst, _ = worst_case_value(f.cmdp, f.quantum)
+        gap = _gap(f)
         slack = cost_slack(f.cmdp, 0, f.quantum)
         if slack == 0.0:
             rep.notes.append(f"{f.name}: skipped, zero slack makes the threshold infinite")
             continue
-        threshold = (best - worst) / slack
+        threshold = gap / slack
         budget = f.cmdp.budgets[0]
         for mult in multipliers:
             lam = threshold * mult
@@ -175,9 +179,7 @@ def check_violation_prob_bound(
     for f in fixtures:
         if not f.worst_case_feasible or f.cmdp.n_constraints != 1:
             continue
-        best, _ = unconstrained_value(f.cmdp)
-        worst, _ = worst_case_value(f.cmdp, f.quantum)
-        gap = best - worst
+        gap = _gap(f)
         budget = f.cmdp.budgets[0]
         for alpha in alphas:
             lam = gap / (alpha * budget)
@@ -213,12 +215,7 @@ def enumerate_deterministic_policies(m: Cmdp, quantum: float):
     nodes = _decision_nodes(m, quantum)
     pools = [m.actions_at(s) for (_t, s, _l) in nodes]
     for assignment in itertools.product(*pools):
-        table = {}
-        for (key, a) in zip(nodes, assignment):
-            row = [0.0] * m.n_actions
-            row[a] = 1.0
-            table[key] = tuple(row)
-        yield TabularPolicy(table=table, kind="deterministic", time_dependent=True)
+        yield deterministic_policy(dict(zip(nodes, assignment)), m.n_actions, time_dependent=True)
 
 
 def _equivalence_check(
@@ -241,9 +238,7 @@ def _equivalence_check(
     for f in fixtures:
         if f.cmdp.n_constraints != 1 or not f.worst_case_feasible:
             continue
-        best, _ = unconstrained_value(f.cmdp)
-        worst, _ = worst_case_value(f.cmdp, f.quantum)
-        gap = best - worst
+        gap = _gap(f)
         levels = []
         for lam in lambda_grid:
             _value, policy, st, trajs = _greedy_oracle(f, [lam], [scheme])
@@ -322,9 +317,7 @@ def check_multi_constraint_feasibility(fixtures: list[Fixture]) -> VerificationR
         if f.cmdp.n_constraints < 2 or not f.worst_case_feasible:
             continue
         m = f.cmdp
-        best, _ = unconstrained_value(m)
-        worst, _ = worst_case_value(m, f.quantum)
-        gap = best - worst
+        gap = _gap(f)
         lambdas = []
         skip = False
         for k in range(m.n_constraints):

@@ -1,14 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmdp_forge
 from cmdp_forge.cli import main
 from cmdp_forge.config import ConfigError, load_config
 from cmdp_forge.fixtures import stochastic_chain, two_action_chain
 from cmdp_forge.oracle import enumerate_trajectories, stats
 from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import solve
-from cmdp_forge.textio import dump_checkpoint, dump_cmdp
+from cmdp_forge.textio import dump_checkpoint, dump_cmdp, load_checkpoint
 
 CHAIN_TRAIN = """
 env.kind = chain
@@ -26,8 +31,8 @@ eval_episodes = 50
 def test_config_defaults_and_types():
     cfg = load_config(CHAIN_TRAIN)
     assert cfg.learner == "safe_q"
-    assert cfg.schemes == (PenaltyScheme.RISK_NEUTRAL,)
-    assert cfg.lambdas == (1.0,)
+    assert cfg.scheme == PenaltyScheme.RISK_NEUTRAL
+    assert cfg.lambda0 == 1.0
     assert cfg.seeds == (7, 8)
     assert cfg.window == 32  # default M
 
@@ -37,7 +42,9 @@ def test_unknown_key_is_rejected():
         load_config(CHAIN_TRAIN + "episods = 10\n")
 
 
-@pytest.mark.parametrize("key", ["exact_quantum = 0.25", "oracle_cap = 10"])
+@pytest.mark.parametrize(
+    "key", ["exact_quantum = 0.25", "oracle_cap = 10", "scheme.2 = rn", "lambda.2 = 1"]
+)
 def test_removed_keys_exit_as_unknown(tmp_path, capsys, key):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(CHAIN_TRAIN + key + "\n")
@@ -236,6 +243,45 @@ def test_bounds_command_on_a_model_file(tmp_path):
     assert rows["lambda_chance"] == "2"
 
 
+CHAIN_MODEL = dump_cmdp(two_action_chain())
+Q_CHECKPOINT = dump_checkpoint(
+    "safe_q", {"q": {((0, 0), 1): 1.0}}, {"quantum": 1.0, "budget": 2.0, "n_actions": 2}
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, flags",
+    [
+        ("bounds", CHAIN_MODEL + "not an assignment\n", ["--quantum", "1"]),
+        ("bounds", CHAIN_MODEL, ["--quantum", "0.3"]),
+        ("bounds", CHAIN_MODEL.replace("0 0 = 0 1 0", "0 0 = 0 0.9 0"), ["--quantum", "1"]),
+        ("bounds", CHAIN_MODEL, ["--quantum", "1", "--alpha", "0"]),
+        ("evaluate", Q_CHECKPOINT.replace("n_actions = 2\n", ""), []),
+        ("evaluate", Q_CHECKPOINT + "0 0 x = 1\n", []),
+    ],
+    ids=["malformed-model", "bad-quantum", "invalid-model", "alpha-0",
+         "checkpoint-no-n_actions", "malformed-checkpoint-row"],
+)
+def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("env.kind = chain\nenv.chain = two_action_chain\nseeds = 1\neval_episodes = 5\n")
+    args = ["--out", str(tmp_path / "out")]
+    if command == "bounds":
+        args += ["bounds", str(path), *flags]
+    else:
+        args += ["--config", str(cfg), "evaluate", "--checkpoint", str(path)]
+    src = Path(cmdp_forge.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmdp_forge.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_actor_critic_train_then_evaluate_round_trip(tmp_path):
     cfg_path = tmp_path / "ac.cfg"
     cfg_path.write_text(
@@ -250,6 +296,40 @@ def test_actor_critic_train_then_evaluate_round_trip(tmp_path):
     agg = (out / "eval_report.csv").read_text().splitlines()[-1].split(",")
     # Feasibility-constrained selection sticks to the safe branch.
     assert float(agg[1]) == 1.0 and float(agg[3]) == 0.0
+
+
+AC_CHAIN = (
+    "env.kind = chain\nenv.chain = two_action_chain\nlearner = safe_ac\n"
+    "lambda.1 = 1.0\nLambda_floor = 1.0\nepisodes = 200\nseeds = 11\neval_episodes = 200\n"
+)
+
+
+def test_actor_critic_checkpoint_has_one_critic_per_signal(tmp_path):
+    cfg_path = tmp_path / "ac.cfg"
+    cfg_path.write_text(AC_CHAIN)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "train"]) == 0
+    text = (tmp_path / "checkpoint_seed11.txt").read_text()
+    assert [line for line in text.splitlines() if line.startswith("[")] == [
+        "[logits]", "[q1]", "[qd1]",
+    ]
+
+
+def test_old_twin_critic_checkpoint_evaluates_the_same(tmp_path):
+    cfg_path = tmp_path / "ac.cfg"
+    cfg_path.write_text(AC_CHAIN)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "train"]) == 0
+    new = (tmp_path / "checkpoint_seed11.txt").read_text()
+    learner, tables, meta = load_checkpoint(new)
+    old = dump_checkpoint(learner, {**tables, "q2": tables["q1"], "qd2": tables["qd1"]}, meta)
+    reports = []
+    for name, text in (("new", new), ("old", old)):
+        (tmp_path / f"{name}.txt").write_text(text)
+        out = tmp_path / name
+        assert main(["--config", str(cfg_path), "--out", str(out), "evaluate",
+                     "--checkpoint", str(tmp_path / f"{name}.txt")]) == 0
+        reports.append((out / "eval_report.csv").read_bytes())
+    assert "[q2]" in old and "[qd2]" in old
+    assert reports[0] == reports[1]
 
 
 def test_out_dir_defaults_to_environment_variable(tmp_path, monkeypatch):

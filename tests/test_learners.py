@@ -82,7 +82,7 @@ def test_replay_ring_overwrites_oldest():
 def test_unconstrained_selection_is_soft_greedy():
     pol = SoftmaxPolicy(2, alpha_ent=0.5)
     q = {((0, (0,)), 0): 1.0, ((0, (0,)), 1): 0.0}
-    a = constrained_action_select((0, (0,)), pol, q, q, {}, {}, 0.0, 0.0, 2.0)
+    a = constrained_action_select((0, (0,)), pol, q, {}, 0.0, 0.0, 2.0)
     assert a == 0
 
 
@@ -91,7 +91,7 @@ def test_infeasible_action_is_excluded():
     pol = SoftmaxPolicy(2, alpha_ent=0.5)
     qd = {(key, 0): 3.0, (key, 1): 0.5}
     # Predicted totals: 3 + 1 - 0.5 = 3.5 > 2 but 0.5 + 1 - 0.5 = 1 <= 2.
-    a = constrained_action_select(key, pol, {}, {}, qd, qd, 1.0, 0.5, 2.0)
+    a = constrained_action_select(key, pol, {}, qd, 1.0, 0.5, 2.0)
     assert a == 1
 
 
@@ -99,7 +99,7 @@ def test_empty_feasible_set_falls_back_to_cheapest_future():
     key = (0, (0,))
     pol = SoftmaxPolicy(2, alpha_ent=0.5)
     qd = {(key, 0): 5.0, (key, 1): 4.0}
-    a = constrained_action_select(key, pol, {}, {}, qd, qd, 0.0, 0.0, 2.0)
+    a = constrained_action_select(key, pol, {}, qd, 0.0, 0.0, 2.0)
     assert a == 1
 
 

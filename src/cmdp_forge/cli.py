@@ -23,14 +23,13 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .envs import GridWorldEnv, SampledKernelEnv
 from .fixtures import fixture, fixture_pack
 from .learners import (
-    ActorCriticConfig,
-    QLearnerConfig,
     SoftmaxPolicy,
     constrained_action_select,
     greedy_action,
@@ -70,49 +69,18 @@ def build_env(cfg: ExperimentConfig, seed):
 
 
 def _train_one(args):
-    """One (seed, lambda) training job; returns (tag, rows, checkpoint text)."""
+    """One (seed, lambda) training job; returns (rows, checkpoint text)."""
     cfg, seed, lam = args
+    cfg = replace(cfg, lambda0=lam)
     env = build_env(cfg, seed=f"{seed}:env")
     if cfg.learner == "safe_q":
-        learner_cfg = QLearnerConfig(
-            episodes=cfg.episodes,
-            lr=cfg.lr,
-            gamma=cfg.gamma,
-            scheme=cfg.scheme,
-            lambda0=lam,
-            lambda_floor=cfg.lambda_floor,
-            buffer_capacity=cfg.buffer_capacity,
-            window=cfg.window,
-            target_period=cfg.target_period,
-            update_every=cfg.update_every,
-            epsilon_start=cfg.epsilon_start,
-            epsilon_end=cfg.epsilon_end,
-            key_quantum=cfg.key_quantum,
-            seed=seed,
-        )
-        q, log, _sched = safe_q_learning(env, learner_cfg)
+        q, log, _sched = safe_q_learning(env, cfg, seed)
         checkpoint = dump_checkpoint(
             "safe_q", {"q": q},
             {"quantum": cfg.key_quantum, "budget": env.budget, "n_actions": env.n_actions},
         )
     else:
-        learner_cfg = ActorCriticConfig(
-            episodes=cfg.episodes,
-            n_step=cfg.n_step,
-            rho=cfg.rho,
-            alpha_ent=cfg.alpha_ent,
-            lr_critic=cfg.lr,
-            lr_actor=cfg.lr_actor,
-            safe_weight=cfg.safe_weight,
-            gamma=cfg.gamma,
-            scheme=cfg.scheme,
-            lambda0=lam,
-            lambda_floor=cfg.lambda_floor,
-            window=cfg.window,
-            key_quantum=cfg.key_quantum,
-            seed=seed,
-        )
-        tables, log, _sched = safe_actor_critic(env, learner_cfg)
+        tables, log, _sched = safe_actor_critic(env, cfg, seed)
         checkpoint = dump_checkpoint(
             "safe_ac",
             {
@@ -237,6 +205,12 @@ def evaluate_checkpoint(checkpoint_text: str, cfg: ExperimentConfig):
     per_seed = []
     for seed in cfg.seeds:
         env = build_env(cfg, seed=f"{seed}:eval")
+        for key, want in (("n_actions", env.n_actions), ("budget", env.budget)):
+            if meta[key] != want:
+                raise FormatError(
+                    f"checkpoint {key} = {_num(meta[key])} does not match "
+                    f"the configured environment's {_num(want)}"
+                )
         returns, costs = [], []
         for _ in range(cfg.eval_episodes):
             (s, c, d) = env.reset()
@@ -414,8 +388,6 @@ def main(argv=None) -> int:
                 seeds = tuple(int(s) for s in args.seeds.replace(",", " ").split())
             except ValueError:
                 raise ConfigError(f"--seeds: cannot parse {args.seeds!r}") from None
-            from dataclasses import replace
-
             cfg = replace(cfg, seeds=seeds)
         if args.command == "train":
             return cmd_train(cfg, out, max(1, args.jobs))

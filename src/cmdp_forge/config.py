@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .envs import GridConfig, PitCost, desk_grid, large_grid, tiny_grid
+from .envs import GridConfig, PitCost, desk_grid, large_grid, tiny_grid, validate_grid_config
 from .fixtures import fixture_pack
 from .penalties import PenaltyScheme
 
@@ -220,24 +220,17 @@ def load_config(text: str) -> ExperimentConfig:
     return validate_config(cfg)
 
 
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+def learner_problems(cfg: ExperimentConfig) -> list[str]:
+    """Range problems of the values the learners read."""
     problems = []
-    if cfg.env_kind == "gridworld":
-        from .envs import validate_grid_config
-
-        problems += [f"env: {p}" for p in validate_grid_config(cfg.grid)]
     if not (0.0 < cfg.gamma <= 1.0):
         problems.append(f"gamma: must be in (0, 1], got {cfg.gamma}")
-    if not (0.0 < cfg.alpha <= 1.0):
-        problems.append(f"alpha: must be in (0, 1], got {cfg.alpha}")
     if cfg.lambda_floor <= 0.0:
         problems.append(f"Lambda_floor: must be > 0, got {cfg.lambda_floor}")
     if cfg.lambda0 < 0.0:
         problems.append(f"lambda.1: must be >= 0, got {cfg.lambda0}")
-    if any(l < 0.0 for l in cfg.lambda_grid):
-        problems.append("lambda_grid: penalty weights must be >= 0")
     for name in ("window", "target_period", "buffer_capacity", "n_step",
-                 "episodes", "eval_episodes", "update_every"):
+                 "episodes", "update_every"):
         if getattr(cfg, name) < 1:
             problems.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
     if not (0.0 <= cfg.rho < 1.0):
@@ -254,6 +247,28 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if cfg.key_quantum <= 0.0:
         problems.append(f"key_quantum: must be > 0, got {cfg.key_quantum}")
+    return problems
+
+
+def validate_learner(cfg: ExperimentConfig) -> None:
+    """The learners' entry check: the learner part of ``validate_config``."""
+    problems = learner_problems(cfg)
+    if problems:
+        raise ConfigError("; ".join(problems))
+
+
+def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Every check: the environment, the learner part, then the run's own keys."""
+    problems = []
+    if cfg.env_kind == "gridworld":
+        problems += [f"env: {p}" for p in validate_grid_config(cfg.grid)]
+    problems += learner_problems(cfg)
+    if not (0.0 < cfg.alpha <= 1.0):
+        problems.append(f"alpha: must be in (0, 1], got {cfg.alpha}")
+    if any(l < 0.0 for l in cfg.lambda_grid):
+        problems.append("lambda_grid: penalty weights must be >= 0")
+    if cfg.eval_episodes < 1:
+        problems.append(f"eval_episodes: must be >= 1, got {cfg.eval_episodes}")
     if not cfg.seeds:
         problems.append("seeds: need at least one seed")
     if problems:

@@ -5,10 +5,14 @@ schedule:
 
   * safe_q_learning: off-policy one-step Q-learning with a replay ring, a
     periodically copied target table, epsilon-greedy exploration that ignores
-    feasibility, and per-sample reward penalties.
+    feasibility, and per-sample reward penalties.  Every ``update_every``
+    steps it makes a fixed TD_UPDATES = 8 sampled TD updates.
   * safe_actor_critic: softmax policy over logits with one reward critic and
     one cost critic, n-step backups, Polyak-averaged target tables,
     feasibility-constrained action selection, and a safe/unsafe actor branch.
+
+Both read their settings from the run's ExperimentConfig and take the seed
+as an argument; ``lr`` is the step size of the Q table and of both critics.
 
 Environments expose reset() -> (s, c, d) and step(a) -> ((s, c, d), r, done)
 where c is the cost accumulated including the current state and d is the
@@ -24,8 +28,11 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from .config import ExperimentConfig, validate_learner
 from .extended import VIOLATED
 from .penalties import PenaltyScheme, penalty_amount
+
+TD_UPDATES = 8  # replay samples per Q-learner update period
 
 
 def ledger_bucket(c: float, budget: float, quantum: float) -> int:
@@ -125,46 +132,7 @@ def _argmax_low(scores) -> int:
     raise AssertionError("empty score list")
 
 
-@dataclass
-class QLearnerConfig:
-    episodes: int = 2000
-    lr: float = 0.1
-    gamma: float = 1.0
-    scheme: PenaltyScheme = PenaltyScheme.RISK_NEUTRAL
-    lambda0: float = 2.0
-    lambda_floor: float = 0.1
-    buffer_capacity: int = 10_000
-    window: int = 32
-    target_period: int = 100
-    update_every: int = 4
-    batch_size: int = 8  # sampled TD updates per update period
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    key_quantum: float = 0.1
-    seed: int = 0
-
-
-def validate_qlearner_config(cfg: QLearnerConfig) -> list[str]:
-    problems = []
-    if cfg.episodes < 1:
-        problems.append(f"episodes must be >= 1, got {cfg.episodes}")
-    if not (0.0 < cfg.lr <= 1.0):
-        problems.append(f"lr must be in (0, 1], got {cfg.lr}")
-    if not (0.0 < cfg.gamma <= 1.0):
-        problems.append(f"gamma must be in (0, 1], got {cfg.gamma}")
-    if cfg.lambda0 < 0.0:
-        problems.append(f"lambda0 must be >= 0, got {cfg.lambda0}")
-    if cfg.lambda_floor <= 0.0:
-        problems.append(f"lambda_floor must be > 0, got {cfg.lambda_floor}")
-    for name in ("buffer_capacity", "window", "target_period", "update_every", "batch_size"):
-        if getattr(cfg, name) < 1:
-            problems.append(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    if cfg.key_quantum <= 0.0:
-        problems.append(f"key_quantum must be > 0, got {cfg.key_quantum}")
-    return problems
-
-
-def _epsilon(cfg: QLearnerConfig, episode: int) -> float:
+def _epsilon(cfg: ExperimentConfig, episode: int) -> float:
     half = max(1, cfg.episodes // 2)
     frac = min(1.0, episode / half)
     return cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
@@ -174,12 +142,10 @@ def greedy_action(q: dict, key, n_actions: int) -> int:
     return _argmax_low([q.get((key, a), 0.0) for a in range(n_actions)])
 
 
-def safe_q_learning(env, cfg: QLearnerConfig):
+def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
     """Train a penalized Q table; returns (q, log rows, schedule)."""
-    problems = validate_qlearner_config(cfg)
-    if problems:
-        raise ValueError("invalid learner config: " + "; ".join(problems))
-    rng = random.Random(cfg.seed)
+    validate_learner(cfg)
+    rng = random.Random(seed)
     q: dict = defaultdict(float)
     target: dict = {}
     buffer = ReplayBuffer(cfg.buffer_capacity)
@@ -207,7 +173,7 @@ def safe_q_learning(env, cfg: QLearnerConfig):
             buffer.push((key, a, r, key2, done, c, d2, t + 1))
             steps += 1
             if steps % cfg.update_every == 0:
-                for _ in range(cfg.batch_size):
+                for _ in range(TD_UPDATES):
                     bkey, ba, br, bkey2, bdone, bc, bd, bepoch = buffer.sample(rng)
                     rt = penalize_sample(
                         br, bc, bd, sched.value, cfg.scheme, budget,
@@ -236,8 +202,6 @@ class SoftmaxPolicy:
     """Action distribution softmax(logits row); rows default to uniform."""
 
     def __init__(self, n_actions: int, alpha_ent: float):
-        if alpha_ent <= 0.0:
-            raise ValueError(f"entropy weight must be > 0, got {alpha_ent}")
         self.n_actions = n_actions
         self.alpha_ent = alpha_ent
         self.logits: dict = defaultdict(float)
@@ -248,9 +212,6 @@ class SoftmaxPolicy:
         exps = [math.exp(z - top) for z in row]
         total = sum(exps)
         return [e / total for e in exps]
-
-    def mode(self, key) -> int:
-        return _argmax_low(self.probabilities(key))
 
     def sample(self, key, rng: random.Random) -> int:
         probs = self.probabilities(key)
@@ -291,50 +252,6 @@ def constrained_action_select(
     return feasible[_argmax_low(scores)]
 
 
-@dataclass
-class ActorCriticConfig:
-    episodes: int = 4000
-    n_step: int = 5
-    rho: float = 0.95
-    alpha_ent: float = 0.1
-    lr_critic: float = 0.1
-    lr_actor: float = 0.01
-    safe_weight: float = 1.0  # w, scales the safe-branch actor step
-    gamma: float = 1.0
-    scheme: PenaltyScheme = PenaltyScheme.RISK_NEUTRAL
-    lambda0: float = 2.0
-    lambda_floor: float = 0.1
-    window: int = 32
-    key_quantum: float = 0.1
-    seed: int = 0
-
-
-def validate_actor_critic_config(cfg: ActorCriticConfig) -> list[str]:
-    problems = []
-    if cfg.episodes < 1:
-        problems.append(f"episodes must be >= 1, got {cfg.episodes}")
-    if cfg.n_step < 1:
-        problems.append(f"n_step must be >= 1, got {cfg.n_step}")
-    if not (0.0 <= cfg.rho < 1.0):
-        problems.append(f"rho must be in [0, 1), got {cfg.rho}")
-    if cfg.alpha_ent <= 0.0:
-        problems.append(f"alpha_ent must be > 0, got {cfg.alpha_ent}")
-    for name in ("lr_critic", "lr_actor"):
-        if not (0.0 < getattr(cfg, name) <= 1.0):
-            problems.append(f"{name} must be in (0, 1], got {getattr(cfg, name)}")
-    if not (0.0 < cfg.gamma <= 1.0):
-        problems.append(f"gamma must be in (0, 1], got {cfg.gamma}")
-    if cfg.lambda0 < 0.0:
-        problems.append(f"lambda0 must be >= 0, got {cfg.lambda0}")
-    if cfg.lambda_floor <= 0.0:
-        problems.append(f"lambda_floor must be > 0, got {cfg.lambda_floor}")
-    if cfg.window < 1:
-        problems.append(f"window must be >= 1, got {cfg.window}")
-    if cfg.key_quantum <= 0.0:
-        problems.append(f"key_quantum must be > 0, got {cfg.key_quantum}")
-    return problems
-
-
 class ActorCriticTables:
     """Policy logits plus one reward critic and one cost critic, each with a target.
 
@@ -368,12 +285,10 @@ class ActorCriticTables:
             self.dirty.discard(entry)
 
 
-def safe_actor_critic(env, cfg: ActorCriticConfig):
+def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
     """Train the constrained softmax actor-critic; returns (tables, log, schedule)."""
-    problems = validate_actor_critic_config(cfg)
-    if problems:
-        raise ValueError("invalid learner config: " + "; ".join(problems))
-    rng = random.Random(cfg.seed)
+    validate_learner(cfg)
+    rng = random.Random(seed)
     nA = env.n_actions
     budget = env.budget
     tables = ActorCriticTables(nA, cfg.alpha_ent)
@@ -423,8 +338,8 @@ def safe_actor_critic(env, cfg: ActorCriticConfig):
                 ret_target = rt_i + cfg.gamma * ret_target
                 cost_target = d_i + cfg.gamma * cost_target
                 entry = (k_i, a_i)
-                tables.q[entry] += cfg.lr_critic * (ret_target - tables.q[entry])
-                tables.qd[entry] += cfg.lr_critic * (cost_target - tables.qd[entry])
+                tables.q[entry] += cfg.lr * (ret_target - tables.q[entry])
+                tables.qd[entry] += cfg.lr * (cost_target - tables.qd[entry])
                 tables.dirty.add(entry)
                 probs = tables.policy.probabilities(k_i)
                 if safe:

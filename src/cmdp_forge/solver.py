@@ -42,14 +42,11 @@ class WorstCaseInfeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Optimal value-to-go and greedy action per (step, augmented state).
+    """Greedy action per (step, augmented state) and the optimal objective.
 
-    values[t] maps augmented states to V(t, .) for t = 0..T; the logical
-    layer T+1 is identically zero and not stored (the horizon-T layer already
-    carries only arrival assessments folded in from step T-1).
+    greedy[t] maps the augmented states of layer t < T to their action.
     """
 
-    values: list[dict[AugState, float]]
     greedy: list[dict[AugState, int]]
     initial_value: float
 
@@ -75,14 +72,15 @@ def _sweep(
     policy: TabularPolicy | None = None,
     rewards: bool = True,
     violated: float | None = None,
-) -> tuple[list[dict[AugState, float]], list[dict[AugState, int]]]:
-    """One backward pass over e's layers; returns (values, greedy).
+) -> tuple[dict[AugState, float], list[dict[AugState, int]]]:
+    """One backward pass over e's layers; returns (V(0, .), greedy).
 
     terminal(ledger) is the payoff at layer T.  When ``violated`` is given,
     a node whose ledger holds VIOLATED is worth that constant at every layer
     and gets no greedy action.  Without a policy a node takes the max over
     its actions (``_pick``); with one, the policy-weighted expectation.  An
     action's sum stops once it reaches -inf, which is how masking propagates.
+    Only the layer being filled and the one after it are held.
     """
     m = e.base
     T = m.horizon
@@ -90,14 +88,14 @@ def _sweep(
     neg_inf = -math.inf
     # Per state: (action, raw reward, successors), shared by every layer.
     moves = {}
-    values: list[dict[AugState, float]] = [dict() for _ in range(T + 1)]
     greedy: list[dict[AugState, int]] = [dict() for _ in range(T)]
-    for x in e.layers[T]:
-        values[T][x] = violated if violated is not None and VIOLATED in x[1] else terminal(x[1])
+    vnext = {
+        x: violated if violated is not None and VIOLATED in x[1] else terminal(x[1])
+        for x in e.layers[T]
+    }
     for t in range(T - 1, -1, -1):
-        vnext = values[t + 1]
         gt = pows[t]
-        layer = values[t]
+        layer: dict[AugState, float] = {}
         glayer = greedy[t]
         # V(t+1, x2) - arrival penalty depends only on (prior ledger, s2).
         arrive: dict[tuple[int, ...], dict[int, float]] = {}
@@ -135,7 +133,8 @@ def _sweep(
                 for a, q in scored:
                     total += pi[a] * q
                 layer[x] = total
-    return values, greedy
+        vnext = layer
+    return vnext, greedy
 
 
 def _zero(_ledger) -> float:
@@ -143,19 +142,15 @@ def _zero(_ledger) -> float:
 
 
 def backward_induction(e: ExtendedMdp) -> ValueTable:
-    """Optimal values and greedy actions for the penalized objective."""
+    """Greedy actions and the optimal value of the penalized objective."""
     values, greedy = _sweep(e, _zero)
-    return ValueTable(
-        values=values,
-        greedy=greedy,
-        initial_value=values[0][e.initial] - e.initial_penalty,
-    )
+    return ValueTable(greedy=greedy, initial_value=values[e.initial] - e.initial_penalty)
 
 
 def evaluate_policy(e: ExtendedMdp, policy: TabularPolicy) -> float:
     """Expected penalized return of an arbitrary policy (linear sweep, no max)."""
     values, _ = _sweep(e, _zero, policy=policy)
-    return values[0][e.initial] - e.initial_penalty
+    return values[e.initial] - e.initial_penalty
 
 
 def unconstrained_value(m: Cmdp) -> tuple[float, list[dict[int, int]]]:
@@ -199,11 +194,11 @@ def worst_case_value(
     if any(entry == VIOLATED for entry in e.initial[1]):
         raise WorstCaseInfeasible(f"initial state {m.state_name(m.s0)}")
     values, greedy = _sweep(e, _zero, violated=-math.inf)
-    value = values[0][e.initial]
+    value = values[e.initial]
     if value == -math.inf:
         desc = _first_dead_end(m, e)
         raise WorstCaseInfeasible(desc)
-    table = ValueTable(values=[], greedy=greedy, initial_value=value)
+    table = ValueTable(greedy=greedy, initial_value=value)
     return value, table.greedy_policy(m.n_actions)
 
 
@@ -254,7 +249,7 @@ def max_safe_cost(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:
     )
     e = build_extended(single, [0.0], [PenaltyScheme.RISK_NEUTRAL], quantum)
     values, _ = _sweep(e, lambda ledger: e.ledger_cost(ledger[0]), rewards=False, violated=0.0)
-    return values[0][e.initial]
+    return values[e.initial]
 
 
 def cost_slack(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:

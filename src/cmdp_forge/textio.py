@@ -236,4 +236,6 @@ def load_checkpoint(text: str) -> tuple[str, dict[str, dict], dict[str, float]]:
     for name in ("quantum", "budget", "n_actions"):
         if name not in meta:
             raise FormatError(f"checkpoint missing a {name} key")
+    if meta.get("alpha_ent", 1.0) <= 0.0:
+        raise FormatError(f"alpha_ent must be > 0, got {format_number(meta['alpha_ent'])}")
     return learner, tables, meta

@@ -35,6 +35,7 @@ EQUIVALENCE_LAMBDA_GRID = (0.1, 1.0, 10.0, 100.0)
 DEFAULT_ALPHAS = (0.05, 0.25, 0.5)
 HUGE_LAMBDA = 1e9
 
+# Each kind names one suite, check_<kind>; run_all runs them in this order.
 ALL_KINDS = (
     "zero_penalty_equivalence",
     "worst_case_masking",
@@ -335,23 +336,6 @@ def check_multi_constraint_feasibility(fixtures: list[Fixture]) -> VerificationR
                     st.expected_cost[k] <= m.budgets[k] + TOL,
                     f"constraint {k}")
     return rep
-
-
-def verify(kind: str, fixtures: list[Fixture], **kwargs) -> VerificationReport:
-    """Run one named check suite; ``kind`` must be one of ALL_KINDS."""
-    dispatch = {
-        "zero_penalty_equivalence": check_zero_penalty_equivalence,
-        "worst_case_masking": check_worst_case_masking,
-        "violation_cost_bound": check_violation_cost_bound,
-        "expected_cost_feasibility": check_expected_cost_feasibility,
-        "violation_prob_bound": check_violation_prob_bound,
-        "chance_penalty_equivalence": check_chance_penalty_equivalence,
-        "excess_penalty_equivalence": check_excess_penalty_equivalence,
-        "multi_constraint_feasibility": check_multi_constraint_feasibility,
-    }
-    if kind not in dispatch:
-        raise ValueError(f"unknown check kind {kind!r}; want one of {ALL_KINDS}")
-    return dispatch[kind](fixtures, **kwargs)
 
 
 def run_all(fixtures: list[Fixture], lambda_grid=None, alphas=None) -> list[VerificationReport]:

@@ -12,13 +12,12 @@ import random
 import statistics
 import time
 
+from cmdp_forge.config import ExperimentConfig
 from cmdp_forge.envs import GridWorldEnv, SampledKernelEnv, desk_grid
 from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import fixture_pack, two_action_chain
 from cmdp_forge.learners import (
-    ActorCriticConfig,
     LambdaSchedule,
-    QLearnerConfig,
     greedy_action,
     obs_key,
     safe_actor_critic,
@@ -188,16 +187,15 @@ def test_criterion_10_learners_converge_on_the_chain():
     started = time.perf_counter()
     m = two_action_chain()
     lam = 2.0 * lambda_bounds(m, 0.25, 1.0).lambda_expected_cost
+    cfg = ExperimentConfig(episodes=2000, lambda0=lam, lambda_floor=lam)
     q_ok = ac_ok = 0
     for seed in (1, 2, 3, 4, 5):
         env = SampledKernelEnv(m, seed=f"{seed}:env")
-        qcfg = QLearnerConfig(episodes=2000, lambda0=lam, lambda_floor=lam, seed=seed)
-        q, _log, _ = safe_q_learning(env, qcfg)
-        key0 = obs_key(m.s0, 0.0, env.budget, qcfg.key_quantum)
+        q, _log, _ = safe_q_learning(env, cfg, seed)
+        key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
         q_ok += greedy_action(q, key0, env.n_actions) == 0
         env2 = SampledKernelEnv(m, seed=f"{seed}:env")
-        acfg = ActorCriticConfig(episodes=2000, lambda0=lam, lambda_floor=lam, seed=seed)
-        tables, _log2, _ = safe_actor_critic(env2, acfg)
+        tables, _log2, _ = safe_actor_critic(env2, cfg, seed)
         ac_ok += tables.policy.probabilities(key0)[0] >= 0.95
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -211,8 +209,7 @@ def test_criterion_11_desk_gridworld_learning():
     rets, costs = [], []
     for seed in (1, 2, 3, 4, 5):
         env = GridWorldEnv(desk_grid(), seed=f"{seed}:env")
-        cfg = ActorCriticConfig(episodes=4000, seed=seed)
-        _tables, log, _ = safe_actor_critic(env, cfg)
+        _tables, log, _ = safe_actor_critic(env, ExperimentConfig(episodes=4000), seed)
         tail = log[-1000:]
         rets.append(statistics.fmean(r.ret for r in tail))
         costs.append(statistics.fmean(r.final_cost for r in tail))
@@ -237,10 +234,8 @@ def test_criterion_12_schedule_trace_is_exact():
         ChainSpec(branches=(ChainBranch("only", 1.0, ((1.0, (0.0,)),)),), budgets=(2.0,))
     )
     env = SampledKernelEnv(m, seed="1:env")
-    cfg = QLearnerConfig(
-        episodes=200, window=5, lambda0=2.0, lambda_floor=0.1, seed=1
-    )
-    _q, log, _ = safe_q_learning(env, cfg)
+    cfg = ExperimentConfig(episodes=200, window=5, lambda0=2.0, lambda_floor=0.1)
+    _q, log, _ = safe_q_learning(env, cfg, 1)
     trace = [row.lam for row in log]
 
     ref_sched = LambdaSchedule(2.0, 0.1, 5)

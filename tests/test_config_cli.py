@@ -2,19 +2,21 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import cmdp_forge
 from cmdp_forge.cli import main
-from cmdp_forge.config import ConfigError, load_config
+from cmdp_forge.config import ConfigError, ExperimentConfig, load_config
 from cmdp_forge.fixtures import stochastic_chain, two_action_chain
 from cmdp_forge.oracle import enumerate_trajectories, stats
 from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import solve
 from cmdp_forge.textio import dump_checkpoint, dump_cmdp, load_checkpoint
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CHAIN_TRAIN = """
 env.kind = chain
 env.chain = two_action_chain
@@ -35,6 +37,47 @@ def test_config_defaults_and_types():
     assert cfg.lambda0 == 1.0
     assert cfg.seeds == (7, 8)
     assert cfg.window == 32  # default M
+
+
+# One non-default value for every learner and run key, by the field it sets.
+EVERY_KEY = {
+    "learner": ("learner", "safe_q"),
+    "scheme": ("scheme.1", "cvar"),
+    "lambda0": ("lambda.1", "3.5"),
+    "lambda_floor": ("Lambda_floor", "0.2"),
+    "window": ("M", "16"),
+    "target_period": ("C", "50"),
+    "buffer_capacity": ("N", "500"),
+    "n_step": ("n", "3"),
+    "rho": ("rho", "0.9"),
+    "alpha_ent": ("alpha_ent", "0.3"),
+    "safe_weight": ("w", "0.5"),
+    "gamma": ("gamma", "0.99"),
+    "episodes": ("episodes", "123"),
+    "seeds": ("seeds", "4,9"),
+    "eval_episodes": ("eval_episodes", "77"),
+    "alpha": ("alpha", "0.5"),
+    "lambda_grid": ("lambda_grid", "0.5,1.5"),
+    "lr": ("lr", "0.3"),
+    "lr_actor": ("lr_actor", "0.02"),
+    "update_every": ("update_every", "2"),
+    "epsilon_start": ("epsilon.start", "0.9"),
+    "epsilon_end": ("epsilon.end", "0.2"),
+    "key_quantum": ("key_quantum", "0.5"),
+}
+
+
+def test_every_setting_is_reachable_from_a_config_file():
+    env_fields = {"env_kind", "grid", "chain_name"}
+    assert set(EVERY_KEY) == {f.name for f in fields(ExperimentConfig)} - env_fields
+    text = "env.kind = chain\n" + "".join(f"{k} = {v}\n" for k, v in EVERY_KEY.values())
+    cfg, default = load_config(text), ExperimentConfig()
+    unchanged = [name for name in EVERY_KEY if getattr(cfg, name) == getattr(default, name)]
+    assert unchanged == []
+    shipped = sorted(CONFIGS.glob("*.cfg"))
+    assert shipped
+    for path in shipped:
+        load_config(path.read_text())
 
 
 def test_unknown_key_is_rejected():
@@ -247,26 +290,42 @@ CHAIN_MODEL = dump_cmdp(two_action_chain())
 Q_CHECKPOINT = dump_checkpoint(
     "safe_q", {"q": {((0, 0), 1): 1.0}}, {"quantum": 1.0, "budget": 2.0, "n_actions": 2}
 )
+ZERO_ENTROPY_CHECKPOINT = dump_checkpoint(
+    "safe_ac", {"logits": {((0, 0), 0): 0.0}},
+    {"quantum": 1.0, "budget": 2.0, "n_actions": 2, "alpha_ent": 0.0},
+)
+FOUR_ACTION_CHECKPOINT = dump_checkpoint(
+    "safe_q", {"q": {((0, 0), 3): 1.0}}, {"quantum": 1.0, "budget": 2.0, "n_actions": 4}
+)
+CHAIN_EVAL = "env.kind = chain\nenv.chain = two_action_chain\nseeds = 1\neval_episodes = 5\n"
+DESK_EVAL = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\neval_episodes = 5\n"
 
 
 @pytest.mark.parametrize(
-    "command, text, flags",
+    "command, text, flags, config, named",
     [
-        ("bounds", CHAIN_MODEL + "not an assignment\n", ["--quantum", "1"]),
-        ("bounds", CHAIN_MODEL, ["--quantum", "0.3"]),
-        ("bounds", CHAIN_MODEL.replace("0 0 = 0 1 0", "0 0 = 0 0.9 0"), ["--quantum", "1"]),
-        ("bounds", CHAIN_MODEL, ["--quantum", "1", "--alpha", "0"]),
-        ("evaluate", Q_CHECKPOINT.replace("n_actions = 2\n", ""), []),
-        ("evaluate", Q_CHECKPOINT + "0 0 x = 1\n", []),
+        ("bounds", CHAIN_MODEL + "not an assignment\n", ["--quantum", "1"], None, ""),
+        ("bounds", CHAIN_MODEL, ["--quantum", "0.3"], None, ""),
+        ("bounds", CHAIN_MODEL.replace("0 0 = 0 1 0", "0 0 = 0 0.9 0"), ["--quantum", "1"], None, ""),
+        ("bounds", CHAIN_MODEL, ["--quantum", "1", "--alpha", "0"], None, ""),
+        ("evaluate", Q_CHECKPOINT.replace("n_actions = 2\n", ""), [], CHAIN_EVAL, ""),
+        ("evaluate", Q_CHECKPOINT + "0 0 x = 1\n", [], CHAIN_EVAL, ""),
+        ("evaluate", FOUR_ACTION_CHECKPOINT, [], CHAIN_EVAL, "n_actions"),
+        ("evaluate", Q_CHECKPOINT, [], DESK_EVAL, "n_actions"),
+        ("evaluate", Q_CHECKPOINT.replace("budget = 2\n", "budget = 3\n"), [], CHAIN_EVAL, "budget"),
+        ("evaluate", ZERO_ENTROPY_CHECKPOINT, [], CHAIN_EVAL, "alpha_ent"),
     ],
     ids=["malformed-model", "bad-quantum", "invalid-model", "alpha-0",
-         "checkpoint-no-n_actions", "malformed-checkpoint-row"],
+         "checkpoint-no-n_actions", "malformed-checkpoint-row",
+         "checkpoint-n_actions-4-on-chain", "chain-checkpoint-on-desk",
+         "checkpoint-budget-mismatch", "checkpoint-alpha_ent-0"],
 )
-def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags):
+def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags, config, named):
     path = tmp_path / "input.txt"
     path.write_text(text)
     cfg = tmp_path / "eval.cfg"
-    cfg.write_text("env.kind = chain\nenv.chain = two_action_chain\nseeds = 1\neval_episodes = 5\n")
+    if config is not None:
+        cfg.write_text(config)
     args = ["--out", str(tmp_path / "out")]
     if command == "bounds":
         args += ["bounds", str(path), *flags]
@@ -279,6 +338,7 @@ def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags):
     )
     assert proc.returncode == 2, proc.stderr
     assert str(path) in proc.stderr
+    assert named in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -342,15 +402,17 @@ def test_out_dir_defaults_to_environment_variable(tmp_path, monkeypatch):
 
 
 def test_named_check_dispatch():
+    from cmdp_forge import verification
     from cmdp_forge.fixtures import Fixture
-    from cmdp_forge.verification import ALL_KINDS, verify
 
     f = Fixture("chain", two_action_chain(), quantum=1.0)
-    rep = verify("zero_penalty_equivalence", [f])
+    suites = [getattr(verification, f"check_{kind}") for kind in verification.ALL_KINDS]
+    assert len(suites) == 8
+    rep = suites[0]([f])
+    assert rep.kind == "zero_penalty_equivalence"
     assert rep.passed and rep.rows
-    with pytest.raises(ValueError, match="unknown check kind"):
-        verify("nope", [f])
-    assert len(ALL_KINDS) == 8
+    kinds = [r.kind for r in verification.run_all([f])]
+    assert kinds == list(verification.ALL_KINDS)
 
 
 def test_parallel_jobs_match_sequential(tmp_path):

@@ -1,15 +1,15 @@
 import statistics
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmdp_forge.envs import ChainBranch, ChainSpec, GridWorldEnv, SampledKernelEnv, desk_grid, make_chain
+from cmdp_forge.config import ExperimentConfig, load_config
+from cmdp_forge.envs import ChainBranch, ChainSpec, GridWorldEnv, SampledKernelEnv, make_chain
 from cmdp_forge.fixtures import two_action_chain
 from cmdp_forge.learners import (
-    ActorCriticConfig,
     LambdaSchedule,
-    QLearnerConfig,
     ReplayBuffer,
     SoftmaxPolicy,
     constrained_action_select,
@@ -23,6 +23,7 @@ from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import lambda_bounds, solve, unconstrained_value
 
 RN = PenaltyScheme.RISK_NEUTRAL
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_safe_transition_keeps_the_reward():
@@ -110,9 +111,9 @@ def test_q_learner_matches_exact_greedy_across_weights():
         _, exact_policy, _ = solve(m, [lam], [RN], 1.0)
         exact_action = exact_policy.table[(0, 0, (0,))].index(1.0)
         env = SampledKernelEnv(m, seed="17:env")
-        cfg = QLearnerConfig(episodes=1500, lambda0=lam, lambda_floor=max(lam, 1e-9) if lam else 1e-9,
-                             seed=17)
-        q, _log, _ = safe_q_learning(env, cfg)
+        cfg = ExperimentConfig(episodes=1500, lambda0=lam,
+                               lambda_floor=max(lam, 1e-9) if lam else 1e-9)
+        q, _log, _ = safe_q_learning(env, cfg, 17)
         key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
         assert greedy_action(q, key0, env.n_actions) == exact_action, lam
 
@@ -120,8 +121,8 @@ def test_q_learner_matches_exact_greedy_across_weights():
 def test_q_learner_with_zero_weight_goes_unconstrained():
     m = two_action_chain()
     env = SampledKernelEnv(m, seed="5:env")
-    cfg = QLearnerConfig(episodes=1200, lambda0=0.0, lambda_floor=1e-9, seed=5)
-    q, _log, _ = safe_q_learning(env, cfg)
+    cfg = ExperimentConfig(episodes=1200, lambda0=0.0, lambda_floor=1e-9)
+    q, _log, _ = safe_q_learning(env, cfg, 5)
     key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
     assert greedy_action(q, key0, env.n_actions) == 1  # risky pays more unpenalized
 
@@ -140,8 +141,8 @@ def test_actor_critic_matches_unconstrained_value_without_costs():
     env = SampledKernelEnv(m, seed="3:env")
     # With no cost pressure the entropy bonus is the only exploration driver;
     # it needs enough weight to get the second branch tried at all.
-    cfg = ActorCriticConfig(episodes=3000, alpha_ent=0.2, lr_actor=0.05, seed=3)
-    _tables, log, _ = safe_actor_critic(env, cfg)
+    cfg = ExperimentConfig(episodes=3000, alpha_ent=0.2, lr_actor=0.05)
+    _tables, log, _ = safe_actor_critic(env, cfg, 3)
     tail_mean = statistics.fmean(r.ret for r in log[-500:])
     assert abs(tail_mean - best) / best <= 0.05
 
@@ -149,19 +150,17 @@ def test_actor_critic_matches_unconstrained_value_without_costs():
 def test_actor_critic_prefers_safe_under_pressure():
     m = two_action_chain()
     env = SampledKernelEnv(m, seed="9:env")
-    cfg = ActorCriticConfig(episodes=2000, lambda0=1.0, lambda_floor=1.0, seed=9)
-    tables, _log, _ = safe_actor_critic(env, cfg)
+    cfg = ExperimentConfig(episodes=2000, lambda0=1.0, lambda_floor=1.0)
+    tables, _log, _ = safe_actor_critic(env, cfg, 9)
     key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
     assert tables.policy.probabilities(key0)[0] >= 0.95
 
 
 def test_desk_grid_q_learner_keeps_cost_under_budget():
-    env = GridWorldEnv(desk_grid(), seed="1:env")
-    cfg = QLearnerConfig(
-        episodes=10_000, lr=0.2, batch_size=16, epsilon_end=0.1,
-        lambda0=3.0, lambda_floor=1.5, seed=1,
-    )
-    _q, log, _ = safe_q_learning(env, cfg)
+    cfg = load_config((CONFIGS / "desk_gridworld_q.cfg").read_text())
+    seed = cfg.seeds[0]
+    env = GridWorldEnv(cfg.grid, seed=f"{seed}:env")
+    _q, log, _ = safe_q_learning(env, cfg, seed)
     tail = log[-1000:]
     assert statistics.fmean(r.final_cost for r in tail) <= 2.0
     assert statistics.fmean(r.ret for r in tail) > 0.0
@@ -172,8 +171,8 @@ def test_training_log_shape_and_determinism():
     runs = []
     for _ in range(2):
         env = SampledKernelEnv(m, seed="7:env")
-        cfg = QLearnerConfig(episodes=50, seed=7)
-        _q, log, _ = safe_q_learning(env, cfg)
+        cfg = ExperimentConfig(episodes=50)
+        _q, log, _ = safe_q_learning(env, cfg, 7)
         runs.append([(r.episode, r.ret, r.final_cost, r.lam, r.explore) for r in log])
     assert runs[0] == runs[1]
     assert [r[0] for r in runs[0]] == list(range(50))

@@ -16,6 +16,15 @@ augmented state whose ledger is L pays the assessment for s' computed from
 reported as ``initial_penalty``.  Solvers fold these amounts undiscounted
 into trajectory-return space, which is algebraically identical to the
 per-step gamma^-t form and immune to discount underflow.
+
+The builder emits every layer twice: as the tuple of augmented states in
+discovery order (``layers``), and in index form (``compiled``) for the
+array solvers: each node's base state and ledger id, the layer's distinct
+ledgers and the table nx[ledger id, s2] giving the index in the next layer
+of (s2, advance(L, s2)).  The arrival depends on (ledger, successor) only,
+so ``advance`` runs once per such pair, and each state's successors are
+walked once however many actions reach them.  A layer that repeats the one
+before it repeats from then on, and its Layer object is shared.
 """
 
 from __future__ import annotations
@@ -23,7 +32,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .model import Cmdp, validate_cmdp
+import numpy as np
+
+from .model import Cmdp
 from .penalties import PenaltyScheme, penalty_amount
 
 # Ledger entry marking "accumulated cost already exceeds the budget".
@@ -81,10 +92,23 @@ def ledger_rule(m: Cmdp, quantum: float) -> Callable[[tuple[int, ...], int], tup
 
 
 @dataclass(frozen=True)
+class Layer:
+    """Epoch t of an ExtendedMdp in index form; node i is ``layers[t][i]``."""
+
+    state: np.ndarray  # (n,) base state of each node
+    ledger: np.ndarray  # (n,) each node's ledger as an index into ``ledgers``
+    ledgers: tuple[tuple[int, ...], ...]  # the epoch's distinct ledgers, first-seen order
+    # (len(ledgers), S): index in layer t+1 of (s2, advance(L, s2)), -1 where
+    # no node of the epoch with ledger L moves to s2 (everywhere at t = T).
+    nx: np.ndarray
+
+
+@dataclass(frozen=True)
 class ExtendedMdp:
     """Derived, immutable view of ``base`` under penalty weights ``lambdas``.
 
     ``advance`` is the ledger rule from ``ledger_rule(base, quantum)``.
+    ``compiled[t]`` indexes ``layers[t]`` for t = 0..T.
     """
 
     base: Cmdp
@@ -96,35 +120,19 @@ class ExtendedMdp:
     initial: AugState
     initial_penalty: float
     advance: Callable[[tuple[int, ...], int], tuple[int, ...]] = field(repr=False, compare=False)
-    _cost_floats: tuple = field(default=(), repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "_cost_floats",
-            tuple(tuple(float(v) for v in row) for row in self.base.costs),
-        )
+    compiled: tuple[Layer, ...] = field(repr=False, compare=False)
 
     def ledger_cost(self, entry: int) -> float:
         """Float cost total for an Under entry (exact for binary-fraction quanta)."""
         return entry * self.quantum
 
-    def arrival_penalty(self, ledger: tuple[int, ...], s_next: int, epoch: int) -> float:
-        """Total undiscounted penalty for arriving at s_next with prior ledger."""
-        total = 0.0
-        for k, entry in enumerate(ledger):
-            lam = self.lambdas[k]
-            if lam == 0.0:
-                continue
-            d = self._cost_floats[k][s_next]
-            budget = self.base.budgets[k]
-            if entry == VIOLATED:
-                # Any value strictly above the budget dispatches the same case.
-                c = budget + 1.0
-            else:
-                c = self.ledger_cost(entry)
-            total += penalty_amount(self.schemes[k], lam, c, d, budget, epoch)
-        return total
+
+def _index(nodes: tuple[AugState, ...]) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Base states, ledger ids and distinct ledgers (first-seen order) of a layer."""
+    ids: dict[tuple[int, ...], int] = {}
+    ledger_ids = [ids.setdefault(ledger, len(ids)) for (_s, ledger) in nodes]
+    state = [s for (s, _ledger) in nodes]
+    return np.array(state, dtype=np.intp), np.array(ledger_ids, dtype=np.intp), tuple(ids)
 
 
 def build_extended(
@@ -150,31 +158,60 @@ def build_extended(
     for k, lam in enumerate(lambdas):
         if lam < 0.0:
             raise ValueError(f"lambdas[{k}] must be >= 0, got {lam}")
-    problems = validate_cmdp(m)
-    if problems:
-        raise ValueError("invalid model: " + "; ".join(problems))
+    if m.problems:
+        raise ValueError("invalid model: " + "; ".join(m.problems))
 
     advance = ledger_rule(m, quantum)
+    S = m.n_states
+    # Per state, its distinct successors over all its actions, first-seen
+    # order: the next layer is discovered in the same order as a walk over
+    # every (action, successor) pair, and the arrival depends on the successor only.
+    reach: dict[int, tuple[int, ...]] = {}
     initial = (m.s0, advance((0,) * K, m.s0))
     seen: dict[AugState, None] = {initial: None}  # insertion-ordered
     layers: list[tuple[AugState, ...]] = [(initial,)]
-    frontier: dict[AugState, None] = {initial: None}
-    for _ in range(m.horizon):
-        nxt: dict[AugState, None] = {}
-        for (s, ledger) in frontier:
-            for a in m.actions_at(s):
-                for s2, _p in m.successors(s, a):
-                    x2 = (s2, advance(ledger, s2))
-                    if x2 not in nxt:
-                        nxt[x2] = None
+    compiled: list[Layer] = []
+    moves: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}  # L -> s2 -> advance(L, s2)
+    for t in range(m.horizon):
+        nodes = layers[t]
+        if t and nodes == layers[t - 1]:
+            # A layer is a function of the previous layer's node sequence
+            # alone, so once one repeats, every later one repeats too.
+            compiled.append(compiled[-1])
+            layers.append(nodes)
+            continue
+        state, ledger_ids, ledgers = _index(nodes)
+        # Per ledger id: successor state -> index of (s2, advance(L, s2)) in layer t+1.
+        rows: list[dict[int, int]] = [{} for _ in ledgers]
+        moved = [moves.setdefault(ledger, {}) for ledger in ledgers]
+        nxt: dict[AugState, int] = {}
+        for (s, ledger), l in zip(nodes, ledger_ids.tolist()):
+            row = rows[l]
+            if s not in reach:
+                reach[s] = tuple(dict.fromkeys(
+                    s2 for a in m.actions_at(s) for s2, _p in m.successors(s, a)))
+            for s2 in reach[s]:
+                if s2 in row:
+                    continue
+                ledger2 = moved[l].get(s2)
+                if ledger2 is None:
+                    ledger2 = moved[l][s2] = advance(ledger, s2)
+                x2 = (s2, ledger2)
+                j = nxt.get(x2)
+                if j is None:
+                    j = nxt[x2] = len(nxt)
                     if x2 not in seen:
                         if len(seen) >= max_states:
                             raise LedgerCapExceeded(
                                 f"reachable augmented states exceed the cap of {max_states}"
                             )
                         seen[x2] = None
+                row[s2] = j
         layers.append(tuple(nxt))
-        frontier = nxt
+        nx = np.array([[row.get(s2, -1) for s2 in range(S)] for row in rows], dtype=np.intp)
+        compiled.append(Layer(state, ledger_ids, ledgers, nx))
+    state, ledger_ids, ledgers = _index(layers[-1])
+    compiled.append(Layer(state, ledger_ids, ledgers, np.full((len(ledgers), S), -1, dtype=np.intp)))
 
     # Epoch-0 assessment for occupying s0 (nonzero only when d(s0) crosses).
     init_pen = 0.0
@@ -193,4 +230,5 @@ def build_extended(
         initial=initial,
         initial_penalty=init_pen,
         advance=advance,
+        compiled=tuple(compiled),
     )

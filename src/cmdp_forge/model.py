@@ -68,6 +68,12 @@ class Cmdp:
     state_names: tuple[str, ...] | None = None
     action_names: tuple[str, ...] | None = None
     _succ: dict = field(default_factory=dict, repr=False, compare=False)
+    # (S, A, J) successor indices and probabilities in ``successors`` order;
+    # unused slots hold index S and probability 0.0, so an unavailable action
+    # is all unused slots.
+    padded_successors: tuple[np.ndarray, np.ndarray] = field(
+        default=(), init=False, repr=False, compare=False)
+    _problems: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transition", _frozen(np.asarray(self.transition, dtype=float)))
@@ -89,6 +95,16 @@ class Cmdp:
                     (int(j), float(row[j])) for j in np.nonzero(row)[0]
                 )
         object.__setattr__(self, "_succ", succ)
+        # Built here with the model's other long-lived arrays: made lazily in
+        # the middle of a solve, they would pin heap that its temporaries freed.
+        J = max(map(len, succ.values()), default=0)
+        padded = np.full((self.n_states, self.n_actions, J), self.n_states, dtype=np.intp)
+        prob = np.zeros(padded.shape)
+        for (s, a), row in succ.items():
+            for j, (s2, p) in enumerate(row):
+                padded[s, a, j] = s2
+                prob[s, a, j] = p
+        object.__setattr__(self, "padded_successors", (_frozen(padded), _frozen(prob)))
 
     @property
     def n_states(self) -> int:
@@ -110,6 +126,13 @@ class Cmdp:
     def successors(self, s: int, a: int) -> tuple[tuple[int, float], ...]:
         """Positive-probability (state, probability) pairs for (s, a)."""
         return self._succ[(s, a)]
+
+    @property
+    def problems(self) -> tuple[str, ...]:
+        """``validate_cmdp``'s findings, computed on first use: instances never change."""
+        if self._problems is None:
+            object.__setattr__(self, "_problems", tuple(validate_cmdp(self)))
+        return self._problems
 
     def state_name(self, s: int) -> str:
         if self.state_names is not None:

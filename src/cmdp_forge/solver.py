@@ -13,6 +13,13 @@ payoff, the action operator (max with TIE_TOL ties, or a policy's
 expectation), whether step rewards count and the value pinned to a node
 whose ledger is already VIOLATED.  ``unconstrained_value`` is coded apart on
 purpose: it is the independent route the zero-penalty check compares with.
+
+``_sweep`` is a numpy kernel over the builder's compiled layers.  Per layer
+it forms the arrival term W = V(t+1)[nx] - PEN for every (ledger,
+successor), gathers it through the padded (S, A, J) successor arrays,
+adds the terms successor by successor in the model's order and takes the
+max or the policy expectation over actions.  No reduction reorders the
+additions, so every value is the float a per-edge scalar recursion gives.
 """
 
 from __future__ import annotations
@@ -21,9 +28,11 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .extended import VIOLATED, AugState, ExtendedMdp, build_extended
+import numpy as np
+
+from .extended import VIOLATED, AugState, ExtendedMdp, Layer, build_extended
 from .model import Cmdp, TabularPolicy, deterministic_policy, discount_powers
-from .penalties import PenaltyScheme
+from .penalties import PenaltyScheme, penalty_amount
 
 # Action values within this distance of the row maximum count as ties;
 # the lowest action index among them wins, for reproducible reports.
@@ -66,75 +75,121 @@ def _pick(best_actions: list[tuple[int, float]]) -> tuple[int, float]:
     raise AssertionError("unreachable: empty action list")
 
 
+def _cost_classes(m: Cmdp) -> list[tuple[list[float], np.ndarray]]:
+    """Per constraint: its distinct cost values and each state's index into them."""
+    out = []
+    for row in m.costs.tolist():
+        index: dict[float, int] = {}
+        cls = [index.setdefault(d, len(index)) for d in row]
+        out.append((list(index), np.array(cls, dtype=np.intp)))
+    return out
+
+
+def _arrival_penalties(e: ExtendedMdp, layer: Layer, epoch: int, costs) -> np.ndarray:
+    """PEN[l, s2]: the penalty for arriving at s2 at ``epoch`` from ledger l.
+
+    ``costs`` is ``_cost_classes(e.base)``.  ``penalty_amount`` runs once per
+    (ledger, distinct cost value, constraint); the amounts are summed over
+    constraints in index order.
+    """
+    m = e.base
+    pen = np.zeros((len(layer.ledgers), m.n_states))
+    for k, lam in enumerate(e.lambdas):
+        if lam == 0.0:
+            continue
+        budget = m.budgets[k]
+        values, cls = costs[k]
+        amount = [
+            [penalty_amount(e.schemes[k], lam,
+                            # Any value strictly above the budget dispatches the same case.
+                            budget + 1.0 if ledger[k] == VIOLATED else e.ledger_cost(ledger[k]),
+                            d, budget, epoch)
+             for d in values]
+            for ledger in layer.ledgers
+        ]
+        pen += np.array(amount)[:, cls]
+    return pen
+
+
 def _sweep(
     e: ExtendedMdp,
     terminal: Callable[[tuple[int, ...]], float],
     policy: TabularPolicy | None = None,
     rewards: bool = True,
     violated: float | None = None,
+    watch: int | None = None,
 ) -> tuple[dict[AugState, float], list[dict[AugState, int]]]:
-    """One backward pass over e's layers; returns (V(0, .), greedy).
+    """One backward pass over e's compiled layers; returns (V(0, .), greedy).
 
     terminal(ledger) is the payoff at layer T.  When ``violated`` is given,
-    a node whose ledger holds VIOLATED is worth that constant at every layer
-    and gets no greedy action.  Without a policy a node takes the max over
-    its actions (``_pick``); with one, the policy-weighted expectation.  An
-    action's sum stops once it reaches -inf, which is how masking propagates.
-    Only the layer being filled and the one after it are held.
+    a node whose ledger holds VIOLATED (in entry ``watch`` only, when that is
+    given) is worth that constant at every layer and gets no greedy action.
+    Without a policy a node takes the max over its available actions with
+    TIE_TOL ties going to the lowest index, as ``_pick`` does; with one, the
+    policy-weighted expectation over actions of nonzero probability.
+
+    Each layer is one numpy pass: the arrival term W = V(t+1)[nx] - PEN per
+    (ledger, successor), then per (node, action) the reward plus p * W over
+    the successors, added one successor at a time in ``base.successors``
+    order, so every float is the one a per-edge scalar recursion gives.  A -inf
+    arrival term makes the action -inf, which is how masking propagates.
     """
     m = e.base
-    T = m.horizon
+    T, S, A = m.horizon, m.n_states, m.n_actions
     pows = discount_powers(m.discount, T)
-    neg_inf = -math.inf
-    # Per state: (action, raw reward, successors), shared by every layer.
-    moves = {}
+    succ_of, prob_of = m.padded_successors
+    costs = _cost_classes(m) if any(e.lambdas) else None
+
+    def pinned(layer: Layer) -> np.ndarray:
+        dead = [violated is not None
+                and (VIOLATED in ledger if watch is None else ledger[watch] == VIOLATED)
+                for ledger in layer.ledgers]
+        return np.array(dead)[layer.ledger]
+
+    last = e.compiled[T]
+    vnext = np.array([terminal(ledger) for ledger in last.ledgers], dtype=float)[last.ledger]
+    if violated is not None:
+        vnext[pinned(last)] = violated
     greedy: list[dict[AugState, int]] = [dict() for _ in range(T)]
-    vnext = {
-        x: violated if violated is not None and VIOLATED in x[1] else terminal(x[1])
-        for x in e.layers[T]
-    }
+    plan = None  # the gather arrays of one layer, kept while a repeated layer lasts
     for t in range(T - 1, -1, -1):
-        gt = pows[t]
-        layer: dict[AugState, float] = {}
-        glayer = greedy[t]
-        # V(t+1, x2) - arrival penalty depends only on (prior ledger, s2).
-        arrive: dict[tuple[int, ...], dict[int, float]] = {}
-        for x in e.layers[t]:
-            s, ledger = x
-            if violated is not None and VIOLATED in ledger:
-                layer[x] = violated
-                continue
-            row = arrive.get(ledger)
-            if row is None:
-                row = arrive[ledger] = {}
-            acts = moves.get(s)
-            if acts is None:
-                acts = moves[s] = [(a, m.reward[s, a], m.successors(s, a)) for a in m.actions_at(s)]
-            if policy is not None:
-                pi = policy.probabilities(t, s, ledger)
-            scored = []
-            for a, r, succ in acts:
-                if policy is not None and pi[a] == 0.0:
-                    continue
-                acc = gt * r if rewards else 0.0
-                for s2, p in succ:
-                    v = row.get(s2)
-                    if v is None:
-                        v = row[s2] = (vnext[(s2, e.advance(ledger, s2))]
-                                       - e.arrival_penalty(ledger, s2, t + 1))
-                    acc += p * v
-                    if acc == neg_inf:
-                        break
-                scored.append((a, acc))
-            if policy is None:
-                glayer[x], layer[x] = _pick(scored)
+        layer, nodes = e.compiled[t], e.layers[t]
+        if plan is None or plan[0] is not layer:
+            succ = succ_of[layer.state]
+            # Flat index into W, whose column S is 0.0 for the unused slots.
+            flat = layer.ledger[:, None, None] * (S + 1) + succ
+            plan = (layer, flat, prob_of[layer.state], succ < S, pinned(layer))
+        _, flat, prob, real, dead = plan
+        ok = real[:, :, 0]  # an available action has a first successor
+        w = np.zeros((len(layer.ledgers), S + 1))
+        w[:, :S] = vnext[layer.nx]
+        if costs is not None:
+            w[:, :S] -= _arrival_penalties(e, layer, t + 1, costs)
+        terms = prob * w.ravel()[flat]
+        acc = pows[t] * m.reward[layer.state] if rewards else np.zeros(ok.shape)
+        for j in range(terms.shape[2]):
+            np.add(acc, terms[:, :, j], out=acc, where=real[:, :, j])
+        if policy is None:
+            values = np.where(ok, acc, -math.inf).max(axis=1)
+            choice = np.argmax(ok & (acc >= (values - TIE_TOL)[:, None]), axis=1).tolist()
+            if violated is None:
+                greedy[t] = dict(zip(nodes, choice))
             else:
-                total = 0.0
-                for a, q in scored:
-                    total += pi[a] * q
-                layer[x] = total
-        vnext = layer
-    return vnext, greedy
+                greedy[t] = {x: a for x, a, d in zip(nodes, choice, dead.tolist()) if not d}
+        else:
+            none = (0.0,) * A
+            pi = np.array([none if d else policy.probabilities(t, *x)
+                           for x, d in zip(nodes, dead.tolist())], dtype=float)
+            # Skipping zero-probability actions keeps 0 * -inf out of the sum.
+            weighted = ok & (pi != 0.0)
+            acc[~weighted] = 0.0
+            values = np.zeros(len(pi))
+            for a in range(A):
+                np.add(values, pi[:, a] * acc[:, a], out=values, where=weighted[:, a])
+        if violated is not None:
+            values[dead] = violated
+        vnext = values
+    return dict(zip(e.layers[0], vnext.tolist())), greedy
 
 
 def _zero(_ledger) -> float:
@@ -179,6 +234,12 @@ def unconstrained_value(m: Cmdp) -> tuple[float, list[dict[int, int]]]:
     return vnext[m.s0], greedy
 
 
+def _safe_space(m: Cmdp, quantum: float) -> ExtendedMdp:
+    """The penalty-free augmented space the budget-only quantities run on."""
+    K = m.n_constraints
+    return build_extended(m, [0.0] * K, [PenaltyScheme.RISK_NEUTRAL] * K, quantum)
+
+
 def worst_case_value(
     m: Cmdp, quantum: float = 0.25
 ) -> tuple[float, TabularPolicy]:
@@ -189,39 +250,49 @@ def worst_case_value(
     states with empty feasible sets.  Masking is exact, unlike a huge-lambda
     limit, and is the definition used for the reported value.
     """
-    e = build_extended(m, [0.0] * m.n_constraints,
-                       [PenaltyScheme.RISK_NEUTRAL] * m.n_constraints, quantum)
+    return _worst_case(_safe_space(m, quantum))
+
+
+def _worst_case(e: ExtendedMdp) -> tuple[float, TabularPolicy]:
+    m = e.base
     if any(entry == VIOLATED for entry in e.initial[1]):
         raise WorstCaseInfeasible(f"initial state {m.state_name(m.s0)}")
     values, greedy = _sweep(e, _zero, violated=-math.inf)
     value = values[e.initial]
     if value == -math.inf:
-        desc = _first_dead_end(m, e)
-        raise WorstCaseInfeasible(desc)
+        raise WorstCaseInfeasible(_first_dead_end(e))
     table = ValueTable(greedy=greedy, initial_value=value)
     return value, table.greedy_policy(m.n_actions)
 
 
-def _first_dead_end(m: Cmdp, e: ExtendedMdp) -> str:
-    """Name a reachable augmented state with no feasible action."""
-    # Walk forward from the initial state through -inf territory.
+def _first_dead_end(e: ExtendedMdp) -> str:
+    """Name a reachable augmented state with no feasible action.
+
+    One forward walk over the compiled layers from the initial state along
+    feasible actions, those with no successor in a violated ledger.  Each
+    layer's feasibility is one array pass; the walk's frontier is a set of
+    augmented states filled action by action, successor by successor, and
+    the first node in its iteration order that has no feasible action is
+    named.
+    """
+    m = e.base
+    S = m.n_states
     frontier = {e.initial}
     for t in range(m.horizon):
-        nxt = set()
-        for (s, ledger) in frontier:
-            all_masked = True
-            for a in m.actions_at(s):
-                ok = True
-                for s2, _p in m.successors(s, a):
-                    if VIOLATED in e.advance(ledger, s2):
-                        ok = False
-                        break
-                if ok:
-                    all_masked = False
-                    for s2, _p in m.successors(s, a):
-                        nxt.add((s2, e.advance(ledger, s2)))
-            if all_masked:
-                return f"{m.state_name(s)} with ledger {ledger} at step {t}"
+        layer, after = e.compiled[t], e.compiled[t + 1]
+        violated = np.array([VIOLATED in ledger for ledger in after.ledgers])[after.ledger]
+        succ = m.padded_successors[0][layer.state]
+        real = succ < S
+        nxt_index = layer.nx[layer.ledger[:, None, None], np.where(real, succ, 0)]
+        ok = real[:, :, 0] & ~(real & violated[nxt_index]).any(axis=2)
+        index = {x: i for i, x in enumerate(e.layers[t])}
+        nxt: set[AugState] = set()
+        for x in frontier:
+            i = index[x]
+            if not ok[i].any():
+                return f"{m.state_name(x[0])} with ledger {x[1]} at step {t}"
+            for a in np.flatnonzero(ok[i]).tolist():
+                nxt.update(e.layers[t + 1][j] for j in nxt_index[i, a, real[i, a]].tolist())
         frontier = nxt
     return f"initial state {m.state_name(m.s0)}"
 
@@ -230,25 +301,18 @@ def max_safe_cost(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:
     """max over policies of E[D_k * 1(D_k <= budget_k)].
 
     The truncated expectation is linear in trajectory probabilities, so it
-    equals the value of a DP over the single-constraint augmented space with
-    zero step rewards and terminal reward equal to the ledger total when the
-    episode ends within budget (the arrival-inclusive ledger at the terminal
-    step is exactly the trajectory's total cost) and zero once violated.
+    equals the value of a DP over the augmented space with zero step rewards
+    and terminal reward equal to the ledger total of constraint k when the
+    episode ends within that budget (the arrival-inclusive ledger at the
+    terminal step is exactly the trajectory's total cost) and zero once it
+    is violated.  The other ledger entries do not change the value.
     """
-    single = Cmdp(
-        transition=m.transition,
-        reward=m.reward,
-        costs=m.costs[k : k + 1],
-        budgets=(m.budgets[k],),
-        horizon=m.horizon,
-        discount=m.discount,
-        s0=m.s0,
-        available=m.available,
-        state_names=m.state_names,
-        action_names=m.action_names,
-    )
-    e = build_extended(single, [0.0], [PenaltyScheme.RISK_NEUTRAL], quantum)
-    values, _ = _sweep(e, lambda ledger: e.ledger_cost(ledger[0]), rewards=False, violated=0.0)
+    return _max_safe_cost(_safe_space(m, quantum), k)
+
+
+def _max_safe_cost(e: ExtendedMdp, k: int) -> float:
+    values, _ = _sweep(e, lambda ledger: e.ledger_cost(ledger[k]), rewards=False,
+                       violated=0.0, watch=k)
     return values[e.initial]
 
 
@@ -295,8 +359,9 @@ def lambda_bounds(m: Cmdp, alpha: float, quantum: float = 0.25, k: int = 0) -> B
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     best, _ = unconstrained_value(m)
-    worst, _ = worst_case_value(m, quantum)
-    slack = cost_slack(m, k, quantum)
+    e = _safe_space(m, quantum)
+    worst, _ = _worst_case(e)
+    slack = m.budgets[k] - _max_safe_cost(e, k)
     gap = best - worst
     lam_rn = math.inf if slack == 0.0 else gap / slack
     lam_var = gap / (alpha * m.budgets[k])

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from cmdp_forge.envs import desk_grid, make_gridworld
 from cmdp_forge.extended import (
     VIOLATED,
     LedgerCapExceeded,
     QuantizationError,
     build_extended,
+    ledger_rule,
     quantize,
 )
-from cmdp_forge.fixtures import fixture, two_action_chain
+from cmdp_forge.fixtures import fixture, fixture_pack, two_action_chain
 from cmdp_forge.learners import ledger_bucket
 from cmdp_forge.model import Cmdp
 from cmdp_forge.penalties import PenaltyScheme, penalty_amount
@@ -46,6 +48,50 @@ def reachable_by_float_walk(m, budget_index=0):
             (s, tuple("V" if t > m.budgets[k] else t for k, t in enumerate(totals)))
         )
     return collapsed
+
+
+def reference_layers(m, quantum):
+    """Independent builder: advance the ledger on every (node, action, successor).
+
+    A plain breadth-first walk with no memoising; it returns (states,
+    layers) in discovery order.
+    """
+    advance = ledger_rule(m, quantum)
+    initial = (m.s0, advance((0,) * m.n_constraints, m.s0))
+    seen = {initial: None}
+    layers = [(initial,)]
+    frontier = {initial: None}
+    for _ in range(m.horizon):
+        nxt = {}
+        for (s, ledger) in frontier:
+            for a in m.actions_at(s):
+                for s2, _p in m.successors(s, a):
+                    x2 = (s2, advance(ledger, s2))
+                    nxt.setdefault(x2, None)
+                    seen.setdefault(x2, None)
+        layers.append(tuple(nxt))
+        frontier = nxt
+    return tuple(seen), tuple(layers)
+
+
+def test_compiled_build_keeps_the_reference_discovery_order():
+    models = [(f.name, f.cmdp, f.quantum) for f in fixture_pack()]
+    models.append(("desk", make_gridworld(desk_grid(), "exact"), 0.25))
+    for name, m, quantum in models:
+        K = m.n_constraints
+        e = build_extended(m, [0.5] * K, [RN] * K, quantum)
+        states, layers = reference_layers(m, quantum)
+        advance = ledger_rule(m, quantum)
+        assert e.states == states, name
+        assert e.layers == layers, name
+        for t, layer in enumerate(e.compiled):
+            assert [(s, layer.ledgers[l]) for s, l in zip(layer.state, layer.ledger)] == list(layers[t])
+            if t < m.horizon:
+                # nx sends (ledger, successor) to that arrival's index in layer t+1.
+                for (s, ledger), l in zip(layers[t], layer.ledger):
+                    for a in m.actions_at(s):
+                        for s2, _p in m.successors(s, a):
+                            assert layers[t + 1][layer.nx[l, s2]] == (s2, advance(ledger, s2))
 
 
 def test_quantize_accepts_multiples_and_rejects_others():

@@ -1,5 +1,8 @@
+import hashlib
 import math
+import random
 
+import numpy as np
 import pytest
 
 from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, make_chain, make_gridworld
@@ -10,7 +13,8 @@ from cmdp_forge.fixtures import (
     infeasible_chain,
     two_action_chain,
 )
-from cmdp_forge.oracle import enumerate_trajectories, stats
+from cmdp_forge.model import Cmdp
+from cmdp_forge.oracle import enumerate_trajectories, random_policy, stats
 from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import (
     WorstCaseInfeasible,
@@ -189,3 +193,70 @@ def test_worst_case_on_the_desk_grid_names_the_dead_end(desk):
 
 def test_truncated_cost_maximum_on_the_desk_grid(desk):
     assert max_safe_cost(desk, 0, 0.25) == 1.2209444292711176
+
+
+# Recorded with a scalar sweep (one Python step per edge): the repr of the
+# optimum, a sha256 of the sorted greedy table and the value of a seeded
+# random policy, on the desk grid at lambda = 3.
+DESK_PINS = {
+    PenaltyScheme.RISK_NEUTRAL: (
+        "93.26403576726433",
+        "f71fd263d2f8e81fb630b0a8e9e3b018c26cd572fca5a7c6f25af0ccba9ee3ba",
+        "-13.190135971246082",
+    ),
+    PenaltyScheme.VALUE_AT_RISK: (
+        "91.36898834575555",
+        "2e7360905850c9787ab489425c243f07155ecace9b6001e91a99bb509f7501ed",
+        "-115.26745782599592",
+    ),
+    PenaltyScheme.CONDITIONAL_VALUE_AT_RISK: (
+        "93.49054485490836",
+        "5773eeff4cb5622c6b955a55a0a45eb30bfe80dfcc0dd5c1d7b4c7d1ddd4621f",
+        "-8.245980075071085",
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", list(PenaltyScheme))
+def test_desk_grid_results_are_bit_identical_to_the_scalar_sweep(desk, scheme):
+    value, greedy_sha, random_value = DESK_PINS[scheme]
+    e = build_extended(desk, [3.0], [scheme], 0.25)
+    vt = backward_induction(e)
+    rows = sorted((t, x, a) for t, layer in enumerate(vt.greedy) for x, a in layer.items())
+    assert repr(float(vt.initial_value)) == value
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == greedy_sha
+    policy = random_policy(desk, 0.25, random.Random(7))
+    assert repr(float(evaluate_policy(e, policy))) == random_value
+
+
+def masked_model():
+    """Start -> safe (a0) or trap (a1); a2 at start and a0 at the trap are
+    unavailable and carry the largest reward.  Every available action at the
+    trap reaches the pit, whose cost breaks the budget."""
+    S, A = 4, 3
+    transition = np.zeros((S, A, S))
+    transition[0, 0, 1] = transition[0, 1, 2] = transition[0, 2, 1] = 1.0
+    transition[1, :, 1] = 1.0
+    transition[2, 0, 1] = transition[2, 1, 3] = transition[2, 2, 3] = 1.0
+    transition[3, :, 3] = 1.0
+    reward = np.zeros((S, A))
+    reward[0] = (1.0, 2.0, 10.0)
+    reward[2, 0] = 10.0
+    available = np.ones((S, A), dtype=bool)
+    available[0, 2] = available[2, 0] = False
+    return Cmdp(transition=transition, reward=reward, costs=[[0.0, 0.0, 0.0, 5.0]],
+                budgets=(1.0,), horizon=2, available=available,
+                state_names=("start", "safe", "trap", "pit"))
+
+
+def test_unavailable_actions_are_never_greedy():
+    m = masked_model()
+    vt = backward_induction(build_extended(m, [0.0], [RN], 1.0))
+    assert vt.greedy[0][(0, (0,))] == 1
+    assert vt.greedy[1][(2, (0,))] == 1
+    assert vt.initial_value == 2.0
+    value, policy = worst_case_value(m, 1.0)
+    assert value == 1.0
+    assert policy.table[(0, 0, (0,))] == (1.0, 0.0, 0.0)
+    # Both available actions at the trap are -inf: the first available wins.
+    assert policy.table[(1, 2, (0,))] == (0.0, 1.0, 0.0)

@@ -7,8 +7,8 @@ single VIOLATED bucket: once over budget, all three penalty shapes depend
 only on the current state's cost (or a constant), never on the exact
 exceedance, so the collapse is lossless for values and policies.
 ``ledger_rule`` is the one place that quantises costs and budgets and
-advances a ledger; the builder, ``ExtendedMdp.advance`` and the oracle's
-policy lookup keys all use the rule it returns.
+advances a ledger; the builder and the oracle's policy lookup keys both use
+the rule it returns.
 
 Penalty assessments are charged on transitions.  Arriving at s' from an
 augmented state whose ledger is L pays the assessment for s' computed from
@@ -23,8 +23,7 @@ array solvers: each node's base state and ledger id, the layer's distinct
 ledgers and the table nx[ledger id, s2] giving the index in the next layer
 of (s2, advance(L, s2)).  The arrival depends on (ledger, successor) only,
 so ``advance`` runs once per such pair, and each state's successors are
-walked once however many actions reach them.  A layer that repeats the one
-before it repeats from then on, and its Layer object is shared.
+walked once however many actions reach them.
 """
 
 from __future__ import annotations
@@ -107,7 +106,6 @@ class Layer:
 class ExtendedMdp:
     """Derived, immutable view of ``base`` under penalty weights ``lambdas``.
 
-    ``advance`` is the ledger rule from ``ledger_rule(base, quantum)``.
     ``compiled[t]`` indexes ``layers[t]`` for t = 0..T.
     """
 
@@ -119,7 +117,6 @@ class ExtendedMdp:
     layers: tuple[tuple[AugState, ...], ...]  # states reachable at epoch t, t = 0..T
     initial: AugState
     initial_penalty: float
-    advance: Callable[[tuple[int, ...], int], tuple[int, ...]] = field(repr=False, compare=False)
     compiled: tuple[Layer, ...] = field(repr=False, compare=False)
 
     def ledger_cost(self, entry: int) -> float:
@@ -174,12 +171,6 @@ def build_extended(
     moves: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}  # L -> s2 -> advance(L, s2)
     for t in range(m.horizon):
         nodes = layers[t]
-        if t and nodes == layers[t - 1]:
-            # A layer is a function of the previous layer's node sequence
-            # alone, so once one repeats, every later one repeats too.
-            compiled.append(compiled[-1])
-            layers.append(nodes)
-            continue
         state, ledger_ids, ledgers = _index(nodes)
         # Per ledger id: successor state -> index of (s2, advance(L, s2)) in layer t+1.
         rows: list[dict[int, int]] = [{} for _ in ledgers]
@@ -229,6 +220,5 @@ def build_extended(
         layers=tuple(layers),
         initial=initial,
         initial_penalty=init_pen,
-        advance=advance,
         compiled=tuple(compiled),
     )

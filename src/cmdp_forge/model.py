@@ -42,6 +42,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class SuccessorArrays:
+    """``Cmdp.successors`` as (S, A, J) arrays, J the longest successor list.
+
+    Slot j of (s, a) holds the j-th successor and its probability where
+    ``real`` is set.  Unused slots, all of an unavailable action's, hold
+    state 0 and probability 0.0, so a gather through ``state`` stays in
+    bounds; only ``real`` tells the slots apart.
+    """
+
+    state: np.ndarray
+    prob: np.ndarray
+    real: np.ndarray
+
+
+@dataclass(frozen=True)
 class Cmdp:
     """A finite constrained MDP.
 
@@ -67,12 +82,10 @@ class Cmdp:
     available: np.ndarray | None = None
     state_names: tuple[str, ...] | None = None
     action_names: tuple[str, ...] | None = None
+    # The successor lists twice: tuples for the scalar loops and arrays for
+    # the solver's kernel.
     _succ: dict = field(default_factory=dict, repr=False, compare=False)
-    # (S, A, J) successor indices and probabilities in ``successors`` order;
-    # unused slots hold index S and probability 0.0, so an unavailable action
-    # is all unused slots.
-    padded_successors: tuple[np.ndarray, np.ndarray] = field(
-        default=(), init=False, repr=False, compare=False)
+    successor_arrays: SuccessorArrays = field(init=False, repr=False, compare=False)
     _problems: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,13 +111,14 @@ class Cmdp:
         # Built here with the model's other long-lived arrays: made lazily in
         # the middle of a solve, they would pin heap that its temporaries freed.
         J = max(map(len, succ.values()), default=0)
-        padded = np.full((self.n_states, self.n_actions, J), self.n_states, dtype=np.intp)
-        prob = np.zeros(padded.shape)
+        state = np.zeros((self.n_states, self.n_actions, J), dtype=np.intp)
+        prob = np.zeros(state.shape)
+        real = np.zeros(state.shape, dtype=bool)
         for (s, a), row in succ.items():
             for j, (s2, p) in enumerate(row):
-                padded[s, a, j] = s2
-                prob[s, a, j] = p
-        object.__setattr__(self, "padded_successors", (_frozen(padded), _frozen(prob)))
+                state[s, a, j], prob[s, a, j], real[s, a, j] = s2, p, True
+        object.__setattr__(self, "successor_arrays",
+                           SuccessorArrays(_frozen(state), _frozen(prob), _frozen(real)))
 
     @property
     def n_states(self) -> int:

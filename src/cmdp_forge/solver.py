@@ -16,7 +16,7 @@ purpose: it is the independent route the zero-penalty check compares with.
 
 ``_sweep`` is a numpy kernel over the builder's compiled layers.  Per layer
 it forms the arrival term W = V(t+1)[nx] - PEN for every (ledger,
-successor), gathers it through the padded (S, A, J) successor arrays,
+successor), gathers it through the model's (S, A, J) ``successor_arrays``,
 adds the terms successor by successor in the model's order and takes the
 max or the policy expectation over actions.  No reduction reorders the
 additions, so every value is the float a per-edge scalar recursion gives.
@@ -117,13 +117,12 @@ def _sweep(
     policy: TabularPolicy | None = None,
     rewards: bool = True,
     violated: float | None = None,
-    watch: int | None = None,
 ) -> tuple[dict[AugState, float], list[dict[AugState, int]]]:
     """One backward pass over e's compiled layers; returns (V(0, .), greedy).
 
     terminal(ledger) is the payoff at layer T.  When ``violated`` is given,
-    a node whose ledger holds VIOLATED (in entry ``watch`` only, when that is
-    given) is worth that constant at every layer and gets no greedy action.
+    a node whose ledger holds VIOLATED is worth that constant at every layer
+    and gets no greedy action.
     Without a policy a node takes the max over its available actions with
     TIE_TOL ties going to the lowest index, as ``_pick`` does; with one, the
     policy-weighted expectation over actions of nonzero probability.
@@ -137,13 +136,11 @@ def _sweep(
     m = e.base
     T, S, A = m.horizon, m.n_states, m.n_actions
     pows = discount_powers(m.discount, T)
-    succ_of, prob_of = m.padded_successors
+    arrays = m.successor_arrays
     costs = _cost_classes(m) if any(e.lambdas) else None
 
     def pinned(layer: Layer) -> np.ndarray:
-        dead = [violated is not None
-                and (VIOLATED in ledger if watch is None else ledger[watch] == VIOLATED)
-                for ledger in layer.ledgers]
+        dead = [violated is not None and VIOLATED in ledger for ledger in layer.ledgers]
         return np.array(dead)[layer.ledger]
 
     last = e.compiled[T]
@@ -151,21 +148,16 @@ def _sweep(
     if violated is not None:
         vnext[pinned(last)] = violated
     greedy: list[dict[AugState, int]] = [dict() for _ in range(T)]
-    plan = None  # the gather arrays of one layer, kept while a repeated layer lasts
     for t in range(T - 1, -1, -1):
         layer, nodes = e.compiled[t], e.layers[t]
-        if plan is None or plan[0] is not layer:
-            succ = succ_of[layer.state]
-            # Flat index into W, whose column S is 0.0 for the unused slots.
-            flat = layer.ledger[:, None, None] * (S + 1) + succ
-            plan = (layer, flat, prob_of[layer.state], succ < S, pinned(layer))
-        _, flat, prob, real, dead = plan
+        prob, real, dead = arrays.prob[layer.state], arrays.real[layer.state], pinned(layer)
         ok = real[:, :, 0]  # an available action has a first successor
-        w = np.zeros((len(layer.ledgers), S + 1))
-        w[:, :S] = vnext[layer.nx]
+        w = vnext[layer.nx]
         if costs is not None:
-            w[:, :S] -= _arrival_penalties(e, layer, t + 1, costs)
-        terms = prob * w.ravel()[flat]
+            w -= _arrival_penalties(e, layer, t + 1, costs)
+        # p * W(ledger, s2) per slot; unused slots stay 0.0 and are never added.
+        flat = layer.ledger[:, None, None] * S + arrays.state[layer.state]
+        terms = np.multiply(prob, w.ravel()[flat], out=np.zeros(prob.shape), where=real)
         acc = pows[t] * m.reward[layer.state] if rewards else np.zeros(ok.shape)
         for j in range(terms.shape[2]):
             np.add(acc, terms[:, :, j], out=acc, where=real[:, :, j])
@@ -276,14 +268,13 @@ def _first_dead_end(e: ExtendedMdp) -> str:
     named.
     """
     m = e.base
-    S = m.n_states
+    arrays = m.successor_arrays
     frontier = {e.initial}
     for t in range(m.horizon):
         layer, after = e.compiled[t], e.compiled[t + 1]
         violated = np.array([VIOLATED in ledger for ledger in after.ledgers])[after.ledger]
-        succ = m.padded_successors[0][layer.state]
-        real = succ < S
-        nxt_index = layer.nx[layer.ledger[:, None, None], np.where(real, succ, 0)]
+        real = arrays.real[layer.state]
+        nxt_index = layer.nx[layer.ledger[:, None, None], arrays.state[layer.state]]
         ok = real[:, :, 0] & ~(real & violated[nxt_index]).any(axis=2)
         index = {x: i for i, x in enumerate(e.layers[t])}
         nxt: set[AugState] = set()
@@ -301,18 +292,39 @@ def max_safe_cost(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:
     """max over policies of E[D_k * 1(D_k <= budget_k)].
 
     The truncated expectation is linear in trajectory probabilities, so it
-    equals the value of a DP over the augmented space with zero step rewards
-    and terminal reward equal to the ledger total of constraint k when the
-    episode ends within that budget (the arrival-inclusive ledger at the
-    terminal step is exactly the trajectory's total cost) and zero once it
-    is violated.  The other ledger entries do not change the value.
+    equals the value of a DP over the single-constraint augmented space with
+    zero step rewards and terminal reward equal to the ledger total when the
+    episode ends within budget (the arrival-inclusive ledger at the terminal
+    step is exactly the trajectory's total cost) and zero once violated.
+    Only constraint k is quantised, so the other constraints' costs and
+    budgets never raise here.
     """
-    return _max_safe_cost(_safe_space(m, quantum), k)
+    single = Cmdp(
+        transition=m.transition,
+        reward=m.reward,
+        costs=m.costs[k : k + 1],
+        budgets=(m.budgets[k],),
+        horizon=m.horizon,
+        discount=m.discount,
+        s0=m.s0,
+        available=m.available,
+        state_names=m.state_names,
+        action_names=m.action_names,
+    )
+    return _max_safe_cost(_safe_space(single, quantum), 0)
 
 
 def _max_safe_cost(e: ExtendedMdp, k: int) -> float:
-    values, _ = _sweep(e, lambda ledger: e.ledger_cost(ledger[k]), rewards=False,
-                       violated=0.0, watch=k)
+    """max_safe_cost of constraint k on a penalty-free space ``e``.
+
+    The value at a node depends on its base state and ledger entry k only,
+    so on the joint K-constraint space it is the float the single-constraint
+    space gives.  A node whose entry k is VIOLATED needs no pinning: every
+    successor's entry stays VIOLATED, so with rewards off its value is
+    0.0 + p * 0.0 + ... = 0.0, the terminal payoff.
+    """
+    values, _ = _sweep(e, lambda ledger: 0.0 if ledger[k] == VIOLATED else e.ledger_cost(ledger[k]),
+                       rewards=False)
     return values[e.initial]
 
 
@@ -359,6 +371,7 @@ def lambda_bounds(m: Cmdp, alpha: float, quantum: float = 0.25, k: int = 0) -> B
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     best, _ = unconstrained_value(m)
+    # The worst case needs the joint space; constraint k's max safe cost reads it too.
     e = _safe_space(m, quantum)
     worst, _ = _worst_case(e)
     slack = m.budgets[k] - _max_safe_cost(e, k)

@@ -141,11 +141,12 @@ def test_augmented_transitions_preserve_probability_mass():
             [RN] * f.cmdp.n_constraints,
             f.quantum,
         )
+        advance = ledger_rule(f.cmdp, f.quantum)
         for (s, ledger) in e.states:
             for a in f.cmdp.actions_at(s):
                 mass = 0.0
                 for s2, p in f.cmdp.successors(s, a):
-                    e.advance(ledger, s2)
+                    advance(ledger, s2)
                     mass += p
                 assert abs(mass - 1.0) <= 1e-12
 

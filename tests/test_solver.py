@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, make_chain, make_gridworld
-from cmdp_forge.extended import build_extended
+from cmdp_forge.extended import QuantizationError, build_extended
 from cmdp_forge.fixtures import (
     fixture,
     fixture_pack,
@@ -193,6 +193,25 @@ def test_worst_case_on_the_desk_grid_names_the_dead_end(desk):
 
 def test_truncated_cost_maximum_on_the_desk_grid(desk):
     assert max_safe_cost(desk, 0, 0.25) == 1.2209444292711176
+
+
+def test_max_safe_cost_reads_only_its_own_constraint():
+    f = fixture("two_cost_chain")
+    m = f.cmdp
+    # lambda_bounds reads constraint k on the joint two-constraint space,
+    # max_safe_cost on a one-constraint copy: the slack is the same float.
+    for k in range(2):
+        assert lambda_bounds(m, 0.5, f.quantum, k).cost_slack == cost_slack(m, k, f.quantum)
+    # A second constraint that does not quantise is no concern of constraint 0.
+    costs = m.costs.copy()
+    costs[1, 0] = 0.3
+    odd = Cmdp(transition=m.transition, reward=m.reward, costs=costs, budgets=m.budgets,
+               horizon=m.horizon, available=m.available)
+    assert max_safe_cost(odd, 0, f.quantum) == max_safe_cost(m, 0, f.quantum)
+    with pytest.raises(QuantizationError, match=r"= 0\.3 is not a multiple"):
+        cost_slack(odd, 1, f.quantum)
+    with pytest.raises(QuantizationError, match=r"costs\[1\]\[s=0\]"):
+        lambda_bounds(odd, 0.5, f.quantum, 0)
 
 
 # Recorded with a scalar sweep (one Python step per edge): the repr of the

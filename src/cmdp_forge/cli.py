@@ -30,7 +30,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .envs import GridWorldEnv, SampledKernelEnv
 from .fixtures import fixture, fixture_pack
 from .learners import (
-    SoftmaxPolicy,
+    ActorCriticTables,
     constrained_action_select,
     greedy_action,
     obs_key,
@@ -52,6 +52,11 @@ def _num(x) -> str:
     if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
         return str(x)
     return format_number(float(x))
+
+
+def _spread(values: list[float]) -> float:
+    """Population std; exactly 0.0 for equal values (one seed) without pstdev's Fraction sums."""
+    return statistics.pstdev(values) if any(v != values[0] for v in values) else 0.0
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -83,11 +88,7 @@ def _train_one(args):
         tables, log, _sched = safe_actor_critic(env, cfg, seed)
         checkpoint = dump_checkpoint(
             "safe_ac",
-            {
-                "logits": dict(tables.policy.logits),
-                "q1": dict(tables.q),
-                "qd1": dict(tables.qd),
-            },
+            tables.sections(),
             {
                 "quantum": cfg.key_quantum,
                 "budget": env.budget,
@@ -153,11 +154,11 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
                     _num(lam),
                     logs[0][i][0],
                     _num(statistics.fmean(rets)),
-                    _num(statistics.pstdev(rets)),
+                    _num(_spread(rets)),
                     _num(statistics.fmean(costs)),
-                    _num(statistics.pstdev(costs)),
+                    _num(_spread(costs)),
                     _num(statistics.fmean(lams_now)),
-                    _num(statistics.pstdev(lams_now)),
+                    _num(_spread(lams_now)),
                 )
             )
     write_csv(
@@ -188,12 +189,10 @@ def _rollout_policy(learner: str, tables: dict, meta: dict):
             return greedy_action(q, key, n_actions)
 
     else:
-        policy = SoftmaxPolicy(n_actions, meta.get("alpha_ent", 0.1))
-        policy.logits.update(tables.get("logits", {}))
-        q, qd = tables.get("q1", {}), tables.get("qd1", {})
+        store = ActorCriticTables.from_sections(tables, n_actions, meta.get("alpha_ent", 0.1))
 
         def select(key, c, d):
-            return constrained_action_select(key, policy, q, qd, c, d, budget)
+            return constrained_action_select(store, store.row(key), c, d, budget)
 
     return select, quantum, budget
 
@@ -201,16 +200,17 @@ def _rollout_policy(learner: str, tables: dict, meta: dict):
 def evaluate_checkpoint(checkpoint_text: str, cfg: ExperimentConfig):
     """Monte-Carlo rollouts per seed; returns (per-seed rows, aggregate dict)."""
     learner, tables, meta = load_checkpoint(checkpoint_text)
+    envs = [build_env(cfg, seed=f"{seed}:eval") for seed in cfg.seeds]
+    # Every seed's env has the same shape; check it before sizing any table.
+    for key, want in (("n_actions", envs[0].n_actions), ("budget", envs[0].budget)):
+        if meta[key] != want:
+            raise FormatError(
+                f"checkpoint {key} = {_num(meta[key])} does not match "
+                f"the configured environment's {_num(want)}"
+            )
     select, quantum, budget = _rollout_policy(learner, tables, meta)
     per_seed = []
-    for seed in cfg.seeds:
-        env = build_env(cfg, seed=f"{seed}:eval")
-        for key, want in (("n_actions", env.n_actions), ("budget", env.budget)):
-            if meta[key] != want:
-                raise FormatError(
-                    f"checkpoint {key} = {_num(meta[key])} does not match "
-                    f"the configured environment's {_num(want)}"
-                )
+    for seed, env in zip(cfg.seeds, envs):
         returns, costs = [], []
         for _ in range(cfg.eval_episodes):
             (s, c, d) = env.reset()
@@ -251,9 +251,9 @@ def evaluate_checkpoint(checkpoint_text: str, cfg: ExperimentConfig):
         )
     agg = {
         "mean_return": statistics.fmean(r["mean_return"] for r in per_seed),
-        "std_return": statistics.pstdev([r["mean_return"] for r in per_seed]) if len(per_seed) > 1 else 0.0,
+        "std_return": _spread([r["mean_return"] for r in per_seed]),
         "mean_cost": statistics.fmean(r["mean_cost"] for r in per_seed),
-        "std_cost": statistics.pstdev([r["mean_cost"] for r in per_seed]) if len(per_seed) > 1 else 0.0,
+        "std_cost": _spread([r["mean_cost"] for r in per_seed]),
         "violation_prob": statistics.fmean(r["violation_prob"] for r in per_seed),
         "mean_excess": statistics.fmean(r["mean_excess"] for r in per_seed),
     }

@@ -10,6 +10,12 @@ schedule:
   * safe_actor_critic: softmax policy over logits with one reward critic and
     one cost critic, n-step backups, Polyak-averaged target tables,
     feasibility-constrained action selection, and a safe/unsafe actor branch.
+    Its tables live in ActorCriticTables, one dense (rows, A) store keyed by
+    observation, which ``evaluate`` also loads a checkpoint into; Polyak
+    averaging is one masked vector op over the entries still moving.
+
+The Q-learner keeps a dict table: its time goes to the per-sample replay
+loop, where a numpy scalar read per sample would cost more than a dict get.
 
 Both read their settings from the run's ExperimentConfig and take the seed
 as an argument; ``lr`` is the step size of the Q table and of both critics.
@@ -27,6 +33,8 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import ExperimentConfig, validate_learner
 from .extended import VIOLATED
@@ -198,100 +206,150 @@ def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
     return dict(q), log, sched
 
 
-class SoftmaxPolicy:
-    """Action distribution softmax(logits row); rows default to uniform."""
+def _draw(probs: list[float], rng: random.Random) -> int:
+    """Inverse-CDF draw of an action index from one uniform variate."""
+    u = rng.random()
+    acc = 0.0
+    for a, p in enumerate(probs):
+        acc += p
+        if u <= acc:
+            return a
+    return len(probs) - 1
+
+
+class ActorCriticTables:
+    """Dense table store of the actor-critic, shared by training and evaluation.
+
+    ``rows`` maps an observation key to a row of every table: ``logits``
+    (rows, A); ``critic``, the planes q and qd stacked as (2, rows, A);
+    ``target``, their Polyak targets tq and tqd in the same layout; and the
+    bool (rows, A) masks ``dirty`` (target still lags the critic) and
+    ``written`` (critic entry updated at least once).  Arrays grow by
+    doubling along the row axis.  A row is allocated only by ``row``, which the learner calls
+    where it reads a key's probabilities, so every row is a key whose policy
+    was read.  There is a single critic per signal because tabular twins with
+    equal initialisation and equal targets stay identical.  Every value read
+    out of the store is a Python float.
+    """
 
     def __init__(self, n_actions: int, alpha_ent: float):
         self.n_actions = n_actions
         self.alpha_ent = alpha_ent
-        self.logits: dict = defaultdict(float)
+        self.rows: dict = {}
+        self.logits = np.zeros((64, n_actions))
+        self.critic = np.zeros((2, 64, n_actions))
+        self.target = np.zeros((2, 64, n_actions))
+        self.dirty = np.zeros((64, n_actions), dtype=bool)
+        self.written = np.zeros((64, n_actions), dtype=bool)
 
-    def probabilities(self, key) -> list[float]:
-        row = [self.logits[(key, a)] for a in range(self.n_actions)]
+    def row(self, key) -> int:
+        """Row of ``key``, allocated (all zeros) on first use."""
+        r = self.rows.get(key)
+        if r is None:
+            r = self.rows[key] = len(self.rows)
+            if r == len(self.logits):
+                for name in ("logits", "critic", "target", "dirty", "written"):
+                    old = getattr(self, name)
+                    axis = old.ndim - 2  # the row axis
+                    setattr(self, name, np.concatenate([old, np.zeros_like(old)], axis=axis))
+        return r
+
+    def probabilities(self, r: int) -> list[float]:
+        """softmax of the logits row; a fresh row is uniform."""
+        row = self.logits[r].tolist()
         top = max(row)
         exps = [math.exp(z - top) for z in row]
         total = sum(exps)
         return [e / total for e in exps]
 
-    def sample(self, key, rng: random.Random) -> int:
-        probs = self.probabilities(key)
-        u = rng.random()
-        acc = 0.0
-        for a, p in enumerate(probs):
-            acc += p
-            if u <= acc:
-                return a
-        return self.n_actions - 1
+    def entropy(self, r: int) -> float:
+        return -sum(p * math.log(p) for p in self.probabilities(r) if p > 0.0)
 
-    def entropy(self, key) -> float:
-        return -sum(p * math.log(p) for p in self.probabilities(key) if p > 0.0)
+    def learn_critic(self, r: int, a: int, lr: float, ret_target: float, cost_target: float) -> None:
+        """One TD step of both critics toward their n-step targets."""
+        q, qd = self.critic[:, r, a].tolist()
+        self.critic[0, r, a] = q + lr * (ret_target - q)
+        self.critic[1, r, a] = qd + lr * (cost_target - qd)
+        self.dirty[r, a] = self.written[r, a] = True
+
+    def step_actor(self, r: int, a: int, step: float, probs: list[float]) -> None:
+        """Policy-gradient step on one logits row: step * (onehot(a) - probs)."""
+        row = self.logits[r].tolist()
+        self.logits[r] = [
+            z + step * ((1.0 if b == a else 0.0) - p)
+            for b, (z, p) in enumerate(zip(row, probs))
+        ]
+
+    def polyak(self, rho: float) -> None:
+        """target <- rho * target + (1 - rho) * critic on every dirty entry.
+
+        An entry whose two gaps both fall below 1e-12 leaves the dirty mask
+        and stops moving until the critic writes it again.
+        """
+        dirty = self.dirty.reshape(-1)
+        idx = dirty.nonzero()[0]
+        tq, tqd = target = self.target.reshape(2, -1)
+        main = self.critic.reshape(2, -1).take(idx, axis=1)
+        targ = rho * target.take(idx, axis=1) + (1.0 - rho) * main
+        tq[idx], tqd[idx] = targ  # one 1-D scatter per plane beats a 2-D one
+        gap = np.abs(targ - main)
+        dirty[idx[np.maximum(gap[0], gap[1]) < 1e-12]] = False
+
+    def sections(self) -> dict[str, dict]:
+        """Checkpoint tables: logits of every row, critics of written entries."""
+        n = len(self.rows)
+        logits, critic, written = (
+            x[..., :n, :].tolist() for x in (self.logits, self.critic, self.written)
+        )
+        q, qd = critic
+        out: dict[str, dict] = {"logits": {}, "q1": {}, "qd1": {}}
+        for key, r in self.rows.items():
+            for a in range(self.n_actions):
+                out["logits"][(key, a)] = logits[r][a]
+                if written[r][a]:
+                    out["q1"][(key, a)] = q[r][a]
+                    out["qd1"][(key, a)] = qd[r][a]
+        return out
+
+    @classmethod
+    def from_sections(cls, sections: dict[str, dict], n_actions: int, alpha_ent: float):
+        """Store holding a checkpoint's ``logits``, ``q1`` and ``qd1`` tables."""
+        tables = cls(n_actions, alpha_ent)
+        for (key, a), value in sections.get("logits", {}).items():
+            r = tables.row(key)  # may grow the arrays: look them up after
+            tables.logits[r, a] = value
+        for col, name in enumerate(("q1", "qd1")):
+            for (key, a), value in sections.get(name, {}).items():
+                r = tables.row(key)
+                tables.critic[col, r, a] = value
+                tables.written[r, a] = True
+        return tables
 
 
-def constrained_action_select(
-    key,
-    policy: SoftmaxPolicy,
-    q: dict,
-    qd: dict,
-    c: float,
-    d: float,
-    budget: float,
-) -> int:
-    """Soft-greedy action among those predicted to stay within budget.
+def constrained_action_select(tables: ActorCriticTables, r: int, c: float, d: float, budget: float) -> int:
+    """Soft-greedy action of store row ``r`` among those predicted to stay within budget.
 
     Feasibility adds the future-cost estimate to the cost incurred so far,
     minus the current state's cost (counted in both).
     An empty feasible set falls back to the minimum predicted future cost.
     Ties break to the lowest action index.
     """
-    probs = policy.probabilities(key)
-    future = [qd.get((key, a), 0.0) for a in range(policy.n_actions)]
-    feasible = [a for a in range(policy.n_actions) if future[a] + c - d <= budget]
+    probs = tables.probabilities(r)
+    q, qd = tables.critic[:, r].tolist()
+    n = tables.n_actions
+    feasible = [a for a in range(n) if qd[a] + c - d <= budget]
     if not feasible:
-        return _argmax_low([-future[a] for a in range(policy.n_actions)])
-    scores = [q.get((key, a), 0.0) - policy.alpha_ent * math.log(probs[a]) for a in feasible]
+        return _argmax_low([-x for x in qd])
+    scores = [q[a] - tables.alpha_ent * math.log(probs[a]) for a in feasible]
     return feasible[_argmax_low(scores)]
-
-
-class ActorCriticTables:
-    """Policy logits plus one reward critic and one cost critic, each with a target.
-
-    There is a single critic per signal because tabular twins with equal
-    initialisation and equal targets stay identical, so a min/max over them
-    is the identity.
-    """
-
-    def __init__(self, n_actions: int, alpha_ent: float):
-        self.policy = SoftmaxPolicy(n_actions, alpha_ent)
-        self.q: dict = defaultdict(float)
-        self.qd: dict = defaultdict(float)
-        self.tq: dict = defaultdict(float)
-        self.tqd: dict = defaultdict(float)
-        # Keys whose target entries still lag their main entries.
-        self.dirty: set = set()
-
-    def select(self, key, c: float, d: float, budget: float) -> int:
-        return constrained_action_select(key, self.policy, self.q, self.qd, c, d, budget)
-
-    def polyak(self, rho: float) -> None:
-        settled = []
-        for entry in self.dirty:
-            gap = 0.0
-            for main, targ in ((self.q, self.tq), (self.qd, self.tqd)):
-                targ[entry] = rho * targ[entry] + (1.0 - rho) * main[entry]
-                gap = max(gap, abs(targ[entry] - main[entry]))
-            if gap < 1e-12:
-                settled.append(entry)
-        for entry in settled:
-            self.dirty.discard(entry)
 
 
 def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
     """Train the constrained softmax actor-critic; returns (tables, log, schedule)."""
     validate_learner(cfg)
     rng = random.Random(seed)
-    nA = env.n_actions
     budget = env.budget
-    tables = ActorCriticTables(nA, cfg.alpha_ent)
+    tables = ActorCriticTables(env.n_actions, cfg.alpha_ent)
     sched = LambdaSchedule(cfg.lambda0, cfg.lambda_floor, cfg.window)
     recent_costs: list[float] = []  # rolling window for the safety classifier
     log: list[TrainRow] = []
@@ -309,50 +367,46 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
         while not done and t < env.horizon:
             seg = []
             while len(seg) < cfg.n_step and not done and t < env.horizon:
-                a = tables.select(key, c, d, budget)
-                (s2, c2, d2), r, done = env.step(a)
+                r = tables.row(key)
+                a = constrained_action_select(tables, r, c, d, budget)
+                (s2, c2, d2), rew, done = env.step(a)
                 key2 = obs_key(s2, c2, budget, cfg.key_quantum)
                 rt = penalize_sample(
-                    r, c, d2, sched.value, cfg.scheme, budget,
+                    rew, c, d2, sched.value, cfg.scheme, budget,
                     gamma=cfg.gamma, t=t + 1,
                 )
-                seg.append((key, a, rt, d))
-                ep_return += r
+                seg.append((r, a, rt, d))
+                ep_return += rew
                 key, c, d = key2, c2, d2
                 t += 1
             if done:
                 ret_boot = 0.0
                 cost_boot = 0.0
             else:
-                probs = tables.policy.probabilities(key)
-                a_tilde = tables.policy.sample(key, rng)
+                r = tables.row(key)
+                probs = tables.probabilities(r)
+                a_tilde = _draw(probs, rng)
                 ret_boot = (
-                    tables.tq.get((key, a_tilde), 0.0)
+                    tables.target.item(0, r, a_tilde)
                     - cfg.alpha_ent * math.log(probs[a_tilde])
                 )
-                a_next = tables.select(key, c, d, budget)
-                cost_boot = tables.tqd.get((key, a_next), 0.0)
+                a_next = constrained_action_select(tables, r, c, d, budget)
+                cost_boot = tables.target.item(1, r, a_next)
             ret_target = ret_boot
             cost_target = cost_boot
-            for (k_i, a_i, rt_i, d_i) in reversed(seg):
+            for (r_i, a_i, rt_i, d_i) in reversed(seg):
                 ret_target = rt_i + cfg.gamma * ret_target
                 cost_target = d_i + cfg.gamma * cost_target
-                entry = (k_i, a_i)
-                tables.q[entry] += cfg.lr * (ret_target - tables.q[entry])
-                tables.qd[entry] += cfg.lr * (cost_target - tables.qd[entry])
-                tables.dirty.add(entry)
-                probs = tables.policy.probabilities(k_i)
+                tables.learn_critic(r_i, a_i, cfg.lr, ret_target, cost_target)
+                probs = tables.probabilities(r_i)
                 if safe:
                     weight = cfg.safe_weight * (
-                        tables.tq.get(entry, 0.0)
+                        tables.target.item(0, r_i, a_i)
                         - cfg.alpha_ent * math.log(probs[a_i])
                     )
                 else:
                     weight = -cost_target
-                step = cfg.lr_actor * weight
-                for b in range(nA):
-                    grad = (1.0 if b == a_i else 0.0) - probs[b]
-                    tables.policy.logits[(k_i, b)] += step * grad
+                tables.step_actor(r_i, a_i, cfg.lr_actor * weight, probs)
             tables.polyak(cfg.rho)
         sched.record(c, budget)
         recent_costs.append(c)
@@ -361,7 +415,7 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
         log.append(
             TrainRow(
                 episode, ep_return, c, sched.value,
-                tables.policy.entropy(init_key),
+                tables.entropy(tables.row(init_key)),
                 (time.perf_counter() - started) * 1000.0,
             )
         )

@@ -28,6 +28,8 @@ are "state bucket action = value" with bucket V for the over-budget bucket.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .extended import VIOLATED
@@ -224,7 +226,16 @@ def load_checkpoint(text: str) -> tuple[str, dict[str, dict], dict[str, float]]:
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: expected 'state bucket action = value'")
             s, bucket, a = parts
-            tables.setdefault(section, {})[((int(s), _parse_bucket(bucket)), int(a))] = float(value)
+            action = int(a)
+            if "n_actions" in meta and not 0 <= action < meta["n_actions"]:
+                raise FormatError(
+                    f"line {lineno}: action {action} is not in [0, n_actions) "
+                    f"for n_actions = {meta['n_actions']:g}"
+                )
+            number = float(value)
+            if not math.isfinite(number):
+                raise FormatError(f"line {lineno}: table value {value!r} is not finite")
+            tables.setdefault(section, {})[((int(s), _parse_bucket(bucket)), action)] = number
         except ValueError as exc:
             if isinstance(exc, FormatError):
                 raise
@@ -236,6 +247,10 @@ def load_checkpoint(text: str) -> tuple[str, dict[str, dict], dict[str, float]]:
     for name in ("quantum", "budget", "n_actions"):
         if name not in meta:
             raise FormatError(f"checkpoint missing a {name} key")
-    if meta.get("alpha_ent", 1.0) <= 0.0:
-        raise FormatError(f"alpha_ent must be > 0, got {format_number(meta['alpha_ent'])}")
+    if not (meta["n_actions"].is_integer() and meta["n_actions"] >= 1):
+        raise FormatError(f"n_actions must be a positive integer, got {meta['n_actions']:g}")
+    if not 0.0 < meta["quantum"] < math.inf:
+        raise FormatError(f"quantum must be a finite number > 0, got {meta['quantum']:g}")
+    if not meta.get("alpha_ent", 1.0) > 0.0:
+        raise FormatError(f"alpha_ent must be > 0, got {meta['alpha_ent']:g}")
     return learner, tables, meta

@@ -240,6 +240,16 @@ def _equivalence_check(
         if f.cmdp.n_constraints != 1 or not f.worst_case_feasible:
             continue
         gap = _gap(f)
+        # Every rival's (level, return) is lambda-free: enumerate them once.
+        rivals = None
+        if f.enumerable_policies:
+            n_pol = count_deterministic_policies(f.cmdp, f.quantum)
+            if n_pol <= policy_cap:
+                rivals = []
+                for rival in enumerate_deterministic_policies(f.cmdp, f.quantum):
+                    rst = stats(enumerate_trajectories(f.cmdp, rival, f.quantum), f.cmdp)
+                    rival_level = rst.violation_prob[0] if chance else rst.cvar_excess[0]
+                    rivals.append((rival_level, rst.expected_return))
         levels = []
         for lam in lambda_grid:
             _value, policy, st, trajs = _greedy_oracle(f, [lam], [scheme])
@@ -258,33 +268,22 @@ def _equivalence_check(
                 note = ""
             levels.append(level)
             rep.add(f.name, lam, bound, level, level <= bound + TOL, note)
-            if f.enumerable_policies:
-                n_pol = count_deterministic_policies(f.cmdp, f.quantum)
-                if n_pol <= policy_cap:
-                    ok = True
-                    for rival in enumerate_deterministic_policies(f.cmdp, f.quantum):
-                        rst = stats(
-                            enumerate_trajectories(f.cmdp, rival, f.quantum),
-                            f.cmdp,
-                        )
-                        rival_level = (
-                            rst.violation_prob[0] if chance else rst.cvar_excess[0]
-                        )
-                        if rival_level <= level + TOL and (
-                            rst.expected_return > st.expected_return + TOL
-                        ):
-                            ok = False
-                            break
-                    rep.add(
-                        f.name, lam, st.expected_return,
-                        st.expected_return if ok else rst.expected_return, ok,
-                        f"optimal among {n_pol} deterministic policies at level <= {level:g}",
-                    )
-                else:
-                    rep.notes.append(
-                        f"{f.name}: optimality not exhaustively checked "
-                        f"({n_pol} deterministic policies)"
-                    )
+            if rivals is not None:
+                better = next(
+                    (ret for rival_level, ret in rivals
+                     if rival_level <= level + TOL and ret > st.expected_return + TOL),
+                    None,
+                )
+                rep.add(
+                    f.name, lam, st.expected_return,
+                    st.expected_return if better is None else better, better is None,
+                    f"optimal among {n_pol} deterministic policies at level <= {level:g}",
+                )
+            elif f.enumerable_policies:
+                rep.notes.append(
+                    f"{f.name}: optimality not exhaustively checked "
+                    f"({n_pol} deterministic policies)"
+                )
         for a, b in zip(levels, levels[1:]):
             rep.add(f.name, math.nan, a, b, b <= a + TOL, "level non-increasing in lambda")
         if f.zero_tail:

@@ -196,7 +196,7 @@ def test_criterion_10_learners_converge_on_the_chain():
         q_ok += greedy_action(q, key0, env.n_actions) == 0
         env2 = SampledKernelEnv(m, seed=f"{seed}:env")
         tables, _log2, _ = safe_actor_critic(env2, cfg, seed)
-        ac_ok += tables.policy.probabilities(key0)[0] >= 0.95
+        ac_ok += tables.probabilities(tables.row(key0))[0] >= 0.95
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     report(10, q_ok == 5 and ac_ok == 5,

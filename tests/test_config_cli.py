@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -314,11 +315,20 @@ DESK_EVAL = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\neval_episodes =
         ("evaluate", Q_CHECKPOINT, [], DESK_EVAL, "n_actions"),
         ("evaluate", Q_CHECKPOINT.replace("budget = 2\n", "budget = 3\n"), [], CHAIN_EVAL, "budget"),
         ("evaluate", ZERO_ENTROPY_CHECKPOINT, [], CHAIN_EVAL, "alpha_ent"),
+        ("evaluate", Q_CHECKPOINT.replace("0 0 1 = 1", "0 0 2 = 1"), [], CHAIN_EVAL, "line 7"),
+        ("evaluate", ZERO_ENTROPY_CHECKPOINT.replace("alpha_ent = 0\n", "").replace(
+            "0 0 0 = 0", "0 0 -1 = 0"), [], CHAIN_EVAL, "line 7"),
+        ("evaluate", Q_CHECKPOINT.replace("n_actions = 2", "n_actions = nan"), [], CHAIN_EVAL, "n_actions"),
+        ("evaluate", Q_CHECKPOINT.replace("quantum = 1", "quantum = 0"), [], CHAIN_EVAL, "quantum"),
+        ("evaluate", ZERO_ENTROPY_CHECKPOINT.replace("alpha_ent = 0\n", "").replace(
+            "0 0 0 = 0.0", "0 0 0 = nan"), [], CHAIN_EVAL, "line 7"),
     ],
     ids=["malformed-model", "bad-quantum", "invalid-model", "alpha-0",
          "checkpoint-no-n_actions", "malformed-checkpoint-row",
          "checkpoint-n_actions-4-on-chain", "chain-checkpoint-on-desk",
-         "checkpoint-budget-mismatch", "checkpoint-alpha_ent-0"],
+         "checkpoint-budget-mismatch", "checkpoint-alpha_ent-0",
+         "checkpoint-action-past-n_actions", "checkpoint-negative-action",
+         "checkpoint-n_actions-nan", "checkpoint-quantum-0", "checkpoint-nan-value"],
 )
 def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags, config, named):
     path = tmp_path / "input.txt"
@@ -390,6 +400,38 @@ def test_old_twin_critic_checkpoint_evaluates_the_same(tmp_path):
         reports.append((out / "eval_report.csv").read_bytes())
     assert "[q2]" in old and "[qd2]" in old
     assert reports[0] == reports[1]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+CHAIN_AC_BENCH = (
+    "env.kind = chain\nenv.chain = two_action_chain\nlearner = safe_ac\nscheme.1 = rn\n"
+    "lambda.1 = 2.0\nLambda_floor = 1.0\nepisodes = 3000\neval_episodes = 5000\n"
+    "key_quantum = 1\nseeds = 1\n"
+)
+
+
+def test_chain_actor_critic_outputs_are_pinned(tmp_path):
+    # Digests recorded with the dict-table actor-critic; the table store must
+    # reproduce its every float and its checkpoint entries byte for byte.
+    cfg_path = tmp_path / "ac.cfg"
+    cfg_path.write_text(CHAIN_AC_BENCH)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "train"]) == 0
+    assert _sha((tmp_path / "checkpoint_seed1.txt").read_bytes()) == (
+        "ebb6455894b2bbe7724a325f97eeb7ba68d100d95bb7c95f3f58e8274dc1ea17"
+    )
+    log = _strip_wall((tmp_path / "train_seed1.csv").read_text())
+    assert _sha(log.encode()) == "27f34052a3e124c29611a6b067a63e5ac334bae71f2d2a8fe3978b3a7a31f2af"
+
+
+def test_desk_actor_critic_checkpoint_is_pinned(tmp_path):
+    cfg_path = str(CONFIGS / "desk_gridworld.cfg")
+    assert main(["--config", cfg_path, "--out", str(tmp_path), "--seeds", "1", "train"]) == 0
+    assert _sha((tmp_path / "checkpoint_seed1.txt").read_bytes()) == (
+        "ad6d883873b1525d4365ea323fe412575052bf41b3a2d92205f264a24c52dd08"
+    )
 
 
 def test_out_dir_defaults_to_environment_variable(tmp_path, monkeypatch):

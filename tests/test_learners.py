@@ -9,9 +9,9 @@ from cmdp_forge.config import ExperimentConfig, load_config
 from cmdp_forge.envs import ChainBranch, ChainSpec, GridWorldEnv, SampledKernelEnv, make_chain
 from cmdp_forge.fixtures import two_action_chain
 from cmdp_forge.learners import (
+    ActorCriticTables,
     LambdaSchedule,
     ReplayBuffer,
-    SoftmaxPolicy,
     constrained_action_select,
     greedy_action,
     obs_key,
@@ -80,27 +80,29 @@ def test_replay_ring_overwrites_oldest():
     assert sorted(buf.items) == [3, 4]
 
 
+def _select(sections, c, d, budget):
+    tables = ActorCriticTables.from_sections(sections, 2, alpha_ent=0.5)
+    return constrained_action_select(tables, tables.row((0, (0,))), c, d, budget)
+
+
 def test_unconstrained_selection_is_soft_greedy():
-    pol = SoftmaxPolicy(2, alpha_ent=0.5)
     q = {((0, (0,)), 0): 1.0, ((0, (0,)), 1): 0.0}
-    a = constrained_action_select((0, (0,)), pol, q, {}, 0.0, 0.0, 2.0)
+    a = _select({"q1": q}, 0.0, 0.0, 2.0)
     assert a == 0
 
 
 def test_infeasible_action_is_excluded():
     key = (0, (0,))
-    pol = SoftmaxPolicy(2, alpha_ent=0.5)
     qd = {(key, 0): 3.0, (key, 1): 0.5}
     # Predicted totals: 3 + 1 - 0.5 = 3.5 > 2 but 0.5 + 1 - 0.5 = 1 <= 2.
-    a = constrained_action_select(key, pol, {}, qd, 1.0, 0.5, 2.0)
+    a = _select({"qd1": qd}, 1.0, 0.5, 2.0)
     assert a == 1
 
 
 def test_empty_feasible_set_falls_back_to_cheapest_future():
     key = (0, (0,))
-    pol = SoftmaxPolicy(2, alpha_ent=0.5)
     qd = {(key, 0): 5.0, (key, 1): 4.0}
-    a = constrained_action_select(key, pol, {}, qd, 0.0, 0.0, 2.0)
+    a = _select({"qd1": qd}, 0.0, 0.0, 2.0)
     assert a == 1
 
 
@@ -153,7 +155,7 @@ def test_actor_critic_prefers_safe_under_pressure():
     cfg = ExperimentConfig(episodes=2000, lambda0=1.0, lambda_floor=1.0)
     tables, _log, _ = safe_actor_critic(env, cfg, 9)
     key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
-    assert tables.policy.probabilities(key0)[0] >= 0.95
+    assert tables.probabilities(tables.row(key0))[0] >= 0.95
 
 
 def test_desk_grid_q_learner_keeps_cost_under_budget():
@@ -176,3 +178,49 @@ def test_training_log_shape_and_determinism():
         runs.append([(r.episode, r.ret, r.final_cost, r.lam, r.explore) for r in log])
     assert runs[0] == runs[1]
     assert [r[0] for r in runs[0]] == list(range(50))
+
+
+def test_polyak_blends_then_settles_until_the_next_write():
+    tables = ActorCriticTables(2, alpha_ent=0.1)
+    r = tables.row((0, 0))
+    rho = 0.5
+    tables.learn_critic(r, 1, 0.5, 2.0, 4.0)
+    main = tables.critic[:, r, 1].tolist()
+    assert main == [1.0, 2.0]
+    # Reference: the scalar walk over one dirty entry, gap test on both critics.
+    targ, dirty, settled_at = [0.0, 0.0], True, None
+    for call in range(60):
+        tables.polyak(rho)
+        if dirty:
+            targ = [rho * t + (1.0 - rho) * m for t, m in zip(targ, main)]
+            dirty = max(abs(t - m) for t, m in zip(targ, main)) >= 1e-12
+            if not dirty:
+                settled_at = call
+        assert tables.target[:, r, 1].tolist() == targ
+        assert bool(tables.dirty[r, 1]) == dirty
+    assert settled_at == 40  # 2**-40 < 1e-12 <= 2**-39
+    # A settled entry stops short of its critic and stays put.
+    assert targ != main
+    assert tables.target[:, r, 0].tolist() == [0.0, 0.0]  # never written
+    tables.learn_critic(r, 1, 0.5, 2.0, 4.0)
+    assert bool(tables.dirty[r, 1])
+    tables.polyak(rho)
+    assert tables.target[:, r, 1].tolist() == [
+        rho * t + (1.0 - rho) * m for t, m in zip(targ, tables.critic[:, r, 1].tolist())
+    ]
+
+
+def test_store_rows_survive_growth_and_export_read_keys_only():
+    tables = ActorCriticTables(3, alpha_ent=0.1)
+    for s in range(200):  # past the initial capacity, several doublings
+        r = tables.row((s, 0))
+        tables.step_actor(r, s % 3, 0.25, tables.probabilities(r))
+    tables.learn_critic(tables.row((7, 0)), 2, 0.5, 1.0, -1.0)
+    out = tables.sections()
+    assert len(out["logits"]) == 200 * 3
+    assert out["logits"][((199, 0), 199 % 3)] == 0.25 * (1.0 - 1.0 / 3.0)
+    assert out["q1"] == {((7, 0), 2): 0.5}
+    assert out["qd1"] == {((7, 0), 2): -0.5}
+    assert all(type(v) is float for table in out.values() for v in table.values())
+    again = ActorCriticTables.from_sections(out, 3, alpha_ent=0.1)
+    assert again.sections() == out

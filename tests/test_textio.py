@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmdp_forge.fixtures import fixture_pack, two_action_chain
+from cmdp_forge.learners import ActorCriticTables
 from cmdp_forge.textio import (
     FormatError,
     dump_checkpoint,
@@ -104,3 +107,58 @@ def test_checkpoint_round_trip():
 def test_checkpoint_rejects_unknown_format():
     with pytest.raises(FormatError):
         load_checkpoint("format = checkpoint.v9\nlearner = safe_q\n")
+
+
+# One line of text: no character that str.splitlines breaks on.
+_LINE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12
+)
+_TOKENS = st.sampled_from(["0", "1", "3", "-1", "V", "2.5", "1e400", "nan", "x", "#", "="])
+_ROW = st.tuples(
+    st.sampled_from(["0", "7", "-1"]), st.sampled_from(["0", "2", "V"]),
+    st.sampled_from(["0", "1", "3", "4", "-1"]),
+).map(" ".join)
+_NUMBER = st.sampled_from(["0", "-1.5", "2", "1e300", "inf", "nan", "1e999"])
+# Lines shaped like a table, so that most files load and reach the store...
+_TABLE_LINE = st.one_of(
+    st.sampled_from(["[logits]", "[q1]", "[qd1]", "[q]"]),
+    st.tuples(_ROW, _NUMBER).map(" = ".join),
+)
+# ...and lines of any text.
+_ANY_LINE = st.one_of(
+    _LINE_TEXT.map(lambda name: f"[{name}]"),
+    st.tuples(st.one_of(st.lists(_TOKENS, max_size=4).map(" ".join), _LINE_TEXT),
+              st.one_of(_NUMBER, st.just("x"), _LINE_TEXT)).map(" = ".join),
+    _LINE_TEXT,
+)
+# Each meta key is valid in most draws; None leaves it out.
+_META = st.fixed_dictionaries({
+    name: st.sampled_from(valid * 12 + invalid)
+    for name, valid, invalid in (
+        ("n_actions", ["2", "1", "4"], [None, "0", "-2", "2.5", "nan", "inf", "two"]),
+        ("quantum", ["1", "0.25"], [None, "0", "-1", "nan", "inf"]),
+        ("budget", ["2", "nan"], [None, "x"]),
+        ("alpha_ent", ["0.1", None], ["0", "-1", "nan", "inf"]),
+    )
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["safe_ac"] * 4 + ["safe_q", "other"]),
+    _META,
+    st.one_of(st.lists(_TABLE_LINE, max_size=8), st.lists(_ANY_LINE, max_size=8)),
+)
+def test_any_checkpoint_text_loads_or_raises_format_error(learner, meta, lines):
+    head = ["format = checkpoint.v1", f"learner = {learner}"]
+    head += [f"{name} = {value}" for name, value in meta.items() if value is not None]
+    try:
+        learner, tables, meta = load_checkpoint("\n".join(head + lines) + "\n")
+    except FormatError:
+        return
+    if learner == "safe_ac":
+        store = ActorCriticTables.from_sections(tables, int(meta["n_actions"]), meta.get("alpha_ent", 0.1))
+        out = store.sections()
+        for name in ("logits", "q1", "qd1"):
+            for entry, value in tables.get(name, {}).items():
+                assert repr(out[name][entry]) == repr(value)

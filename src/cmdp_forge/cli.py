@@ -352,7 +352,10 @@ def _load(path: str | None) -> ExperimentConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    return load_config(text)
+    try:
+        return load_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ fully spelled-out grid.  See configs/ for complete examples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .envs import GridConfig, PitCost, desk_grid, large_grid, tiny_grid, validate_grid_config
@@ -80,13 +81,19 @@ def _cell(value: str) -> tuple[int, int]:
 def _pit_cost(value: str) -> PitCost:
     kind, _, rest = value.partition(":")
     if kind == "uniform":
-        lo, hi = rest.split(":")
-        return PitCost.uniform(float(lo), float(hi))
+        lo, hi = (float(v) for v in rest.split(":"))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("uniform bounds must be finite")
+        return PitCost.uniform(lo, hi)
     if kind == "support":
         pairs = []
         for token in rest.split(","):
             v, _, w = token.partition("@")
             pairs.append((float(v), float(w) if w else 1.0))
+        if not all(math.isfinite(v) and 0.0 <= w < math.inf for v, w in pairs):
+            raise ValueError("support values must be finite and weights finite and >= 0")
+        if not 0.0 < sum(w for _, w in pairs) < math.inf:
+            raise ValueError("support weights must have a finite positive sum")
         return PitCost.of_support(*pairs)
     raise ValueError(f"unknown pit cost spec {value!r}")
 
@@ -141,25 +148,26 @@ def _grid_from(raw: dict[str, str]) -> GridConfig:
             width=1, height=1, start=(0, 0), goal=(0, 0), pits=(),
             pit_cost=PitCost.uniform(1.0, 1.5),
         )
-    try:
-        overrides = {}
-        for key, kind, name in (
-            ("env.width", int, "width"),
-            ("env.height", int, "height"),
-            ("env.start", _cell, "start"),
-            ("env.goal", _cell, "goal"),
-            ("env.pits", _cells, "pits"),
-            ("env.pit_cost", _pit_cost, "pit_cost"),
-            ("env.noise_p", float, "noise_p"),
-            ("env.step_reward", float, "step_reward"),
-            ("env.goal_reward", float, "goal_reward"),
-            ("env.horizon", int, "horizon"),
-            ("env.c_max", float, "c_max"),
-        ):
-            if key in raw:
-                overrides[name] = kind(raw.pop(key))
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"bad env.* value: {exc}") from None
+    overrides = {}
+    for key, kind, name in (
+        ("env.width", int, "width"),
+        ("env.height", int, "height"),
+        ("env.start", _cell, "start"),
+        ("env.goal", _cell, "goal"),
+        ("env.pits", _cells, "pits"),
+        ("env.pit_cost", _pit_cost, "pit_cost"),
+        ("env.noise_p", float, "noise_p"),
+        ("env.step_reward", float, "step_reward"),
+        ("env.goal_reward", float, "goal_reward"),
+        ("env.horizon", int, "horizon"),
+        ("env.c_max", float, "c_max"),
+    ):
+        if key in raw:
+            value = raw.pop(key)
+            try:
+                overrides[name] = kind(value)
+            except (ValueError, IndexError) as exc:
+                raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from None
     return replace(cfg, **overrides)
 
 

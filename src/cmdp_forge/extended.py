@@ -17,23 +17,26 @@ reported as ``initial_penalty``.  Solvers fold these amounts undiscounted
 into trajectory-return space, which is algebraically identical to the
 per-step gamma^-t form and immune to discount underflow.
 
-The builder emits every layer twice: as the tuple of augmented states in
-discovery order (``layers``), and in index form (``compiled``) for the
-array solvers: each node's base state and ledger id, the layer's distinct
-ledgers and the table nx[ledger id, s2] giving the index in the next layer
-of (s2, advance(L, s2)).  The arrival depends on (ledger, successor) only,
-so ``advance`` runs once per such pair, and each state's successors are
-walked once however many actions reach them.
+The reachable nodes depend on neither the penalty weights nor the schemes:
+``augment`` walks them once per (model, quantum) and keeps the space on the
+model, and ``build_extended`` attaches weights to it.  The walk emits every
+layer twice: as the tuple of augmented states in discovery order
+(``layers``), and in read-only index form (``compiled``) for the array
+solvers: each node's base state and ledger id, the layer's distinct ledgers
+and the table nx[ledger id, s2] giving the index in the next layer of
+(s2, advance(L, s2)).  The arrival depends on (ledger, successor) only, so
+``advance`` runs once per such pair, and each state's successors are walked
+once however many actions reach them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Cmdp
+from .model import Cmdp, _frozen
 from .penalties import PenaltyScheme, penalty_amount
 
 # Ledger entry marking "accumulated cost already exceeds the budget".
@@ -129,43 +132,32 @@ def _index(nodes: tuple[AugState, ...]) -> tuple[np.ndarray, np.ndarray, tuple[t
     ids: dict[tuple[int, ...], int] = {}
     ledger_ids = [ids.setdefault(ledger, len(ids)) for (_s, ledger) in nodes]
     state = [s for (s, _ledger) in nodes]
-    return np.array(state, dtype=np.intp), np.array(ledger_ids, dtype=np.intp), tuple(ids)
+    return (_frozen(np.array(state, dtype=np.intp)), _frozen(np.array(ledger_ids, dtype=np.intp)),
+            tuple(ids))
 
 
-def build_extended(
-    m: Cmdp,
-    lambdas: list[float] | tuple[float, ...],
-    schemes: list[PenaltyScheme] | tuple[PenaltyScheme, ...],
-    quantum: float = 0.25,
-    max_states: int = 200_000,
-) -> ExtendedMdp:
-    """Enumerate the augmented states reachable from (s0, zero ledger).
+def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
+    """The augmented space of ``m`` on the ``quantum`` grid, at zero weights.
 
-    Reachability is restricted to the horizon: a layer-by-layer sweep expands
-    states for epochs 0..T.  Raises on lambda/scheme arity mismatch, on costs
-    or budgets that do not quantize, and when the reachable set exceeds
-    ``max_states`` (the error names the cap).
+    Walked once per (model, quantum), epochs 0..T, and kept on the model.
+    Raises on an invalid model, on costs or budgets that do not quantize,
+    and when the reachable set exceeds ``max_states``, a cached one included.
     """
-    K = m.n_constraints
-    if len(lambdas) != K or len(schemes) != K:
-        raise ValueError(
-            f"model has {K} constraints but got {len(lambdas)} lambdas "
-            f"and {len(schemes)} schemes"
-        )
-    for k, lam in enumerate(lambdas):
-        if lam < 0.0:
-            raise ValueError(f"lambdas[{k}] must be >= 0, got {lam}")
+    e = m._spaces.get(quantum)
+    if e is not None:
+        if len(e.states) > max_states:
+            raise LedgerCapExceeded(f"reachable augmented states exceed the cap of {max_states}")
+        return e
     if m.problems:
         raise ValueError("invalid model: " + "; ".join(m.problems))
-
     advance = ledger_rule(m, quantum)
-    S = m.n_states
+    K, S = m.n_constraints, m.n_states
     # Per state, its distinct successors over all its actions, first-seen
     # order: the next layer is discovered in the same order as a walk over
     # every (action, successor) pair, and the arrival depends on the successor only.
     reach: dict[int, tuple[int, ...]] = {}
     initial = (m.s0, advance((0,) * K, m.s0))
-    seen: dict[AugState, None] = {initial: None}  # insertion-ordered
+    seen: dict[AugState, AugState] = {initial: initial}  # insertion-ordered; layers reuse these
     layers: list[tuple[AugState, ...]] = [(initial,)]
     compiled: list[Layer] = []
     moves: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}  # L -> s2 -> advance(L, s2)
@@ -190,35 +182,65 @@ def build_extended(
                 x2 = (s2, ledger2)
                 j = nxt.get(x2)
                 if j is None:
-                    j = nxt[x2] = len(nxt)
                     if x2 not in seen:
                         if len(seen) >= max_states:
                             raise LedgerCapExceeded(
                                 f"reachable augmented states exceed the cap of {max_states}"
                             )
-                        seen[x2] = None
+                        seen[x2] = x2
+                    j = nxt[seen[x2]] = len(nxt)
                 row[s2] = j
         layers.append(tuple(nxt))
         nx = np.array([[row.get(s2, -1) for s2 in range(S)] for row in rows], dtype=np.intp)
-        compiled.append(Layer(state, ledger_ids, ledgers, nx))
+        compiled.append(Layer(state, ledger_ids, ledgers, _frozen(nx)))
     state, ledger_ids, ledgers = _index(layers[-1])
-    compiled.append(Layer(state, ledger_ids, ledgers, np.full((len(ledgers), S), -1, dtype=np.intp)))
+    last = np.full((len(ledgers), S), -1, dtype=np.intp)
+    compiled.append(Layer(state, ledger_ids, ledgers, _frozen(last)))
+    e = m._spaces[quantum] = ExtendedMdp(
+        base=m,
+        lambdas=(0.0,) * K,
+        schemes=(PenaltyScheme.RISK_NEUTRAL,) * K,
+        quantum=quantum,
+        states=tuple(seen),
+        layers=tuple(layers),
+        initial=initial,
+        initial_penalty=0.0,
+        compiled=tuple(compiled),
+    )
+    return e
 
+
+def build_extended(
+    m: Cmdp,
+    lambdas: list[float] | tuple[float, ...],
+    schemes: list[PenaltyScheme] | tuple[PenaltyScheme, ...],
+    quantum: float = 0.25,
+    max_states: int = 200_000,
+) -> ExtendedMdp:
+    """``augment(m, quantum, max_states)`` under penalty weights ``lambdas``.
+
+    Raises on lambda/scheme arity mismatch and negative weights, and
+    wherever ``augment`` does.
+    """
+    K = m.n_constraints
+    if len(lambdas) != K or len(schemes) != K:
+        raise ValueError(
+            f"model has {K} constraints but got {len(lambdas)} lambdas "
+            f"and {len(schemes)} schemes"
+        )
+    for k, lam in enumerate(lambdas):
+        if lam < 0.0:
+            raise ValueError(f"lambdas[{k}] must be >= 0, got {lam}")
+    e = augment(m, quantum, max_states)
     # Epoch-0 assessment for occupying s0 (nonzero only when d(s0) crosses).
     init_pen = 0.0
     for k in range(K):
         init_pen += penalty_amount(
             schemes[k], float(lambdas[k]), 0.0, float(m.costs[k, m.s0]), m.budgets[k], 0
         )
-
-    return ExtendedMdp(
-        base=m,
+    return replace(
+        e,
         lambdas=tuple(float(v) for v in lambdas),
         schemes=tuple(schemes),
-        quantum=quantum,
-        states=tuple(seen),
-        layers=tuple(layers),
-        initial=initial,
         initial_penalty=init_pen,
-        compiled=tuple(compiled),
     )

@@ -262,6 +262,14 @@ class ActorCriticTables:
         total = sum(exps)
         return [e / total for e in exps]
 
+    def log_probability(self, r: int, a: int, probs: list[float]) -> float:
+        """log of ``probs[a]``, the softmax of row ``r``; exact where it underflows to 0.0."""
+        if probs[a] > 0.0:
+            return math.log(probs[a])
+        row = self.logits[r].tolist()
+        top = max(row)
+        return (row[a] - top) - math.log(sum(math.exp(z - top) for z in row))
+
     def entropy(self, r: int) -> float:
         return -sum(p * math.log(p) for p in self.probabilities(r) if p > 0.0)
 
@@ -340,7 +348,7 @@ def constrained_action_select(tables: ActorCriticTables, r: int, c: float, d: fl
     feasible = [a for a in range(n) if qd[a] + c - d <= budget]
     if not feasible:
         return _argmax_low([-x for x in qd])
-    scores = [q[a] - tables.alpha_ent * math.log(probs[a]) for a in feasible]
+    scores = [q[a] - tables.alpha_ent * tables.log_probability(r, a, probs) for a in feasible]
     return feasible[_argmax_low(scores)]
 
 
@@ -388,7 +396,7 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
                 a_tilde = _draw(probs, rng)
                 ret_boot = (
                     tables.target.item(0, r, a_tilde)
-                    - cfg.alpha_ent * math.log(probs[a_tilde])
+                    - cfg.alpha_ent * tables.log_probability(r, a_tilde, probs)
                 )
                 a_next = constrained_action_select(tables, r, c, d, budget)
                 cost_boot = tables.target.item(1, r, a_next)
@@ -402,7 +410,7 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
                 if safe:
                     weight = cfg.safe_weight * (
                         tables.target.item(0, r_i, a_i)
-                        - cfg.alpha_ent * math.log(probs[a_i])
+                        - cfg.alpha_ent * tables.log_probability(r_i, a_i, probs)
                     )
                 else:
                     weight = -cost_target

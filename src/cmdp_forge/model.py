@@ -87,6 +87,8 @@ class Cmdp:
     _succ: dict = field(default_factory=dict, repr=False, compare=False)
     successor_arrays: SuccessorArrays = field(init=False, repr=False, compare=False)
     _problems: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    # quantum -> the model's augmented space; written only by ``extended.augment``.
+    _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transition", _frozen(np.asarray(self.transition, dtype=float)))

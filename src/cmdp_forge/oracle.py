@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .extended import ledger_rule
+from .extended import augment, ledger_rule
 from .model import (
     Cmdp,
     TabularPolicy,
@@ -190,14 +190,8 @@ def stats(
 
 def random_policy(m: Cmdp, quantum: float, rng) -> TabularPolicy:
     """Random stationary stochastic policy over every reachable augmented state."""
-    from .extended import build_extended
-    from .penalties import PenaltyScheme as _PS
-
-    e = build_extended(
-        m, [0.0] * m.n_constraints, [_PS.RISK_NEUTRAL] * m.n_constraints, quantum
-    )
     table = {}
-    for (s, ledger) in e.states:
+    for (s, ledger) in augment(m, quantum).states:
         acts = m.actions_at(s)
         weights = [rng.random() + 1e-3 for _ in acts]
         total = sum(weights)

@@ -14,7 +14,12 @@ expectation), whether step rewards count and the value pinned to a node
 whose ledger is already VIOLATED.  ``unconstrained_value`` is coded apart on
 purpose: it is the independent route the zero-penalty check compares with.
 
-``_sweep`` is a numpy kernel over the builder's compiled layers.  Per layer
+The budget-only quantities (``worst_case_value``, ``max_safe_cost`` and
+``lambda_bounds``) read the penalty-free space ``extended.augment`` keeps on
+the model, the same states and layers every ``build_extended`` view of the
+model shares, so no weight and no quantity walks the space again.
+
+``_sweep`` is a numpy kernel over the space's compiled layers.  Per layer
 it forms the arrival term W = V(t+1)[nx] - PEN for every (ledger,
 successor), gathers it through the model's (S, A, J) ``successor_arrays``,
 adds the terms successor by successor in the model's order and takes the
@@ -30,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extended import VIOLATED, AugState, ExtendedMdp, Layer, build_extended
+from .extended import VIOLATED, AugState, ExtendedMdp, Layer, augment, build_extended
 from .model import Cmdp, TabularPolicy, deterministic_policy, discount_powers
-from .penalties import PenaltyScheme, penalty_amount
+from .penalties import penalty_amount
 
 # Action values within this distance of the row maximum count as ties;
 # the lowest action index among them wins, for reproducible reports.
@@ -226,12 +231,6 @@ def unconstrained_value(m: Cmdp) -> tuple[float, list[dict[int, int]]]:
     return vnext[m.s0], greedy
 
 
-def _safe_space(m: Cmdp, quantum: float) -> ExtendedMdp:
-    """The penalty-free augmented space the budget-only quantities run on."""
-    K = m.n_constraints
-    return build_extended(m, [0.0] * K, [PenaltyScheme.RISK_NEUTRAL] * K, quantum)
-
-
 def worst_case_value(
     m: Cmdp, quantum: float = 0.25
 ) -> tuple[float, TabularPolicy]:
@@ -242,11 +241,7 @@ def worst_case_value(
     states with empty feasible sets.  Masking is exact, unlike a huge-lambda
     limit, and is the definition used for the reported value.
     """
-    return _worst_case(_safe_space(m, quantum))
-
-
-def _worst_case(e: ExtendedMdp) -> tuple[float, TabularPolicy]:
-    m = e.base
+    e = augment(m, quantum)
     if any(entry == VIOLATED for entry in e.initial[1]):
         raise WorstCaseInfeasible(f"initial state {m.state_name(m.s0)}")
     values, greedy = _sweep(e, _zero, violated=-math.inf)
@@ -258,33 +253,29 @@ def _worst_case(e: ExtendedMdp) -> tuple[float, TabularPolicy]:
 
 
 def _first_dead_end(e: ExtendedMdp) -> str:
-    """Name a reachable augmented state with no feasible action.
+    """Name the first reachable augmented state with no feasible action.
 
     One forward walk over the compiled layers from the initial state along
     feasible actions, those with no successor in a violated ledger.  Each
-    layer's feasibility is one array pass; the walk's frontier is a set of
-    augmented states filled action by action, successor by successor, and
-    the first node in its iteration order that has no feasible action is
-    named.
+    layer's feasibility is one array pass and the frontier is a bool mask
+    over the layer's nodes; the dead end named is the one of lowest index,
+    discovery order, in the first layer that has one.
     """
     m = e.base
     arrays = m.successor_arrays
-    frontier = {e.initial}
+    frontier = np.ones(1, dtype=bool)  # layer 0 is the initial state alone
     for t in range(m.horizon):
         layer, after = e.compiled[t], e.compiled[t + 1]
         violated = np.array([VIOLATED in ledger for ledger in after.ledgers])[after.ledger]
         real = arrays.real[layer.state]
         nxt_index = layer.nx[layer.ledger[:, None, None], arrays.state[layer.state]]
         ok = real[:, :, 0] & ~(real & violated[nxt_index]).any(axis=2)
-        index = {x: i for i, x in enumerate(e.layers[t])}
-        nxt: set[AugState] = set()
-        for x in frontier:
-            i = index[x]
-            if not ok[i].any():
-                return f"{m.state_name(x[0])} with ledger {x[1]} at step {t}"
-            for a in np.flatnonzero(ok[i]).tolist():
-                nxt.update(e.layers[t + 1][j] for j in nxt_index[i, a, real[i, a]].tolist())
-        frontier = nxt
+        dead = np.flatnonzero(frontier & ~ok.any(axis=1))
+        if len(dead):
+            s, ledger = e.layers[t][dead[0]]
+            return f"{m.state_name(s)} with ledger {ledger} at step {t}"
+        reached = nxt_index[real & (ok & frontier[:, None])[:, :, None]]
+        frontier = np.bincount(reached, minlength=len(after.state)) > 0
     return f"initial state {m.state_name(m.s0)}"
 
 
@@ -311,7 +302,7 @@ def max_safe_cost(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:
         state_names=m.state_names,
         action_names=m.action_names,
     )
-    return _max_safe_cost(_safe_space(single, quantum), 0)
+    return _max_safe_cost(augment(single, quantum), 0)
 
 
 def _max_safe_cost(e: ExtendedMdp, k: int) -> float:
@@ -371,10 +362,9 @@ def lambda_bounds(m: Cmdp, alpha: float, quantum: float = 0.25, k: int = 0) -> B
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     best, _ = unconstrained_value(m)
-    # The worst case needs the joint space; constraint k's max safe cost reads it too.
-    e = _safe_space(m, quantum)
-    worst, _ = _worst_case(e)
-    slack = m.budgets[k] - _max_safe_cost(e, k)
+    worst, _ = worst_case_value(m, quantum)
+    # Constraint k's max safe cost reads the joint space the worst case walked.
+    slack = m.budgets[k] - _max_safe_cost(augment(m, quantum), k)
     gap = best - worst
     lam_rn = math.inf if slack == 0.0 else gap / slack
     lam_var = gap / (alpha * m.budgets[k])

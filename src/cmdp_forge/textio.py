@@ -94,13 +94,27 @@ def dump_cmdp(m: Cmdp) -> str:
     return "\n".join(out) + "\n"
 
 
+def _in_range(lineno: int, what: str, index: int, n: int) -> int:
+    if not 0 <= index < n:
+        raise FormatError(f"line {lineno}: {what} index {index} is not in [0, {n})")
+    return index
+
+
+def _scalar(scalars: dict[str, str], key: str, kind):
+    try:
+        return kind(scalars[key])
+    except ValueError as exc:
+        raise FormatError(f"{key}: {exc}") from None
+
+
 def load_cmdp(text: str) -> Cmdp:
     scalars: dict[str, str] = {}
     states: list[tuple[int, str]] = []
     actions: list[tuple[int, str]] = []
-    transitions: dict[tuple[int, int], list[float]] = {}
-    rewards: dict[tuple[int, int], float] = {}
-    costs: dict[int, dict[int, float]] = {}
+    # Table rows keep their line number until S and A are known.
+    transitions: list[tuple[int, int, int, list[float]]] = []
+    rewards: list[tuple[int, int, int, float]] = []
+    costs: dict[int, list[tuple[int, int, float]]] = {}
 
     for lineno, section, key, value in _parse_lines(text):
         try:
@@ -112,13 +126,13 @@ def load_cmdp(text: str) -> Cmdp:
                 actions.append((int(key), value))
             elif section == "transition":
                 s, a = key.split()
-                transitions[(int(s), int(a))] = [float(v) for v in value.split()]
+                transitions.append((lineno, int(s), int(a), [float(v) for v in value.split()]))
             elif section == "reward":
                 s, a = key.split()
-                rewards[(int(s), int(a))] = float(value)
+                rewards.append((lineno, int(s), int(a), float(value)))
             elif section.startswith("cost."):
                 k = int(section.split(".", 1)[1])
-                costs.setdefault(k, {})[int(key)] = float(value)
+                costs.setdefault(k, []).append((lineno, int(key), float(value)))
             else:
                 raise FormatError(f"line {lineno}: unknown section [{section}]")
         except (ValueError, IndexError) as exc:
@@ -129,6 +143,7 @@ def load_cmdp(text: str) -> Cmdp:
     for name in ("s0", "horizon"):
         if name not in scalars:
             raise FormatError(f"missing scalar key {name}")
+    scalars.setdefault("discount", "1")
     S = len(states)
     A = len(actions)
     if sorted(i for i, _ in states) != list(range(S)):
@@ -150,28 +165,30 @@ def load_cmdp(text: str) -> Cmdp:
         key = f"budget.{k}"
         if key not in scalars:
             raise FormatError(f"missing scalar key {key}")
-        budgets.append(float(scalars[key]))
-    for (s, a), row in transitions.items():
+        budgets.append(_scalar(scalars, key, float))
+    for lineno, s, a, row in transitions:
+        _in_range(lineno, "state", s, S)
+        _in_range(lineno, "action", a, A)
         if len(row) != S:
             raise FormatError(f"transition row ({s},{a}) has {len(row)} entries for {S} states")
         transition[s, a] = row
         available[s, a] = True
-    for (s, a), r in rewards.items():
-        if not available[s, a]:
+    for lineno, s, a, r in rewards:
+        if not available[_in_range(lineno, "state", s, S), _in_range(lineno, "action", a, A)]:
             raise FormatError(f"reward listed for unavailable pair ({s},{a})")
         reward[s, a] = r
     for k, rows in costs.items():
-        for s, d in rows.items():
-            cost_arr[k - 1, s] = d
+        for lineno, s, d in rows:
+            cost_arr[k - 1, _in_range(lineno, "state", s, S)] = d
 
     return Cmdp(
         transition=transition,
         reward=reward,
         costs=cost_arr,
         budgets=tuple(budgets),
-        horizon=int(scalars["horizon"]),
-        discount=float(scalars.get("discount", "1")),
-        s0=int(scalars["s0"]),
+        horizon=_scalar(scalars, "horizon", int),
+        discount=_scalar(scalars, "discount", float),
+        s0=_scalar(scalars, "s0", int),
         available=available,
         state_names=tuple(name for _, name in sorted(states)),
         action_names=tuple(name for _, name in sorted(actions)),

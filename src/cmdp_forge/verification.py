@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .extended import build_extended
+from .extended import augment
 from .fixtures import Fixture
 from .model import Cmdp, deterministic_policy
 from .oracle import (
@@ -193,27 +193,20 @@ def check_violation_prob_bound(
     return rep
 
 
-def _decision_nodes(m: Cmdp, quantum: float):
-    """Reachable (t, s, ledger) nodes under any policy, layered by epoch."""
-    e = build_extended(m, [0.0] * m.n_constraints, [PenaltyScheme.RISK_NEUTRAL] * m.n_constraints, quantum)
-    nodes = []
-    for t in range(m.horizon):
-        nodes.extend((t, s, ledger) for (s, ledger) in e.layers[t])
-    return nodes
-
-
 def count_deterministic_policies(m: Cmdp, quantum: float) -> int:
     count = 1
-    for (_t, s, _ledger) in _decision_nodes(m, quantum):
-        count *= len(m.actions_at(s))
-        if count > 10**7:
-            return count
+    for layer in augment(m, quantum).layers[:-1]:
+        for (s, _ledger) in layer:
+            count *= len(m.actions_at(s))
+            if count > 10**7:
+                return count
     return count
 
 
 def enumerate_deterministic_policies(m: Cmdp, quantum: float):
     """Yield every deterministic step-indexed policy over reachable nodes."""
-    nodes = _decision_nodes(m, quantum)
+    layers = augment(m, quantum).layers
+    nodes = [(t, s, ledger) for t in range(m.horizon) for (s, ledger) in layers[t]]
     pools = [m.actions_at(s) for (_t, s, _l) in nodes]
     for assignment in itertools.product(*pools):
         yield deterministic_policy(dict(zip(nodes, assignment)), m.n_actions, time_dependent=True)

@@ -7,6 +7,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmdp_forge
 from cmdp_forge.cli import main
@@ -79,6 +81,49 @@ def test_every_setting_is_reachable_from_a_config_file():
     assert shipped
     for path in shipped:
         load_config(path.read_text())
+
+
+_ENV_VALUES = {
+    "env.kind": ["gridworld", "chain", "x"],
+    "env.preset": ["desk", "tiny", "x"],
+    "env.chain": ["two_action_chain", "x"],
+    "env.width": ["3", "0", "-1", "x"],
+    "env.height": ["3", "0", "x"],
+    "env.start": ["0,0", "9,9", "0", "1,2,3", "x,y"],
+    "env.goal": ["2,2", "0,0", ""],
+    "env.pits": ["1,1", "1,1;1,1", "1", "", "a,b"],
+    "env.noise_p": ["0", "0.5", "1", "nan"],
+    "env.step_reward": ["-1", "nan", "inf"],
+    "env.goal_reward": ["100", "x"],
+    "env.horizon": ["5", "0", "1.5"],
+    "env.c_max": ["2", "0", "nan", "inf"],
+}
+_PIT_COSTS = [
+    "uniform:1:1.5", "uniform:2:1", "uniform:-1:1", "uniform:1:inf", "uniform:nan:1", "uniform:1",
+    "support:1@1,2@1", "support:1", "support:1@0", "support:1@-1,2@1", "support:nan",
+    "support:1@inf", "support:1@1e308,2@1e308", "support:-1@1", "support:", "point:1",
+]
+_CONFIG_LINE = st.one_of(
+    st.sampled_from(_PIT_COSTS).map("env.pit_cost = {}".format),
+    st.sampled_from(sorted(_ENV_VALUES)).flatmap(
+        lambda key: st.sampled_from(_ENV_VALUES[key]).map(f"{key} = {{}}".format)),
+    st.sampled_from(sorted(EVERY_KEY.values())).flatmap(
+        lambda kv: st.sampled_from([kv[1], "0", "-1", "nan", "inf", "x", ""]).map(f"{kv[0]} = {{}}".format)),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["env.preset = desk", "env.kind = chain", ""]), st.lists(_CONFIG_LINE, max_size=6))
+def test_any_config_text_loads_or_raises_config_error(head, lines):
+    try:
+        cfg = load_config("\n".join([head, *lines]) + "\n")
+    except ConfigError:
+        return
+    if cfg.grid is not None:
+        # A loaded pit cost is one the environment can draw from.
+        assert math.isfinite(cfg.grid.pit_cost.mean())
+        assert math.isclose(sum(w for _, w in cfg.grid.pit_cost.exact_support()), 1.0)
 
 
 def test_unknown_key_is_rejected():
@@ -300,6 +345,11 @@ FOUR_ACTION_CHECKPOINT = dump_checkpoint(
 )
 CHAIN_EVAL = "env.kind = chain\nenv.chain = two_action_chain\nseeds = 1\neval_episodes = 5\n"
 DESK_EVAL = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\neval_episodes = 5\n"
+TWO_STATE_MODEL = (
+    "s0 = 0\nhorizon = 1\nbudget.1 = 1\n[states]\n0 = a\n1 = b\n[actions]\n0 = go\n"
+    "[transition]\n0 0 = 0 1\n1 0 = 0 1\n"
+)
+DESK_TRAIN = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\nepisodes = 1\n"
 
 
 @pytest.mark.parametrize(
@@ -322,13 +372,23 @@ DESK_EVAL = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\neval_episodes =
         ("evaluate", Q_CHECKPOINT.replace("quantum = 1", "quantum = 0"), [], CHAIN_EVAL, "quantum"),
         ("evaluate", ZERO_ENTROPY_CHECKPOINT.replace("alpha_ent = 0\n", "").replace(
             "0 0 0 = 0.0", "0 0 0 = nan"), [], CHAIN_EVAL, "line 7"),
+        ("bounds", TWO_STATE_MODEL + "[cost.1]\n7 = 1\n", ["--quantum", "1"], None, "line 13"),
+        ("bounds", TWO_STATE_MODEL + "5 0 = 0 1\n", ["--quantum", "1"], None, "line 12"),
+        ("bounds", TWO_STATE_MODEL + "-1 0 = 0 1\n", ["--quantum", "1"], None, "line 12"),
+        ("train", DESK_TRAIN + "env.pit_cost = support:1@0\n", [], None, "env.pit_cost"),
+        ("train", DESK_TRAIN + "env.pit_cost = support:1@-1,2@1\n", [], None, "env.pit_cost"),
+        ("train", DESK_TRAIN + "env.pit_cost = support:nan\n", [], None, "env.pit_cost"),
+        ("train", DESK_TRAIN + "env.pit_cost = uniform:1:inf\n", [], None, "env.pit_cost"),
     ],
     ids=["malformed-model", "bad-quantum", "invalid-model", "alpha-0",
          "checkpoint-no-n_actions", "malformed-checkpoint-row",
          "checkpoint-n_actions-4-on-chain", "chain-checkpoint-on-desk",
          "checkpoint-budget-mismatch", "checkpoint-alpha_ent-0",
          "checkpoint-action-past-n_actions", "checkpoint-negative-action",
-         "checkpoint-n_actions-nan", "checkpoint-quantum-0", "checkpoint-nan-value"],
+         "checkpoint-n_actions-nan", "checkpoint-quantum-0", "checkpoint-nan-value",
+         "model-cost-state-past-S", "model-transition-state-past-S", "model-negative-state",
+         "pit-cost-zero-weight", "pit-cost-weights-sum-to-zero", "pit-cost-nan-value",
+         "pit-cost-infinite-bound"],
 )
 def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags, config, named):
     path = tmp_path / "input.txt"
@@ -339,6 +399,8 @@ def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags, c
     args = ["--out", str(tmp_path / "out")]
     if command == "bounds":
         args += ["bounds", str(path), *flags]
+    elif command == "train":
+        args += ["--config", str(path), "train"]
     else:
         args += ["--config", str(cfg), "evaluate", "--checkpoint", str(path)]
     src = Path(cmdp_forge.__file__).resolve().parents[1]
@@ -350,6 +412,19 @@ def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags, c
     assert str(path) in proc.stderr
     assert named in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_checkpoint_with_an_underflowing_probability_evaluates(tmp_path):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(CHAIN_EVAL)
+    checkpoint = tmp_path / "ac.txt"
+    # softmax(0, 1000) gives action 0 a probability of exactly 0.0.
+    checkpoint.write_text(dump_checkpoint(
+        "safe_ac", {"logits": {((0, 0), 0): 0.0, ((0, 0), 1): 1000.0}},
+        {"quantum": 1.0, "budget": 2.0, "n_actions": 2, "alpha_ent": 0.1},
+    ))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "evaluate", "--checkpoint", str(checkpoint)]) == 0
 
 
 def test_actor_critic_train_then_evaluate_round_trip(tmp_path):

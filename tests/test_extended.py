@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from cmdp_forge import extended
 from cmdp_forge.envs import desk_grid, make_gridworld
 from cmdp_forge.extended import (
     VIOLATED,
     LedgerCapExceeded,
     QuantizationError,
+    augment,
     build_extended,
     ledger_rule,
     quantize,
@@ -17,6 +19,7 @@ from cmdp_forge.learners import ledger_bucket
 from cmdp_forge.model import Cmdp
 from cmdp_forge.penalties import PenaltyScheme, penalty_amount
 from cmdp_forge.solver import backward_induction
+from cmdp_forge.verification import run_all
 
 RN = PenaltyScheme.RISK_NEUTRAL
 
@@ -163,6 +166,34 @@ def test_state_cap_is_enforced_by_name():
     f = fixture("grid3_noisy")
     with pytest.raises(LedgerCapExceeded, match="cap of 10"):
         build_extended(f.cmdp, [0.5], [RN], f.quantum, max_states=10)
+
+
+def test_weights_and_schemes_share_one_interned_space():
+    f = fixture("grid3_noisy")
+    a = build_extended(f.cmdp, [0.5], [RN], f.quantum)
+    b = build_extended(f.cmdp, [3.0], [PenaltyScheme.VALUE_AT_RISK], f.quantum)
+    space = augment(f.cmdp, f.quantum)
+    for e in (a, b):
+        assert e.states is space.states and e.layers is space.layers and e.compiled is space.compiled
+    assert (a.lambdas, b.schemes, space.lambdas) == ((0.5,), (PenaltyScheme.VALUE_AT_RISK,), (0.0,))
+    # Every layer holds the one canonical tuple of each node.
+    canonical = {x: x for x in space.states}
+    assert all(canonical[x] is x for layer in space.layers for x in layer)
+    layer = space.compiled[0]
+    assert not any(x.flags.writeable for x in (layer.state, layer.ledger, layer.nx))
+    # A cap below the size of the space already walked still raises.
+    with pytest.raises(LedgerCapExceeded, match="cap of 10"):
+        build_extended(f.cmdp, [0.5], [RN], f.quantum, max_states=10)
+    assert build_extended(f.cmdp, [0.5], [RN], f.quantum, max_states=len(a.states)).states is a.states
+
+
+def test_verify_walks_each_model_once_per_quantum(monkeypatch):
+    walks = []
+    rule = ledger_rule
+    monkeypatch.setattr(extended, "ledger_rule", lambda m, quantum: walks.append(m) or rule(m, quantum))
+    run_all(fixture_pack())
+    # One walk per fixture and one per one-constraint copy made by cost_slack.
+    assert len(walks) <= 12
 
 
 def corridor(costs, budget, horizon):

@@ -187,7 +187,7 @@ def test_greedy_policy_evaluates_to_the_optimum_on_the_desk_grid(desk, scheme):
 
 
 def test_worst_case_on_the_desk_grid_names_the_dead_end(desk):
-    with pytest.raises(WorstCaseInfeasible, match=r"r4c3@1\.25 with ledger \(5,\) at step 1"):
+    with pytest.raises(WorstCaseInfeasible, match=r"r4c3@1\.0 with ledger \(4,\) at step 1"):
         worst_case_value(desk, 0.25)
 
 

@@ -162,3 +162,54 @@ def test_any_checkpoint_text_loads_or_raises_format_error(learner, meta, lines):
         for name in ("logits", "q1", "qd1"):
             for entry, value in tables.get(name, {}).items():
                 assert repr(out[name][entry]) == repr(value)
+
+
+_INDEX = st.sampled_from(["0", "1", "2"] * 2 + ["3", "7", "-1", "x", ""])
+_MODEL_NUMBER = st.sampled_from(["0", "1", "0.5"] * 3 + ["-1", "nan", "inf", "x"])
+
+
+def _rows(n_keys: int, n_values) -> st.SearchStrategy:
+    """Up to three table rows of ``n_keys`` indices and ``n_values`` numbers."""
+    row = st.tuples(
+        st.lists(_INDEX, min_size=n_keys, max_size=n_keys).map(" ".join),
+        n_values.flatmap(lambda n: st.lists(_MODEL_NUMBER, min_size=n, max_size=n)).map(" ".join),
+    ).map(" = ".join)
+    return st.lists(row, max_size=3)
+
+
+# A 3-state, 2-action model file, each part valid in most draws; None leaves a scalar out.
+_MODEL_PARTS = st.tuples(
+    st.fixed_dictionaries({
+        name: st.sampled_from(valid * 8 + invalid)
+        for name, valid, invalid in (
+            ("s0", ["0"], [None, "-1", "9", "x"]),
+            ("horizon", ["1", "2"], [None, "0", "1.5", "x"]),
+            ("discount", ["1", None], ["0", "nan", "x"]),
+            ("budget.1", ["2"], [None, "0", "nan", "x"]),
+            ("budget.2", [None], ["1"]),
+        )
+    }),
+    st.sampled_from([("0", "1", "2")] * 6 + [("0", "2"), ("0", "1", "1"), ("x",), ()]),
+    st.sampled_from([("0", "1")] * 6 + [("1",), ("0", "0"), ()]),
+    _rows(2, st.sampled_from([3] * 4 + [2, 4])),
+    _rows(2, st.just(1)),
+    st.sampled_from(["[cost.1]"] * 4 + ["[cost.2]", "[cost.0]", "[cost.x]", "[other]"]),
+    _rows(1, st.just(1)),
+    st.lists(_ANY_LINE, max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_MODEL_PARTS)
+def test_any_model_text_loads_or_raises_format_error(parts):
+    scalars, states, actions, transitions, rewards, cost_header, costs, extra = parts
+    lines = [f"{key} = {value}" for key, value in scalars.items() if value is not None]
+    lines += ["[states]", *(f"{i} = s{i}" for i in states)]
+    lines += ["[actions]", *(f"{i} = a{i}" for i in actions)]
+    lines += ["[transition]", "0 0 = 0 1 0", "1 0 = 0 0 1", "2 0 = 0 0 1", *transitions]
+    lines += ["[reward]", "0 0 = 1", *rewards, cost_header, *costs, *extra]
+    try:
+        m = load_cmdp("\n".join(lines) + "\n")
+    except FormatError:
+        return
+    assert isinstance(m.problems, tuple)  # validation reports, never raises

@@ -19,7 +19,6 @@ from .solver import (
     backward_induction,
     cost_slack,
     lambda_bounds,
-    solve,
     unconstrained_value,
     worst_case_value,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "lambda_bounds",
     "make_chain",
     "make_gridworld",
-    "solve",
     "stats",
     "trajectory_cost",
     "unconstrained_value",

@@ -9,13 +9,14 @@ them.
 
 Two realizations of the same configuration:
 
-  * exact mode -> a finite Cmdp.  Random pit costs become a finite support
-    folded into the kernel: each pit cell is split into one state per support
-    point, and arrivals at the pit distribute over the copies.  A continuous
-    uniform cost is replaced by the mean-matched three-point support
-    {lo, mid, hi} with equal mass.
-  * sampled mode -> a step/reset environment drawing the configured cost
-    distribution at each pit arrival.  Learners train on this one.
+  * exact mode (``make_gridworld``) -> a finite Cmdp.  Random pit costs
+    become a finite support folded into the kernel: each pit cell is split
+    into one state per support point, and arrivals at the pit distribute over
+    the copies.  A continuous uniform cost is replaced by the mean-matched
+    three-point support {lo, mid, hi} with equal mass.
+  * sampled mode (``GridWorldEnv``) -> a step/reset environment drawing the
+    configured cost distribution at each pit arrival.  Learners train on
+    this one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Cmdp
+from .model import Cmdp, inverse_cdf
 
 GRID_ACTIONS = ("up", "right", "down", "left")
 _MOVES = ((-1, 0), (0, 1), (1, 0), (0, -1))
@@ -60,21 +61,10 @@ class PitCost:
         mid = (self.lo + self.hi) / 2.0
         return ((self.lo, third), (mid, third), (self.hi, third))
 
-    def mean(self) -> float:
-        if self.kind == "uniform":
-            return (self.lo + self.hi) / 2.0
-        return sum(v * w for v, w in self.support)
-
     def sample(self, rng: random.Random) -> float:
         if self.kind == "uniform":
             return rng.uniform(self.lo, self.hi)
-        u = rng.random()
-        acc = 0.0
-        for v, w in self.support:
-            acc += w
-            if u <= acc:
-                return v
-        return self.support[-1][0]
+        return inverse_cdf(self.support, rng.random())
 
 
 @dataclass(frozen=True)
@@ -165,14 +155,12 @@ def _move_distribution(cfg: GridConfig, cell, a):
 
 
 def make_gridworld(cfg: GridConfig, mode: str = "exact"):
-    """Build the configured GridWorld; see the module docstring for modes."""
+    """The exact-mode Cmdp of the configured GridWorld; ``mode`` must be "exact"."""
     problems = validate_grid_config(cfg)
     if problems:
         raise ValueError("invalid grid config: " + "; ".join(problems))
-    if mode == "sampled":
-        return GridWorldEnv(cfg)
     if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}; want 'exact' or 'sampled'")
+        raise ValueError(f"unknown mode {mode!r}; want 'exact'")
 
     support = cfg.pit_cost.exact_support()
     pitset = set(cfg.pits)
@@ -312,15 +300,7 @@ class SampledKernelEnv:
         return (self._s, self._cost, d)
 
     def step(self, a: int):
-        succ = self.m.successors(self._s, a)
-        u = self.rng.random()
-        acc = 0.0
-        s2 = succ[-1][0]
-        for j, p in succ:
-            acc += p
-            if u <= acc:
-                s2 = j
-                break
+        s2 = inverse_cdf(self.m.successors(self._s, a), self.rng.random())
         reward = float(self.m.reward[self._s, a])
         self._s = s2
         self._t += 1

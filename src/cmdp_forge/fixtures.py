@@ -90,19 +90,6 @@ def two_cost_chain() -> Cmdp:
     )
 
 
-def infeasible_chain() -> Cmdp:
-    """Every branch busts the budget; the worst-case problem has no policy."""
-    return make_chain(
-        ChainSpec(
-            branches=(
-                ChainBranch("risky_a", 2.0, ((1.0, (3.0,)),)),
-                ChainBranch("risky_b", 1.5, ((1.0, (2.5,)),)),
-            ),
-            budgets=(2.0,),
-        )
-    )
-
-
 def fixture_pack() -> list[Fixture]:
     return [
         Fixture("two_action_chain", two_action_chain(), quantum=1.0),

@@ -38,6 +38,7 @@ import numpy as np
 
 from .config import ExperimentConfig, validate_learner
 from .extended import VIOLATED
+from .model import inverse_cdf
 from .penalties import PenaltyScheme, penalty_amount
 
 TD_UPDATES = 8  # replay samples per Q-learner update period
@@ -204,17 +205,6 @@ def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
             )
         )
     return dict(q), log, sched
-
-
-def _draw(probs: list[float], rng: random.Random) -> int:
-    """Inverse-CDF draw of an action index from one uniform variate."""
-    u = rng.random()
-    acc = 0.0
-    for a, p in enumerate(probs):
-        acc += p
-        if u <= acc:
-            return a
-    return len(probs) - 1
 
 
 class ActorCriticTables:
@@ -393,7 +383,7 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
             else:
                 r = tables.row(key)
                 probs = tables.probabilities(r)
-                a_tilde = _draw(probs, rng)
+                a_tilde = inverse_cdf(enumerate(probs), rng.random())
                 ret_boot = (
                     tables.target.item(0, r, a_tilde)
                     - cfg.alpha_ent * tables.log_probability(r, a_tilde, probs)

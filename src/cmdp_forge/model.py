@@ -35,6 +35,20 @@ def discount_powers(gamma: float, n: int) -> list[float]:
     return out
 
 
+def inverse_cdf(pairs, u: float):
+    """The item whose cumulative weight first reaches u, else the last item.
+
+    The one inverse-CDF rule of every sampled draw: ``pairs`` is a non-empty
+    iterable of (item, weight) and ``u`` one uniform variate on [0, 1).
+    """
+    acc = 0.0
+    for item, w in pairs:
+        acc += w
+        if u <= acc:
+            return item
+    return item
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -172,6 +186,9 @@ def validate_cmdp(m: Cmdp) -> list[str]:
         problems.append(f"s0: index {m.s0} outside 0..{S - 1}")
     if m.reward.shape != (S, A):
         problems.append(f"reward: shape {m.reward.shape} != {(S, A)}")
+    else:
+        for s, a in np.argwhere(~np.isfinite(m.reward)).tolist():
+            problems.append(f"reward[s={s},a={a}]: must be finite, got {m.reward[s, a]}")
     if m.costs.shape[1] != S:
         problems.append(f"costs: shape {m.costs.shape} inconsistent with {S} states")
     if len(m.budgets) != m.n_constraints:
@@ -179,23 +196,22 @@ def validate_cmdp(m: Cmdp) -> list[str]:
             f"budgets: {len(m.budgets)} entries for {m.n_constraints} cost functions"
         )
     for k, b in enumerate(m.budgets):
-        if not b > 0.0:
-            problems.append(f"budgets[{k}]: must be > 0, got {b}")
+        if not 0.0 < b < math.inf:
+            problems.append(f"budgets[{k}]: must be finite and > 0, got {b}")
     for k in range(m.n_constraints):
         for s in range(S):
             d = m.costs[k, s]
-            if not d >= 0.0:
-                problems.append(f"costs[{k}][s={s}]: must be >= 0, got {d}")
+            if not 0.0 <= d < math.inf:
+                problems.append(f"costs[{k}][s={s}]: must be finite and >= 0, got {d}")
     for s in range(S):
         acts = m.actions_at(s)
         if not acts:
             problems.append(f"available[s={s}]: no available action")
         for a in acts:
             row = m.transition[s, a]
-            neg = np.nonzero(row < 0.0)[0]
-            for j in neg:
+            for j in np.nonzero(~(row >= 0.0))[0]:  # NaN included; inf fails the sum
                 problems.append(
-                    f"transition[s={s},a={a},s'={int(j)}]: negative probability {row[j]}"
+                    f"transition[s={s},a={a},s'={int(j)}]: must be >= 0, got {row[j]}"
                 )
             total = float(row.sum())
             if abs(total - 1.0) > PROB_TOL:
@@ -253,7 +269,6 @@ class TabularPolicy:
     """
 
     table: dict
-    kind: str = "stochastic"  # "deterministic" | "stochastic"
     time_dependent: bool = False
 
     def probabilities(self, t: int, s: int, ledger) -> tuple[float, ...]:
@@ -264,19 +279,6 @@ class TabularPolicy:
             raise PolicyUndefined(f"policy has no row for augmented state {key}") from None
 
 
-def validate_policy(pi: TabularPolicy) -> list[str]:
-    problems = []
-    for key, row in pi.table.items():
-        total = math.fsum(row)
-        if any(p < 0.0 for p in row):
-            problems.append(f"policy[{key}]: negative probability")
-        if abs(total - 1.0) > PROB_TOL:
-            problems.append(f"policy[{key}]: row sums to {total}")
-        if pi.kind == "deterministic" and sorted(row) != [0.0] * (len(row) - 1) + [1.0]:
-            problems.append(f"policy[{key}]: deterministic row is not one-hot")
-    return problems
-
-
 def deterministic_policy(choices: dict, n_actions: int, time_dependent: bool = False) -> TabularPolicy:
     """Build a one-hot TabularPolicy from a key -> action map."""
     table = {}
@@ -284,4 +286,4 @@ def deterministic_policy(choices: dict, n_actions: int, time_dependent: bool = F
         row = [0.0] * n_actions
         row[a] = 1.0
         table[key] = tuple(row)
-    return TabularPolicy(table=table, kind="deterministic", time_dependent=time_dependent)
+    return TabularPolicy(table=table, time_dependent=time_dependent)

@@ -23,6 +23,8 @@ from .model import (
 )
 from .penalties import PenaltyScheme, penalty_amount
 
+MASS_TOL = 1e-9
+
 
 class EnumerationCapExceeded(RuntimeError):
     def __init__(self, cap: int, depth: int):
@@ -100,20 +102,6 @@ def trajectory_penalty_total(
     return total
 
 
-def penalized_return(
-    traj: Trajectory,
-    m: Cmdp,
-    lambdas,
-    schemes,
-) -> float:
-    """Discounted task return minus all undiscounted penalty assessments."""
-    total = discounted_return(traj, m)
-    for k in range(m.n_constraints):
-        if lambdas[k] != 0.0:
-            total -= trajectory_penalty_total(traj, m, k, schemes[k], lambdas[k])
-    return total
-
-
 @dataclass(frozen=True)
 class OracleStats:
     """Exact weighted statistics of one policy's full trajectory set.
@@ -137,17 +125,16 @@ def stats(
     m: Cmdp,
     lambdas=None,
     schemes=None,
-    mass_tol: float = 1e-9,
 ) -> OracleStats:
     """Aggregate a complete enumeration into OracleStats.
 
-    Requires total probability mass 1 within ``mass_tol``.  When lambdas and
+    Requires total probability mass 1 within ``MASS_TOL``.  When lambdas and
     schemes are given, penalized_objective is the expected penalized return
     under those settings; otherwise it equals the expected return.
     """
     K = m.n_constraints
     mass = math.fsum(t.probability for t in trajs)
-    if abs(mass - 1.0) > mass_tol:
+    if abs(mass - 1.0) > MASS_TOL:
         raise IncompleteMass(f"trajectory set carries mass {mass}, want 1")
     if lambdas is None:
         lambdas = (0.0,) * K
@@ -199,7 +186,7 @@ def random_policy(m: Cmdp, quantum: float, rng) -> TabularPolicy:
         for a, w in zip(acts, weights):
             row[a] = w / total
         table[(s, ledger)] = tuple(row)
-    return TabularPolicy(table=table, kind="stochastic")
+    return TabularPolicy(table=table)
 
 
 def chance_penalty_steps(

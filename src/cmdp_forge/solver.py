@@ -10,14 +10,17 @@ Every exact quantity here is one layered backward sweep (``_sweep``) over
 the augmented MDP: ``backward_induction``, ``evaluate_policy``,
 ``worst_case_value`` and ``max_safe_cost`` differ only in the terminal
 payoff, the action operator (max with TIE_TOL ties, or a policy's
-expectation), whether step rewards count and the value pinned to a node
-whose ledger is already VIOLATED.  ``unconstrained_value`` is coded apart on
-purpose: it is the independent route the zero-penalty check compares with.
+expectation) and whether step rewards count.  VIOLATED is an absorbing
+ledger entry, so the worst case is the terminal payoff -inf on violated
+ledgers: every action that can reach one is worth -inf, which masks it.
+``unconstrained_value`` is coded apart on purpose: it is the independent
+route the zero-penalty check compares with.
 
 The budget-only quantities (``worst_case_value``, ``max_safe_cost`` and
 ``lambda_bounds``) read the penalty-free space ``extended.augment`` keeps on
 the model, the same states and layers every ``build_extended`` view of the
-model shares, so no weight and no quantity walks the space again.
+model shares, so no weight walks the space again.  Only ``max_safe_cost``
+on a model of several constraints walks a one-constraint copy.
 
 ``_sweep`` is a numpy kernel over the space's compiled layers.  Per layer
 it forms the arrival term W = V(t+1)[nx] - PEN for every (ledger,
@@ -31,11 +34,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .extended import VIOLATED, AugState, ExtendedMdp, Layer, augment, build_extended
+from .extended import VIOLATED, AugState, ExtendedMdp, Layer, augment
 from .model import Cmdp, TabularPolicy, deterministic_policy, discount_powers
 from .penalties import penalty_amount
 
@@ -121,16 +124,14 @@ def _sweep(
     terminal: Callable[[tuple[int, ...]], float],
     policy: TabularPolicy | None = None,
     rewards: bool = True,
-    violated: float | None = None,
 ) -> tuple[dict[AugState, float], list[dict[AugState, int]]]:
     """One backward pass over e's compiled layers; returns (V(0, .), greedy).
 
-    terminal(ledger) is the payoff at layer T.  When ``violated`` is given,
-    a node whose ledger holds VIOLATED is worth that constant at every layer
-    and gets no greedy action.
-    Without a policy a node takes the max over its available actions with
-    TIE_TOL ties going to the lowest index, as ``_pick`` does; with one, the
-    policy-weighted expectation over actions of nonzero probability.
+    terminal(ledger) is the payoff at layer T; the worst case passes -inf
+    for a violated ledger.  Without a policy a node takes the max over its
+    available actions with TIE_TOL ties going to the lowest index, as
+    ``_pick`` does; with one, the policy-weighted expectation over actions
+    of nonzero probability.
 
     Each layer is one numpy pass: the arrival term W = V(t+1)[nx] - PEN per
     (ledger, successor), then per (node, action) the reward plus p * W over
@@ -143,19 +144,12 @@ def _sweep(
     pows = discount_powers(m.discount, T)
     arrays = m.successor_arrays
     costs = _cost_classes(m) if any(e.lambdas) else None
-
-    def pinned(layer: Layer) -> np.ndarray:
-        dead = [violated is not None and VIOLATED in ledger for ledger in layer.ledgers]
-        return np.array(dead)[layer.ledger]
-
     last = e.compiled[T]
     vnext = np.array([terminal(ledger) for ledger in last.ledgers], dtype=float)[last.ledger]
-    if violated is not None:
-        vnext[pinned(last)] = violated
     greedy: list[dict[AugState, int]] = [dict() for _ in range(T)]
     for t in range(T - 1, -1, -1):
         layer, nodes = e.compiled[t], e.layers[t]
-        prob, real, dead = arrays.prob[layer.state], arrays.real[layer.state], pinned(layer)
+        prob, real = arrays.prob[layer.state], arrays.real[layer.state]
         ok = real[:, :, 0]  # an available action has a first successor
         w = vnext[layer.nx]
         if costs is not None:
@@ -169,22 +163,15 @@ def _sweep(
         if policy is None:
             values = np.where(ok, acc, -math.inf).max(axis=1)
             choice = np.argmax(ok & (acc >= (values - TIE_TOL)[:, None]), axis=1).tolist()
-            if violated is None:
-                greedy[t] = dict(zip(nodes, choice))
-            else:
-                greedy[t] = {x: a for x, a, d in zip(nodes, choice, dead.tolist()) if not d}
+            greedy[t] = dict(zip(nodes, choice))
         else:
-            none = (0.0,) * A
-            pi = np.array([none if d else policy.probabilities(t, *x)
-                           for x, d in zip(nodes, dead.tolist())], dtype=float)
+            pi = np.array([policy.probabilities(t, *x) for x in nodes], dtype=float)
             # Skipping zero-probability actions keeps 0 * -inf out of the sum.
             weighted = ok & (pi != 0.0)
             acc[~weighted] = 0.0
             values = np.zeros(len(pi))
             for a in range(A):
                 np.add(values, pi[:, a] * acc[:, a], out=values, where=weighted[:, a])
-        if violated is not None:
-            values[dead] = violated
         vnext = values
     return dict(zip(e.layers[0], vnext.tolist())), greedy
 
@@ -236,20 +223,22 @@ def worst_case_value(
 ) -> tuple[float, TabularPolicy]:
     """Best return over policies whose every trajectory stays within budget.
 
-    Realized by masking, at each augmented state, every action that carries
-    positive probability into a violated ledger; -inf propagates through
-    states with empty feasible sets.  Masking is exact, unlike a huge-lambda
-    limit, and is the definition used for the reported value.
+    One sweep with the terminal payoff -inf on every violated ledger.
+    VIOLATED is absorbing and every successor slot has p > 0, so an action
+    that carries positive probability into a violated ledger is worth -inf,
+    and -inf propagates through states with empty feasible sets.  Masking is
+    exact, unlike a huge-lambda limit, and is the definition used for the
+    reported value.  The policy has no row for a violated ledger.
     """
     e = augment(m, quantum)
-    if any(entry == VIOLATED for entry in e.initial[1]):
+    if VIOLATED in e.initial[1]:
         raise WorstCaseInfeasible(f"initial state {m.state_name(m.s0)}")
-    values, greedy = _sweep(e, _zero, violated=-math.inf)
+    values, greedy = _sweep(e, lambda ledger: -math.inf if VIOLATED in ledger else 0.0)
     value = values[e.initial]
     if value == -math.inf:
         raise WorstCaseInfeasible(_first_dead_end(e))
-    table = ValueTable(greedy=greedy, initial_value=value)
-    return value, table.greedy_policy(m.n_actions)
+    safe = [{x: a for x, a in layer.items() if VIOLATED not in x[1]} for layer in greedy]
+    return value, ValueTable(greedy=safe, initial_value=value).greedy_policy(m.n_actions)
 
 
 def _first_dead_end(e: ExtendedMdp) -> str:
@@ -286,35 +275,17 @@ def max_safe_cost(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:
     equals the value of a DP over the single-constraint augmented space with
     zero step rewards and terminal reward equal to the ledger total when the
     episode ends within budget (the arrival-inclusive ledger at the terminal
-    step is exactly the trajectory's total cost) and zero once violated.
-    Only constraint k is quantised, so the other constraints' costs and
-    budgets never raise here.
+    step is exactly the trajectory's total cost) and zero once violated: a
+    violated ledger stays violated, so with rewards off its value is
+    0.0 + p * 0.0 + ... = 0.0 at every layer.  A one-constraint model is
+    swept on its own cached space; otherwise on that of a copy that keeps
+    constraint k alone, so the other constraints' costs and budgets never
+    raise here.
     """
-    single = Cmdp(
-        transition=m.transition,
-        reward=m.reward,
-        costs=m.costs[k : k + 1],
-        budgets=(m.budgets[k],),
-        horizon=m.horizon,
-        discount=m.discount,
-        s0=m.s0,
-        available=m.available,
-        state_names=m.state_names,
-        action_names=m.action_names,
-    )
-    return _max_safe_cost(augment(single, quantum), 0)
-
-
-def _max_safe_cost(e: ExtendedMdp, k: int) -> float:
-    """max_safe_cost of constraint k on a penalty-free space ``e``.
-
-    The value at a node depends on its base state and ledger entry k only,
-    so on the joint K-constraint space it is the float the single-constraint
-    space gives.  A node whose entry k is VIOLATED needs no pinning: every
-    successor's entry stays VIOLATED, so with rewards off its value is
-    0.0 + p * 0.0 + ... = 0.0, the terminal payoff.
-    """
-    values, _ = _sweep(e, lambda ledger: 0.0 if ledger[k] == VIOLATED else e.ledger_cost(ledger[k]),
+    if m.n_constraints > 1:
+        m = replace(m, costs=m.costs[k : k + 1], budgets=(m.budgets[k],))
+    e = augment(m, quantum)
+    values, _ = _sweep(e, lambda ledger: 0.0 if ledger[0] == VIOLATED else e.ledger_cost(ledger[0]),
                        rewards=False)
     return values[e.initial]
 
@@ -339,7 +310,6 @@ class BoundsReport:
     lambda_expected_cost: float
     lambda_chance: float
     alpha: float
-    feasible_worst_case: bool = True
 
     def rows(self) -> list[tuple[str, float]]:
         return [
@@ -349,7 +319,7 @@ class BoundsReport:
             ("lambda_expected_cost", self.lambda_expected_cost),
             ("lambda_chance", self.lambda_chance),
             ("alpha", self.alpha),
-            ("feasible_worst_case", 1.0 if self.feasible_worst_case else 0.0),
+            ("feasible_worst_case", 1.0),
         ]
 
 
@@ -357,14 +327,14 @@ def lambda_bounds(m: Cmdp, alpha: float, quantum: float = 0.25, k: int = 0) -> B
     """Compute the feasibility thresholds for constraint k.
 
     Raises WorstCaseInfeasible when no always-safe policy exists (the
-    thresholds are undefined there).
+    thresholds are undefined there), and ValueError on an invalid model
+    before any recursion runs.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    worst, _ = worst_case_value(m, quantum)  # validates m first, in ``augment``
     best, _ = unconstrained_value(m)
-    worst, _ = worst_case_value(m, quantum)
-    # Constraint k's max safe cost reads the joint space the worst case walked.
-    slack = m.budgets[k] - _max_safe_cost(augment(m, quantum), k)
+    slack = cost_slack(m, k, quantum)
     gap = best - worst
     lam_rn = math.inf if slack == 0.0 else gap / slack
     lam_var = gap / (alpha * m.budgets[k])
@@ -376,15 +346,3 @@ def lambda_bounds(m: Cmdp, alpha: float, quantum: float = 0.25, k: int = 0) -> B
         lambda_chance=lam_var,
         alpha=alpha,
     )
-
-
-def solve(
-    m: Cmdp,
-    lambdas,
-    schemes,
-    quantum: float = 0.25,
-) -> tuple[float, TabularPolicy, ExtendedMdp]:
-    """Convenience wrapper: build the augmented view, solve, extract greedy."""
-    e = build_extended(m, lambdas, schemes, quantum)
-    vt = backward_induction(e)
-    return vt.initial_value, vt.greedy_policy(m.n_actions), e

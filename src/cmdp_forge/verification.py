@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .extended import augment
+from .extended import augment, build_extended
 from .fixtures import Fixture
 from .model import Cmdp, deterministic_policy
 from .oracle import (
@@ -22,8 +22,8 @@ from .oracle import (
 )
 from .penalties import PenaltyScheme
 from .solver import (
+    backward_induction,
     cost_slack,
-    solve,
     unconstrained_value,
     worst_case_value,
 )
@@ -34,6 +34,7 @@ DEFAULT_LAMBDA_GRID = (0.1, 0.5, 1.0, 5.0, 25.0)
 EQUIVALENCE_LAMBDA_GRID = (0.1, 1.0, 10.0, 100.0)
 DEFAULT_ALPHAS = (0.05, 0.25, 0.5)
 HUGE_LAMBDA = 1e9
+POLICY_CAP = 10_000  # optimality is checked by exhaustion up to this many policies
 
 # Each kind names one suite, check_<kind>; run_all runs them in this order.
 ALL_KINDS = (
@@ -73,10 +74,10 @@ class VerificationReport:
         self.rows.append(CheckRow(self.kind, fixture, lam, bound, measured, bool(passed), note))
 
 
-def _greedy_oracle(f: Fixture, lambdas, schemes, cap=1_000_000):
-    value, policy, _e = solve(f.cmdp, lambdas, schemes, f.quantum)
-    trajs = enumerate_trajectories(f.cmdp, policy, f.quantum, cap)
-    return value, policy, stats(trajs, f.cmdp, lambdas, schemes), trajs
+def _greedy_oracle(f: Fixture, lambdas, schemes):
+    vt = backward_induction(build_extended(f.cmdp, lambdas, schemes, f.quantum))
+    trajs = enumerate_trajectories(f.cmdp, vt.greedy_policy(f.cmdp.n_actions), f.quantum)
+    return vt.initial_value, stats(trajs, f.cmdp, lambdas, schemes), trajs
 
 
 def _gap(f: Fixture) -> float:
@@ -95,7 +96,8 @@ def check_zero_penalty_equivalence(fixtures: list[Fixture]) -> VerificationRepor
     rep = VerificationReport("zero_penalty_equivalence")
     for f in fixtures:
         plain, _ = unconstrained_value(f.cmdp)
-        aug, _, _ = solve(f.cmdp, [0.0] * f.cmdp.n_constraints, _rn(f), f.quantum)
+        e = build_extended(f.cmdp, [0.0] * f.cmdp.n_constraints, _rn(f), f.quantum)
+        aug = backward_induction(e).initial_value
         rep.add(f.name, 0.0, plain, aug, abs(aug - plain) <= TOL)
     return rep
 
@@ -113,7 +115,7 @@ def check_worst_case_masking(fixtures: list[Fixture]) -> VerificationReport:
             continue
         K = f.cmdp.n_constraints
         masked, _ = worst_case_value(f.cmdp, f.quantum)
-        value, _policy, st, _ = _greedy_oracle(f, [HUGE_LAMBDA] * K, _rn(f))
+        value, st, _ = _greedy_oracle(f, [HUGE_LAMBDA] * K, _rn(f))
         viol = max(st.violation_prob)
         rep.add(f.name, HUGE_LAMBDA, 0.0, viol, viol == 0.0, "violation probability")
         rep.add(
@@ -139,7 +141,7 @@ def check_violation_cost_bound(
         gap = _gap(f)
         K = f.cmdp.n_constraints
         for lam in lambda_grid:
-            _, _, st, _ = _greedy_oracle(f, [lam] * K, _rn(f))
+            _, st, _ = _greedy_oracle(f, [lam] * K, _rn(f))
             bound = gap / lam
             measured = max(st.trunc_above)
             rep.add(f.name, lam, bound, measured, measured <= bound + TOL)
@@ -166,7 +168,7 @@ def check_expected_cost_feasibility(
             if lam == 0.0:
                 rep.notes.append(f"{f.name}: zero threshold, bound not applicable")
                 continue
-            _, _, st, _ = _greedy_oracle(f, [lam], _rn(f))
+            _, st, _ = _greedy_oracle(f, [lam], _rn(f))
             rep.add(f.name, lam, budget, st.expected_cost[0],
                     st.expected_cost[0] <= budget + TOL)
     return rep
@@ -187,7 +189,7 @@ def check_violation_prob_bound(
             if lam == 0.0:
                 rep.notes.append(f"{f.name}: zero gap, any policy qualifies")
                 continue
-            _, _, st, _ = _greedy_oracle(f, [lam], _rn(f))
+            _, st, _ = _greedy_oracle(f, [lam], _rn(f))
             rep.add(f.name, lam, alpha, st.violation_prob[0],
                     st.violation_prob[0] <= alpha + TOL)
     return rep
@@ -217,7 +219,6 @@ def _equivalence_check(
     scheme: PenaltyScheme,
     kind: str,
     lambda_grid,
-    policy_cap: int,
 ) -> VerificationReport:
     """Shared body for the chance/excess penalty-equivalence suites.
 
@@ -237,7 +238,7 @@ def _equivalence_check(
         rivals = None
         if f.enumerable_policies:
             n_pol = count_deterministic_policies(f.cmdp, f.quantum)
-            if n_pol <= policy_cap:
+            if n_pol <= POLICY_CAP:
                 rivals = []
                 for rival in enumerate_deterministic_policies(f.cmdp, f.quantum):
                     rst = stats(enumerate_trajectories(f.cmdp, rival, f.quantum), f.cmdp)
@@ -245,7 +246,7 @@ def _equivalence_check(
                     rivals.append((rival_level, rst.expected_return))
         levels = []
         for lam in lambda_grid:
-            _value, policy, st, trajs = _greedy_oracle(f, [lam], [scheme])
+            _, st, trajs = _greedy_oracle(f, [lam], [scheme])
             if chance:
                 level = st.violation_prob[0]
                 steps = chance_penalty_steps(trajs, f.cmdp, 0, lam)
@@ -286,20 +287,18 @@ def _equivalence_check(
 
 
 def check_chance_penalty_equivalence(
-    fixtures: list[Fixture], lambda_grid=EQUIVALENCE_LAMBDA_GRID, policy_cap=10_000
+    fixtures: list[Fixture], lambda_grid=EQUIVALENCE_LAMBDA_GRID
 ) -> VerificationReport:
     return _equivalence_check(
-        fixtures, PenaltyScheme.VALUE_AT_RISK, "chance_penalty_equivalence",
-        lambda_grid, policy_cap,
+        fixtures, PenaltyScheme.VALUE_AT_RISK, "chance_penalty_equivalence", lambda_grid
     )
 
 
 def check_excess_penalty_equivalence(
-    fixtures: list[Fixture], lambda_grid=EQUIVALENCE_LAMBDA_GRID, policy_cap=10_000
+    fixtures: list[Fixture], lambda_grid=EQUIVALENCE_LAMBDA_GRID
 ) -> VerificationReport:
     return _equivalence_check(
-        fixtures, PenaltyScheme.CONDITIONAL_VALUE_AT_RISK, "excess_penalty_equivalence",
-        lambda_grid, policy_cap,
+        fixtures, PenaltyScheme.CONDITIONAL_VALUE_AT_RISK, "excess_penalty_equivalence", lambda_grid
     )
 
 
@@ -322,7 +321,7 @@ def check_multi_constraint_feasibility(fixtures: list[Fixture]) -> VerificationR
             lambdas.append(gap / slack)
         if skip:
             continue
-        _, _, st, _ = _greedy_oracle(f, lambdas, _rn(f))
+        _, st, _ = _greedy_oracle(f, lambdas, _rn(f))
         for k in range(m.n_constraints):
             rep.add(f.name, lambdas[k], m.budgets[k], st.expected_cost[k],
                     st.expected_cost[k] <= m.budgets[k] + TOL,

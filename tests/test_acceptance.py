@@ -25,7 +25,7 @@ from cmdp_forge.learners import (
 )
 from cmdp_forge.oracle import enumerate_trajectories, random_policy, stats
 from cmdp_forge.penalties import PenaltyScheme
-from cmdp_forge.solver import evaluate_policy, lambda_bounds, solve
+from cmdp_forge.solver import backward_induction, evaluate_policy, lambda_bounds
 from cmdp_forge.verification import (
     check_chance_penalty_equivalence,
     check_excess_penalty_equivalence,
@@ -80,7 +80,8 @@ def test_criterion_03_expected_cost_feasibility_with_negative_control():
     # and busts the budget, demonstrating the check can fail.
     m = two_action_chain()
     threshold = lambda_bounds(m, 0.25, 1.0).lambda_expected_cost
-    _, policy, _ = solve(m, [threshold / 10.0], [RN], 1.0)
+    e = build_extended(m, [threshold / 10.0], [RN], 1.0)
+    policy = backward_induction(e).greedy_policy(m.n_actions)
     st = stats(enumerate_trajectories(m, policy, 1.0), m)
     elapsed = time.perf_counter() - started
     assert st.expected_cost[0] > m.budgets[0]

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 import cmdp_forge
 from cmdp_forge.cli import main
 from cmdp_forge.config import ConfigError, ExperimentConfig, load_config
+from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import stochastic_chain, two_action_chain
 from cmdp_forge.oracle import enumerate_trajectories, stats
 from cmdp_forge.penalties import PenaltyScheme
-from cmdp_forge.solver import solve
+from cmdp_forge.solver import backward_induction
 from cmdp_forge.textio import dump_checkpoint, dump_cmdp, load_checkpoint
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -122,7 +123,11 @@ def test_any_config_text_loads_or_raises_config_error(head, lines):
         return
     if cfg.grid is not None:
         # A loaded pit cost is one the environment can draw from.
-        assert math.isfinite(cfg.grid.pit_cost.mean())
+        cost = cfg.grid.pit_cost
+        if cost.kind == "uniform":
+            assert math.isfinite((cost.lo + cost.hi) / 2.0)
+        else:
+            assert math.isfinite(sum(v * w for v, w in cost.support))
         assert math.isclose(sum(w for _, w in cfg.grid.pit_cost.exact_support()), 1.0)
 
 
@@ -235,7 +240,8 @@ def test_config_error_exit_code(tmp_path):
 
 def _exact_greedy_checkpoint(m, lam, quantum):
     """Greedy table of the exact solution, dressed as a Q checkpoint."""
-    _, policy, e = solve(m, [lam], [PenaltyScheme.RISK_NEUTRAL], quantum)
+    e = build_extended(m, [lam], [PenaltyScheme.RISK_NEUTRAL], quantum)
+    policy = backward_induction(e).greedy_policy(m.n_actions)
     q = {}
     for (t, s, ledger), row in policy.table.items():
         if t != 0 and (s, ledger) in {(k[1], k[2]) for k in policy.table if k[0] == 0}:
@@ -248,7 +254,8 @@ def _exact_greedy_checkpoint(m, lam, quantum):
 def test_evaluate_matches_oracle_within_three_standard_errors(tmp_path):
     m = stochastic_chain()
     lam = 0.3  # keeps the risky branch optimal
-    _, policy, _ = solve(m, [lam], [PenaltyScheme.RISK_NEUTRAL], 1.0)
+    e = build_extended(m, [lam], [PenaltyScheme.RISK_NEUTRAL], 1.0)
+    policy = backward_induction(e).greedy_policy(m.n_actions)
     st = stats(enumerate_trajectories(m, policy, 1.0), m)
     checkpoint = _exact_greedy_checkpoint(m, lam, 1.0)
     ck = tmp_path / "ck.txt"
@@ -375,6 +382,12 @@ DESK_TRAIN = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\nepisodes = 1\n
         ("bounds", TWO_STATE_MODEL + "[cost.1]\n7 = 1\n", ["--quantum", "1"], None, "line 13"),
         ("bounds", TWO_STATE_MODEL + "5 0 = 0 1\n", ["--quantum", "1"], None, "line 12"),
         ("bounds", TWO_STATE_MODEL + "-1 0 = 0 1\n", ["--quantum", "1"], None, "line 12"),
+        ("bounds", TWO_STATE_MODEL + "[reward]\n0 0 = nan\n", ["--quantum", "1"], None, "reward[s=0,a=0]"),
+        ("bounds", TWO_STATE_MODEL.replace("0 0 = 0 1", "0 0 = nan 1"), ["--quantum", "1"], None,
+         "transition[s=0,a=0,s'=0]"),
+        ("bounds", TWO_STATE_MODEL + "[cost.1]\n1 = inf\n", ["--quantum", "1"], None, "costs[0][s=1]"),
+        ("bounds", TWO_STATE_MODEL.replace("budget.1 = 1", "budget.1 = inf"), ["--quantum", "1"], None,
+         "budgets[0]"),
         ("train", DESK_TRAIN + "env.pit_cost = support:1@0\n", [], None, "env.pit_cost"),
         ("train", DESK_TRAIN + "env.pit_cost = support:1@-1,2@1\n", [], None, "env.pit_cost"),
         ("train", DESK_TRAIN + "env.pit_cost = support:nan\n", [], None, "env.pit_cost"),
@@ -387,6 +400,7 @@ DESK_TRAIN = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\nepisodes = 1\n
          "checkpoint-action-past-n_actions", "checkpoint-negative-action",
          "checkpoint-n_actions-nan", "checkpoint-quantum-0", "checkpoint-nan-value",
          "model-cost-state-past-S", "model-transition-state-past-S", "model-negative-state",
+         "model-nan-reward", "model-nan-probability", "model-infinite-cost", "model-infinite-budget",
          "pit-cost-zero-weight", "pit-cost-weights-sum-to-zero", "pit-cost-nan-value",
          "pit-cost-infinite-bound"],
 )

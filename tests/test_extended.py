@@ -18,7 +18,7 @@ from cmdp_forge.fixtures import fixture, fixture_pack, two_action_chain
 from cmdp_forge.learners import ledger_bucket
 from cmdp_forge.model import Cmdp
 from cmdp_forge.penalties import PenaltyScheme, penalty_amount
-from cmdp_forge.solver import backward_induction
+from cmdp_forge.solver import backward_induction, max_safe_cost
 from cmdp_forge.verification import run_all
 
 RN = PenaltyScheme.RISK_NEUTRAL
@@ -192,8 +192,20 @@ def test_verify_walks_each_model_once_per_quantum(monkeypatch):
     rule = ledger_rule
     monkeypatch.setattr(extended, "ledger_rule", lambda m, quantum: walks.append(m) or rule(m, quantum))
     run_all(fixture_pack())
-    # One walk per fixture and one per one-constraint copy made by cost_slack.
-    assert len(walks) <= 12
+    # One walk per fixture and one per one-constraint copy that cost_slack
+    # makes of the two-constraint fixture, once for each of its constraints.
+    assert len(walks) <= 8
+
+
+def test_max_safe_cost_on_a_one_constraint_model_walks_it_once(monkeypatch):
+    walks = []
+    rule = ledger_rule
+    monkeypatch.setattr(extended, "ledger_rule", lambda m, quantum: walks.append(m) or rule(m, quantum))
+    m = fixture("grid3_det").cmdp
+    first = max_safe_cost(m, 0, 0.25)
+    assert walks == [m]
+    assert max_safe_cost(m, 0, 0.25) == first
+    assert walks == [m]
 
 
 def corridor(costs, budget, horizon):

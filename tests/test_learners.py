@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cmdp_forge.config import ExperimentConfig, load_config
 from cmdp_forge.envs import ChainBranch, ChainSpec, GridWorldEnv, SampledKernelEnv, make_chain
+from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import two_action_chain
 from cmdp_forge.learners import (
     ActorCriticTables,
@@ -20,7 +21,7 @@ from cmdp_forge.learners import (
     safe_q_learning,
 )
 from cmdp_forge.penalties import PenaltyScheme
-from cmdp_forge.solver import lambda_bounds, solve, unconstrained_value
+from cmdp_forge.solver import backward_induction, lambda_bounds, unconstrained_value
 
 RN = PenaltyScheme.RISK_NEUTRAL
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -110,7 +111,8 @@ def test_q_learner_matches_exact_greedy_across_weights():
     m = two_action_chain()
     report = lambda_bounds(m, 0.25, 1.0)
     for lam in (0.0, report.lambda_expected_cost, 10 * report.lambda_expected_cost):
-        _, exact_policy, _ = solve(m, [lam], [RN], 1.0)
+        e = build_extended(m, [lam], [RN], 1.0)
+        exact_policy = backward_induction(e).greedy_policy(m.n_actions)
         exact_action = exact_policy.table[(0, 0, (0,))].index(1.0)
         env = SampledKernelEnv(m, seed="17:env")
         cfg = ExperimentConfig(episodes=1500, lambda0=lam,

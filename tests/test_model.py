@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from cmdp_forge.fixtures import two_action_chain
 from cmdp_forge.model import (
-    TabularPolicy,
     Trajectory,
     discounted_return,
     trajectory_cost,
     validate_cmdp,
-    validate_policy,
 )
 
 
@@ -148,12 +146,3 @@ def test_undiscounted_equals_plain_reward_sum(rewards):
     assert math.isclose(
         discounted_return(tau, m), math.fsum(rewards[:-1]), abs_tol=1e-9
     )
-
-
-def test_policy_validation():
-    good = TabularPolicy({(0, (0,)): (0.5, 0.5)})
-    assert validate_policy(good) == []
-    bad = TabularPolicy({(0, (0,)): (0.5, 0.6)})
-    assert any("sums to" in p for p in validate_policy(bad))
-    not_onehot = TabularPolicy({(0, (0,)): (0.5, 0.5)}, kind="deterministic")
-    assert any("one-hot" in p for p in validate_policy(not_onehot))

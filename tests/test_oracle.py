@@ -11,13 +11,12 @@ from cmdp_forge.oracle import (
     IncompleteMass,
     chance_penalty_steps,
     enumerate_trajectories,
-    penalized_return,
     random_policy,
     stats,
     trajectory_penalty_total,
 )
 from cmdp_forge.penalties import PenaltyScheme
-from cmdp_forge.solver import cost_slack, evaluate_policy, solve
+from cmdp_forge.solver import backward_induction, cost_slack, evaluate_policy
 
 RN = PenaltyScheme.RISK_NEUTRAL
 VAR = PenaltyScheme.VALUE_AT_RISK
@@ -34,7 +33,7 @@ def pad_rows(policy, m):
     for s in range(1, m.n_states):
         for ledger in ((0,), (-1,)):
             table.setdefault((s, ledger), (1.0, 0.0))
-    return TabularPolicy(table, kind=policy.kind)
+    return TabularPolicy(table)
 
 
 def test_deterministic_model_and_policy_yield_one_trajectory():
@@ -52,16 +51,21 @@ def test_uniform_policy_splits_mass_evenly():
     assert sorted(t.probability for t in trajs) == [0.5, 0.5]
 
 
+def greedy(f, lambdas, schemes):
+    e = build_extended(f.cmdp, lambdas, schemes, f.quantum)
+    return backward_induction(e).greedy_policy(f.cmdp.n_actions)
+
+
 def test_enumeration_cap_is_reported():
     f = fixture("grid3_noisy")
-    _, policy, _ = solve(f.cmdp, [1.0], [RN], f.quantum)
+    policy = greedy(f, [1.0], [RN])
     with pytest.raises(EnumerationCapExceeded, match="cap of 5"):
         enumerate_trajectories(f.cmdp, policy, f.quantum, cap=5)
 
 
 def test_noisy_grid_mass_sums_to_one():
     f = fixture("grid3_noisy")
-    _, policy, _ = solve(f.cmdp, [1.0], [RN], f.quantum)
+    policy = greedy(f, [1.0], [RN])
     trajs = enumerate_trajectories(f.cmdp, policy, f.quantum)
     assert abs(math.fsum(t.probability for t in trajs) - 1.0) <= 1e-9
 
@@ -162,7 +166,7 @@ def test_small_violation_mass_implies_budget_feasibility():
 def test_chance_penalty_total_is_constant_per_trajectory():
     f = fixture("grid3_det")
     m = f.cmdp
-    _, policy, _ = solve(m, [0.1], [VAR], f.quantum)
+    policy = greedy(f, [0.1], [VAR])
     trajs = enumerate_trajectories(m, policy, f.quantum)
     steps = chance_penalty_steps(trajs, m, 0, 0.1)
     assert steps == m.horizon + 1
@@ -178,7 +182,6 @@ def test_literal_penalty_walk_matches_trajectory_identities():
     trajs = enumerate_trajectories(m, pol, f.quantum)
     lam = 1.3
     budget = m.budgets[0]
-    from cmdp_forge.model import discounted_return
 
     for t in trajs[:200]:
         d = trajectory_cost(t, m)
@@ -191,9 +194,6 @@ def test_literal_penalty_walk_matches_trajectory_identities():
             assert cvar_total == pytest.approx(lam * (d - budget), abs=1e-9)
         else:
             assert rn_total == 0.0 and cvar_total == 0.0
-        assert penalized_return(t, m, [lam], [RN]) == pytest.approx(
-            discounted_return(t, m) - rn_total, abs=1e-12
-        )
 
 
 def test_policy_must_cover_reachable_states():

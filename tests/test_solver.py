@@ -5,14 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, make_chain, make_gridworld
-from cmdp_forge.extended import QuantizationError, build_extended
-from cmdp_forge.fixtures import (
-    fixture,
-    fixture_pack,
-    infeasible_chain,
-    two_action_chain,
-)
+from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, make_chain, make_gridworld, tiny_grid
+from cmdp_forge.extended import VIOLATED, QuantizationError, augment, build_extended
+from cmdp_forge.fixtures import fixture, fixture_pack, two_action_chain
 from cmdp_forge.model import Cmdp
 from cmdp_forge.oracle import enumerate_trajectories, random_policy, stats
 from cmdp_forge.penalties import PenaltyScheme
@@ -23,7 +18,6 @@ from cmdp_forge.solver import (
     evaluate_policy,
     lambda_bounds,
     max_safe_cost,
-    solve,
     unconstrained_value,
     worst_case_value,
 )
@@ -44,7 +38,8 @@ def best_policy_by_enumeration(m, lambdas, schemes, quantum):
 @pytest.mark.parametrize("lam,expected_action", [(0.2, 1), (0.5, 0)])
 def test_chain_optimum_matches_policy_enumeration(lam, expected_action):
     m = two_action_chain()
-    value, policy, _ = solve(m, [lam], [RN], quantum=1.0)
+    vt = backward_induction(build_extended(m, [lam], [RN], quantum=1.0))
+    value, policy = vt.initial_value, vt.greedy_policy(m.n_actions)
     brute = best_policy_by_enumeration(m, [lam], [RN], 1.0)
     assert value == pytest.approx(brute, abs=1e-12)
     chosen = policy.table[(0, 0, (0,))].index(1.0)
@@ -54,8 +49,9 @@ def test_chain_optimum_matches_policy_enumeration(lam, expected_action):
 def test_zero_weight_matches_unconstrained_on_every_fixture():
     for f in fixture_pack():
         plain, _ = unconstrained_value(f.cmdp)
-        aug, _, _ = solve(f.cmdp, [0.0] * f.cmdp.n_constraints,
-                          [RN] * f.cmdp.n_constraints, f.quantum)
+        e = build_extended(f.cmdp, [0.0] * f.cmdp.n_constraints,
+                           [RN] * f.cmdp.n_constraints, f.quantum)
+        aug = backward_induction(e).initial_value
         assert abs(aug - plain) <= 1e-12, f.name
 
 
@@ -63,6 +59,17 @@ def test_worst_case_forces_the_safe_branch():
     value, policy = worst_case_value(two_action_chain(), 1.0)
     assert value == 1.0
     assert policy.table[(0, 0, (0,))].index(1.0) == 0
+
+
+@pytest.mark.parametrize("horizon", [4, 5])
+def test_worst_case_policy_has_a_row_for_every_safe_node_and_none_for_a_violated_one(horizon):
+    m = make_gridworld(tiny_grid(noise_p=0.0, horizon=horizon, c_max=0.75), "exact")
+    _, policy = worst_case_value(m, 0.25)
+    layers = augment(m, 0.25).layers[:-1]
+    assert any(VIOLATED in ledger for layer in layers for _s, ledger in layer)
+    safe = {(t, s, ledger) for t, layer in enumerate(layers) for s, ledger in layer
+            if VIOLATED not in ledger}
+    assert set(policy.table) == safe
 
 
 def test_worst_case_equals_unconstrained_when_costs_vanish():
@@ -76,6 +83,19 @@ def test_worst_case_equals_unconstrained_when_costs_vanish():
         )
     )
     assert worst_case_value(m, 1.0)[0] == unconstrained_value(m)[0] == 2.0
+
+
+def infeasible_chain():
+    """Every branch busts the budget; the worst-case problem has no policy."""
+    return make_chain(
+        ChainSpec(
+            branches=(
+                ChainBranch("risky_a", 2.0, ((1.0, (3.0,)),)),
+                ChainBranch("risky_b", 1.5, ((1.0, (2.5,)),)),
+            ),
+            budgets=(2.0,),
+        )
+    )
 
 
 def test_worst_case_infeasible_names_the_state():
@@ -112,7 +132,7 @@ def test_threshold_report_on_the_chain():
     assert report.cost_slack == 2.0
     assert report.lambda_expected_cost == 0.5
     assert report.lambda_chance == pytest.approx(1.0 / (0.25 * 2.0))
-    assert report.feasible_worst_case
+    assert ("feasible_worst_case", 1.0) in report.rows()
 
 
 def test_zero_gap_gives_zero_thresholds():
@@ -136,7 +156,8 @@ def test_degenerate_single_action_chain():
 def test_solver_matches_oracle_on_every_fixture(lam):
     for f in fixture_pack():
         K = f.cmdp.n_constraints
-        value, policy, _ = solve(f.cmdp, [lam] * K, [RN] * K, f.quantum)
+        vt = backward_induction(build_extended(f.cmdp, [lam] * K, [RN] * K, f.quantum))
+        value, policy = vt.initial_value, vt.greedy_policy(f.cmdp.n_actions)
         trajs = enumerate_trajectories(f.cmdp, policy, f.quantum)
         st = stats(trajs, f.cmdp, [lam] * K, [RN] * K)
         assert abs(value - st.penalized_objective) <= 1e-9, f.name
@@ -152,7 +173,7 @@ def test_value_ties_break_to_the_lowest_action_index():
             budgets=(2.0,),
         )
     )
-    _, policy, _ = solve(m, [1.0], [RN], 1.0)
+    policy = backward_induction(build_extended(m, [1.0], [RN], 1.0)).greedy_policy(m.n_actions)
     assert policy.table[(0, 0, (0,))].index(1.0) == 0
 
 

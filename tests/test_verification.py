@@ -8,7 +8,7 @@ from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import Fixture, fixture_pack, two_action_chain
 from cmdp_forge.oracle import enumerate_trajectories, random_policy, stats
 from cmdp_forge.penalties import PenaltyScheme
-from cmdp_forge.solver import evaluate_policy, solve
+from cmdp_forge.solver import backward_induction, evaluate_policy
 from cmdp_forge.verification import (
     check_expected_cost_feasibility,
     count_deterministic_policies,
@@ -81,7 +81,8 @@ def test_solver_matches_oracle_on_random_chains(rewards, costs, lam):
     )
     m = make_chain(spec)
     for scheme in PenaltyScheme:
-        value, policy, _ = solve(m, [lam], [scheme], 1.0)
+        vt = backward_induction(build_extended(m, [lam], [scheme], 1.0))
+        value, policy = vt.initial_value, vt.greedy_policy(m.n_actions)
         st_ = stats(enumerate_trajectories(m, policy, 1.0), m, [lam], [scheme])
         assert abs(value - st_.penalized_objective) <= 1e-9
         brute = max(

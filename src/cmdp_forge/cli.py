@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, override
 from .envs import GridWorldEnv, SampledKernelEnv
 from .fixtures import fixture, fixture_pack
 from .learners import (
@@ -386,12 +386,8 @@ def main(argv=None) -> int:
             cfg = _load(args.config) if args.config else None
             return cmd_verify(cfg, out)
         cfg = _load(args.config)
-        if args.seeds:
-            try:
-                seeds = tuple(int(s) for s in args.seeds.replace(",", " ").split())
-            except ValueError:
-                raise ConfigError(f"--seeds: cannot parse {args.seeds!r}") from None
-            cfg = replace(cfg, seeds=seeds)
+        if args.seeds is not None:
+            cfg = override(cfg, "seeds", args.seeds)
         if args.command == "train":
             return cmd_train(cfg, out, max(1, args.jobs))
         return cmd_evaluate(cfg, Path(args.checkpoint), out)

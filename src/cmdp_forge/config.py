@@ -9,7 +9,9 @@ fully spelled-out grid.  See configs/ for complete examples.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .envs import GridConfig, PitCost, desk_grid, large_grid, tiny_grid, validate_grid_config
 from .fixtures import fixture_pack
@@ -20,7 +22,6 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMES = {s.value: s for s in PenaltyScheme}
 _GRID_PRESETS = {"desk": desk_grid, "large": large_grid, "tiny": tiny_grid}
 
 
@@ -40,42 +41,29 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def _typed(raw: dict[str, str], key: str, kind, default):
-    if key not in raw:
-        return default
-    value = raw.pop(key)
+def parse_value(key: str, parse, value: str):
+    """``parse(value)``, its failure reported as a ConfigError naming ``key``."""
     try:
-        if kind is bool:
-            if value not in ("true", "false"):
-                raise ValueError("want true or false")
-            return value == "true"
-        return kind(value)
-    except ValueError as exc:
+        return parse(value)
+    except (ValueError, IndexError) as exc:
         raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from None
 
 
-def _float_list(value: str) -> list[float]:
-    return [float(v) for v in value.replace(",", " ").split()]
+def _float_list(value: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in value.replace(",", " ").split())
 
 
-def _int_list(value: str) -> list[int]:
-    return [int(v) for v in value.replace(",", " ").split()]
-
-
-def _cells(value: str) -> tuple[tuple[int, int], ...]:
-    cells = []
-    for token in value.split(";"):
-        token = token.strip()
-        if not token:
-            continue
-        r, c = token.split(",")
-        cells.append((int(r), int(c)))
-    return tuple(cells)
+def _int_list(value: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in value.replace(",", " ").split())
 
 
 def _cell(value: str) -> tuple[int, int]:
     r, c = value.split(",")
     return (int(r), int(c))
+
+
+def _cells(value: str) -> tuple[tuple[int, int], ...]:
+    return tuple(_cell(token) for token in value.split(";") if token.strip())
 
 
 def _pit_cost(value: str) -> PitCost:
@@ -100,6 +88,8 @@ def _pit_cost(value: str) -> PitCost:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every setting with its default; ``KEYS`` names the config key of each."""
+
     env_kind: str = "gridworld"
     grid: GridConfig | None = None
     chain_name: str = ""
@@ -107,13 +97,13 @@ class ExperimentConfig:
     scheme: PenaltyScheme = PenaltyScheme.RISK_NEUTRAL
     lambda0: float = 2.0
     lambda_floor: float = 0.1
-    window: int = 32  # M
-    target_period: int = 100  # C
-    buffer_capacity: int = 10_000  # N
-    n_step: int = 5  # n
+    window: int = 32
+    target_period: int = 100
+    buffer_capacity: int = 10_000
+    n_step: int = 5
     rho: float = 0.95
     alpha_ent: float = 0.1
-    safe_weight: float = 1.0  # w
+    safe_weight: float = 1.0
     gamma: float = 1.0
     episodes: int = 4000
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
@@ -126,6 +116,67 @@ class ExperimentConfig:
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
     key_quantum: float = 0.1
+
+
+class Key(NamedTuple):
+    """One non-env config key: its name in the file, the field it sets, its
+    parser, and the range its value must satisfy (``ok``, stated as ``want``).
+    Every float in a value must also be finite."""
+
+    name: str
+    field: str
+    parse: Callable[[str], object]
+    ok: Callable[[object], bool]
+    want: str
+
+
+def _one_of(name: str, field: str, options: dict) -> Key:
+    def parse(value: str):
+        if value not in options:
+            raise ValueError(f"want one of {sorted(options)}")
+        return options[value]
+
+    return Key(name, field, parse, lambda v: v in options.values(), f"one of {sorted(options)}")
+
+
+_COUNT = (int, lambda v: v >= 1, ">= 1")
+_UNIT = (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_PROBABILITY = (float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_POSITIVE = (float, lambda v: v > 0.0, "finite and > 0")
+_NON_NEGATIVE = (float, lambda v: v >= 0.0, "finite and >= 0")
+
+KEYS = (
+    _one_of("learner", "learner", {"safe_q": "safe_q", "safe_ac": "safe_ac"}),
+    _one_of("scheme.1", "scheme", {s.value: s for s in PenaltyScheme}),
+    Key("lambda.1", "lambda0", *_NON_NEGATIVE),
+    Key("Lambda_floor", "lambda_floor", *_POSITIVE),
+    Key("M", "window", *_COUNT),
+    Key("C", "target_period", *_COUNT),
+    Key("N", "buffer_capacity", *_COUNT),
+    Key("n", "n_step", *_COUNT),
+    Key("rho", "rho", float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    Key("alpha_ent", "alpha_ent", *_POSITIVE),
+    Key("w", "safe_weight", *_NON_NEGATIVE),
+    Key("gamma", "gamma", *_UNIT),
+    Key("episodes", "episodes", *_COUNT),
+    Key("seeds", "seeds", _int_list, lambda v: len(v) >= 1, "at least one seed"),
+    Key("eval_episodes", "eval_episodes", *_COUNT),
+    Key("alpha", "alpha", *_UNIT),
+    Key("lambda_grid", "lambda_grid", _float_list, lambda v: all(x >= 0.0 for x in v),
+        "finite weights >= 0"),
+    Key("lr", "lr", *_UNIT),
+    Key("lr_actor", "lr_actor", *_UNIT),
+    Key("update_every", "update_every", *_COUNT),
+    Key("epsilon.start", "epsilon_start", *_PROBABILITY),
+    Key("epsilon.end", "epsilon_end", *_PROBABILITY),
+    Key("key_quantum", "key_quantum", *_POSITIVE),
+)
+# env.<name> sets the GridConfig field <name>; its range is validate_grid_config's.
+_ENV_PARSERS = {
+    "width": int, "height": int, "start": _cell, "goal": _cell, "pits": _cells,
+    "pit_cost": _pit_cost, "noise_p": float, "step_reward": float, "goal_reward": float,
+    "horizon": int, "c_max": float,
+}
 
 
 def _grid_from(raw: dict[str, str]) -> GridConfig:
@@ -148,26 +199,10 @@ def _grid_from(raw: dict[str, str]) -> GridConfig:
             width=1, height=1, start=(0, 0), goal=(0, 0), pits=(),
             pit_cost=PitCost.uniform(1.0, 1.5),
         )
-    overrides = {}
-    for key, kind, name in (
-        ("env.width", int, "width"),
-        ("env.height", int, "height"),
-        ("env.start", _cell, "start"),
-        ("env.goal", _cell, "goal"),
-        ("env.pits", _cells, "pits"),
-        ("env.pit_cost", _pit_cost, "pit_cost"),
-        ("env.noise_p", float, "noise_p"),
-        ("env.step_reward", float, "step_reward"),
-        ("env.goal_reward", float, "goal_reward"),
-        ("env.horizon", int, "horizon"),
-        ("env.c_max", float, "c_max"),
-    ):
-        if key in raw:
-            value = raw.pop(key)
-            try:
-                overrides[name] = kind(value)
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from None
+    overrides = {
+        name: parse_value(f"env.{name}", parse, raw.pop(f"env.{name}"))
+        for name, parse in _ENV_PARSERS.items() if f"env.{name}" in raw
+    }
     return replace(cfg, **overrides)
 
 
@@ -187,98 +222,48 @@ def load_config(text: str) -> ExperimentConfig:
         if chain_name not in names:
             raise ConfigError(f"env.chain: unknown fixture {chain_name!r}; want one of {names}")
 
-    learner = _typed(raw, "learner", str, "safe_ac")
-    if learner not in ("safe_q", "safe_ac"):
-        raise ConfigError(f"learner: want safe_q or safe_ac, got {learner!r}")
-
-    token = raw.pop("scheme.1", "rn")
-    if token not in _SCHEMES:
-        raise ConfigError(f"scheme.1: want one of {sorted(_SCHEMES)}, got {token!r}")
-
-    cfg = ExperimentConfig(
-        env_kind=env_kind,
-        grid=grid,
-        chain_name=chain_name,
-        learner=learner,
-        scheme=_SCHEMES[token],
-        lambda0=_typed(raw, "lambda.1", float, 2.0),
-        lambda_floor=_typed(raw, "Lambda_floor", float, 0.1),
-        window=_typed(raw, "M", int, 32),
-        target_period=_typed(raw, "C", int, 100),
-        buffer_capacity=_typed(raw, "N", int, 10_000),
-        n_step=_typed(raw, "n", int, 5),
-        rho=_typed(raw, "rho", float, 0.95),
-        alpha_ent=_typed(raw, "alpha_ent", float, 0.1),
-        safe_weight=_typed(raw, "w", float, 1.0),
-        gamma=_typed(raw, "gamma", float, 1.0),
-        episodes=_typed(raw, "episodes", int, 4000),
-        seeds=tuple(_typed(raw, "seeds", _int_list, [1, 2, 3, 4, 5])),
-        eval_episodes=_typed(raw, "eval_episodes", int, 1000),
-        alpha=_typed(raw, "alpha", float, 0.25),
-        lambda_grid=tuple(_typed(raw, "lambda_grid", _float_list, [])),
-        lr=_typed(raw, "lr", float, 0.1),
-        lr_actor=_typed(raw, "lr_actor", float, 0.01),
-        update_every=_typed(raw, "update_every", int, 4),
-        epsilon_start=_typed(raw, "epsilon.start", float, 1.0),
-        epsilon_end=_typed(raw, "epsilon.end", float, 0.05),
-        key_quantum=_typed(raw, "key_quantum", float, 0.1),
-    )
+    values = {k.field: parse_value(k.name, k.parse, raw.pop(k.name)) for k in KEYS if k.name in raw}
     if raw:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(raw)))
-    return validate_config(cfg)
+    return validate_config(
+        ExperimentConfig(env_kind=env_kind, grid=grid, chain_name=chain_name, **values)
+    )
 
 
-def learner_problems(cfg: ExperimentConfig) -> list[str]:
-    """Range problems of the values the learners read."""
+def override(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
+    """``cfg`` with ``key`` set from the text ``value`` as a config line would set it."""
+    k = next(k for k in KEYS if k.name == key)
+    return validate_config(replace(cfg, **{k.field: parse_value(key, k.parse, value)}))
+
+
+def _key_problems(cfg: ExperimentConfig) -> list[str]:
     problems = []
-    if not (0.0 < cfg.gamma <= 1.0):
-        problems.append(f"gamma: must be in (0, 1], got {cfg.gamma}")
-    if cfg.lambda_floor <= 0.0:
-        problems.append(f"Lambda_floor: must be > 0, got {cfg.lambda_floor}")
-    if cfg.lambda0 < 0.0:
-        problems.append(f"lambda.1: must be >= 0, got {cfg.lambda0}")
-    for name in ("window", "target_period", "buffer_capacity", "n_step",
-                 "episodes", "update_every"):
-        if getattr(cfg, name) < 1:
-            problems.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
-    if not (0.0 <= cfg.rho < 1.0):
-        problems.append(f"rho: must be in [0, 1), got {cfg.rho}")
-    if cfg.alpha_ent <= 0.0:
-        problems.append(f"alpha_ent: must be > 0, got {cfg.alpha_ent}")
-    for name in ("lr", "lr_actor"):
-        if not (0.0 < getattr(cfg, name) <= 1.0):
-            problems.append(f"{name}: must be in (0, 1], got {getattr(cfg, name)}")
-    if not (0.0 <= cfg.epsilon_end <= cfg.epsilon_start <= 1.0):
+    for k in KEYS:
+        value = getattr(cfg, k.field)
+        items = value if isinstance(value, tuple) else (value,)
+        finite = all(math.isfinite(x) for x in items if isinstance(x, float))
+        if not (finite and k.ok(value)):
+            problems.append(f"{k.name}: want {k.want}, got {value}")
+    if cfg.epsilon_end > cfg.epsilon_start:
         problems.append(
-            f"epsilon: want 0 <= end <= start <= 1, got "
-            f"{cfg.epsilon_end}, {cfg.epsilon_start}"
+            f"epsilon.end: want <= epsilon.start, got {cfg.epsilon_end} > {cfg.epsilon_start}"
         )
-    if cfg.key_quantum <= 0.0:
-        problems.append(f"key_quantum: must be > 0, got {cfg.key_quantum}")
     return problems
 
 
 def validate_learner(cfg: ExperimentConfig) -> None:
-    """The learners' entry check: the learner part of ``validate_config``."""
-    problems = learner_problems(cfg)
+    """The learners' entry check: every key's range, without the environment."""
+    problems = _key_problems(cfg)
     if problems:
         raise ConfigError("; ".join(problems))
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Every check: the environment, the learner part, then the run's own keys."""
+    """Every check: the environment, then every key's range."""
     problems = []
     if cfg.env_kind == "gridworld":
         problems += [f"env: {p}" for p in validate_grid_config(cfg.grid)]
-    problems += learner_problems(cfg)
-    if not (0.0 < cfg.alpha <= 1.0):
-        problems.append(f"alpha: must be in (0, 1], got {cfg.alpha}")
-    if any(l < 0.0 for l in cfg.lambda_grid):
-        problems.append("lambda_grid: penalty weights must be >= 0")
-    if cfg.eval_episodes < 1:
-        problems.append(f"eval_episodes: must be >= 1, got {cfg.eval_episodes}")
-    if not cfg.seeds:
-        problems.append("seeds: need at least one seed")
+    problems += _key_problems(cfg)
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg

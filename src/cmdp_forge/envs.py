@@ -21,6 +21,7 @@ Two realizations of the same configuration:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -110,8 +111,11 @@ def validate_grid_config(cfg: GridConfig) -> list[str]:
         problems.append(f"noise_p must be in [0, 1), got {cfg.noise_p}")
     if cfg.horizon < 1:
         problems.append(f"horizon must be >= 1, got {cfg.horizon}")
-    if not cfg.c_max > 0.0:
-        problems.append(f"c_max must be > 0, got {cfg.c_max}")
+    if not 0.0 < cfg.c_max < math.inf:
+        problems.append(f"c_max must be finite and > 0, got {cfg.c_max}")
+    for name in ("step_reward", "goal_reward"):
+        if not math.isfinite(getattr(cfg, name)):
+            problems.append(f"{name} must be finite, got {getattr(cfg, name)}")
     if cfg.pit_cost.kind == "uniform" and not (0.0 <= cfg.pit_cost.lo <= cfg.pit_cost.hi):
         problems.append("pit cost interval must satisfy 0 <= lo <= hi")
     if cfg.pit_cost.kind == "support" and any(v < 0.0 for v, _ in cfg.pit_cost.support):

@@ -11,10 +11,6 @@ suites a fixture participates in:
                        probability.
   enumerable_policies  few enough deterministic augmented policies to verify
                        optimality claims by exhaustion.
-  zero_tail            the measured violation level reaches exactly zero at
-                       the top of the standard lambda grid.
-  random_policy_suite  cheap enough to enumerate under hundreds of random
-                       stochastic policies.
 """
 
 from __future__ import annotations
@@ -32,8 +28,6 @@ class Fixture:
     quantum: float
     worst_case_feasible: bool = True
     enumerable_policies: bool = True
-    zero_tail: bool = True
-    random_policy_suite: bool = True
 
 
 def two_action_chain() -> Cmdp:
@@ -111,8 +105,6 @@ def fixture_pack() -> list[Fixture]:
             quantum=0.25,
             worst_case_feasible=False,
             enumerable_policies=False,
-            zero_tail=False,
-            random_policy_suite=False,
         ),
     ]
 

@@ -184,12 +184,15 @@ def validate_cmdp(m: Cmdp) -> list[str]:
         problems.append(f"discount: must be in (0, 1], got {m.discount}")
     if not (0 <= m.s0 < S):
         problems.append(f"s0: index {m.s0} outside 0..{S - 1}")
+    if m.transition.shape != (S, A, S):
+        problems.append(f"transition: shape {m.transition.shape} != {(S, A, S)}")
     if m.reward.shape != (S, A):
         problems.append(f"reward: shape {m.reward.shape} != {(S, A)}")
     else:
         for s, a in np.argwhere(~np.isfinite(m.reward)).tolist():
             problems.append(f"reward[s={s},a={a}]: must be finite, got {m.reward[s, a]}")
-    if m.costs.shape[1] != S:
+    costs_fit = m.costs.shape[1] == S
+    if not costs_fit:
         problems.append(f"costs: shape {m.costs.shape} inconsistent with {S} states")
     if len(m.budgets) != m.n_constraints:
         problems.append(
@@ -198,7 +201,7 @@ def validate_cmdp(m: Cmdp) -> list[str]:
     for k, b in enumerate(m.budgets):
         if not 0.0 < b < math.inf:
             problems.append(f"budgets[{k}]: must be finite and > 0, got {b}")
-    for k in range(m.n_constraints):
+    for k in range(m.n_constraints if costs_fit else 0):
         for s in range(S):
             d = m.costs[k, s]
             if not 0.0 <= d < math.inf:

@@ -224,9 +224,9 @@ def _equivalence_check(
 
     Measures the policy's violation level (probability, or expected excess),
     checks it against gap/(lam*steps) resp. gap/lam, asserts the level is
-    non-increasing in lambda and hits zero at the top of the grid on fixtures
-    flagged for it, and on small fixtures verifies the greedy policy is
-    optimal among all deterministic policies at least as safe.
+    non-increasing in lambda and hits zero at the top of the grid, and on
+    small fixtures verifies the greedy policy is optimal among all
+    deterministic policies at least as safe.
     """
     chance = scheme is PenaltyScheme.VALUE_AT_RISK
     rep = VerificationReport(kind)
@@ -280,9 +280,8 @@ def _equivalence_check(
                 )
         for a, b in zip(levels, levels[1:]):
             rep.add(f.name, math.nan, a, b, b <= a + TOL, "level non-increasing in lambda")
-        if f.zero_tail:
-            rep.add(f.name, lambda_grid[-1], 0.0, levels[-1], levels[-1] == 0.0,
-                    "level reaches zero at the top of the grid")
+        rep.add(f.name, lambda_grid[-1], 0.0, levels[-1], levels[-1] == 0.0,
+                "level reaches zero at the top of the grid")
     return rep
 
 

@@ -159,7 +159,7 @@ def test_criterion_09_objective_identity_on_random_policies():
     worst_gap = 0.0
     checked = 0
     for f in PACK:
-        if not f.random_policy_suite:
+        if f.name == "grid3_noisy":  # too many trajectories for 100 random policies
             continue
         K = f.cmdp.n_constraints
         e = build_extended(f.cmdp, [lam] * K, [RN] * K, f.quantum)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import cmdp_forge
 from cmdp_forge.cli import main
-from cmdp_forge.config import ConfigError, ExperimentConfig, load_config
+from cmdp_forge.config import KEYS, ConfigError, ExperimentConfig, load_config
 from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import stochastic_chain, two_action_chain
 from cmdp_forge.oracle import enumerate_trajectories, stats
@@ -95,7 +95,7 @@ _ENV_VALUES = {
     "env.pits": ["1,1", "1,1;1,1", "1", "", "a,b"],
     "env.noise_p": ["0", "0.5", "1", "nan"],
     "env.step_reward": ["-1", "nan", "inf"],
-    "env.goal_reward": ["100", "x"],
+    "env.goal_reward": ["100", "inf", "x"],
     "env.horizon": ["5", "0", "1.5"],
     "env.c_max": ["2", "0", "nan", "inf"],
 }
@@ -121,6 +121,12 @@ def test_any_config_text_loads_or_raises_config_error(head, lines):
         cfg = load_config("\n".join([head, *lines]) + "\n")
     except ConfigError:
         return
+    # Every float a run reads is finite, the grid's included.
+    for part in (cfg, cfg.grid or cfg):
+        for f in fields(part):
+            value = getattr(part, f.name)
+            for x in value if isinstance(value, tuple) else (value,):
+                assert not isinstance(x, float) or math.isfinite(x), (f.name, value)
     if cfg.grid is not None:
         # A loaded pit cost is one the environment can draw from.
         cost = cfg.grid.pit_cost
@@ -153,6 +159,47 @@ def test_bad_value_is_rejected():
         load_config("env.kind = chain\nscheme.1 = nope\n")
     with pytest.raises(ConfigError, match="duplicate"):
         load_config("episodes = 1\nepisodes = 2\n")
+
+
+# One value outside each key's range, by the key as written in the file.
+OUT_OF_RANGE = {
+    "learner": "x", "scheme.1": "x", "lambda.1": "-1", "Lambda_floor": "0", "M": "0",
+    "C": "0", "N": "0", "n": "0", "rho": "1", "alpha_ent": "0", "w": "-1", "gamma": "0",
+    "episodes": "0", "seeds": ",", "eval_episodes": "0", "alpha": "0", "lambda_grid": "1,-1",
+    "lr": "1.5", "lr_actor": "0", "update_every": "0", "epsilon.start": "1.5",
+    "epsilon.end": "-0.1", "key_quantum": "0",
+}
+
+
+def test_out_of_range_table_covers_every_key():
+    assert list(OUT_OF_RANGE) == [k.name for k in KEYS]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key, bad in OUT_OF_RANGE.items() for value in ("nan", "inf", bad)],
+)
+def test_bad_key_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    kept = [line for line in CHAIN_TRAIN.splitlines() if not line.startswith(f"{key} =")]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("\n".join([*kept, f"{key} = {value}"]) + "\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "x"), "train"]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}: {key}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_empty_seed_override_exits_2(tmp_path, capsys, command):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CHAIN_TRAIN)
+    checkpoint = tmp_path / "ck.txt"
+    checkpoint.write_text(Q_CHECKPOINT)
+    extra = ["--checkpoint", str(checkpoint)] if command == "evaluate" else []
+    args = ["--config", str(cfg_path), "--out", str(tmp_path / "x"), "--seeds", ",", command]
+    assert main(args + extra) == 2
+    assert "seeds: " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_grid_preset_with_overrides():
@@ -392,6 +439,9 @@ DESK_TRAIN = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\nepisodes = 1\n
         ("train", DESK_TRAIN + "env.pit_cost = support:1@-1,2@1\n", [], None, "env.pit_cost"),
         ("train", DESK_TRAIN + "env.pit_cost = support:nan\n", [], None, "env.pit_cost"),
         ("train", DESK_TRAIN + "env.pit_cost = uniform:1:inf\n", [], None, "env.pit_cost"),
+        ("train", DESK_TRAIN + "env.step_reward = nan\n", [], None, "step_reward"),
+        ("train", DESK_TRAIN + "env.goal_reward = inf\n", [], None, "goal_reward"),
+        ("train", DESK_TRAIN + "env.c_max = inf\n", [], None, "c_max"),
     ],
     ids=["malformed-model", "bad-quantum", "invalid-model", "alpha-0",
          "checkpoint-no-n_actions", "malformed-checkpoint-row",
@@ -402,7 +452,8 @@ DESK_TRAIN = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\nepisodes = 1\n
          "model-cost-state-past-S", "model-transition-state-past-S", "model-negative-state",
          "model-nan-reward", "model-nan-probability", "model-infinite-cost", "model-infinite-budget",
          "pit-cost-zero-weight", "pit-cost-weights-sum-to-zero", "pit-cost-nan-value",
-         "pit-cost-infinite-bound"],
+         "pit-cost-infinite-bound", "env-nan-step-reward", "env-infinite-goal-reward",
+         "env-infinite-c_max"],
 )
 def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags, config, named):
     path = tmp_path / "input.txt"

@@ -65,6 +65,18 @@ def test_broken_transition_row_is_reported():
     assert len(problems) == 1
     assert "transition[s=0,a=0]" in problems[0] and "0.9" in problems[0]
 
+    # Shape breaches are reported, not raised: too few cost columns, and a
+    # kernel whose successor axis is longer than the state count.
+    line = make_line([0.0, 0.0], [0.0, 0.0])
+    short_costs = Cmdp(transition=line.transition, reward=line.reward,
+                       costs=np.zeros((1, 1)), budgets=(1.0,), horizon=1)
+    assert validate_cmdp(short_costs) == ["costs: shape (1, 1) inconsistent with 2 states"]
+    wide = np.zeros((2, 1, 3))
+    wide[:, 0, 2] = 1.0
+    wide_kernel = Cmdp(transition=wide, reward=line.reward, costs=line.costs,
+                       budgets=(1.0,), horizon=1)
+    assert validate_cmdp(wide_kernel) == ["transition: shape (2, 1, 3) != (2, 1, 2)"]
+
 
 def test_trajectory_length_mismatch_rejected():
     with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ brute-force trajectory oracle.
 """
 
 from .envs import ChainBranch, ChainSpec, GridConfig, PitCost, make_chain, make_gridworld
-from .extended import ExtendedMdp, build_extended
-from .model import Cmdp, TabularPolicy, Trajectory, discounted_return, trajectory_cost, validate_cmdp
+from .extended import ExtendedMdp, TabularPolicy, build_extended
+from .model import Cmdp, Trajectory, discounted_return, trajectory_cost, validate_cmdp
 from .oracle import OracleStats, enumerate_trajectories, stats
 from .penalties import PenaltyScheme
 from .solver import (

@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .envs import GridConfig, PitCost, desk_grid, large_grid, tiny_grid, validate_grid_config
 from .fixtures import fixture_pack
 from .penalties import PenaltyScheme
+from .textio import FormatError, _parse_lines
 
 
 class ConfigError(ValueError):
@@ -23,22 +24,6 @@ class ConfigError(ValueError):
 
 
 _GRID_PRESETS = {"desk": desk_grid, "large": large_grid, "tiny": tiny_grid}
-
-
-def parse_kv(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value.strip()
-    return out
 
 
 def parse_value(key: str, parse, value: str):
@@ -207,7 +192,10 @@ def _grid_from(raw: dict[str, str]) -> GridConfig:
 
 
 def load_config(text: str) -> ExperimentConfig:
-    raw = parse_kv(text)
+    try:
+        raw = {key: value for _line, _section, key, value in _parse_lines(text, sections=False)}
+    except FormatError as exc:
+        raise ConfigError(str(exc)) from None
     env_kind = raw.pop("env.kind", "gridworld")
     if env_kind not in ("gridworld", "chain"):
         raise ConfigError(f"env.kind: want gridworld or chain, got {env_kind!r}")
@@ -262,7 +250,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Every check: the environment, then every key's range."""
     problems = []
     if cfg.env_kind == "gridworld":
-        problems += [f"env: {p}" for p in validate_grid_config(cfg.grid)]
+        problems += validate_grid_config(cfg.grid)
     problems += _key_problems(cfg)
     if problems:
         raise ConfigError("; ".join(problems))

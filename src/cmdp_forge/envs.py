@@ -84,42 +84,45 @@ class GridConfig:
 
 
 def validate_grid_config(cfg: GridConfig) -> list[str]:
+    """Every breach of the grid's invariants, each naming its config key env.<field>."""
     problems = []
 
     def inside(cell):
         r, c = cell
         return 0 <= r < cfg.height and 0 <= c < cfg.width
 
-    if cfg.width < 1 or cfg.height < 1:
-        problems.append(f"grid size {cfg.width}x{cfg.height} must be positive")
+    for name in ("width", "height"):
+        if getattr(cfg, name) < 1:
+            problems.append(f"env.{name}: must be >= 1, got {getattr(cfg, name)}")
+    if problems:
         return problems
     for name, cell in (("start", cfg.start), ("goal", cfg.goal)):
         if not inside(cell):
-            problems.append(f"{name} cell {cell} outside the {cfg.height}x{cfg.width} grid")
+            problems.append(f"env.{name}: cell {cell} outside the {cfg.height}x{cfg.width} grid")
     for cell in cfg.pits:
         if not inside(cell):
-            problems.append(f"pit cell {cell} outside the grid")
+            problems.append(f"env.pits: cell {cell} outside the grid")
     if cfg.start == cfg.goal:
-        problems.append("start and goal coincide")
+        problems.append(f"env.goal: coincides with env.start {cfg.start}")
     if cfg.start in cfg.pits:
-        problems.append(f"start cell {cfg.start} is a pit")
+        problems.append(f"env.start: cell {cfg.start} is a pit")
     if cfg.goal in cfg.pits:
-        problems.append(f"goal cell {cfg.goal} is a pit")
+        problems.append(f"env.goal: cell {cfg.goal} is a pit")
     if len(set(cfg.pits)) != len(cfg.pits):
-        problems.append("duplicate pit cells")
+        problems.append("env.pits: duplicate cells")
     if not (0.0 <= cfg.noise_p < 1.0):
-        problems.append(f"noise_p must be in [0, 1), got {cfg.noise_p}")
+        problems.append(f"env.noise_p: must be in [0, 1), got {cfg.noise_p}")
     if cfg.horizon < 1:
-        problems.append(f"horizon must be >= 1, got {cfg.horizon}")
+        problems.append(f"env.horizon: must be >= 1, got {cfg.horizon}")
     if not 0.0 < cfg.c_max < math.inf:
-        problems.append(f"c_max must be finite and > 0, got {cfg.c_max}")
+        problems.append(f"env.c_max: must be finite and > 0, got {cfg.c_max}")
     for name in ("step_reward", "goal_reward"):
         if not math.isfinite(getattr(cfg, name)):
-            problems.append(f"{name} must be finite, got {getattr(cfg, name)}")
+            problems.append(f"env.{name}: must be finite, got {getattr(cfg, name)}")
     if cfg.pit_cost.kind == "uniform" and not (0.0 <= cfg.pit_cost.lo <= cfg.pit_cost.hi):
-        problems.append("pit cost interval must satisfy 0 <= lo <= hi")
+        problems.append("env.pit_cost: interval must satisfy 0 <= lo <= hi")
     if cfg.pit_cost.kind == "support" and any(v < 0.0 for v, _ in cfg.pit_cost.support):
-        problems.append("pit cost support values must be >= 0")
+        problems.append("env.pit_cost: support values must be >= 0")
     return problems
 
 

@@ -55,6 +55,10 @@ class LedgerCapExceeded(RuntimeError):
     """Reachable augmented-state count exceeded the configured cap."""
 
 
+class PolicyUndefined(KeyError):
+    """A policy was queried at an augmented state it has no row for."""
+
+
 def quantize(value: float, quantum: float, what: str) -> int:
     n = round(value / quantum)
     if abs(value - n * quantum) > QUANTIZE_TOL * max(1.0, abs(value)):
@@ -125,6 +129,25 @@ class ExtendedMdp:
     def ledger_cost(self, entry: int) -> float:
         """Float cost total for an Under entry (exact for binary-fraction quanta)."""
         return entry * self.quantum
+
+
+@dataclass(frozen=True)
+class TabularPolicy:
+    """Action distributions over an augmented space, one per node and step.
+
+    rows[t] is an (n_t, A) array whose row i belongs to node layers[t][i],
+    for t < T.  A row holding NaN means the policy has no row for that node.
+    """
+
+    layers: tuple[tuple[AugState, ...], ...]
+    rows: tuple[np.ndarray, ...]
+
+    def table(self) -> dict[tuple[int, int, tuple[int, ...]], list[float]]:
+        """The rows keyed by (t, s, ledger), with no key for a NaN row."""
+        rows = np.concatenate(self.rows)
+        keys = [(t, s, ledger) for t, nodes in enumerate(self.layers[:-1]) for s, ledger in nodes]
+        return {key: row for key, row, undefined
+                in zip(keys, rows.tolist(), np.isnan(rows).any(axis=1).tolist()) if not undefined}
 
 
 def _index(nodes: tuple[AugState, ...]) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:

@@ -1,16 +1,7 @@
 """Named small models used by the verification suites and the test bench.
 
-Every fixture is enumerable by the trajectory oracle.  Flags mark which
-suites a fixture participates in:
-
-  worst_case_feasible  an always-safe policy exists, so the worst-case value
-                       and the penalty-weight thresholds are defined.  Noisy
-                       grids fail this whenever a pit can be re-entered:
-                       action noise gives every neighbouring cell positive
-                       mass into the pit, so no policy has zero violation
-                       probability.
-  enumerable_policies  few enough deterministic augmented policies to verify
-                       optimality claims by exhaustion.
+Every fixture is enumerable by the trajectory oracle.  Which suites apply
+to a fixture is measured on its model, in ``verification``.
 """
 
 from __future__ import annotations
@@ -26,8 +17,6 @@ class Fixture:
     name: str
     cmdp: Cmdp
     quantum: float
-    worst_case_feasible: bool = True
-    enumerable_policies: bool = True
 
 
 def two_action_chain() -> Cmdp:
@@ -93,19 +82,10 @@ def fixture_pack() -> list[Fixture]:
         # Budget below every single pit draw: crossing the pit always
         # violates, so the safe detour is strictly worse and the gap between
         # the unconstrained and the always-safe optimum is positive.
-        Fixture(
-            "grid3_det",
-            make_gridworld(tiny_grid(noise_p=0.0, horizon=4, c_max=0.75), "exact"),
-            quantum=0.25,
-            enumerable_policies=False,
-        ),
-        Fixture(
-            "grid3_noisy",
-            make_gridworld(tiny_grid(noise_p=0.05, horizon=6), "exact"),
-            quantum=0.25,
-            worst_case_feasible=False,
-            enumerable_policies=False,
-        ),
+        Fixture("grid3_det", make_gridworld(tiny_grid(noise_p=0.0, horizon=4, c_max=0.75), "exact"),
+                quantum=0.25),
+        Fixture("grid3_noisy", make_gridworld(tiny_grid(noise_p=0.05, horizon=6), "exact"),
+                quantum=0.25),
     ]
 
 

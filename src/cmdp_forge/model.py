@@ -103,6 +103,9 @@ class Cmdp:
     _problems: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
     # quantum -> the model's augmented space; written only by ``extended.augment``.
     _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # quantum -> the worst case, or the dead end that makes it infeasible;
+    # written only by ``solver.worst_case_value``.
+    _worst: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transition", _frozen(np.asarray(self.transition, dtype=float)))
@@ -256,37 +259,3 @@ def discounted_return(traj: Trajectory, m: Cmdp) -> float:
     return math.fsum(
         pows[t] * m.reward[traj.states[t], a] for t, a in enumerate(traj.actions)
     )
-
-
-class PolicyUndefined(KeyError):
-    """A policy was queried at an augmented state it has no row for."""
-
-
-@dataclass(frozen=True)
-class TabularPolicy:
-    """Action distributions keyed by augmented state.
-
-    Keys are (s, ledger) pairs, or (t, s, ledger) triples when
-    ``time_dependent`` is set (finite-horizon greedy policies are
-    time-dependent in general).  Rows are probability vectors over actions.
-    """
-
-    table: dict
-    time_dependent: bool = False
-
-    def probabilities(self, t: int, s: int, ledger) -> tuple[float, ...]:
-        key = (t, s, ledger) if self.time_dependent else (s, ledger)
-        try:
-            return self.table[key]
-        except KeyError:
-            raise PolicyUndefined(f"policy has no row for augmented state {key}") from None
-
-
-def deterministic_policy(choices: dict, n_actions: int, time_dependent: bool = False) -> TabularPolicy:
-    """Build a one-hot TabularPolicy from a key -> action map."""
-    table = {}
-    for key, a in choices.items():
-        row = [0.0] * n_actions
-        row[a] = 1.0
-        table[key] = tuple(row)
-    return TabularPolicy(table=table, time_dependent=time_dependent)

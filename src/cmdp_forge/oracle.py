@@ -13,14 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .extended import augment, ledger_rule
-from .model import (
-    Cmdp,
-    TabularPolicy,
-    Trajectory,
-    discounted_return,
-    trajectory_cost,
-)
+import numpy as np
+
+from .extended import PolicyUndefined, TabularPolicy, augment, ledger_rule
+from .model import Cmdp, Trajectory, discounted_return, trajectory_cost
 from .penalties import PenaltyScheme, penalty_amount
 
 MASS_TOL = 1e-9
@@ -48,10 +44,11 @@ def enumerate_trajectories(
     """All positive-probability depth-T trajectories of ``policy``.
 
     The running ledger is tracked only to form policy lookup keys (the
-    solver's own ``ledger_rule``); probabilities and costs are pure path
-    products and sums.
+    solver's own ``ledger_rule``) into the policy's (t, s, ledger) table;
+    probabilities and costs are pure path products and sums.
     """
     advance = ledger_rule(m, quantum)
+    table = policy.table()
 
     out: list[Trajectory] = []
     states_path = [m.s0]
@@ -66,7 +63,9 @@ def enumerate_trajectories(
                 Trajectory(tuple(states_path), tuple(actions_path), probability=prob)
             )
             return
-        row = policy.probabilities(t, s, ledger)
+        row = table.get((t, s, ledger))
+        if row is None:
+            raise PolicyUndefined(f"policy has no row for augmented state {(t, s, ledger)}")
         for a in m.actions_at(s):
             pa = row[a]
             if pa == 0.0:
@@ -176,17 +175,16 @@ def stats(
 
 
 def random_policy(m: Cmdp, quantum: float, rng) -> TabularPolicy:
-    """Random stationary stochastic policy over every reachable augmented state."""
-    table = {}
-    for (s, ledger) in augment(m, quantum).states:
+    """Random stationary stochastic policy: one row per reachable (s, ledger), every step."""
+    e = augment(m, quantum)
+    drawn = np.zeros((len(e.states), m.n_actions))
+    for row, (s, _ledger) in zip(drawn, e.states):
         acts = m.actions_at(s)
         weights = [rng.random() + 1e-3 for _ in acts]
         total = sum(weights)
-        row = [0.0] * m.n_actions
-        for a, w in zip(acts, weights):
-            row[a] = w / total
-        table[(s, ledger)] = tuple(row)
-    return TabularPolicy(table=table)
+        row[acts] = [w / total for w in weights]
+    index = {x: i for i, x in enumerate(e.states)}
+    return TabularPolicy(e.layers, tuple(drawn[[index[x] for x in nodes]] for nodes in e.layers[:-1]))
 
 
 def chance_penalty_steps(

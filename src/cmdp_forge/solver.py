@@ -38,8 +38,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .extended import VIOLATED, AugState, ExtendedMdp, Layer, augment
-from .model import Cmdp, TabularPolicy, deterministic_policy, discount_powers
+from .extended import VIOLATED, AugState, ExtendedMdp, Layer, PolicyUndefined, TabularPolicy, augment
+from .model import Cmdp, discount_powers
 from .penalties import penalty_amount
 
 # Action values within this distance of the row maximum count as ties;
@@ -61,18 +61,16 @@ class WorstCaseInfeasible(RuntimeError):
 class ValueTable:
     """Greedy action per (step, augmented state) and the optimal objective.
 
-    greedy[t] maps the augmented states of layer t < T to their action.
+    greedy[t][i] is the action at node layers[t][i], for t < T.
     """
 
-    greedy: list[dict[AugState, int]]
+    layers: tuple[tuple[AugState, ...], ...]
+    greedy: list[np.ndarray]
     initial_value: float
 
     def greedy_policy(self, n_actions: int) -> TabularPolicy:
-        choices = {}
-        for t, layer in enumerate(self.greedy):
-            for x, a in layer.items():
-                choices[(t, x[0], x[1])] = a
-        return deterministic_policy(choices, n_actions, time_dependent=True)
+        eye = np.eye(n_actions)
+        return TabularPolicy(self.layers, tuple(eye[choice] for choice in self.greedy))
 
 
 def _pick(best_actions: list[tuple[int, float]]) -> tuple[int, float]:
@@ -124,14 +122,16 @@ def _sweep(
     terminal: Callable[[tuple[int, ...]], float],
     policy: TabularPolicy | None = None,
     rewards: bool = True,
-) -> tuple[dict[AugState, float], list[dict[AugState, int]]]:
-    """One backward pass over e's compiled layers; returns (V(0, .), greedy).
+) -> tuple[float, list[np.ndarray]]:
+    """One backward pass over e's compiled layers; returns (V(0, initial), greedy).
 
     terminal(ledger) is the payoff at layer T; the worst case passes -inf
     for a violated ledger.  Without a policy a node takes the max over its
     available actions with TIE_TOL ties going to the lowest index, as
-    ``_pick`` does; with one, the policy-weighted expectation over actions
-    of nonzero probability.
+    ``_pick`` does, and greedy[t] holds the choices of layer t; with one,
+    the policy-weighted expectation over actions of nonzero probability.
+    Raises ValueError for a policy over another space and PolicyUndefined
+    at a node whose row is NaN.
 
     Each layer is one numpy pass: the arrival term W = V(t+1)[nx] - PEN per
     (ledger, successor), then per (node, action) the reward plus p * W over
@@ -141,14 +141,16 @@ def _sweep(
     """
     m = e.base
     T, S, A = m.horizon, m.n_states, m.n_actions
+    if policy is not None and policy.layers != e.layers:
+        raise ValueError("policy is over another augmented space")
     pows = discount_powers(m.discount, T)
     arrays = m.successor_arrays
     costs = _cost_classes(m) if any(e.lambdas) else None
     last = e.compiled[T]
     vnext = np.array([terminal(ledger) for ledger in last.ledgers], dtype=float)[last.ledger]
-    greedy: list[dict[AugState, int]] = [dict() for _ in range(T)]
+    greedy: list[np.ndarray] = [None] * T
     for t in range(T - 1, -1, -1):
-        layer, nodes = e.compiled[t], e.layers[t]
+        layer = e.compiled[t]
         prob, real = arrays.prob[layer.state], arrays.real[layer.state]
         ok = real[:, :, 0]  # an available action has a first successor
         w = vnext[layer.nx]
@@ -162,10 +164,12 @@ def _sweep(
             np.add(acc, terms[:, :, j], out=acc, where=real[:, :, j])
         if policy is None:
             values = np.where(ok, acc, -math.inf).max(axis=1)
-            choice = np.argmax(ok & (acc >= (values - TIE_TOL)[:, None]), axis=1).tolist()
-            greedy[t] = dict(zip(nodes, choice))
+            greedy[t] = np.argmax(ok & (acc >= (values - TIE_TOL)[:, None]), axis=1)
         else:
-            pi = np.array([policy.probabilities(t, *x) for x in nodes], dtype=float)
+            pi = policy.rows[t]
+            if np.isnan(pi).any():
+                s, ledger = e.layers[t][np.isnan(pi).any(axis=1).argmax()]
+                raise PolicyUndefined(f"policy has no row for augmented state {(t, s, ledger)}")
             # Skipping zero-probability actions keeps 0 * -inf out of the sum.
             weighted = ok & (pi != 0.0)
             acc[~weighted] = 0.0
@@ -173,7 +177,7 @@ def _sweep(
             for a in range(A):
                 np.add(values, pi[:, a] * acc[:, a], out=values, where=weighted[:, a])
         vnext = values
-    return dict(zip(e.layers[0], vnext.tolist())), greedy
+    return float(vnext[0]), greedy
 
 
 def _zero(_ledger) -> float:
@@ -182,14 +186,14 @@ def _zero(_ledger) -> float:
 
 def backward_induction(e: ExtendedMdp) -> ValueTable:
     """Greedy actions and the optimal value of the penalized objective."""
-    values, greedy = _sweep(e, _zero)
-    return ValueTable(greedy=greedy, initial_value=values[e.initial] - e.initial_penalty)
+    value, greedy = _sweep(e, _zero)
+    return ValueTable(layers=e.layers, greedy=greedy, initial_value=value - e.initial_penalty)
 
 
 def evaluate_policy(e: ExtendedMdp, policy: TabularPolicy) -> float:
     """Expected penalized return of an arbitrary policy (linear sweep, no max)."""
-    values, _ = _sweep(e, _zero, policy=policy)
-    return values[e.initial] - e.initial_penalty
+    value, _ = _sweep(e, _zero, policy=policy)
+    return value - e.initial_penalty
 
 
 def unconstrained_value(m: Cmdp) -> tuple[float, list[dict[int, int]]]:
@@ -228,17 +232,31 @@ def worst_case_value(
     that carries positive probability into a violated ledger is worth -inf,
     and -inf propagates through states with empty feasible sets.  Masking is
     exact, unlike a huge-lambda limit, and is the definition used for the
-    reported value.  The policy has no row for a violated ledger.
+    reported value.  The policy's row at a violated ledger is NaN.  The
+    result depends on (model, quantum) alone and is kept on the model, its
+    rows read-only.
     """
+    found = m._worst.get(quantum)
+    if found is None:
+        found = m._worst[quantum] = _masked_sweep(m, quantum)
+    if isinstance(found, str):
+        raise WorstCaseInfeasible(found)
+    return found
+
+
+def _masked_sweep(m: Cmdp, quantum: float) -> tuple[float, TabularPolicy] | str:
+    """``worst_case_value``'s result, or the dead end that makes it infeasible."""
     e = augment(m, quantum)
     if VIOLATED in e.initial[1]:
-        raise WorstCaseInfeasible(f"initial state {m.state_name(m.s0)}")
-    values, greedy = _sweep(e, lambda ledger: -math.inf if VIOLATED in ledger else 0.0)
-    value = values[e.initial]
+        return f"initial state {m.state_name(m.s0)}"
+    value, greedy = _sweep(e, lambda ledger: -math.inf if VIOLATED in ledger else 0.0)
     if value == -math.inf:
-        raise WorstCaseInfeasible(_first_dead_end(e))
-    safe = [{x: a for x, a in layer.items() if VIOLATED not in x[1]} for layer in greedy]
-    return value, ValueTable(greedy=safe, initial_value=value).greedy_policy(m.n_actions)
+        return _first_dead_end(e)
+    policy = ValueTable(e.layers, greedy, value).greedy_policy(m.n_actions)
+    for layer, rows in zip(e.compiled, policy.rows):
+        rows[np.array([VIOLATED in ledger for ledger in layer.ledgers])[layer.ledger]] = math.nan
+        rows.setflags(write=False)
+    return value, policy
 
 
 def _first_dead_end(e: ExtendedMdp) -> str:
@@ -285,9 +303,9 @@ def max_safe_cost(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:
     if m.n_constraints > 1:
         m = replace(m, costs=m.costs[k : k + 1], budgets=(m.budgets[k],))
     e = augment(m, quantum)
-    values, _ = _sweep(e, lambda ledger: 0.0 if ledger[0] == VIOLATED else e.ledger_cost(ledger[0]),
-                       rewards=False)
-    return values[e.initial]
+    value, _ = _sweep(e, lambda ledger: 0.0 if ledger[0] == VIOLATED else e.ledger_cost(ledger[0]),
+                      rewards=False)
+    return value
 
 
 def cost_slack(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:

@@ -46,20 +46,30 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_lines(text: str):
-    """Yield (lineno, section, key, value) for every assignment line."""
+def _parse_lines(text: str, sections: bool = True):
+    """Yield (lineno, section, key, value) for every assignment line.
+
+    A key given twice in one section is an error, whatever its spacing or
+    the leading zeros of its indices; so is a ``[section]`` line when
+    ``sections`` is false.
+    """
     section = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if sections and line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             continue
         if "=" not in line:
             raise FormatError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        yield lineno, section, key.strip(), value.strip()
+        key = " ".join(str(int(token)) if token.isdecimal() else token for token in key.split())
+        if (section, key) in seen:
+            raise FormatError(f"line {lineno}: duplicate key {key!r}")
+        seen.add((section, key))
+        yield lineno, section, key, value.strip()
 
 
 def dump_cmdp(m: Cmdp) -> str:

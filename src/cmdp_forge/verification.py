@@ -12,9 +12,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .extended import augment, build_extended
+import numpy as np
+
+from .extended import TabularPolicy, augment, build_extended
 from .fixtures import Fixture
-from .model import Cmdp, deterministic_policy
+from .model import Cmdp
 from .oracle import (
     chance_penalty_steps,
     enumerate_trajectories,
@@ -22,8 +24,10 @@ from .oracle import (
 )
 from .penalties import PenaltyScheme
 from .solver import (
+    WorstCaseInfeasible,
     backward_induction,
     cost_slack,
+    lambda_bounds,
     unconstrained_value,
     worst_case_value,
 )
@@ -80,11 +84,19 @@ def _greedy_oracle(f: Fixture, lambdas, schemes):
     return vt.initial_value, stats(trajs, f.cmdp, lambdas, schemes), trajs
 
 
-def _gap(f: Fixture) -> float:
-    """Best unconstrained return minus the masked always-safe return."""
-    best, _ = unconstrained_value(f.cmdp)
-    worst, _ = worst_case_value(f.cmdp, f.quantum)
-    return best - worst
+def _worst_case(f: Fixture) -> float | None:
+    """The masked always-safe return; None when no policy is always safe
+    (on a noisy grid whose pit can be re-entered, for one)."""
+    try:
+        return worst_case_value(f.cmdp, f.quantum)[0]
+    except WorstCaseInfeasible:
+        return None
+
+
+def _gap(f: Fixture) -> float | None:
+    """Best unconstrained return minus the masked always-safe return, if any."""
+    worst = _worst_case(f)
+    return None if worst is None else unconstrained_value(f.cmdp)[0] - worst
 
 
 def _rn(f: Fixture):
@@ -111,10 +123,10 @@ def check_worst_case_masking(fixtures: list[Fixture]) -> VerificationReport:
     """
     rep = VerificationReport("worst_case_masking")
     for f in fixtures:
-        if not f.worst_case_feasible:
+        masked = _worst_case(f)
+        if masked is None:
             continue
         K = f.cmdp.n_constraints
-        masked, _ = worst_case_value(f.cmdp, f.quantum)
         value, st, _ = _greedy_oracle(f, [HUGE_LAMBDA] * K, _rn(f))
         viol = max(st.violation_prob)
         rep.add(f.name, HUGE_LAMBDA, 0.0, viol, viol == 0.0, "violation probability")
@@ -135,10 +147,10 @@ def check_violation_cost_bound(
     """Expected cost carried by violating trajectories is at most gap/lambda."""
     rep = VerificationReport("violation_cost_bound")
     for f in fixtures:
-        if not f.worst_case_feasible:
+        gap = _gap(f)
+        if gap is None:
             rep.notes.append(f"{f.name}: skipped, worst case infeasible so the gap is undefined")
             continue
-        gap = _gap(f)
         K = f.cmdp.n_constraints
         for lam in lambda_grid:
             _, st, _ = _greedy_oracle(f, [lam] * K, _rn(f))
@@ -151,17 +163,19 @@ def check_violation_cost_bound(
 def check_expected_cost_feasibility(
     fixtures: list[Fixture], multipliers=(1.0, 2.0, 10.0)
 ) -> VerificationReport:
-    """At or above the threshold weight, the greedy policy meets E[D] <= budget."""
+    """At or above the threshold weight, the greedy policy meets E[D] <= budget.
+
+    The threshold is ``lambda_bounds``' lambda_expected_cost.
+    """
     rep = VerificationReport("expected_cost_feasibility")
     for f in fixtures:
-        if not f.worst_case_feasible or f.cmdp.n_constraints != 1:
+        if f.cmdp.n_constraints != 1 or _worst_case(f) is None:
             continue
-        gap = _gap(f)
-        slack = cost_slack(f.cmdp, 0, f.quantum)
-        if slack == 0.0:
+        bounds = lambda_bounds(f.cmdp, 1.0, f.quantum)  # any alpha: its threshold is not read
+        if bounds.cost_slack == 0.0:
             rep.notes.append(f"{f.name}: skipped, zero slack makes the threshold infinite")
             continue
-        threshold = gap / slack
+        threshold = bounds.lambda_expected_cost
         budget = f.cmdp.budgets[0]
         for mult in multipliers:
             lam = threshold * mult
@@ -177,15 +191,14 @@ def check_expected_cost_feasibility(
 def check_violation_prob_bound(
     fixtures: list[Fixture], alphas=DEFAULT_ALPHAS
 ) -> VerificationReport:
-    """At weight gap/(alpha*budget), violation probability is at most alpha."""
+    """At ``lambda_bounds``' lambda_chance, gap/(alpha*budget), violation
+    probability is at most alpha."""
     rep = VerificationReport("violation_prob_bound")
     for f in fixtures:
-        if not f.worst_case_feasible or f.cmdp.n_constraints != 1:
+        if f.cmdp.n_constraints != 1 or _worst_case(f) is None:
             continue
-        gap = _gap(f)
-        budget = f.cmdp.budgets[0]
         for alpha in alphas:
-            lam = gap / (alpha * budget)
+            lam = lambda_bounds(f.cmdp, alpha, f.quantum).lambda_chance
             if lam == 0.0:
                 rep.notes.append(f"{f.name}: zero gap, any policy qualifies")
                 continue
@@ -208,10 +221,12 @@ def count_deterministic_policies(m: Cmdp, quantum: float) -> int:
 def enumerate_deterministic_policies(m: Cmdp, quantum: float):
     """Yield every deterministic step-indexed policy over reachable nodes."""
     layers = augment(m, quantum).layers
-    nodes = [(t, s, ledger) for t in range(m.horizon) for (s, ledger) in layers[t]]
-    pools = [m.actions_at(s) for (_t, s, _l) in nodes]
+    pools = [m.actions_at(s) for nodes in layers[:-1] for (s, _ledger) in nodes]
+    ends = np.cumsum([len(nodes) for nodes in layers[:-1]])
+    eye = np.eye(m.n_actions)
     for assignment in itertools.product(*pools):
-        yield deterministic_policy(dict(zip(nodes, assignment)), m.n_actions, time_dependent=True)
+        choice = np.array(assignment)
+        yield TabularPolicy(layers, tuple(eye[part] for part in np.split(choice, ends[:-1])))
 
 
 def _equivalence_check(
@@ -231,19 +246,17 @@ def _equivalence_check(
     chance = scheme is PenaltyScheme.VALUE_AT_RISK
     rep = VerificationReport(kind)
     for f in fixtures:
-        if f.cmdp.n_constraints != 1 or not f.worst_case_feasible:
+        if f.cmdp.n_constraints != 1 or (gap := _gap(f)) is None:
             continue
-        gap = _gap(f)
         # Every rival's (level, return) is lambda-free: enumerate them once.
         rivals = None
-        if f.enumerable_policies:
-            n_pol = count_deterministic_policies(f.cmdp, f.quantum)
-            if n_pol <= POLICY_CAP:
-                rivals = []
-                for rival in enumerate_deterministic_policies(f.cmdp, f.quantum):
-                    rst = stats(enumerate_trajectories(f.cmdp, rival, f.quantum), f.cmdp)
-                    rival_level = rst.violation_prob[0] if chance else rst.cvar_excess[0]
-                    rivals.append((rival_level, rst.expected_return))
+        n_pol = count_deterministic_policies(f.cmdp, f.quantum)
+        if n_pol <= POLICY_CAP:
+            rivals = []
+            for rival in enumerate_deterministic_policies(f.cmdp, f.quantum):
+                rst = stats(enumerate_trajectories(f.cmdp, rival, f.quantum), f.cmdp)
+                rival_level = rst.violation_prob[0] if chance else rst.cvar_excess[0]
+                rivals.append((rival_level, rst.expected_return))
         levels = []
         for lam in lambda_grid:
             _, st, trajs = _greedy_oracle(f, [lam], [scheme])
@@ -273,11 +286,6 @@ def _equivalence_check(
                     st.expected_return if better is None else better, better is None,
                     f"optimal among {n_pol} deterministic policies at level <= {level:g}",
                 )
-            elif f.enumerable_policies:
-                rep.notes.append(
-                    f"{f.name}: optimality not exhaustively checked "
-                    f"({n_pol} deterministic policies)"
-                )
         for a, b in zip(levels, levels[1:]):
             rep.add(f.name, math.nan, a, b, b <= a + TOL, "level non-increasing in lambda")
         rep.add(f.name, lambda_grid[-1], 0.0, levels[-1], levels[-1] == 0.0,
@@ -305,10 +313,9 @@ def check_multi_constraint_feasibility(fixtures: list[Fixture]) -> VerificationR
     """Per-constraint threshold weights keep every expected cost within budget."""
     rep = VerificationReport("multi_constraint_feasibility")
     for f in fixtures:
-        if f.cmdp.n_constraints < 2 or not f.worst_case_feasible:
+        if f.cmdp.n_constraints < 2 or (gap := _gap(f)) is None:
             continue
         m = f.cmdp
-        gap = _gap(f)
         lambdas = []
         skip = False
         for k in range(m.n_constraints):

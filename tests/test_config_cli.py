@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import cmdp_forge
 from cmdp_forge.cli import main
 from cmdp_forge.config import KEYS, ConfigError, ExperimentConfig, load_config
+from cmdp_forge.envs import GridConfig
 from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import stochastic_chain, two_action_chain
 from cmdp_forge.oracle import enumerate_trajectories, stats
@@ -171,16 +172,29 @@ OUT_OF_RANGE = {
 }
 
 
+# The same for every env.* grid key, set over the desk preset.
+ENV_OUT_OF_RANGE = {
+    "env.width": "0", "env.height": "0", "env.start": "9,9", "env.goal": "9,9",
+    "env.pits": "9,9", "env.pit_cost": "uniform:2:1", "env.noise_p": "1",
+    "env.step_reward": "x", "env.goal_reward": "x", "env.horizon": "0", "env.c_max": "0",
+}
+ENV_FLOAT_KEYS = ("env.noise_p", "env.step_reward", "env.goal_reward", "env.c_max")
+
+
 def test_out_of_range_table_covers_every_key():
     assert list(OUT_OF_RANGE) == [k.name for k in KEYS]
+    assert list(ENV_OUT_OF_RANGE) == [f"env.{f.name}" for f in fields(GridConfig)]
 
 
 @pytest.mark.parametrize(
     "key, value",
-    [(key, value) for key, bad in OUT_OF_RANGE.items() for value in ("nan", "inf", bad)],
+    [(key, value) for key, bad in OUT_OF_RANGE.items() for value in ("nan", "inf", bad)]
+    + [(key, value) for key, bad in ENV_OUT_OF_RANGE.items()
+       for value in (("nan", "inf", bad) if key in ENV_FLOAT_KEYS else (bad,))],
 )
 def test_bad_key_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
-    kept = [line for line in CHAIN_TRAIN.splitlines() if not line.startswith(f"{key} =")]
+    base = DESK_TRAIN if key.startswith("env.") else CHAIN_TRAIN
+    kept = [line for line in base.splitlines() if not line.startswith(f"{key} =")]
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("\n".join([*kept, f"{key} = {value}"]) + "\n")
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "x"), "train"]) == 2
@@ -290,8 +304,9 @@ def _exact_greedy_checkpoint(m, lam, quantum):
     e = build_extended(m, [lam], [PenaltyScheme.RISK_NEUTRAL], quantum)
     policy = backward_induction(e).greedy_policy(m.n_actions)
     q = {}
-    for (t, s, ledger), row in policy.table.items():
-        if t != 0 and (s, ledger) in {(k[1], k[2]) for k in policy.table if k[0] == 0}:
+    table = policy.table()
+    for (t, s, ledger), row in table.items():
+        if t != 0 and (s, ledger) in {(k[1], k[2]) for k in table if k[0] == 0}:
             continue
         bucket = ledger[0]
         q[((s, bucket), row.index(1.0))] = 1.0
@@ -442,6 +457,14 @@ DESK_TRAIN = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\nepisodes = 1\n
         ("train", DESK_TRAIN + "env.step_reward = nan\n", [], None, "step_reward"),
         ("train", DESK_TRAIN + "env.goal_reward = inf\n", [], None, "goal_reward"),
         ("train", DESK_TRAIN + "env.c_max = inf\n", [], None, "c_max"),
+        ("bounds", TWO_STATE_MODEL.replace("horizon = 1\n", "horizon = 1\nhorizon = 3\n"),
+         ["--quantum", "1"], None, "line 3: duplicate key 'horizon'"),
+        ("bounds", TWO_STATE_MODEL + "0 00 = 1 0\n", ["--quantum", "1"], None,
+         "line 12: duplicate key '0 0'"),
+        ("bounds", TWO_STATE_MODEL + "[reward]\n0 0 = 1\n0  0 = 2\n", ["--quantum", "1"], None,
+         "line 14: duplicate key '0 0'"),
+        ("evaluate", Q_CHECKPOINT + "0 0 1 = 2\n", [], CHAIN_EVAL, "line 8: duplicate key '0 0 1'"),
+        ("train", DESK_TRAIN + "[env]\n", [], None, "line 5"),
     ],
     ids=["malformed-model", "bad-quantum", "invalid-model", "alpha-0",
          "checkpoint-no-n_actions", "malformed-checkpoint-row",
@@ -453,7 +476,8 @@ DESK_TRAIN = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\nepisodes = 1\n
          "model-nan-reward", "model-nan-probability", "model-infinite-cost", "model-infinite-budget",
          "pit-cost-zero-weight", "pit-cost-weights-sum-to-zero", "pit-cost-nan-value",
          "pit-cost-infinite-bound", "env-nan-step-reward", "env-infinite-goal-reward",
-         "env-infinite-c_max"],
+         "env-infinite-c_max", "model-duplicate-scalar", "model-duplicate-transition-row",
+         "model-duplicate-reward-row", "checkpoint-duplicate-row", "config-section-line"],
 )
 def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags, config, named):
     path = tmp_path / "input.txt"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cmdp_forge.envs import (
@@ -15,11 +16,17 @@ from cmdp_forge.envs import (
     tiny_grid,
     validate_grid_config,
 )
+from cmdp_forge.extended import TabularPolicy, augment
 from cmdp_forge.fixtures import fixture, two_cost_chain
-from cmdp_forge.model import deterministic_policy, validate_cmdp
+from cmdp_forge.model import validate_cmdp
 from cmdp_forge.oracle import enumerate_trajectories, stats
 from cmdp_forge.solver import unconstrained_value, worst_case_value
-from cmdp_forge.model import TabularPolicy
+
+
+def always(m, quantum, a):
+    """The policy that takes action ``a`` at every node of m's space."""
+    layers = augment(m, quantum).layers
+    return TabularPolicy(layers, tuple(np.eye(m.n_actions)[[a] * len(nodes)] for nodes in layers[:-1]))
 
 
 def test_large_layout_parameters():
@@ -62,14 +69,7 @@ def test_short_path_expected_cost_is_the_support_mean():
     f = fixture("grid3_det")
     m = f.cmdp
     # Left twice from the start crosses the pit and enters the goal.
-    table = {}
-    for t in range(m.horizon):
-        for s in range(m.n_states):
-            for ledger in ((0,), (4,), (5,), (6,), (-1,)):
-                row = [0.0] * m.n_actions
-                row[3] = 1.0  # left
-                table[(t, s, ledger)] = tuple(row)
-    policy = TabularPolicy(table, time_dependent=True)
+    policy = always(m, f.quantum, 3)
     st = stats(enumerate_trajectories(m, policy, f.quantum), m)
     assert st.expected_cost[0] == pytest.approx(1.25, abs=1e-12)
     assert f.cmdp.budgets[0] == 0.75  # crossing always violates on this fixture
@@ -190,9 +190,6 @@ def test_longer_horizon_chain_pads_costs_once():
         horizon=3,
     )
     m = make_chain(spec)
-    policy = deterministic_policy(
-        {(s, led): 0 for s in range(m.n_states) for led in ((0,), (-1,))},
-        m.n_actions,
-    )
+    policy = always(m, 1.0, 0)
     st = stats(enumerate_trajectories(m, policy, 1.0), m)
     assert st.expected_cost[0] == 3.0  # landing cost accrues exactly once

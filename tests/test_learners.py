@@ -113,7 +113,7 @@ def test_q_learner_matches_exact_greedy_across_weights():
     for lam in (0.0, report.lambda_expected_cost, 10 * report.lambda_expected_cost):
         e = build_extended(m, [lam], [RN], 1.0)
         exact_policy = backward_induction(e).greedy_policy(m.n_actions)
-        exact_action = exact_policy.table[(0, 0, (0,))].index(1.0)
+        exact_action = exact_policy.table()[(0, 0, (0,))].index(1.0)
         env = SampledKernelEnv(m, seed="17:env")
         cfg = ExperimentConfig(episodes=1500, lambda0=lam,
                                lambda_floor=max(lam, 1e-9) if lam else 1e-9)

@@ -1,11 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from cmdp_forge.extended import build_extended
+from cmdp_forge.extended import PolicyUndefined, TabularPolicy, augment, build_extended
 from cmdp_forge.fixtures import fixture, two_action_chain
-from cmdp_forge.model import TabularPolicy
 from cmdp_forge.oracle import (
     EnumerationCapExceeded,
     IncompleteMass,
@@ -23,22 +23,14 @@ VAR = PenaltyScheme.VALUE_AT_RISK
 
 
 def chain_policy(action_prob_risky):
+    """The one-step chain's policy: its start node is its only decision node."""
     p = action_prob_risky
-    return TabularPolicy({(0, (0,)): (1.0 - p, p), (1, (0,)): (1.0,), (2, (-1,)): (1.0,)})
-
-
-def pad_rows(policy, m):
-    """Rows for landing states so lookups never miss (single action there)."""
-    table = dict(policy.table)
-    for s in range(1, m.n_states):
-        for ledger in ((0,), (-1,)):
-            table.setdefault((s, ledger), (1.0, 0.0))
-    return TabularPolicy(table)
+    return TabularPolicy(augment(two_action_chain(), 1.0).layers, (np.array([[1.0 - p, p]]),))
 
 
 def test_deterministic_model_and_policy_yield_one_trajectory():
     m = two_action_chain()
-    pol = pad_rows(chain_policy(0.0), m)
+    pol = chain_policy(0.0)
     trajs = enumerate_trajectories(m, pol, 1.0)
     assert len(trajs) == 1
     assert trajs[0].probability == 1.0
@@ -47,7 +39,7 @@ def test_deterministic_model_and_policy_yield_one_trajectory():
 
 def test_uniform_policy_splits_mass_evenly():
     m = two_action_chain()
-    trajs = enumerate_trajectories(m, pad_rows(chain_policy(0.5), m), 1.0)
+    trajs = enumerate_trajectories(m, chain_policy(0.5), 1.0)
     assert sorted(t.probability for t in trajs) == [0.5, 0.5]
 
 
@@ -72,7 +64,7 @@ def test_noisy_grid_mass_sums_to_one():
 
 def test_safe_policy_stats_are_all_zero():
     m = two_action_chain()
-    st = stats(enumerate_trajectories(m, pad_rows(chain_policy(0.0), m), 1.0), m)
+    st = stats(enumerate_trajectories(m, chain_policy(0.0), 1.0), m)
     assert st.expected_cost == (0.0,)
     assert st.violation_prob == (0.0,)
     assert st.cvar_excess == (0.0,)
@@ -81,7 +73,7 @@ def test_safe_policy_stats_are_all_zero():
 def test_risky_policy_stats():
     m = two_action_chain()
     st = stats(
-        enumerate_trajectories(m, pad_rows(chain_policy(1.0), m), 1.0),
+        enumerate_trajectories(m, chain_policy(1.0), 1.0),
         m, [0.5], [RN],
     )
     assert st.expected_return == 2.0
@@ -91,7 +83,7 @@ def test_risky_policy_stats():
 
 def test_uniform_policy_stats():
     m = two_action_chain()
-    st = stats(enumerate_trajectories(m, pad_rows(chain_policy(0.5), m), 1.0), m)
+    st = stats(enumerate_trajectories(m, chain_policy(0.5), 1.0), m)
     assert st.expected_cost == (1.5,)
     assert st.violation_prob == (0.5,)
     assert st.cvar_excess == (0.5,)
@@ -99,7 +91,7 @@ def test_uniform_policy_stats():
 
 def test_incomplete_mass_is_rejected():
     m = two_action_chain()
-    trajs = enumerate_trajectories(m, pad_rows(chain_policy(0.5), m), 1.0)
+    trajs = enumerate_trajectories(m, chain_policy(0.5), 1.0)
     with pytest.raises(IncompleteMass):
         stats(trajs[:1], m)
 
@@ -197,9 +189,9 @@ def test_literal_penalty_walk_matches_trajectory_identities():
 
 
 def test_policy_must_cover_reachable_states():
-    from cmdp_forge.model import PolicyUndefined
-
     m = two_action_chain()
-    partial = TabularPolicy({(1, (0,)): (1.0, 0.0)})  # no row for the start
-    with pytest.raises(PolicyUndefined):
+    partial = chain_policy(math.nan)  # no row for the start
+    with pytest.raises(PolicyUndefined, match=r"\(0, 0, \(0,\)\)"):
         enumerate_trajectories(m, partial, 1.0)
+    with pytest.raises(PolicyUndefined, match=r"\(0, 0, \(0,\)\)"):
+        evaluate_policy(build_extended(m, [1.0], [RN], 1.0), partial)

@@ -1,12 +1,20 @@
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, make_chain, make_gridworld, tiny_grid
-from cmdp_forge.extended import VIOLATED, QuantizationError, augment, build_extended
+from cmdp_forge.extended import (
+    VIOLATED,
+    PolicyUndefined,
+    QuantizationError,
+    TabularPolicy,
+    augment,
+    build_extended,
+)
 from cmdp_forge.fixtures import fixture, fixture_pack, two_action_chain
 from cmdp_forge.model import Cmdp
 from cmdp_forge.oracle import enumerate_trajectories, random_policy, stats
@@ -42,7 +50,7 @@ def test_chain_optimum_matches_policy_enumeration(lam, expected_action):
     value, policy = vt.initial_value, vt.greedy_policy(m.n_actions)
     brute = best_policy_by_enumeration(m, [lam], [RN], 1.0)
     assert value == pytest.approx(brute, abs=1e-12)
-    chosen = policy.table[(0, 0, (0,))].index(1.0)
+    chosen = policy.table()[(0, 0, (0,))].index(1.0)
     assert chosen == expected_action
 
 
@@ -58,7 +66,7 @@ def test_zero_weight_matches_unconstrained_on_every_fixture():
 def test_worst_case_forces_the_safe_branch():
     value, policy = worst_case_value(two_action_chain(), 1.0)
     assert value == 1.0
-    assert policy.table[(0, 0, (0,))].index(1.0) == 0
+    assert policy.table()[(0, 0, (0,))].index(1.0) == 0
 
 
 @pytest.mark.parametrize("horizon", [4, 5])
@@ -67,9 +75,16 @@ def test_worst_case_policy_has_a_row_for_every_safe_node_and_none_for_a_violated
     _, policy = worst_case_value(m, 0.25)
     layers = augment(m, 0.25).layers[:-1]
     assert any(VIOLATED in ledger for layer in layers for _s, ledger in layer)
+    for layer, rows in zip(layers, policy.rows):
+        violated = [VIOLATED in ledger for _s, ledger in layer]
+        assert np.isnan(rows).all(axis=1).tolist() == violated
+        assert (rows[~np.array(violated)].sum(axis=1) == 1.0).all()
     safe = {(t, s, ledger) for t, layer in enumerate(layers) for s, ledger in layer
             if VIOLATED not in ledger}
-    assert set(policy.table) == safe
+    assert set(policy.table()) == safe
+    # Kept on the model: a second call shares the policy, which no caller can alter.
+    assert worst_case_value(m, 0.25)[1] is policy
+    assert not any(rows.flags.writeable for rows in policy.rows)
 
 
 def test_worst_case_equals_unconstrained_when_costs_vanish():
@@ -99,8 +114,10 @@ def infeasible_chain():
 
 
 def test_worst_case_infeasible_names_the_state():
-    with pytest.raises(WorstCaseInfeasible, match="start"):
-        worst_case_value(infeasible_chain(), 0.25)
+    m = infeasible_chain()
+    for _ in range(2):  # the second call reads the dead end kept on the model
+        with pytest.raises(WorstCaseInfeasible, match="start"):
+            worst_case_value(m, 0.25)
 
 
 def test_truncated_cost_maximum_on_the_chain():
@@ -174,7 +191,7 @@ def test_value_ties_break_to_the_lowest_action_index():
         )
     )
     policy = backward_induction(build_extended(m, [1.0], [RN], 1.0)).greedy_policy(m.n_actions)
-    assert policy.table[(0, 0, (0,))].index(1.0) == 0
+    assert policy.table()[(0, 0, (0,))].index(1.0) == 0
 
 
 def test_greedy_layers_cover_the_horizon():
@@ -182,8 +199,9 @@ def test_greedy_layers_cover_the_horizon():
     e = build_extended(f.cmdp, [1.0], [RN], f.quantum)
     vt = backward_induction(e)
     assert len(vt.greedy) == f.cmdp.horizon
-    for t, layer in enumerate(vt.greedy):
-        for x, a in layer.items():
+    for nodes, choice in zip(e.layers, vt.greedy):
+        assert len(choice) == len(nodes)
+        for a in choice.tolist():
             row = [q for q in range(f.cmdp.n_actions)]
             assert a in row
 
@@ -262,7 +280,8 @@ def test_desk_grid_results_are_bit_identical_to_the_scalar_sweep(desk, scheme):
     value, greedy_sha, random_value = DESK_PINS[scheme]
     e = build_extended(desk, [3.0], [scheme], 0.25)
     vt = backward_induction(e)
-    rows = sorted((t, x, a) for t, layer in enumerate(vt.greedy) for x, a in layer.items())
+    rows = sorted((t, x, a) for t, (nodes, choice) in enumerate(zip(e.layers, vt.greedy))
+                  for x, a in zip(nodes, choice.tolist()))
     assert repr(float(vt.initial_value)) == value
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == greedy_sha
     policy = random_policy(desk, 0.25, random.Random(7))
@@ -291,12 +310,38 @@ def masked_model():
 
 def test_unavailable_actions_are_never_greedy():
     m = masked_model()
-    vt = backward_induction(build_extended(m, [0.0], [RN], 1.0))
-    assert vt.greedy[0][(0, (0,))] == 1
-    assert vt.greedy[1][(2, (0,))] == 1
+    e = build_extended(m, [0.0], [RN], 1.0)
+    vt = backward_induction(e)
+    assert vt.greedy[0][e.layers[0].index((0, (0,)))] == 1
+    assert vt.greedy[1][e.layers[1].index((2, (0,)))] == 1
     assert vt.initial_value == 2.0
     value, policy = worst_case_value(m, 1.0)
     assert value == 1.0
-    assert policy.table[(0, 0, (0,))] == (1.0, 0.0, 0.0)
+    assert policy.table()[(0, 0, (0,))] == [1.0, 0.0, 0.0]
     # Both available actions at the trap are -inf: the first available wins.
-    assert policy.table[(1, 2, (0,))] == (0.0, 1.0, 0.0)
+    assert policy.table()[(1, 2, (0,))] == [0.0, 1.0, 0.0]
+
+
+def test_a_policy_over_another_space_is_rejected():
+    policy = random_policy(two_action_chain(), 1.0, random.Random(1))
+    e = build_extended(fixture("three_branch_chain").cmdp, [1.0], [RN], 1.0)
+    with pytest.raises(ValueError, match="another augmented space"):
+        evaluate_policy(e, policy)
+
+
+def test_a_reachable_nan_row_is_named():
+    f = fixture("grid3_det")
+    e = build_extended(f.cmdp, [1.0], [RN], f.quantum)
+    greedy = backward_induction(e).greedy_policy(f.cmdp.n_actions)
+    # The node the greedy policy reaches at step 1, and nothing else, loses its row.
+    table = greedy.table()
+    after = enumerate_trajectories(f.cmdp, greedy, f.quantum)[0].states[1]
+    t, s, ledger = next(key for key in table if key[0] == 1 and key[1] == after)
+    rows = [r.copy() for r in greedy.rows]
+    rows[1][e.layers[1].index((s, ledger))] = np.nan
+    holed = TabularPolicy(greedy.layers, tuple(rows))
+    named = re.escape(f"no row for augmented state {(t, s, ledger)}")
+    with pytest.raises(PolicyUndefined, match=named):
+        evaluate_policy(e, holed)
+    with pytest.raises(PolicyUndefined, match=named):
+        enumerate_trajectories(f.cmdp, holed, f.quantum)

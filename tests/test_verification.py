@@ -10,6 +10,8 @@ from cmdp_forge.oracle import enumerate_trajectories, random_policy, stats
 from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import backward_induction, evaluate_policy
 from cmdp_forge.verification import (
+    POLICY_CAP,
+    _worst_case,
     check_expected_cost_feasibility,
     count_deterministic_policies,
     enumerate_deterministic_policies,
@@ -90,3 +92,11 @@ def test_solver_matches_oracle_on_random_chains(rewards, costs, lam):
             for pol in enumerate_deterministic_policies(m, 1.0)
         )
         assert value >= brute - 1e-9
+
+
+def test_fixture_facts_are_measured_on_the_models():
+    pack = fixture_pack()
+    assert [_worst_case(f) is not None for f in pack] == [True] * 5 + [False]
+    counts = [count_deterministic_policies(f.cmdp, f.quantum) for f in pack]
+    assert counts[:4] == [2, 3, 2, 3]
+    assert min(counts[4:]) > 10**7 > POLICY_CAP

@@ -6,17 +6,31 @@ returns are per-path accumulations, and aggregate statistics are compensated
 sums over the full enumeration.  No value recursion is used anywhere, so the
 numbers coming out of this module are an independent check on the dynamic
 programming solver.
+
+``stats`` walks each path once for its return and computes everything on
+the cost side (D_k, and the literal per-epoch penalty walk) once per
+distinct state path, through ``trajectory_cost`` and
+``trajectory_penalty_total``: those read the states alone, and many paths
+share a state path (665 state paths carry the 170,240 paths of a random
+policy on the noisy 3x3 grid at horizon 4).  Every float is the one a
+separate walk per path gives: the discount powers are one running product,
+whose prefix serves every shorter path; each path's return is one
+``math.fsum`` over the same products ``discounted_return`` forms; each
+cost-side addend is the same product of the path's probability and a value
+of its state path.  ``math.fsum`` is correctly rounded, so gathering the
+addends per state path instead of in path order changes no sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .extended import PolicyUndefined, TabularPolicy, augment, ledger_rule
-from .model import Cmdp, Trajectory, discounted_return, trajectory_cost
+from .model import Cmdp, Trajectory, discount_powers, trajectory_cost
 from .penalties import PenaltyScheme, penalty_amount
 
 MASS_TOL = 1e-9
@@ -41,43 +55,50 @@ def enumerate_trajectories(
     quantum: float = 0.25,
     cap: int = 1_000_000,
 ) -> list[Trajectory]:
-    """All positive-probability depth-T trajectories of ``policy``.
+    """All positive-probability depth-T trajectories of ``policy``, in DFS order.
 
     The running ledger is tracked only to form policy lookup keys (the
     solver's own ``ledger_rule``) into the policy's (t, s, ledger) table;
-    probabilities and costs are pure path products and sums.
+    probabilities and costs are pure path products and sums.  A node one
+    step before the horizon appends its leaves directly.
     """
     advance = ledger_rule(m, quantum)
     table = policy.table()
+    T = m.horizon
+    moves: dict[int, list[tuple[int, tuple[tuple[int, float], ...]]]] = {}
 
     out: list[Trajectory] = []
     states_path = [m.s0]
     actions_path: list[int] = []
-    init_ledger = advance((0,) * m.n_constraints, m.s0)
 
     def walk(s: int, ledger, t: int, prob: float):
-        if t == m.horizon:
-            if len(out) >= cap:
-                raise EnumerationCapExceeded(cap, t)
-            out.append(
-                Trajectory(tuple(states_path), tuple(actions_path), probability=prob)
-            )
-            return
         row = table.get((t, s, ledger))
         if row is None:
             raise PolicyUndefined(f"policy has no row for augmented state {(t, s, ledger)}")
-        for a in m.actions_at(s):
-            pa = row[a]
-            if pa == 0.0:
+        if s not in moves:
+            moves[s] = [(a, m.successors(s, a)) for a in m.actions_at(s)]
+        for a, succ in moves[s]:
+            if row[a] == 0.0:
+                continue
+            q = prob * row[a]
+            if t + 1 == T:
+                if len(out) + len(succ) > cap:
+                    raise EnumerationCapExceeded(cap, T)
+                states, actions = tuple(states_path), (*actions_path, a)
+                out.extend([Trajectory(states + (s2,), actions, probability=q * p) for s2, p in succ])
                 continue
             actions_path.append(a)
-            for s2, p in m.successors(s, a):
+            for s2, p in succ:
                 states_path.append(s2)
-                walk(s2, advance(ledger, s2), t + 1, prob * pa * p)
+                walk(s2, advance(ledger, s2), t + 1, q * p)
                 states_path.pop()
             actions_path.pop()
 
-    walk(m.s0, init_ledger, 0, 1.0)
+    if T == 0:
+        if cap <= 0:
+            raise EnumerationCapExceeded(cap, 0)
+        return [Trajectory((m.s0,), (), probability=1.0)]
+    walk(m.s0, advance((0,) * m.n_constraints, m.s0), 0, 1.0)
     return out
 
 
@@ -99,6 +120,19 @@ def trajectory_penalty_total(
         total += penalty_amount(scheme, lam, before, d, budget, epoch)
         before += d
     return total
+
+
+def _cost_side(traj: Trajectory, m: Cmdp, lambdas, schemes) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """D_k of every constraint, and the literal penalty total of every k with lambda_k != 0.
+
+    Both read ``traj.states`` alone, so the callers compute them once per
+    distinct state path and reuse them for every path that shares it.
+    """
+    return (
+        tuple(trajectory_cost(traj, m, k) for k in range(m.n_constraints)),
+        tuple(trajectory_penalty_total(traj, m, k, schemes[k], lam)
+              for k, lam in enumerate(lambdas) if lam != 0.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -140,28 +174,43 @@ def stats(
     if schemes is None:
         schemes = (PenaltyScheme.RISK_NEUTRAL,) * K
 
+    # A running product's prefix is the same float, so the powers for the
+    # longest path serve every path.
+    pows = discount_powers(m.discount, max(1, max(len(t.actions) for t in trajs)))
+    reward_row = m.reward.tolist().__getitem__
     returns = []
     penalized = []
-    per_k = [([], [], [], [], []) for _ in range(K)]  # cost, above, below, viol, excess
+    # Distinct state path -> (its cost side, the probability of every path along it).
+    groups: dict[tuple[int, ...], tuple[tuple, list[float]]] = {}
     for traj in trajs:
         p = traj.probability
-        r = discounted_return(traj, m)
+        # pows[t] * reward[s_t][a_t], step by step: discounted_return's addends.
+        r = math.fsum(map(mul, pows, map(list.__getitem__, map(reward_row, traj.states), traj.actions)))
         returns.append(p * r)
-        pen = r
-        for k in range(K):
-            d = trajectory_cost(traj, m, k)
-            budget = m.budgets[k]
+        group = groups.get(traj.states)
+        if group is None:
+            group = groups[traj.states] = (_cost_side(traj, m, lambdas, schemes), [])
+        (_ds, pens), probs = group
+        for total in pens:
+            r -= total
+        penalized.append(p * r)
+        probs.append(p)
+
+    # fsum is correctly rounded, so the order of its addends does not matter:
+    # each constraint's addends are gathered per state path.
+    per_k = [([], [], [], [], []) for _ in range(K)]  # cost, above, below, viol, excess
+    for (ds, _pens), probs in groups.values():
+        for k, d in enumerate(ds):
             cost_l, above_l, below_l, viol_l, excess_l = per_k[k]
-            cost_l.append(p * d)
-            if d > budget:
-                above_l.append(p * d)
-                viol_l.append(p)
-                excess_l.append(p * (d - budget))
+            weighted = [p * d for p in probs]
+            cost_l += weighted
+            if d > m.budgets[k]:
+                above_l += weighted
+                viol_l += probs
+                excess = d - m.budgets[k]
+                excess_l += [p * excess for p in probs]
             else:
-                below_l.append(p * d)
-            if lambdas[k] != 0.0:
-                pen -= trajectory_penalty_total(traj, m, k, schemes[k], lambdas[k])
-        penalized.append(p * pen)
+                below_l += weighted
 
     return OracleStats(
         expected_return=math.fsum(returns),
@@ -198,7 +247,7 @@ def chance_penalty_steps(
     falsify the constant-penalty reading of the scheme.
     """
     constants = set()
-    for traj in trajs:
+    for traj in {t.states: t for t in trajs}.values():  # both walks read the states alone
         if trajectory_cost(traj, m, k) > m.budgets[k]:
             total = trajectory_penalty_total(
                 traj, m, k, PenaltyScheme.VALUE_AT_RISK, lam

@@ -130,8 +130,11 @@ def _sweep(
     available actions with TIE_TOL ties going to the lowest index, as
     ``_pick`` does, and greedy[t] holds the choices of layer t; with one,
     the policy-weighted expectation over actions of nonzero probability.
-    Raises ValueError for a policy over another space and PolicyUndefined
-    at a node whose row is NaN.
+    Raises ValueError for a policy over another space.  A node whose policy
+    row is NaN is worth NaN, which reaches V(0) only along edges of positive
+    weight: such a row at a node the policy never reaches passes, and one at
+    a reached node raises PolicyUndefined naming the first, found by
+    ``_first_undefined`` after the sweep.
 
     Each layer is one numpy pass: the arrival term W = V(t+1)[nx] - PEN per
     (ledger, successor), then per (node, action) the reward plus p * W over
@@ -167,16 +170,18 @@ def _sweep(
             greedy[t] = np.argmax(ok & (acc >= (values - TIE_TOL)[:, None]), axis=1)
         else:
             pi = policy.rows[t]
-            if np.isnan(pi).any():
-                s, ledger = e.layers[t][np.isnan(pi).any(axis=1).argmax()]
-                raise PolicyUndefined(f"policy has no row for augmented state {(t, s, ledger)}")
-            # Skipping zero-probability actions keeps 0 * -inf out of the sum.
+            # Skipping zero-probability actions keeps 0 * -inf, and 0 * NaN
+            # from an unreached node, out of the sum.
             weighted = ok & (pi != 0.0)
             acc[~weighted] = 0.0
             values = np.zeros(len(pi))
             for a in range(A):
                 np.add(values, pi[:, a] * acc[:, a], out=values, where=weighted[:, a])
+            if np.isnan(pi).any():  # a row holding NaN is no row: its node is worth NaN
+                values[np.isnan(pi).any(axis=1)] = math.nan
         vnext = values
+    if policy is not None and math.isnan(vnext[0]):
+        raise PolicyUndefined(f"policy has no row for augmented state {_first_undefined(e, policy)}")
     return float(vnext[0]), greedy
 
 
@@ -259,31 +264,65 @@ def _masked_sweep(m: Cmdp, quantum: float) -> tuple[float, TabularPolicy] | str:
     return value, policy
 
 
+def _first_reached(e: ExtendedMdp, masks) -> tuple[int, int, tuple[int, ...]] | None:
+    """(t, s, ledger) of the first node reached from the initial state at
+    which a stop mask holds, or None.
+
+    One forward walk over the compiled layers.  ``masks(t, real, nxt_index)``
+    gets, per (node, action, slot) of layer t, whether the slot is real and
+    the index in layer t+1 of the node it enters, and returns two masks: the
+    (n_t,) nodes to stop at and the (n_t, A) actions the walk moves along.
+    The frontier is a bool mask over each layer's nodes; the node named is
+    the one of lowest index, discovery order, in the first layer that has one.
+    """
+    arrays = e.base.successor_arrays
+    frontier = np.ones(1, dtype=bool)  # layer 0 is the initial state alone
+    for t in range(e.base.horizon):
+        layer = e.compiled[t]
+        real = arrays.real[layer.state]
+        nxt_index = layer.nx[layer.ledger[:, None, None], arrays.state[layer.state]]
+        stop, moves = masks(t, real, nxt_index)
+        hit = np.flatnonzero(frontier & stop)
+        if len(hit):
+            s, ledger = e.layers[t][hit[0]]
+            return t, s, ledger
+        entered = nxt_index[real & (moves & frontier[:, None])[:, :, None]]
+        frontier = np.bincount(entered, minlength=len(e.compiled[t + 1].state)) > 0
+    return None
+
+
 def _first_dead_end(e: ExtendedMdp) -> str:
     """Name the first reachable augmented state with no feasible action.
 
-    One forward walk over the compiled layers from the initial state along
-    feasible actions, those with no successor in a violated ledger.  Each
-    layer's feasibility is one array pass and the frontier is a bool mask
-    over the layer's nodes; the dead end named is the one of lowest index,
-    discovery order, in the first layer that has one.
+    ``_first_reached`` along feasible actions, those with no successor in a
+    violated ledger, stopping at a node that has none.
     """
     m = e.base
-    arrays = m.successor_arrays
-    frontier = np.ones(1, dtype=bool)  # layer 0 is the initial state alone
-    for t in range(m.horizon):
-        layer, after = e.compiled[t], e.compiled[t + 1]
+
+    def masks(t, real, nxt_index):
+        after = e.compiled[t + 1]
         violated = np.array([VIOLATED in ledger for ledger in after.ledgers])[after.ledger]
-        real = arrays.real[layer.state]
-        nxt_index = layer.nx[layer.ledger[:, None, None], arrays.state[layer.state]]
         ok = real[:, :, 0] & ~(real & violated[nxt_index]).any(axis=2)
-        dead = np.flatnonzero(frontier & ~ok.any(axis=1))
-        if len(dead):
-            s, ledger = e.layers[t][dead[0]]
-            return f"{m.state_name(s)} with ledger {ledger} at step {t}"
-        reached = nxt_index[real & (ok & frontier[:, None])[:, :, None]]
-        frontier = np.bincount(reached, minlength=len(after.state)) > 0
-    return f"initial state {m.state_name(m.s0)}"
+        return ~ok.any(axis=1), ok
+
+    found = _first_reached(e, masks)
+    if found is None:
+        return f"initial state {m.state_name(m.s0)}"
+    t, s, ledger = found
+    return f"{m.state_name(s)} with ledger {ledger} at step {t}"
+
+
+def _first_undefined(e: ExtendedMdp, policy: TabularPolicy) -> tuple[int, int, tuple[int, ...]]:
+    """The first node ``policy`` reaches whose row is NaN, as (t, s, ledger).
+
+    ``_first_reached`` along the actions of nonzero probability.  Run only
+    after a policy sweep ends in NaN, which a reached NaN row alone causes.
+    """
+    rows = policy.rows
+    found = _first_reached(e, lambda t, _real, _nxt: (np.isnan(rows[t]).any(axis=1), rows[t] != 0.0))
+    if found is None:
+        raise AssertionError("unreachable: a NaN value with no reached NaN row")
+    return found
 
 
 def max_safe_cost(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:
@@ -319,15 +358,21 @@ class BoundsReport:
 
     lambda_expected_cost is the smallest penalty weight guaranteeing the
     expected-cost constraint (infinite when the slack is zero);
-    lambda_chance(alpha) guarantees violation probability at most alpha.
+    lambda_chance guarantees violation probability at most alpha.  Only
+    lambda_chance reads alpha, so ``replace(report, alpha=...)`` gives the
+    report at another alpha with no recursion.
     """
 
     best_return: float
     worst_case_return: float
     cost_slack: float
     lambda_expected_cost: float
-    lambda_chance: float
+    budget: float
     alpha: float
+
+    @property
+    def lambda_chance(self) -> float:
+        return (self.best_return - self.worst_case_return) / (self.alpha * self.budget)
 
     def rows(self) -> list[tuple[str, float]]:
         return [
@@ -353,14 +398,11 @@ def lambda_bounds(m: Cmdp, alpha: float, quantum: float = 0.25, k: int = 0) -> B
     worst, _ = worst_case_value(m, quantum)  # validates m first, in ``augment``
     best, _ = unconstrained_value(m)
     slack = cost_slack(m, k, quantum)
-    gap = best - worst
-    lam_rn = math.inf if slack == 0.0 else gap / slack
-    lam_var = gap / (alpha * m.budgets[k])
     return BoundsReport(
         best_return=best,
         worst_case_return=worst,
         cost_slack=slack,
-        lambda_expected_cost=lam_rn,
-        lambda_chance=lam_var,
+        lambda_expected_cost=math.inf if slack == 0.0 else (best - worst) / slack,
+        budget=m.budgets[k],
         alpha=alpha,
     )

@@ -421,65 +421,88 @@ TWO_STATE_MODEL = (
 DESK_TRAIN = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\nepisodes = 1\n"
 
 
-@pytest.mark.parametrize(
-    "command, text, flags, config, named",
-    [
+# Bad inputs by case id: (command, input text, flags, eval config, text stderr must name).
+BAD_INPUTS = {
+    "malformed-model":
         ("bounds", CHAIN_MODEL + "not an assignment\n", ["--quantum", "1"], None, ""),
+    "bad-quantum":
         ("bounds", CHAIN_MODEL, ["--quantum", "0.3"], None, ""),
+    "invalid-model":
         ("bounds", CHAIN_MODEL.replace("0 0 = 0 1 0", "0 0 = 0 0.9 0"), ["--quantum", "1"], None, ""),
+    "alpha-0":
         ("bounds", CHAIN_MODEL, ["--quantum", "1", "--alpha", "0"], None, ""),
+    "checkpoint-no-n_actions":
         ("evaluate", Q_CHECKPOINT.replace("n_actions = 2\n", ""), [], CHAIN_EVAL, ""),
+    "malformed-checkpoint-row":
         ("evaluate", Q_CHECKPOINT + "0 0 x = 1\n", [], CHAIN_EVAL, ""),
+    "checkpoint-n_actions-4-on-chain":
         ("evaluate", FOUR_ACTION_CHECKPOINT, [], CHAIN_EVAL, "n_actions"),
+    "chain-checkpoint-on-desk":
         ("evaluate", Q_CHECKPOINT, [], DESK_EVAL, "n_actions"),
+    "checkpoint-budget-mismatch":
         ("evaluate", Q_CHECKPOINT.replace("budget = 2\n", "budget = 3\n"), [], CHAIN_EVAL, "budget"),
+    "checkpoint-alpha_ent-0":
         ("evaluate", ZERO_ENTROPY_CHECKPOINT, [], CHAIN_EVAL, "alpha_ent"),
+    "checkpoint-action-past-n_actions":
         ("evaluate", Q_CHECKPOINT.replace("0 0 1 = 1", "0 0 2 = 1"), [], CHAIN_EVAL, "line 7"),
+    "checkpoint-negative-action":
         ("evaluate", ZERO_ENTROPY_CHECKPOINT.replace("alpha_ent = 0\n", "").replace(
             "0 0 0 = 0", "0 0 -1 = 0"), [], CHAIN_EVAL, "line 7"),
+    "checkpoint-n_actions-nan":
         ("evaluate", Q_CHECKPOINT.replace("n_actions = 2", "n_actions = nan"), [], CHAIN_EVAL, "n_actions"),
+    "checkpoint-quantum-0":
         ("evaluate", Q_CHECKPOINT.replace("quantum = 1", "quantum = 0"), [], CHAIN_EVAL, "quantum"),
+    "checkpoint-nan-value":
         ("evaluate", ZERO_ENTROPY_CHECKPOINT.replace("alpha_ent = 0\n", "").replace(
             "0 0 0 = 0.0", "0 0 0 = nan"), [], CHAIN_EVAL, "line 7"),
+    "model-cost-state-past-S":
         ("bounds", TWO_STATE_MODEL + "[cost.1]\n7 = 1\n", ["--quantum", "1"], None, "line 13"),
+    "model-transition-state-past-S":
         ("bounds", TWO_STATE_MODEL + "5 0 = 0 1\n", ["--quantum", "1"], None, "line 12"),
+    "model-negative-state":
         ("bounds", TWO_STATE_MODEL + "-1 0 = 0 1\n", ["--quantum", "1"], None, "line 12"),
+    "model-nan-reward":
         ("bounds", TWO_STATE_MODEL + "[reward]\n0 0 = nan\n", ["--quantum", "1"], None, "reward[s=0,a=0]"),
+    "model-nan-probability":
         ("bounds", TWO_STATE_MODEL.replace("0 0 = 0 1", "0 0 = nan 1"), ["--quantum", "1"], None,
          "transition[s=0,a=0,s'=0]"),
+    "model-infinite-cost":
         ("bounds", TWO_STATE_MODEL + "[cost.1]\n1 = inf\n", ["--quantum", "1"], None, "costs[0][s=1]"),
+    "model-infinite-budget":
         ("bounds", TWO_STATE_MODEL.replace("budget.1 = 1", "budget.1 = inf"), ["--quantum", "1"], None,
          "budgets[0]"),
+    "pit-cost-zero-weight":
         ("train", DESK_TRAIN + "env.pit_cost = support:1@0\n", [], None, "env.pit_cost"),
+    "pit-cost-weights-sum-to-zero":
         ("train", DESK_TRAIN + "env.pit_cost = support:1@-1,2@1\n", [], None, "env.pit_cost"),
+    "pit-cost-nan-value":
         ("train", DESK_TRAIN + "env.pit_cost = support:nan\n", [], None, "env.pit_cost"),
+    "pit-cost-infinite-bound":
         ("train", DESK_TRAIN + "env.pit_cost = uniform:1:inf\n", [], None, "env.pit_cost"),
+    "env-nan-step-reward":
         ("train", DESK_TRAIN + "env.step_reward = nan\n", [], None, "step_reward"),
+    "env-infinite-goal-reward":
         ("train", DESK_TRAIN + "env.goal_reward = inf\n", [], None, "goal_reward"),
+    "env-infinite-c_max":
         ("train", DESK_TRAIN + "env.c_max = inf\n", [], None, "c_max"),
+    "model-duplicate-scalar":
         ("bounds", TWO_STATE_MODEL.replace("horizon = 1\n", "horizon = 1\nhorizon = 3\n"),
          ["--quantum", "1"], None, "line 3: duplicate key 'horizon'"),
+    "model-duplicate-transition-row":
         ("bounds", TWO_STATE_MODEL + "0 00 = 1 0\n", ["--quantum", "1"], None,
          "line 12: duplicate key '0 0'"),
+    "model-duplicate-reward-row":
         ("bounds", TWO_STATE_MODEL + "[reward]\n0 0 = 1\n0  0 = 2\n", ["--quantum", "1"], None,
          "line 14: duplicate key '0 0'"),
+    "checkpoint-duplicate-row":
         ("evaluate", Q_CHECKPOINT + "0 0 1 = 2\n", [], CHAIN_EVAL, "line 8: duplicate key '0 0 1'"),
+    "config-section-line":
         ("train", DESK_TRAIN + "[env]\n", [], None, "line 5"),
-    ],
-    ids=["malformed-model", "bad-quantum", "invalid-model", "alpha-0",
-         "checkpoint-no-n_actions", "malformed-checkpoint-row",
-         "checkpoint-n_actions-4-on-chain", "chain-checkpoint-on-desk",
-         "checkpoint-budget-mismatch", "checkpoint-alpha_ent-0",
-         "checkpoint-action-past-n_actions", "checkpoint-negative-action",
-         "checkpoint-n_actions-nan", "checkpoint-quantum-0", "checkpoint-nan-value",
-         "model-cost-state-past-S", "model-transition-state-past-S", "model-negative-state",
-         "model-nan-reward", "model-nan-probability", "model-infinite-cost", "model-infinite-budget",
-         "pit-cost-zero-weight", "pit-cost-weights-sum-to-zero", "pit-cost-nan-value",
-         "pit-cost-infinite-bound", "env-nan-step-reward", "env-infinite-goal-reward",
-         "env-infinite-c_max", "model-duplicate-scalar", "model-duplicate-transition-row",
-         "model-duplicate-reward-row", "checkpoint-duplicate-row", "config-section-line"],
-)
-def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags, config, named):
+}
+
+
+def _bad_input_args(tmp_path, command, text, flags, config):
+    """Write the input (and the eval config) and return its path and the CLI arguments."""
     path = tmp_path / "input.txt"
     path.write_text(text)
     cfg = tmp_path / "eval.cfg"
@@ -492,6 +515,25 @@ def test_bad_input_exits_2_without_a_traceback(tmp_path, command, text, flags, c
         args += ["--config", str(path), "train"]
     else:
         args += ["--config", str(cfg), "evaluate", "--checkpoint", str(path)]
+    return path, args
+
+
+@pytest.mark.parametrize("command, text, flags, config, named", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_exits_2_without_a_traceback(tmp_path, capsys, command, text, flags, config, named):
+    path, args = _bad_input_args(tmp_path, command, text, flags, config)
+    assert main(args) == 2  # an exception escaping main fails the test
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["malformed-model", "pit-cost-zero-weight", "checkpoint-no-n_actions"])
+def test_bad_input_exits_2_from_a_fresh_interpreter(tmp_path, case):
+    """One case per command through ``python -m cmdp_forge.cli``: the exit
+    code and stderr as the interpreter leaves them."""
+    command, text, flags, config, named = BAD_INPUTS[case]
+    path, args = _bad_input_args(tmp_path, command, text, flags, config)
     src = Path(cmdp_forge.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "cmdp_forge.cli", *args],

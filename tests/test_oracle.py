@@ -1,14 +1,18 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cmdp_forge.extended import PolicyUndefined, TabularPolicy, augment, build_extended
-from cmdp_forge.fixtures import fixture, two_action_chain
+from cmdp_forge.envs import make_gridworld, tiny_grid
+from cmdp_forge.extended import PolicyUndefined, TabularPolicy, augment, build_extended, ledger_rule
+from cmdp_forge.fixtures import fixture, fixture_pack, two_action_chain
+from cmdp_forge.model import Trajectory, discounted_return, trajectory_cost
 from cmdp_forge.oracle import (
     EnumerationCapExceeded,
     IncompleteMass,
+    OracleStats,
     chance_penalty_steps,
     enumerate_trajectories,
     random_policy,
@@ -124,8 +128,6 @@ def test_penalized_objective_identity_on_random_policies():
 
 
 def test_excess_identity_matches_direct_sum():
-    from cmdp_forge.model import trajectory_cost
-
     f = fixture("stochastic_chain")
     rng = random.Random(5)
     pol = random_policy(f.cmdp, f.quantum, rng)
@@ -165,8 +167,6 @@ def test_chance_penalty_total_is_constant_per_trajectory():
 
 
 def test_literal_penalty_walk_matches_trajectory_identities():
-    from cmdp_forge.model import trajectory_cost
-
     rng = random.Random(21)
     f = fixture("grid3_det")
     m = f.cmdp
@@ -195,3 +195,135 @@ def test_policy_must_cover_reachable_states():
         enumerate_trajectories(m, partial, 1.0)
     with pytest.raises(PolicyUndefined, match=r"\(0, 0, \(0,\)\)"):
         evaluate_policy(build_extended(m, [1.0], [RN], 1.0), partial)
+
+
+def per_path_stats(trajs, m, lambdas, schemes):
+    """The oracle statistics by a separate walk of every path, in path order."""
+    K = m.n_constraints
+    returns, penalized = [], []
+    per_k = [([], [], [], [], []) for _ in range(K)]
+    for traj in trajs:
+        p = traj.probability
+        r = discounted_return(traj, m)
+        returns.append(p * r)
+        pen = r
+        for k in range(K):
+            d = trajectory_cost(traj, m, k)
+            cost_l, above_l, below_l, viol_l, excess_l = per_k[k]
+            cost_l.append(p * d)
+            if d > m.budgets[k]:
+                above_l.append(p * d)
+                viol_l.append(p)
+                excess_l.append(p * (d - m.budgets[k]))
+            else:
+                below_l.append(p * d)
+            if lambdas[k] != 0.0:
+                pen -= trajectory_penalty_total(traj, m, k, schemes[k], lambdas[k])
+        penalized.append(p * pen)
+    return OracleStats(
+        expected_return=math.fsum(returns),
+        expected_cost=tuple(math.fsum(per_k[k][0]) for k in range(K)),
+        trunc_above=tuple(math.fsum(per_k[k][1]) for k in range(K)),
+        trunc_below=tuple(math.fsum(per_k[k][2]) for k in range(K)),
+        violation_prob=tuple(math.fsum(per_k[k][3]) for k in range(K)),
+        cvar_excess=tuple(math.fsum(per_k[k][4]) for k in range(K)),
+        penalized_objective=math.fsum(penalized),
+    )
+
+
+def discounted_grid():
+    return replace(make_gridworld(tiny_grid(noise_p=0.05, horizon=3), "exact"), discount=0.9)
+
+
+def two_cost_grid():
+    """The discounted grid with a second, doubled pit cost: a path through
+    the pit twice pays both penalties."""
+    m = discounted_grid()
+    return replace(m, costs=np.vstack([m.costs, 2.0 * m.costs]), budgets=(2.0, 2.5))
+
+
+WEIGHTS = {1: [(0.0,), (0.7,), (3.0,)], 2: [(0.0, 0.0), (0.7, 1.3), (0.0, 2.0)]}
+
+
+@pytest.mark.parametrize("scheme", list(PenaltyScheme))
+def test_stats_equal_a_separate_walk_of_every_path(scheme):
+    """Every field is the same float as the per-path walk gives: one return
+    walk per path and one cost-side walk per state path change no sum."""
+    rng = random.Random(17)
+    models = [(f.cmdp, f.quantum) for f in fixture_pack() if f.name != "grid3_noisy"]
+    models += [(discounted_grid(), 0.25), (two_cost_grid(), 0.25)]
+    for m, quantum in models:
+        trajs = enumerate_trajectories(m, random_policy(m, quantum, rng), quantum)
+        for lambdas in WEIGHTS[m.n_constraints]:
+            schemes = [scheme] * m.n_constraints
+            assert stats(trajs, m, lambdas, schemes) == per_path_stats(trajs, m, lambdas, schemes)
+
+
+def test_stats_of_mixed_lengths_and_shared_state_paths():
+    """Hand-built paths of three lengths on a discounted model; two pairs
+    share a state path under different actions, one of them violating."""
+    m = discounted_grid()
+    pit = m.costs[0].tolist().index(1.5)
+    trajs = [
+        Trajectory((0, 1, 2, 5), (1, 1, 2), probability=0.125),
+        Trajectory((0, 1, 2, 5), (3, 0, 2), probability=0.125),
+        Trajectory((0, pit, pit), (1, 0), probability=0.25),
+        Trajectory((0, pit, pit), (2, 3), probability=0.25),
+        Trajectory((0, 3), (2,), probability=0.25),
+    ]
+    for scheme in PenaltyScheme:
+        for lam in (0.0, 0.7):
+            st = stats(trajs, m, [lam], [scheme])
+            assert st == per_path_stats(trajs, m, [lam], [scheme])
+    assert st.violation_prob == (0.5,)
+
+
+def plain_walk(m, policy, quantum, cap=1_000_000):
+    """Every path by the textbook recursion: one call per node, leaves included."""
+    advance = ledger_rule(m, quantum)
+    table = policy.table()
+    out = []
+
+    def walk(states, actions, ledger, prob):
+        t = len(actions)
+        if t == m.horizon:
+            if len(out) >= cap:
+                raise EnumerationCapExceeded(cap, t)
+            out.append(Trajectory(states, actions, probability=prob))
+            return
+        row = table[(t, states[-1], ledger)]
+        for a in m.actions_at(states[-1]):
+            if row[a] != 0.0:
+                for s2, p in m.successors(states[-1], a):
+                    walk(states + (s2,), actions + (a,), advance(ledger, s2), prob * row[a] * p)
+
+    walk((m.s0,), (), advance((0,) * m.n_constraints, m.s0), 1.0)
+    return out
+
+
+def test_enumeration_is_the_plain_recursive_walk_in_order():
+    rng = random.Random(23)
+    for f in fixture_pack():
+        policies = [greedy(f, [1.0] * f.cmdp.n_constraints, [RN] * f.cmdp.n_constraints)]
+        if f.name != "grid3_noisy":
+            policies += [random_policy(f.cmdp, f.quantum, rng) for _ in range(3)]
+        for policy in policies:
+            assert enumerate_trajectories(f.cmdp, policy, f.quantum) == plain_walk(f.cmdp, policy, f.quantum)
+    # At horizon 0 the start is the one leaf.
+    m = replace(two_action_chain(), horizon=0)
+    assert enumerate_trajectories(m, chain_policy(0.5), 1.0) == [Trajectory((0,), (), probability=1.0)]
+    with pytest.raises(EnumerationCapExceeded, match="depth 0"):
+        enumerate_trajectories(m, chain_policy(0.5), 1.0, cap=0)
+
+
+def test_enumeration_cap_reports_the_same_depth():
+    f = fixture("grid3_noisy")
+    policy = greedy(f, [1.0], [RN])
+    n = len(enumerate_trajectories(f.cmdp, policy, f.quantum))
+    assert len(enumerate_trajectories(f.cmdp, policy, f.quantum, cap=n)) == n
+    for cap in (0, 5, n - 1):
+        with pytest.raises(EnumerationCapExceeded) as ours:
+            enumerate_trajectories(f.cmdp, policy, f.quantum, cap=cap)
+        with pytest.raises(EnumerationCapExceeded) as plain:
+            plain_walk(f.cmdp, policy, f.quantum, cap=cap)
+        assert (ours.value.cap, ours.value.depth) == (plain.value.cap, plain.value.depth) == (cap, f.cmdp.horizon)

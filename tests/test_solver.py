@@ -2,11 +2,12 @@ import hashlib
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, make_chain, make_gridworld, tiny_grid
+from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, large_grid, make_chain, make_gridworld, tiny_grid
 from cmdp_forge.extended import (
     VIOLATED,
     PolicyUndefined,
@@ -14,6 +15,7 @@ from cmdp_forge.extended import (
     TabularPolicy,
     augment,
     build_extended,
+    ledger_rule,
 )
 from cmdp_forge.fixtures import fixture, fixture_pack, two_action_chain
 from cmdp_forge.model import Cmdp
@@ -345,3 +347,52 @@ def test_a_reachable_nan_row_is_named():
         evaluate_policy(e, holed)
     with pytest.raises(PolicyUndefined, match=named):
         enumerate_trajectories(f.cmdp, holed, f.quantum)
+
+
+def test_evaluate_policy_scores_the_worst_case_policy():
+    """The worst-case policy's rows are NaN at violated nodes, which it never
+    reaches; evaluating it gives the worst-case value on every feasible model."""
+    models = [(f.name, f.cmdp, f.quantum) for f in fixture_pack()] + [
+        ("desk, noise-free", make_gridworld(replace(desk_grid(), noise_p=0.0), "exact"), 0.25),
+        ("large, noise-free", make_gridworld(replace(large_grid(), noise_p=0.0), "exact"), 0.25),
+    ]
+    holed = []
+    for name, m, quantum in models:
+        try:
+            value, policy = worst_case_value(m, quantum)
+        except WorstCaseInfeasible:
+            continue
+        K = m.n_constraints
+        e = build_extended(m, [0.0] * K, [RN] * K, quantum)
+        assert evaluate_policy(e, policy) == value, name
+        if any(np.isnan(rows).any() for rows in policy.rows):
+            holed.append(name)
+    assert holed == ["grid3_det", "desk, noise-free", "large, noise-free"]
+
+
+def test_nan_rows_off_the_policy_pass_and_the_first_reached_is_named():
+    f = fixture("grid3_det")
+    e = build_extended(f.cmdp, [1.0], [RN], f.quantum)
+    greedy = backward_induction(e).greedy_policy(f.cmdp.n_actions)
+    advance = ledger_rule(f.cmdp, f.quantum)
+    reached = set()
+    for traj in enumerate_trajectories(f.cmdp, greedy, f.quantum):
+        ledger = advance((0,), traj.states[0])
+        for t, s in enumerate(traj.states[:-1]):
+            reached.add((t, s, ledger))
+            ledger = advance(ledger, traj.states[t + 1])
+
+    def holed(where):
+        rows = [r.copy() for r in greedy.rows]
+        for t, nodes in enumerate(e.layers[:-1]):
+            for i, (s, ledger) in enumerate(nodes):
+                if where(t, s, ledger):
+                    rows[t][i] = np.nan
+        return TabularPolicy(greedy.layers, tuple(rows))
+
+    off_path = holed(lambda t, s, ledger: (t, s, ledger) not in reached)
+    assert evaluate_policy(e, off_path) == evaluate_policy(e, greedy)
+    # Every reached node from step 1 on loses its row: the lowest index of layer 1 is named.
+    first = min((e.layers[1].index((s, ledger)), (1, s, ledger)) for t, s, ledger in reached if t == 1)[1]
+    with pytest.raises(PolicyUndefined, match=re.escape(f"no row for augmented state {first}")):
+        evaluate_policy(e, holed(lambda t, s, ledger: t >= 1 and (t, s, ledger) in reached))

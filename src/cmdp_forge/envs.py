@@ -145,6 +145,13 @@ def ascii_map(cfg: GridConfig) -> str:
     return "\n".join(rows)
 
 
+def _moved(cfg: GridConfig, cell, b: int):
+    """The cell after move b from ``cell``; an off-grid move is a no-op."""
+    dr, dc = _MOVES[b]
+    r2, c2 = cell[0] + dr, cell[1] + dc
+    return (r2, c2) if 0 <= r2 < cfg.height and 0 <= c2 < cfg.width else cell
+
+
 def _move_distribution(cfg: GridConfig, cell, a):
     """Arrival cells and probabilities for choosing action a in ``cell``."""
     n = len(_MOVES)
@@ -153,11 +160,8 @@ def _move_distribution(cfg: GridConfig, cell, a):
         p = (1.0 - cfg.noise_p) * (1.0 if b == a else 0.0) + cfg.noise_p / n
         if p == 0.0:
             continue
-        dr, dc = _MOVES[b]
-        r2, c2 = cell[0] + dr, cell[1] + dc
-        if not (0 <= r2 < cfg.height and 0 <= c2 < cfg.width):
-            r2, c2 = cell  # off-grid moves are no-ops
-        out[(r2, c2)] = out.get((r2, c2), 0.0) + p
+        cell2 = _moved(cfg, cell, b)
+        out[cell2] = out.get(cell2, 0.0) + p
     return out
 
 
@@ -261,11 +265,7 @@ class GridWorldEnv:
         cfg = self.cfg
         if self.rng.random() < cfg.noise_p:
             a = self.rng.randrange(self.n_actions)
-        dr, dc = _MOVES[a]
-        r2, c2 = self._cell[0] + dr, self._cell[1] + dc
-        if not (0 <= r2 < cfg.height and 0 <= c2 < cfg.width):
-            r2, c2 = self._cell
-        self._cell = (r2, c2)
+        self._cell = _moved(cfg, self._cell, a)
         self._t += 1
         reward = cfg.step_reward
         d = 0.0

@@ -22,8 +22,9 @@ The reachable nodes depend on neither the penalty weights nor the schemes:
 model, and ``build_extended`` attaches weights to it.  The walk emits every
 layer twice: as the tuple of augmented states in discovery order
 (``layers``), and in read-only index form (``compiled``) for the array
-solvers: each node's base state and ledger id, the layer's distinct ledgers
-and the table nx[ledger id, s2] giving the index in the next layer of
+solvers: each node's base state and ledger id, the layer's distinct ledgers,
+their costs decoded once (``Layer.cost``, inf where over budget) and the
+table nx[ledger id, s2] giving the index in the next layer of
 (s2, advance(L, s2)).  The arrival depends on (ledger, successor) only, so
 ``advance`` runs once per such pair, and each state's successors are walked
 once however many actions reach them.
@@ -31,6 +32,7 @@ once however many actions reach them.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -104,6 +106,8 @@ class Layer:
     state: np.ndarray  # (n,) base state of each node
     ledger: np.ndarray  # (n,) each node's ledger as an index into ``ledgers``
     ledgers: tuple[tuple[int, ...], ...]  # the epoch's distinct ledgers, first-seen order
+    # (len(ledgers), K): each ledger entry times the quantum, inf where VIOLATED.
+    cost: np.ndarray
     # (len(ledgers), S): index in layer t+1 of (s2, advance(L, s2)), -1 where
     # no node of the epoch with ledger L moves to s2 (everywhere at t = T).
     nx: np.ndarray
@@ -126,10 +130,6 @@ class ExtendedMdp:
     initial_penalty: float
     compiled: tuple[Layer, ...] = field(repr=False, compare=False)
 
-    def ledger_cost(self, entry: int) -> float:
-        """Float cost total for an Under entry (exact for binary-fraction quanta)."""
-        return entry * self.quantum
-
 
 @dataclass(frozen=True)
 class TabularPolicy:
@@ -150,13 +150,15 @@ class TabularPolicy:
                 in zip(keys, rows.tolist(), np.isnan(rows).any(axis=1).tolist()) if not undefined}
 
 
-def _index(nodes: tuple[AugState, ...]) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
-    """Base states, ledger ids and distinct ledgers (first-seen order) of a layer."""
+def _index(nodes: tuple[AugState, ...], quantum: float):
+    """A layer's base states, ledger ids, distinct ledgers (first seen first) and their costs."""
     ids: dict[tuple[int, ...], int] = {}
     ledger_ids = [ids.setdefault(ledger, len(ids)) for (_s, ledger) in nodes]
     state = [s for (s, _ledger) in nodes]
+    entries = np.array(tuple(ids), dtype=float).reshape(len(ids), -1)
+    cost = np.where(entries == VIOLATED, math.inf, entries * quantum)
     return (_frozen(np.array(state, dtype=np.intp)), _frozen(np.array(ledger_ids, dtype=np.intp)),
-            tuple(ids))
+            tuple(ids), _frozen(cost))
 
 
 def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
@@ -166,7 +168,7 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
     Raises on an invalid model, on costs or budgets that do not quantize,
     and when the reachable set exceeds ``max_states``, a cached one included.
     """
-    e = m._spaces.get(quantum)
+    e = m._derived.get(("augment", quantum))
     if e is not None:
         if len(e.states) > max_states:
             raise LedgerCapExceeded(f"reachable augmented states exceed the cap of {max_states}")
@@ -186,7 +188,7 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
     moves: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}  # L -> s2 -> advance(L, s2)
     for t in range(m.horizon):
         nodes = layers[t]
-        state, ledger_ids, ledgers = _index(nodes)
+        state, ledger_ids, ledgers, cost = _index(nodes, quantum)
         # Per ledger id: successor state -> index of (s2, advance(L, s2)) in layer t+1.
         rows: list[dict[int, int]] = [{} for _ in ledgers]
         moved = [moves.setdefault(ledger, {}) for ledger in ledgers]
@@ -215,11 +217,11 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
                 row[s2] = j
         layers.append(tuple(nxt))
         nx = np.array([[row.get(s2, -1) for s2 in range(S)] for row in rows], dtype=np.intp)
-        compiled.append(Layer(state, ledger_ids, ledgers, _frozen(nx)))
-    state, ledger_ids, ledgers = _index(layers[-1])
+        compiled.append(Layer(state, ledger_ids, ledgers, cost, _frozen(nx)))
+    state, ledger_ids, ledgers, cost = _index(layers[-1], quantum)
     last = np.full((len(ledgers), S), -1, dtype=np.intp)
-    compiled.append(Layer(state, ledger_ids, ledgers, _frozen(last)))
-    e = m._spaces[quantum] = ExtendedMdp(
+    compiled.append(Layer(state, ledger_ids, ledgers, cost, _frozen(last)))
+    e = m._derived["augment", quantum] = ExtendedMdp(
         base=m,
         lambdas=(0.0,) * K,
         schemes=(PenaltyScheme.RISK_NEUTRAL,) * K,

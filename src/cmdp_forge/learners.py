@@ -109,9 +109,6 @@ class ReplayBuffer:
         self.items: list = []
         self._next = 0
 
-    def __len__(self):
-        return len(self.items)
-
     def push(self, item) -> None:
         if len(self.items) < self.capacity:
             self.items.append(item)

@@ -101,11 +101,10 @@ class Cmdp:
     _succ: dict = field(default_factory=dict, repr=False, compare=False)
     successor_arrays: SuccessorArrays = field(init=False, repr=False, compare=False)
     _problems: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    # quantum -> the model's augmented space; written only by ``extended.augment``.
-    _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # quantum -> the worst case, or the dead end that makes it infeasible;
-    # written only by ``solver.worst_case_value``.
-    _worst: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (function name, quantum[, k]) -> that function's budget-only result,
+    # formed once per model and written only by it: ``extended.augment``'s
+    # space, ``solver.worst_case_value``'s and ``solver.lambda_bounds``'.
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transition", _frozen(np.asarray(self.transition, dtype=float)))

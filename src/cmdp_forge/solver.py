@@ -20,7 +20,10 @@ The budget-only quantities (``worst_case_value``, ``max_safe_cost`` and
 ``lambda_bounds``) read the penalty-free space ``extended.augment`` keeps on
 the model, the same states and layers every ``build_extended`` view of the
 model shares, so no weight walks the space again.  Only ``max_safe_cost``
-on a model of several constraints walks a one-constraint copy.
+on a model of several constraints walks a one-constraint copy.  Terminal
+payoffs and penalty cases read each ledger's cost and violation from the
+space's ``Layer.cost``.  The worst case and ``lambda_bounds``' alpha-free
+report are kept on the model too, and every threshold is read from that report.
 
 ``_sweep`` is a numpy kernel over the space's compiled layers.  Per layer
 it forms the arrival term W = V(t+1)[nx] - PEN for every (ledger,
@@ -33,12 +36,11 @@ additions, so every value is the float a per-edge scalar recursion gives.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .extended import VIOLATED, AugState, ExtendedMdp, Layer, PolicyUndefined, TabularPolicy, augment
+from .extended import AugState, ExtendedMdp, Layer, PolicyUndefined, TabularPolicy, augment
 from .model import Cmdp, discount_powers
 from .penalties import penalty_amount
 
@@ -54,7 +56,6 @@ class WorstCaseInfeasible(RuntimeError):
         super().__init__(
             f"worst-case constrained problem is infeasible: no feasible action at {state_desc}"
         )
-        self.state_desc = state_desc
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,17 @@ def _cost_classes(m: Cmdp) -> list[tuple[list[float], np.ndarray]]:
     return out
 
 
+def _violated(layer: Layer) -> np.ndarray:
+    """Per distinct ledger of ``layer``: whether any of its entries is over budget."""
+    return np.isinf(layer.cost).any(axis=1)
+
+
 def _arrival_penalties(e: ExtendedMdp, layer: Layer, epoch: int, costs) -> np.ndarray:
     """PEN[l, s2]: the penalty for arriving at s2 at ``epoch`` from ledger l.
 
     ``costs`` is ``_cost_classes(e.base)``.  ``penalty_amount`` runs once per
-    (ledger, distinct cost value, constraint); the amounts are summed over
+    (ledger, distinct cost value, constraint) on the ledger's decoded cost,
+    whose inf takes the violated case; the amounts are summed over
     constraints in index order.
     """
     m = e.base
@@ -105,27 +112,22 @@ def _arrival_penalties(e: ExtendedMdp, layer: Layer, epoch: int, costs) -> np.nd
             continue
         budget = m.budgets[k]
         values, cls = costs[k]
-        amount = [
-            [penalty_amount(e.schemes[k], lam,
-                            # Any value strictly above the budget dispatches the same case.
-                            budget + 1.0 if ledger[k] == VIOLATED else e.ledger_cost(ledger[k]),
-                            d, budget, epoch)
-             for d in values]
-            for ledger in layer.ledgers
-        ]
+        amount = [[penalty_amount(e.schemes[k], lam, before, d, budget, epoch) for d in values]
+                  for before in layer.cost[:, k].tolist()]
         pen += np.array(amount)[:, cls]
     return pen
 
 
 def _sweep(
     e: ExtendedMdp,
-    terminal: Callable[[tuple[int, ...]], float],
+    terminal: np.ndarray | float = 0.0,
     policy: TabularPolicy | None = None,
     rewards: bool = True,
 ) -> tuple[float, list[np.ndarray]]:
     """One backward pass over e's compiled layers; returns (V(0, initial), greedy).
 
-    terminal(ledger) is the payoff at layer T; the worst case passes -inf
+    ``terminal`` is the payoff at layer T, one per distinct ledger of
+    ``e.compiled[T]`` (a float pays every one); the worst case passes -inf
     for a violated ledger.  Without a policy a node takes the max over its
     available actions with TIE_TOL ties going to the lowest index, as
     ``_pick`` does, and greedy[t] holds the choices of layer t; with one,
@@ -150,7 +152,7 @@ def _sweep(
     arrays = m.successor_arrays
     costs = _cost_classes(m) if any(e.lambdas) else None
     last = e.compiled[T]
-    vnext = np.array([terminal(ledger) for ledger in last.ledgers], dtype=float)[last.ledger]
+    vnext = np.full(len(last.ledgers), terminal, dtype=float)[last.ledger]
     greedy: list[np.ndarray] = [None] * T
     for t in range(T - 1, -1, -1):
         layer = e.compiled[t]
@@ -185,19 +187,15 @@ def _sweep(
     return float(vnext[0]), greedy
 
 
-def _zero(_ledger) -> float:
-    return 0.0
-
-
 def backward_induction(e: ExtendedMdp) -> ValueTable:
     """Greedy actions and the optimal value of the penalized objective."""
-    value, greedy = _sweep(e, _zero)
+    value, greedy = _sweep(e)
     return ValueTable(layers=e.layers, greedy=greedy, initial_value=value - e.initial_penalty)
 
 
 def evaluate_policy(e: ExtendedMdp, policy: TabularPolicy) -> float:
     """Expected penalized return of an arbitrary policy (linear sweep, no max)."""
-    value, _ = _sweep(e, _zero, policy=policy)
+    value, _ = _sweep(e, policy=policy)
     return value - e.initial_penalty
 
 
@@ -241,9 +239,9 @@ def worst_case_value(
     result depends on (model, quantum) alone and is kept on the model, its
     rows read-only.
     """
-    found = m._worst.get(quantum)
+    found = m._derived.get(("worst_case_value", quantum))
     if found is None:
-        found = m._worst[quantum] = _masked_sweep(m, quantum)
+        found = m._derived["worst_case_value", quantum] = _masked_sweep(m, quantum)
     if isinstance(found, str):
         raise WorstCaseInfeasible(found)
     return found
@@ -252,14 +250,14 @@ def worst_case_value(
 def _masked_sweep(m: Cmdp, quantum: float) -> tuple[float, TabularPolicy] | str:
     """``worst_case_value``'s result, or the dead end that makes it infeasible."""
     e = augment(m, quantum)
-    if VIOLATED in e.initial[1]:
+    if _violated(e.compiled[0]).any():
         return f"initial state {m.state_name(m.s0)}"
-    value, greedy = _sweep(e, lambda ledger: -math.inf if VIOLATED in ledger else 0.0)
+    value, greedy = _sweep(e, np.where(_violated(e.compiled[-1]), -math.inf, 0.0))
     if value == -math.inf:
         return _first_dead_end(e)
     policy = ValueTable(e.layers, greedy, value).greedy_policy(m.n_actions)
     for layer, rows in zip(e.compiled, policy.rows):
-        rows[np.array([VIOLATED in ledger for ledger in layer.ledgers])[layer.ledger]] = math.nan
+        rows[_violated(layer)[layer.ledger]] = math.nan
         rows.setflags(write=False)
     return value, policy
 
@@ -301,7 +299,7 @@ def _first_dead_end(e: ExtendedMdp) -> str:
 
     def masks(t, real, nxt_index):
         after = e.compiled[t + 1]
-        violated = np.array([VIOLATED in ledger for ledger in after.ledgers])[after.ledger]
+        violated = _violated(after)[after.ledger]
         ok = real[:, :, 0] & ~(real & violated[nxt_index]).any(axis=2)
         return ~ok.any(axis=1), ok
 
@@ -342,8 +340,8 @@ def max_safe_cost(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:
     if m.n_constraints > 1:
         m = replace(m, costs=m.costs[k : k + 1], budgets=(m.budgets[k],))
     e = augment(m, quantum)
-    value, _ = _sweep(e, lambda ledger: 0.0 if ledger[0] == VIOLATED else e.ledger_cost(ledger[0]),
-                      rewards=False)
+    cost = e.compiled[-1].cost[:, 0]
+    value, _ = _sweep(e, np.where(np.isinf(cost), 0.0, cost), rewards=False)
     return value
 
 
@@ -354,7 +352,8 @@ def cost_slack(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Key quantities behind the penalty-weight feasibility thresholds.
+    """The measured quantities behind the penalty-weight feasibility
+    thresholds, and each threshold formed from them once.
 
     lambda_expected_cost is the smallest penalty weight guaranteeing the
     expected-cost constraint (infinite when the slack is zero);
@@ -366,13 +365,21 @@ class BoundsReport:
     best_return: float
     worst_case_return: float
     cost_slack: float
-    lambda_expected_cost: float
     budget: float
     alpha: float
 
     @property
+    def gap(self) -> float:
+        """Best return minus the always-safe one."""
+        return self.best_return - self.worst_case_return
+
+    @property
+    def lambda_expected_cost(self) -> float:
+        return math.inf if self.cost_slack == 0.0 else self.gap / self.cost_slack
+
+    @property
     def lambda_chance(self) -> float:
-        return (self.best_return - self.worst_case_return) / (self.alpha * self.budget)
+        return self.gap / (self.alpha * self.budget)
 
     def rows(self) -> list[tuple[str, float]]:
         return [
@@ -389,20 +396,18 @@ class BoundsReport:
 def lambda_bounds(m: Cmdp, alpha: float, quantum: float = 0.25, k: int = 0) -> BoundsReport:
     """Compute the feasibility thresholds for constraint k.
 
+    The report's alpha-free part depends on (model, quantum, k) alone and
+    is kept on the model, so a call at another alpha runs no recursion.
     Raises WorstCaseInfeasible when no always-safe policy exists (the
     thresholds are undefined there), and ValueError on an invalid model
     before any recursion runs.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    worst, _ = worst_case_value(m, quantum)  # validates m first, in ``augment``
-    best, _ = unconstrained_value(m)
-    slack = cost_slack(m, k, quantum)
-    return BoundsReport(
-        best_return=best,
-        worst_case_return=worst,
-        cost_slack=slack,
-        lambda_expected_cost=math.inf if slack == 0.0 else (best - worst) / slack,
-        budget=m.budgets[k],
-        alpha=alpha,
-    )
+    report = m._derived.get(("lambda_bounds", quantum, k))
+    if report is None:
+        worst, _ = worst_case_value(m, quantum)  # validates m first, in ``augment``
+        best, _ = unconstrained_value(m)
+        report = m._derived["lambda_bounds", quantum, k] = BoundsReport(
+            best, worst, cost_slack(m, k, quantum), m.budgets[k], alpha)
+    return replace(report, alpha=alpha)

@@ -4,6 +4,8 @@ Each check solves the augmented problem, runs the enumeration oracle on the
 greedy policy, and compares the measured quantity against the claimed bound
 at a fixed tolerance.  Checks emit rows (kind, lambda, bound, measured,
 pass) suitable for CSV so a failing bound is visible, not just a boolean.
+Every gap and threshold weight a check runs at is read from
+``lambda_bounds``' report (``_report``), the numbers ``bounds`` prints.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from .oracle import (
 )
 from .penalties import PenaltyScheme
 from .solver import (
+    BoundsReport,
     WorstCaseInfeasible,
     backward_induction,
-    cost_slack,
     lambda_bounds,
     unconstrained_value,
-    worst_case_value,
 )
 
 TOL = 1e-9
@@ -81,22 +82,18 @@ class VerificationReport:
 def _greedy_oracle(f: Fixture, lambdas, schemes):
     vt = backward_induction(build_extended(f.cmdp, lambdas, schemes, f.quantum))
     trajs = enumerate_trajectories(f.cmdp, vt.greedy_policy(f.cmdp.n_actions), f.quantum)
-    return vt.initial_value, stats(trajs, f.cmdp, lambdas, schemes), trajs
+    return vt.initial_value, stats(trajs, f.cmdp), trajs
 
 
-def _worst_case(f: Fixture) -> float | None:
-    """The masked always-safe return; None when no policy is always safe
-    (on a noisy grid whose pit can be re-entered, for one)."""
+def _report(f: Fixture, k: int = 0) -> BoundsReport | None:
+    """``lambda_bounds``' report for constraint k, the one source of every
+    gap and threshold weight the suites check; None when no policy is
+    always safe (on a noisy grid whose pit can be re-entered, for one).
+    Its alpha is 1.0; only lambda_chance reads it."""
     try:
-        return worst_case_value(f.cmdp, f.quantum)[0]
+        return lambda_bounds(f.cmdp, 1.0, f.quantum, k)
     except WorstCaseInfeasible:
         return None
-
-
-def _gap(f: Fixture) -> float | None:
-    """Best unconstrained return minus the masked always-safe return, if any."""
-    worst = _worst_case(f)
-    return None if worst is None else unconstrained_value(f.cmdp)[0] - worst
 
 
 def _rn(f: Fixture):
@@ -123,9 +120,9 @@ def check_worst_case_masking(fixtures: list[Fixture]) -> VerificationReport:
     """
     rep = VerificationReport("worst_case_masking")
     for f in fixtures:
-        masked = _worst_case(f)
-        if masked is None:
+        if (bounds := _report(f)) is None:
             continue
+        masked = bounds.worst_case_return
         K = f.cmdp.n_constraints
         value, st, _ = _greedy_oracle(f, [HUGE_LAMBDA] * K, _rn(f))
         viol = max(st.violation_prob)
@@ -147,14 +144,14 @@ def check_violation_cost_bound(
     """Expected cost carried by violating trajectories is at most gap/lambda."""
     rep = VerificationReport("violation_cost_bound")
     for f in fixtures:
-        gap = _gap(f)
-        if gap is None:
+        bounds = _report(f)
+        if bounds is None:
             rep.notes.append(f"{f.name}: skipped, worst case infeasible so the gap is undefined")
             continue
         K = f.cmdp.n_constraints
         for lam in lambda_grid:
             _, st, _ = _greedy_oracle(f, [lam] * K, _rn(f))
-            bound = gap / lam
+            bound = bounds.gap / lam
             measured = max(st.trunc_above)
             rep.add(f.name, lam, bound, measured, measured <= bound + TOL)
     return rep
@@ -169,9 +166,8 @@ def check_expected_cost_feasibility(
     """
     rep = VerificationReport("expected_cost_feasibility")
     for f in fixtures:
-        if f.cmdp.n_constraints != 1 or _worst_case(f) is None:
+        if f.cmdp.n_constraints != 1 or (bounds := _report(f)) is None:
             continue
-        bounds = lambda_bounds(f.cmdp, 1.0, f.quantum)  # any alpha: its threshold is not read
         if bounds.cost_slack == 0.0:
             rep.notes.append(f"{f.name}: skipped, zero slack makes the threshold infinite")
             continue
@@ -192,13 +188,12 @@ def check_violation_prob_bound(
     fixtures: list[Fixture], alphas=DEFAULT_ALPHAS
 ) -> VerificationReport:
     """At ``lambda_bounds``' lambda_chance, gap/(alpha*budget), violation
-    probability is at most alpha.  The alpha-free part of the report is
-    computed once per fixture."""
+    probability is at most alpha.  ``_report``'s report is read at each
+    alpha."""
     rep = VerificationReport("violation_prob_bound")
     for f in fixtures:
-        if f.cmdp.n_constraints != 1 or _worst_case(f) is None:
+        if f.cmdp.n_constraints != 1 or (bounds := _report(f)) is None:
             continue
-        bounds = lambda_bounds(f.cmdp, 1.0, f.quantum)
         for alpha in alphas:
             lam = replace(bounds, alpha=alpha).lambda_chance
             if lam == 0.0:
@@ -248,8 +243,9 @@ def _equivalence_check(
     chance = scheme is PenaltyScheme.VALUE_AT_RISK
     rep = VerificationReport(kind)
     for f in fixtures:
-        if f.cmdp.n_constraints != 1 or (gap := _gap(f)) is None:
+        if f.cmdp.n_constraints != 1 or (bounds := _report(f)) is None:
             continue
+        gap = bounds.gap
         # Every rival's (level, return) is lambda-free: enumerate them once.
         rivals = None
         n_pol = count_deterministic_policies(f.cmdp, f.quantum)
@@ -315,20 +311,15 @@ def check_multi_constraint_feasibility(fixtures: list[Fixture]) -> VerificationR
     """Per-constraint threshold weights keep every expected cost within budget."""
     rep = VerificationReport("multi_constraint_feasibility")
     for f in fixtures:
-        if f.cmdp.n_constraints < 2 or (gap := _gap(f)) is None:
+        if f.cmdp.n_constraints < 2 or _report(f) is None:
             continue
         m = f.cmdp
-        lambdas = []
-        skip = False
-        for k in range(m.n_constraints):
-            slack = cost_slack(m, k, f.quantum)
-            if slack == 0.0:
-                rep.notes.append(f"{f.name}: constraint {k} has zero slack; skipped")
-                skip = True
-                break
-            lambdas.append(gap / slack)
-        if skip:
+        reports = [_report(f, k) for k in range(m.n_constraints)]
+        slacks = [bounds.cost_slack for bounds in reports]
+        if 0.0 in slacks:
+            rep.notes.append(f"{f.name}: constraint {slacks.index(0.0)} has zero slack; skipped")
             continue
+        lambdas = [bounds.lambda_expected_cost for bounds in reports]
         _, st, _ = _greedy_oracle(f, lambdas, _rn(f))
         for k in range(m.n_constraints):
             rep.add(f.name, lambdas[k], m.budgets[k], st.expected_cost[k],

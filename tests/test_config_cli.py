@@ -640,6 +640,14 @@ def test_desk_actor_critic_checkpoint_is_pinned(tmp_path):
     )
 
 
+def test_verify_report_is_pinned(tmp_path):
+    # A change to any verify row must update this digest and say why in CHANGES.md.
+    assert main(["--out", str(tmp_path), "verify"]) == 0
+    assert _sha((tmp_path / "verify_report.csv").read_bytes()) == (
+        "82f1dd44ef3aa2ed3cd47809b46c720dd4f6287f07d03d94dc4f5bc985f8e7bf"
+    )
+
+
 def test_out_dir_defaults_to_environment_variable(tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("CMDP_FORGE_OUT", str(target))

@@ -208,6 +208,18 @@ def test_max_safe_cost_on_a_one_constraint_model_walks_it_once(monkeypatch):
     assert walks == [m]
 
 
+def test_layer_cost_decodes_every_ledger():
+    spaces = [(make_gridworld(desk_grid(), "exact"), 0.25)] + [(f.cmdp, f.quantum) for f in fixture_pack()]
+    for m, quantum in spaces:
+        for layer in augment(m, quantum).compiled:
+            assert layer.cost.shape == (len(layer.ledgers), m.n_constraints)
+            assert not layer.cost.flags.writeable
+            assert layer.cost.tolist() == [
+                [math.inf if entry == VIOLATED else entry * quantum for entry in ledger]
+                for ledger in layer.ledgers
+            ]
+
+
 def corridor(costs, budget, horizon):
     """Single-action corridor with costs on consecutive states."""
     n = len(costs)

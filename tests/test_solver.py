@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cmdp_forge import solver
 from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, large_grid, make_chain, make_gridworld, tiny_grid
 from cmdp_forge.extended import (
     VIOLATED,
@@ -234,6 +235,25 @@ def test_worst_case_on_the_desk_grid_names_the_dead_end(desk):
 
 def test_truncated_cost_maximum_on_the_desk_grid(desk):
     assert max_safe_cost(desk, 0, 0.25) == 1.2209444292711176
+
+
+def test_lambda_bounds_at_another_alpha_runs_no_sweep(monkeypatch):
+    calls = []
+    for name in ("unconstrained_value", "_sweep", "max_safe_cost"):
+        real = getattr(solver, name)
+        monkeypatch.setattr(solver, name,
+                            lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw))
+    m = fixture("grid3_det").cmdp
+    first = lambda_bounds(m, 0.25, 0.25)
+    assert calls.count("unconstrained_value") == 1 and calls.count("max_safe_cost") == 1
+    ran = len(calls)
+    second = lambda_bounds(m, 0.05, 0.25)
+    assert len(calls) == ran
+    assert second.alpha == 0.05 and replace(second, alpha=0.25) == first
+    assert (second.gap, second.lambda_expected_cost) == (first.gap, first.lambda_expected_cost)
+    # Another quantum is another report.
+    lambda_bounds(m, 0.25, 0.125)
+    assert calls.count("unconstrained_value") == 2
 
 
 def test_max_safe_cost_reads_only_its_own_constraint():

@@ -3,16 +3,20 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmdp_forge import solver, verification
 from cmdp_forge.envs import ChainBranch, ChainSpec, make_chain
 from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import Fixture, fixture_pack, two_action_chain
 from cmdp_forge.oracle import enumerate_trajectories, random_policy, stats
 from cmdp_forge.penalties import PenaltyScheme
-from cmdp_forge.solver import backward_induction, evaluate_policy
+from cmdp_forge.solver import backward_induction, evaluate_policy, lambda_bounds
 from cmdp_forge.verification import (
     POLICY_CAP,
-    _worst_case,
+    _report,
+    check_excess_penalty_equivalence,
     check_expected_cost_feasibility,
+    check_multi_constraint_feasibility,
+    check_violation_cost_bound,
     count_deterministic_policies,
     enumerate_deterministic_policies,
     run_all,
@@ -96,7 +100,37 @@ def test_solver_matches_oracle_on_random_chains(rewards, costs, lam):
 
 def test_fixture_facts_are_measured_on_the_models():
     pack = fixture_pack()
-    assert [_worst_case(f) is not None for f in pack] == [True] * 5 + [False]
+    assert [_report(f) is not None for f in pack] == [True] * 5 + [False]
     counts = [count_deterministic_policies(f.cmdp, f.quantum) for f in pack]
     assert counts[:4] == [2, 3, 2, 3]
     assert min(counts[4:]) > 10**7 > POLICY_CAP
+
+
+def test_gap_suites_run_at_the_numbers_lambda_bounds_reports():
+    pack = fixture_pack()
+    reports = {f.name: lambda_bounds(f.cmdp, 0.25, f.quantum) for f in pack[:5]}
+    rows = check_violation_cost_bound(pack).rows
+    assert {r.fixture for r in rows} == set(reports)
+    assert all(r.bound == reports[r.fixture].gap / r.lam for r in rows)
+    rows = [r for r in check_excess_penalty_equivalence(pack).rows if r.note == ""]
+    assert {r.fixture for r in rows} == set(reports) - {"two_cost_chain"}
+    assert all(r.bound == reports[r.fixture].gap / r.lam for r in rows)
+    f = next(f for f in pack if f.name == "two_cost_chain")
+    rows = check_multi_constraint_feasibility(pack).rows
+    assert [r.note for r in rows] == ["constraint 0", "constraint 1"]
+    assert [r.lam for r in rows] == [lambda_bounds(f.cmdp, 0.25, f.quantum, k).lambda_expected_cost
+                                     for k in range(2)]
+
+
+def test_verify_forms_each_report_once(monkeypatch):
+    calls = []
+    for module, name in ((solver, "unconstrained_value"), (verification, "unconstrained_value"),
+                         (solver, "max_safe_cost")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw))
+    run_all(fixture_pack())
+    # Six plain solves for the zero-penalty suite, and per feasible fixture
+    # one report per constraint: five for constraint 0, one for constraint 1.
+    assert calls.count("unconstrained_value") == 6 + 6
+    assert calls.count("max_safe_cost") == 6

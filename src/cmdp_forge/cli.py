@@ -10,6 +10,13 @@ Common flags: --config PATH, --out DIR (default $CMDP_FORGE_OUT or ./out),
 --seeds a,b,c (overrides the config), --jobs N.  Exit codes: 0 success,
 1 check or run failure, 2 configuration or input-file error.
 
+Each input file (config, model, checkpoint) is read and parsed by ``_read``,
+which turns an unreadable file or a parse error into a ConfigError whose
+message starts with the file's path; ``main`` prints that message and exits
+2.  For ``bounds`` the parse includes ``lambda_bounds``, so a quantum that is
+not finite and > 0, or that a cost does not divide, is a model-file error;
+for ``evaluate`` the checkpoint must also fit the configured environment.
+
 Outputs are deterministic for a fixed config and seed list; the only
 exception is the wall_ms column of training logs, which records real time.
 """
@@ -23,7 +30,9 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config, override
@@ -31,6 +40,7 @@ from .envs import GridWorldEnv, SampledKernelEnv
 from .fixtures import fixture, fixture_pack
 from .learners import (
     ActorCriticTables,
+    TrainRow,
     constrained_action_select,
     greedy_action,
     obs_key,
@@ -38,14 +48,10 @@ from .learners import (
     safe_q_learning,
 )
 from .solver import WorstCaseInfeasible, lambda_bounds
-from .textio import FormatError, dump_checkpoint, format_number, load_checkpoint, load_cmdp
+from .textio import dump_checkpoint, format_number, load_checkpoint, load_cmdp
 from .verification import run_all
 
 TRAIN_COLUMNS = ("episode", "return", "final_cost", "lambda", "epsilon_or_entropy", "wall_ms")
-
-
-def _default_out() -> str:
-    return os.environ.get("CMDP_FORGE_OUT", "out")
 
 
 def _num(x) -> str:
@@ -67,100 +73,76 @@ def write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _read(path, parse):
+    """``parse`` of the text of the file at ``path``.
+
+    An unreadable file, or a ValueError from ``parse`` (FormatError and
+    ConfigError included), becomes a ConfigError that starts with the path.
+    """
+    try:
+        return parse(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # UnicodeDecodeError from read_text included
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def build_env(cfg: ExperimentConfig, seed):
     if cfg.env_kind == "gridworld":
         return GridWorldEnv(cfg.grid, seed=seed)
     return SampledKernelEnv(fixture(cfg.chain_name).cmdp, seed=seed)
 
 
-def _train_one(args):
-    """One (seed, lambda) training job; returns (rows, checkpoint text)."""
-    cfg, seed, lam = args
+def _train_one(cfg: ExperimentConfig, seed, lam: float) -> tuple[list[TrainRow], str]:
+    """One (seed, lambda) training run: the learner's log and its checkpoint text."""
     cfg = replace(cfg, lambda0=lam)
     env = build_env(cfg, seed=f"{seed}:env")
+    meta = {"quantum": cfg.key_quantum, "budget": env.budget, "n_actions": env.n_actions}
     if cfg.learner == "safe_q":
         q, log, _sched = safe_q_learning(env, cfg, seed)
-        checkpoint = dump_checkpoint(
-            "safe_q", {"q": q},
-            {"quantum": cfg.key_quantum, "budget": env.budget, "n_actions": env.n_actions},
-        )
-    else:
-        tables, log, _sched = safe_actor_critic(env, cfg, seed)
-        checkpoint = dump_checkpoint(
-            "safe_ac",
-            tables.sections(),
-            {
-                "quantum": cfg.key_quantum,
-                "budget": env.budget,
-                "n_actions": env.n_actions,
-                "alpha_ent": cfg.alpha_ent,
-            },
-        )
-    rows = [
-        (r.episode, _num(r.ret), _num(r.final_cost), _num(r.lam), _num(r.explore), _num(round(r.wall_ms, 3)))
-        for r in log
-    ]
-    return rows, checkpoint
+        return log, dump_checkpoint("safe_q", {"q": q}, meta)
+    tables, log, _sched = safe_actor_critic(env, cfg, seed)
+    return log, dump_checkpoint("safe_ac", tables.sections(), {**meta, "alpha_ent": cfg.alpha_ent})
+
+
+def _log_row(r: TrainRow) -> tuple:
+    return (r.episode, _num(r.ret), _num(r.final_cost), _num(r.lam), _num(r.explore),
+            _num(round(r.wall_ms, 3)))
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
+    """One run per (seed, lambda), in ``jobs`` worker processes when jobs > 1.
+
+    Each run's log and checkpoint are written as its result comes in; a run
+    that raises is recorded in failures.csv and the others proceed.
+    """
     lams = list(cfg.lambda_grid) if cfg.lambda_grid else [cfg.lambda0]
     runs = [(seed, lam) for lam in lams for seed in cfg.seeds]
-
-    def tag(seed, lam):
-        base = f"seed{seed}"
-        if cfg.lambda_grid:
-            base += f"_lambda{_num(lam)}"
-        return base
-
-    results: dict[tuple, list] = {}
+    logs: dict[tuple, list[TrainRow]] = {}
     failures: list[tuple] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                (seed, lam): pool.submit(_train_one, (cfg, seed, lam))
-                for seed, lam in runs
-            }
-            for (seed, lam), fut in futures.items():
-                try:
-                    results[(seed, lam)] = fut.result()
-                except Exception as exc:  # recorded, remaining seeds proceed
-                    failures.append((seed, lam, f"{type(exc).__name__}: {exc}"))
-    else:
-        for seed, lam in runs:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        results = [partial(_train_one, cfg, seed, lam) for seed, lam in runs]
+        if pool is not None:
+            results = [pool.submit(run).result for run in results]
+        for (seed, lam), result in zip(runs, results):
             try:
-                results[(seed, lam)] = _train_one((cfg, seed, lam))
-            except Exception as exc:
+                log, checkpoint = result()
+            except Exception as exc:  # recorded, remaining runs proceed
                 failures.append((seed, lam, f"{type(exc).__name__}: {exc}"))
+                continue
+            name = f"seed{seed}_lambda{_num(lam)}" if cfg.lambda_grid else f"seed{seed}"
+            write_csv(out / f"train_{name}.csv", TRAIN_COLUMNS, map(_log_row, log))
+            (out / f"checkpoint_{name}.txt").write_text(checkpoint)
+            logs[seed, lam] = log
 
-    for (seed, lam), (rows, checkpoint) in results.items():
-        write_csv(out / f"train_{tag(seed, lam)}.csv", TRAIN_COLUMNS, rows)
-        path = out / f"checkpoint_{tag(seed, lam)}.txt"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(checkpoint)
-
-    # Aggregate across seeds (per lambda): mean and std of return/cost/lambda.
+    # Per lambda and episode, over the seeds that finished: mean and std of return/cost/lambda.
     agg_rows = []
     for lam in lams:
-        logs = [results[(seed, lam)][0] for seed in cfg.seeds if (seed, lam) in results]
-        if not logs:
-            continue
-        for i in range(len(logs[0])):
-            rets = [float(rows[i][1]) for rows in logs]
-            costs = [float(rows[i][2]) for rows in logs]
-            lams_now = [float(rows[i][3]) for rows in logs]
-            agg_rows.append(
-                (
-                    _num(lam),
-                    logs[0][i][0],
-                    _num(statistics.fmean(rets)),
-                    _num(_spread(rets)),
-                    _num(statistics.fmean(costs)),
-                    _num(_spread(costs)),
-                    _num(statistics.fmean(lams_now)),
-                    _num(_spread(lams_now)),
-                )
-            )
+        seed_logs = [logs[seed, lam] for seed in cfg.seeds if (seed, lam) in logs]
+        for rows in zip(*seed_logs):
+            columns = ([r.ret for r in rows], [r.final_cost for r in rows], [r.lam for r in rows])
+            stats = (_num(f(values)) for values in columns for f in (statistics.fmean, _spread))
+            agg_rows.append((_num(lam), rows[0].episode, *stats))
     write_csv(
         out / "train_aggregate.csv",
         ("lambda0", "episode", "return_mean", "return_std",
@@ -173,7 +155,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
         for s, l, e in failures:
             print(f"FAIL seed {s} lambda {l}: {e}", file=sys.stderr)
         return 1
-    print(f"wrote {len(results)} training logs and checkpoints to {out}")
+    print(f"wrote {len(logs)} training logs and checkpoints to {out}")
     return 0
 
 
@@ -197,22 +179,18 @@ def _rollout_policy(learner: str, tables: dict, meta: dict):
     return select, quantum, budget
 
 
-def evaluate_checkpoint(checkpoint_text: str, cfg: ExperimentConfig):
-    """Monte-Carlo rollouts per seed; returns (per-seed rows, aggregate dict)."""
-    learner, tables, meta = load_checkpoint(checkpoint_text)
-    envs = [build_env(cfg, seed=f"{seed}:eval") for seed in cfg.seeds]
-    # Every seed's env has the same shape; check it before sizing any table.
-    for key, want in (("n_actions", envs[0].n_actions), ("budget", envs[0].budget)):
-        if meta[key] != want:
-            raise FormatError(
-                f"checkpoint {key} = {_num(meta[key])} does not match "
-                f"the configured environment's {_num(want)}"
-            )
-    select, quantum, budget = _rollout_policy(learner, tables, meta)
-    per_seed = []
-    for seed, env in zip(cfg.seeds, envs):
+def evaluate_checkpoint(checkpoint: tuple, envs: list, episodes: int) -> list[tuple]:
+    """Monte-Carlo rollouts of a loaded checkpoint, ``episodes`` per env.
+
+    One row per env: mean return, mean cost, violation probability, mean
+    excess over the budget, and the smallest episode index from which the
+    running mean cost stays within budget (None if the last one is over).
+    """
+    select, quantum, budget = _rollout_policy(*checkpoint)
+    rows = []
+    for env in envs:
         returns, costs = [], []
-        for _ in range(cfg.eval_episodes):
+        for _ in range(episodes):
             (s, c, d) = env.reset()
             done = False
             t = 0
@@ -226,74 +204,50 @@ def evaluate_checkpoint(checkpoint_text: str, cfg: ExperimentConfig):
             returns.append(ep_ret)
             costs.append(c)
         n = len(costs)
-        violations = sum(1 for c in costs if c > budget)
-        excess = sum(max(0.0, c - budget) for c in costs) / n
-        # Smallest index from which the running mean cost stays within budget.
         run_mean = 0.0
-        satisfied_from = None
-        means = []
-        for i, c in enumerate(costs, start=1):
-            run_mean += (c - run_mean) / i
-            means.append(run_mean)
-        for i in range(n - 1, -1, -1):
-            if means[i] > budget:
-                break
-            satisfied_from = i
-        per_seed.append(
-            {
-                "seed": seed,
-                "mean_return": statistics.fmean(returns),
-                "mean_cost": statistics.fmean(costs),
-                "violation_prob": violations / n,
-                "mean_excess": excess,
-                "episodes_to_satisfaction": satisfied_from,
-            }
-        )
-    agg = {
-        "mean_return": statistics.fmean(r["mean_return"] for r in per_seed),
-        "std_return": _spread([r["mean_return"] for r in per_seed]),
-        "mean_cost": statistics.fmean(r["mean_cost"] for r in per_seed),
-        "std_cost": _spread([r["mean_cost"] for r in per_seed]),
-        "violation_prob": statistics.fmean(r["violation_prob"] for r in per_seed),
-        "mean_excess": statistics.fmean(r["mean_excess"] for r in per_seed),
-    }
-    return per_seed, agg
+        last_over = -1  # the last episode whose running mean cost is over budget
+        for i, c in enumerate(costs):
+            run_mean += (c - run_mean) / (i + 1)
+            if run_mean > budget:
+                last_over = i
+        satisfied_from = last_over + 1 if last_over + 1 < n else None
+        rows.append((
+            statistics.fmean(returns),
+            statistics.fmean(costs),
+            sum(1 for c in costs if c > budget) / n,
+            sum(max(0.0, c - budget) for c in costs) / n,
+            satisfied_from,
+        ))
+    return rows
 
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint_path: Path, out: Path) -> int:
-    try:
-        text = checkpoint_path.read_text()
-    except OSError as exc:
-        print(f"cannot read checkpoint: {exc}", file=sys.stderr)
-        return 2
-    try:
-        per_seed, agg = evaluate_checkpoint(text, cfg)
-    except FormatError as exc:
-        print(f"{checkpoint_path}: {exc}", file=sys.stderr)
-        return 2
-    rows = [
-        (
-            r["seed"], _num(r["mean_return"]), _num(r["mean_cost"]),
-            _num(r["violation_prob"]), _num(r["mean_excess"]),
-            "" if r["episodes_to_satisfaction"] is None else r["episodes_to_satisfaction"],
-        )
-        for r in per_seed
-    ]
-    rows.append(
-        ("aggregate", _num(agg["mean_return"]), _num(agg["mean_cost"]),
-         _num(agg["violation_prob"]), _num(agg["mean_excess"]), "")
-    )
+    checkpoint = _read(checkpoint_path, load_checkpoint)
+    envs = [build_env(cfg, seed=f"{seed}:eval") for seed in cfg.seeds]
+    # Every seed's env has the same shape; check it before sizing any table.
+    meta = checkpoint[2]
+    for key, want in (("n_actions", envs[0].n_actions), ("budget", envs[0].budget)):
+        if meta[key] != want:
+            raise ConfigError(
+                f"{checkpoint_path}: checkpoint {key} = {_num(meta[key])} does not match "
+                f"the configured environment's {_num(want)}"
+            )
+    per_seed = evaluate_checkpoint(checkpoint, envs, cfg.eval_episodes)
+    ret, cost, violation, excess, _ = zip(*per_seed)
+    agg = [statistics.fmean(column) for column in (ret, cost, violation, excess)]
+    rows = [(seed, *map(_num, row[:4]), "" if row[4] is None else row[4])
+            for seed, row in zip(cfg.seeds, per_seed)]
     write_csv(
         out / "eval_report.csv",
         ("seed", "mean_return", "mean_cost", "violation_prob", "mean_excess",
          "episodes_to_satisfaction"),
-        rows,
+        [*rows, ("aggregate", *map(_num, agg), "")],
     )
     print(
-        f"return {agg['mean_return']:.3f} +- {agg['std_return']:.3f}  "
-        f"cost {agg['mean_cost']:.3f} +- {agg['std_cost']:.3f}  "
-        f"P(violation) {agg['violation_prob']:.4f}  "
-        f"excess {agg['mean_excess']:.4f}"
+        f"return {agg[0]:.3f} +- {_spread(ret):.3f}  "
+        f"cost {agg[1]:.3f} +- {_spread(cost):.3f}  "
+        f"P(violation) {agg[2]:.4f}  "
+        f"excess {agg[3]:.4f}"
     )
     return 0
 
@@ -327,15 +281,7 @@ def cmd_verify(cfg: ExperimentConfig | None, out: Path) -> int:
 
 def cmd_bounds(model_path: Path, alpha: float, quantum: float, out: Path) -> int:
     try:
-        text = model_path.read_text()
-    except OSError as exc:
-        print(f"cannot read model file: {exc}", file=sys.stderr)
-        return 2
-    try:
-        rows = lambda_bounds(load_cmdp(text), alpha, quantum).rows()
-    except ValueError as exc:  # FormatError and QuantizationError included
-        print(f"{model_path}: {exc}", file=sys.stderr)
-        return 2
+        rows = _read(model_path, lambda text: lambda_bounds(load_cmdp(text), alpha, quantum).rows())
     except WorstCaseInfeasible as exc:
         print(f"worst case infeasible: {exc}")
         rows = [("feasible_worst_case", 0.0)]
@@ -345,26 +291,14 @@ def cmd_bounds(model_path: Path, alpha: float, quantum: float, out: Path) -> int
     return 0
 
 
-def _load(path: str | None) -> ExperimentConfig:
-    if path is None:
-        raise ConfigError("--config is required for this command")
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    try:
-        return load_config(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cmdp-forge",
         description="Train, evaluate and verify budget-augmented constrained-MDP agents.",
     )
     parser.add_argument("--config", help="experiment config file (key = value lines)")
-    parser.add_argument("--out", default=None, help="output directory (default $CMDP_FORGE_OUT or ./out)")
+    parser.add_argument("--out", type=Path, default=Path(os.environ.get("CMDP_FORGE_OUT", "out")),
+                        help="output directory (default $CMDP_FORGE_OUT or ./out)")
     parser.add_argument("--seeds", default=None, help="comma-separated seed list overriding the config")
     parser.add_argument("--jobs", type=int, default=1, help="parallel jobs for seeded runs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -378,21 +312,21 @@ def main(argv=None) -> int:
     p_bounds.add_argument("--quantum", type=float, default=0.25)
 
     args = parser.parse_args(argv)
-    out = Path(args.out if args.out is not None else _default_out())
     try:
         if args.command == "bounds":
-            return cmd_bounds(Path(args.model), args.alpha, args.quantum, out)
+            return cmd_bounds(Path(args.model), args.alpha, args.quantum, args.out)
+        cfg = _read(args.config, load_config) if args.config else None
         if args.command == "verify":
-            cfg = _load(args.config) if args.config else None
-            return cmd_verify(cfg, out)
-        cfg = _load(args.config)
+            return cmd_verify(cfg, args.out)
+        if cfg is None:
+            raise ConfigError("--config is required for this command")
         if args.seeds is not None:
             cfg = override(cfg, "seeds", args.seeds)
         if args.command == "train":
-            return cmd_train(cfg, out, max(1, args.jobs))
-        return cmd_evaluate(cfg, Path(args.checkpoint), out)
+            return cmd_train(cfg, args.out, max(1, args.jobs))
+        return cmd_evaluate(cfg, Path(args.checkpoint), args.out)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
 
 

@@ -75,9 +75,12 @@ def ledger_rule(m: Cmdp, quantum: float) -> Callable[[tuple[int, ...], int], tup
 
     The rule maps (ledger, s_next) to the ledger after arriving at s_next:
     c <- c + d(s_next) per constraint, collapsing over budget into VIOLATED.
-    Raises QuantizationError naming the first cost or budget that is not a
+    Raises ValueError for a quantum that is not finite and > 0, and
+    QuantizationError naming the first cost or budget that is not a
     multiple of ``quantum``.
     """
+    if not (math.isfinite(quantum) and quantum > 0):
+        raise ValueError(f"quantum: must be finite and > 0, got {quantum}")
     cost_quanta = tuple(
         tuple(quantize(float(m.costs[k, s]), quantum, f"costs[{k}][s={s}]") for s in range(m.n_states))
         for k in range(m.n_constraints)
@@ -126,7 +129,6 @@ class ExtendedMdp:
     quantum: float
     states: tuple[AugState, ...]  # distinct reachable pairs, discovery order
     layers: tuple[tuple[AugState, ...], ...]  # states reachable at epoch t, t = 0..T
-    initial: AugState
     initial_penalty: float
     compiled: tuple[Layer, ...] = field(repr=False, compare=False)
 
@@ -228,7 +230,6 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
         quantum=quantum,
         states=tuple(seen),
         layers=tuple(layers),
-        initial=initial,
         initial_penalty=0.0,
         compiled=tuple(compiled),
     )

@@ -19,10 +19,9 @@ route the zero-penalty check compares with.
 The budget-only quantities (``worst_case_value``, ``max_safe_cost`` and
 ``lambda_bounds``) read the penalty-free space ``extended.augment`` keeps on
 the model, the same states and layers every ``build_extended`` view of the
-model shares, so no weight walks the space again.  Only ``max_safe_cost``
-on a model of several constraints walks a one-constraint copy.  Terminal
-payoffs and penalty cases read each ledger's cost and violation from the
-space's ``Layer.cost``.  The worst case and ``lambda_bounds``' alpha-free
+model shares, so no weight walks the space again.  Terminal payoffs and
+penalty cases read each ledger's cost and violation from the space's
+``Layer.cost``.  The worst case and ``lambda_bounds``' alpha-free
 report are kept on the model too, and every threshold is read from that report.
 
 ``_sweep`` is a numpy kernel over the space's compiled layers.  Per layer
@@ -332,15 +331,14 @@ def max_safe_cost(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:
     episode ends within budget (the arrival-inclusive ledger at the terminal
     step is exactly the trajectory's total cost) and zero once violated: a
     violated ledger stays violated, so with rewards off its value is
-    0.0 + p * 0.0 + ... = 0.0 at every layer.  A one-constraint model is
-    swept on its own cached space; otherwise on that of a copy that keeps
-    constraint k alone, so the other constraints' costs and budgets never
-    raise here.
+    0.0 + p * 0.0 + ... = 0.0 at every layer.  The sweep runs on m's own
+    cached space: the other constraints' entries only split a node into
+    copies of equal value, so the float is the one a one-constraint space
+    gives, and costs or budgets of theirs that do not quantise raise here
+    as they do in ``lambda_bounds``.
     """
-    if m.n_constraints > 1:
-        m = replace(m, costs=m.costs[k : k + 1], budgets=(m.budgets[k],))
     e = augment(m, quantum)
-    cost = e.compiled[-1].cost[:, 0]
+    cost = e.compiled[-1].cost[:, k]
     value, _ = _sweep(e, np.where(np.isinf(cost), 0.0, cost), rewards=False)
     return value
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmdp_forge
+from cmdp_forge import cli
 from cmdp_forge.cli import main
 from cmdp_forge.config import KEYS, ConfigError, ExperimentConfig, load_config
 from cmdp_forge.envs import GridConfig
@@ -299,6 +300,23 @@ def test_config_error_exit_code(tmp_path):
     assert main(["--config", str(tmp_path / "missing.cfg"), "train"]) == 2
 
 
+def test_unreadable_inputs_exit_2_naming_the_file(tmp_path, capsys):
+    undecodable = tmp_path / "bin.cfg"
+    undecodable.write_bytes(b"\xff\xfe")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CHAIN_TRAIN)
+    out = ["--out", str(tmp_path / "x")]
+    for path, args in (
+        (undecodable, ["--config", str(undecodable), "train"]),
+        (tmp_path / "none.cfg", ["--config", str(tmp_path / "none.cfg"), "verify"]),
+        (tmp_path / "none.cmdp", ["bounds", str(tmp_path / "none.cmdp")]),
+        (tmp_path, ["--config", str(cfg), "evaluate", "--checkpoint", str(tmp_path)]),
+    ):
+        assert main(out + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and "Traceback" not in err
+
+
 def _exact_greedy_checkpoint(m, lam, quantum):
     """Greedy table of the exact solution, dressed as a Q checkpoint."""
     e = build_extended(m, [lam], [PenaltyScheme.RISK_NEUTRAL], quantum)
@@ -498,6 +516,9 @@ BAD_INPUTS = {
         ("evaluate", Q_CHECKPOINT + "0 0 1 = 2\n", [], CHAIN_EVAL, "line 8: duplicate key '0 0 1'"),
     "config-section-line":
         ("train", DESK_TRAIN + "[env]\n", [], None, "line 5"),
+    **{f"quantum-{q}": ("bounds", CHAIN_MODEL, ["--quantum", q], None,
+                        f"quantum: must be finite and > 0, got {float(q)}")
+       for q in ("0", "-1", "inf", "nan")},
 }
 
 
@@ -640,6 +661,37 @@ def test_desk_actor_critic_checkpoint_is_pinned(tmp_path):
     )
 
 
+def test_train_aggregate_is_pinned(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CHAIN_TRAIN + "lambda_grid = 0.5,1.0\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "train"]) == 0
+    assert _sha((tmp_path / "train_aggregate.csv").read_bytes()) == (
+        "d90973ef3caeeb35d8d47f4482faaf74578e5e8032eebd9f2006deaf6e2d53b9"
+    )
+
+
+def test_eval_report_and_line_are_pinned(tmp_path, capsys):
+    # The stochastic chain, so that every column and both spreads are nonzero.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        CHAIN_TRAIN.replace("two_action_chain", "stochastic_chain").replace("1.0", "0.3")
+        + "lambda_grid = 0.3,1.0\n"
+    )
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "train"]) == 0
+    assert _sha((tmp_path / "train_aggregate.csv").read_bytes()) == (
+        "26c5c51f21b0a8bdbad632582ed153f781a8283f91476616775147888fcbe966"
+    )
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "evaluate",
+                 "--checkpoint", str(tmp_path / "checkpoint_seed7_lambda0.3.txt")]) == 0
+    assert capsys.readouterr().out == (
+        "return 2.000 +- 0.000  cost 1.500 +- 0.180  P(violation) 0.5000  excess 0.5000\n"
+    )
+    assert _sha((tmp_path / "eval_report.csv").read_bytes()) == (
+        "716669201c1cf078e76965ce970a4a3ef79c3392d335dd84b627a982521c6d44"
+    )
+
+
 def test_verify_report_is_pinned(tmp_path):
     # A change to any verify row must update this digest and say why in CHANGES.md.
     assert main(["--out", str(tmp_path), "verify"]) == 0
@@ -669,6 +721,38 @@ def test_named_check_dispatch():
     assert rep.passed and rep.rows
     kinds = [r.kind for r in verification.run_all([f])]
     assert kinds == list(verification.ALL_KINDS)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failing_run_is_recorded_and_the_others_are_written(tmp_path, monkeypatch, capsys, jobs):
+    # Worker processes fork on Linux, so the patched learner reaches them too.
+    real = cli.safe_q_learning
+
+    def learner(env, cfg, seed):
+        if seed == 8 and cfg.lambda0 == 0.5:
+            raise RuntimeError("diverged")
+        return real(env, cfg, seed)
+
+    monkeypatch.setattr(cli, "safe_q_learning", learner)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CHAIN_TRAIN + "lambda_grid = 0.5,1.0\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), "--jobs", jobs, "train"]) == 1
+    assert (out / "failures.csv").read_text() == (
+        "seed,lambda0,error\n8,0.5,RuntimeError: diverged\n"
+    )
+    assert "FAIL seed 8 lambda 0.5: RuntimeError: diverged" in capsys.readouterr().err
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(
+        [f"{kind}_seed{seed}_lambda{lam}.{ext}" for seed, lam in ((7, "0.5"), (7, "1"), (8, "1"))
+         for kind, ext in (("train", "csv"), ("checkpoint", "txt"))]
+        + ["failures.csv", "train_aggregate.csv"]
+    )
+    # The lambda 0.5 rows average seed 7 alone; the lambda 1 rows both seeds.
+    agg = [line.split(",") for line in (out / "train_aggregate.csv").read_text().splitlines()[1:]]
+    log7 = [line.split(",") for line in (out / "train_seed7_lambda0.5.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in agg] == ["0.5"] * 60 + ["1"] * 60
+    assert [(row[2], row[3]) for row in agg[:60]] == [(row[1], "0") for row in log7]
 
 
 def test_parallel_jobs_match_sequential(tmp_path):

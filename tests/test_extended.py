@@ -103,6 +103,12 @@ def test_quantize_accepts_multiples_and_rejects_others():
         quantize(1.3, 0.25, "x")
 
 
+@pytest.mark.parametrize("quantum", [0.0, -1.0, math.inf, math.nan])
+def test_ledger_rule_rejects_a_quantum_that_is_not_finite_and_positive(quantum):
+    with pytest.raises(ValueError, match=r"^quantum: must be finite and > 0, got "):
+        ledger_rule(two_action_chain(), quantum)
+
+
 def test_chain_reachable_states_match_float_walk_oracle():
     m = two_action_chain()
     e = build_extended(m, [0.5], [RN], quantum=1.0)
@@ -192,9 +198,8 @@ def test_verify_walks_each_model_once_per_quantum(monkeypatch):
     rule = ledger_rule
     monkeypatch.setattr(extended, "ledger_rule", lambda m, quantum: walks.append(m) or rule(m, quantum))
     run_all(fixture_pack())
-    # One walk per fixture and one per one-constraint copy that cost_slack
-    # makes of the two-constraint fixture, once for each of its constraints.
-    assert len(walks) <= 8
+    # One walk per fixture, the two-constraint one included.
+    assert len(walks) == len(fixture_pack()) == 6
 
 
 def test_max_safe_cost_on_a_one_constraint_model_walks_it_once(monkeypatch):

@@ -256,21 +256,29 @@ def test_lambda_bounds_at_another_alpha_runs_no_sweep(monkeypatch):
     assert calls.count("unconstrained_value") == 2
 
 
-def test_max_safe_cost_reads_only_its_own_constraint():
+def test_max_safe_cost_equals_its_one_constraint_copy():
     f = fixture("two_cost_chain")
+    models = [(f.cmdp, f.quantum)]
+    for grid in (tiny_grid(noise_p=0.0, horizon=4), tiny_grid(noise_p=0.05, horizon=4),
+                 tiny_grid(noise_p=0.05, horizon=6), desk_grid()):
+        m = make_gridworld(grid, "exact")
+        extra = np.where(np.arange(m.n_states) % 3 == 0, 0.25, 0.0)
+        models.append((replace(m, costs=np.vstack([m.costs, extra]), budgets=(*m.budgets, 0.75)), 0.25))
+    # The reference route: a copy that keeps constraint k alone, swept on its own space.
+    for m, quantum in models:
+        for k in range(2):
+            copy = replace(m, costs=m.costs[k : k + 1], budgets=(m.budgets[k],))
+            assert max_safe_cost(m, k, quantum) == max_safe_cost(copy, 0, quantum)
     m = f.cmdp
-    # lambda_bounds reads constraint k on the joint two-constraint space,
-    # max_safe_cost on a one-constraint copy: the slack is the same float.
     for k in range(2):
         assert lambda_bounds(m, 0.5, f.quantum, k).cost_slack == cost_slack(m, k, f.quantum)
-    # A second constraint that does not quantise is no concern of constraint 0.
+    # A second constraint that does not quantise raises from both, on the joint space.
     costs = m.costs.copy()
     costs[1, 0] = 0.3
     odd = Cmdp(transition=m.transition, reward=m.reward, costs=costs, budgets=m.budgets,
                horizon=m.horizon, available=m.available)
-    assert max_safe_cost(odd, 0, f.quantum) == max_safe_cost(m, 0, f.quantum)
-    with pytest.raises(QuantizationError, match=r"= 0\.3 is not a multiple"):
-        cost_slack(odd, 1, f.quantum)
+    with pytest.raises(QuantizationError, match=r"costs\[1\]\[s=0\]"):
+        max_safe_cost(odd, 0, f.quantum)
     with pytest.raises(QuantizationError, match=r"costs\[1\]\[s=0\]"):
         lambda_bounds(odd, 0.5, f.quantum, 0)
 

@@ -14,8 +14,9 @@ Each input file (config, model, checkpoint) is read and parsed by ``_read``,
 which turns an unreadable file or a parse error into a ConfigError whose
 message starts with the file's path; ``main`` prints that message and exits
 2.  For ``bounds`` the parse includes ``lambda_bounds``, so a quantum that is
-not finite and > 0, or that a cost does not divide, is a model-file error;
-for ``evaluate`` the checkpoint must also fit the configured environment.
+not finite and > 0, that a cost does not divide, or whose augmented space
+passes the state cap is a model-file error; for ``evaluate`` the
+checkpoint must also fit the configured environment.
 
 Outputs are deterministic for a fixed config and seed list; the only
 exception is the wall_ms column of training logs, which records real time.
@@ -40,9 +41,9 @@ from .envs import GridWorldEnv, SampledKernelEnv
 from .fixtures import fixture, fixture_pack
 from .learners import (
     ActorCriticTables,
+    TableStore,
     TrainRow,
     constrained_action_select,
-    greedy_action,
     obs_key,
     safe_actor_critic,
     safe_q_learning,
@@ -98,11 +99,11 @@ def _train_one(cfg: ExperimentConfig, seed, lam: float) -> tuple[list[TrainRow],
     cfg = replace(cfg, lambda0=lam)
     env = build_env(cfg, seed=f"{seed}:env")
     meta = {"quantum": cfg.key_quantum, "budget": env.budget, "n_actions": env.n_actions}
-    if cfg.learner == "safe_q":
-        q, log, _sched = safe_q_learning(env, cfg, seed)
-        return log, dump_checkpoint("safe_q", {"q": q}, meta)
-    tables, log, _sched = safe_actor_critic(env, cfg, seed)
-    return log, dump_checkpoint("safe_ac", tables.sections(), {**meta, "alpha_ent": cfg.alpha_ent})
+    if cfg.learner == "safe_ac":
+        meta["alpha_ent"] = cfg.alpha_ent
+    learn = safe_q_learning if cfg.learner == "safe_q" else safe_actor_critic
+    tables, log, _sched = learn(env, cfg, seed)
+    return log, dump_checkpoint(cfg.learner, tables.sections(), meta)
 
 
 def _log_row(r: TrainRow) -> tuple:
@@ -159,34 +160,23 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def _rollout_policy(learner: str, tables: dict, meta: dict):
-    """Action-selection closure with exploration off."""
-    n_actions = int(meta["n_actions"])
-    quantum = meta["quantum"]
-    budget = meta["budget"]
-    if learner == "safe_q":
-        q = tables.get("q", {})
-
-        def select(key, c, d):
-            return greedy_action(q, key, n_actions)
-
-    else:
-        store = ActorCriticTables.from_sections(tables, n_actions, meta.get("alpha_ent", 0.1))
-
-        def select(key, c, d):
-            return constrained_action_select(store, store.row(key), c, d, budget)
-
-    return select, quantum, budget
-
-
 def evaluate_checkpoint(checkpoint: tuple, envs: list, episodes: int) -> list[tuple]:
     """Monte-Carlo rollouts of a loaded checkpoint, ``episodes`` per env.
 
-    One row per env: mean return, mean cost, violation probability, mean
-    excess over the budget, and the smallest episode index from which the
-    running mean cost stays within budget (None if the last one is over).
+    Exploration is off: the Q-learner's store acts greedily and the
+    actor-critic's by feasibility-constrained selection.  One row per env:
+    mean return, mean cost, violation probability, mean excess over the
+    budget, and the smallest episode index from which the running mean cost
+    stays within budget (None if the last one is over).
     """
-    select, quantum, budget = _rollout_policy(*checkpoint)
+    learner, tables, meta = checkpoint
+    quantum, budget, n_actions = meta["quantum"], meta["budget"], int(meta["n_actions"])
+    if learner == "safe_q":
+        store = TableStore.from_sections(tables, n_actions)
+        select = lambda r, c, d: store.greedy(r)
+    else:
+        store = ActorCriticTables.from_sections(tables, n_actions, meta.get("alpha_ent", 0.1))
+        select = lambda r, c, d: constrained_action_select(store, r, c, d, budget)
     rows = []
     for env in envs:
         returns, costs = [], []
@@ -196,8 +186,7 @@ def evaluate_checkpoint(checkpoint: tuple, envs: list, episodes: int) -> list[tu
             t = 0
             ep_ret = 0.0
             while not done and t < env.horizon:
-                key = obs_key(s, c, budget, quantum)
-                a = select(key, c, d)
+                a = select(store.row(obs_key(s, c, budget, quantum)), c, d)
                 (s, c, d), r, done = env.step(a)
                 ep_ret += r
                 t += 1

@@ -53,7 +53,7 @@ class QuantizationError(ValueError):
     """A cost or budget is not an integer multiple of the ledger quantum."""
 
 
-class LedgerCapExceeded(RuntimeError):
+class LedgerCapExceeded(ValueError):
     """Reachable augmented-state count exceeded the configured cap."""
 
 

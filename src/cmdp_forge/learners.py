@@ -10,12 +10,13 @@ schedule:
   * safe_actor_critic: softmax policy over logits with one reward critic and
     one cost critic, n-step backups, Polyak-averaged target tables,
     feasibility-constrained action selection, and a safe/unsafe actor branch.
-    Its tables live in ActorCriticTables, one dense (rows, A) store keyed by
-    observation, which ``evaluate`` also loads a checkpoint into; Polyak
-    averaging is one masked vector op over the entries still moving.
 
-The Q-learner keeps a dict table: its time goes to the per-sample replay
-loop, where a numpy scalar read per sample would cost more than a dict get.
+Both learn in one table store, TableStore: a dense (rows, A) row per
+observation key, with a critic and a target plane for each checkpoint
+section (``q`` for the Q-learner; ``q1`` and ``qd1`` for the actor-critic,
+whose subclass ActorCriticTables adds the logits and Polyak averaging as one
+masked vector op).  Each learner returns its store, ``train`` writes the
+store's ``sections()`` and ``evaluate`` loads a checkpoint back into one.
 
 Both read their settings from the run's ExperimentConfig and take the seed
 as an argument; ``lr`` is the step size of the Q table and of both critics.
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +40,10 @@ from .config import ExperimentConfig, validate_learner
 from .extended import VIOLATED
 from .model import inverse_cdf
 from .penalties import PenaltyScheme, penalty_amount
+from .solver import argmax_low
 
 TD_UPDATES = 8  # replay samples per Q-learner update period
+LAMBDA_DECAY = 0.95  # penalty-weight factor per safe window
 
 
 def ledger_bucket(c: float, budget: float, quantum: float) -> int:
@@ -82,22 +84,21 @@ class LambdaSchedule:
     """Multiplicative decay of the penalty weight while recent episodes stay safe.
 
     Every ``window`` episodes: if the window's max final cost is under the
-    budget and decaying would stay above the floor, multiply by ``decay``;
+    budget and decaying would stay above the floor, multiply by LAMBDA_DECAY;
     the window is emptied either way.
     """
 
     value: float
     floor: float
     window: int
-    decay: float = 0.95
     costs: list[float] = field(default_factory=list)
 
     def record(self, final_cost: float, budget: float) -> None:
         self.costs.append(final_cost)
         if len(self.costs) < self.window:
             return
-        if max(self.costs) < budget and self.decay * self.value > self.floor:
-            self.value *= self.decay
+        if max(self.costs) < budget and LAMBDA_DECAY * self.value > self.floor:
+            self.value *= LAMBDA_DECAY
         self.costs.clear()
 
 
@@ -130,69 +131,125 @@ class TrainRow:
     wall_ms: float
 
 
-def _argmax_low(scores) -> int:
-    best = max(scores)
-    for i, v in enumerate(scores):
-        if v >= best - 1e-12:
-            return i
-    raise AssertionError("empty score list")
-
-
 def _epsilon(cfg: ExperimentConfig, episode: int) -> float:
     half = max(1, cfg.episodes // 2)
     frac = min(1.0, episode / half)
     return cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
 
 
-def greedy_action(q: dict, key, n_actions: int) -> int:
-    return _argmax_low([q.get((key, a), 0.0) for a in range(n_actions)])
+class TableStore:
+    """Dense table store of both learners, shared by training and evaluation.
+
+    ``rows`` maps an observation key to a row of every table: ``critic``,
+    one plane per checkpoint section of ``SECTIONS``, stacked as
+    (planes, rows, A); ``target``, the planes' targets in the same layout;
+    and the bool (rows, A) mask ``written`` (critic entry updated at least
+    once).  Arrays grow by doubling along the row axis, and a row is
+    allocated (all zeros) only by ``row``.  Every value read out of the
+    store is a Python float.
+    """
+
+    SECTIONS: tuple[str, ...] = ("q",)  # checkpoint section of each critic plane
+    ROW_TABLES: tuple[str, ...] = ()  # (rows, A) arrays checkpointed at every row
+    ARRAYS: tuple[str, ...] = ("critic", "target", "written")  # grown together
+
+    def __init__(self, n_actions: int):
+        self.n_actions = n_actions
+        self.rows: dict = {}
+        self.critic = np.zeros((len(self.SECTIONS), 64, n_actions))
+        self.target = np.zeros_like(self.critic)
+        self.written = np.zeros((64, n_actions), dtype=bool)
+
+    def row(self, key) -> int:
+        """Row of ``key``, allocated on first use."""
+        r = self.rows.get(key)
+        if r is None:
+            r = self.rows[key] = len(self.rows)
+            if r == len(self.written):
+                for name in self.ARRAYS:
+                    old = getattr(self, name)
+                    axis = old.ndim - 2  # the row axis
+                    setattr(self, name, np.concatenate([old, np.zeros_like(old)], axis=axis))
+        return r
+
+    def greedy(self, r: int) -> int:
+        """Lowest-index argmax of row ``r`` of the first critic plane."""
+        return argmax_low(self.critic[0, r].tolist())
+
+    def sections(self) -> dict[str, dict]:
+        """Checkpoint tables: ROW_TABLES at every row, critic planes at written entries."""
+        n = len(self.rows)
+        actions = range(self.n_actions)
+        out: dict[str, dict] = {}
+        for name in self.ROW_TABLES:
+            values = getattr(self, name)[:n].tolist()
+            out[name] = {(key, a): values[r][a] for key, r in self.rows.items() for a in actions}
+        written = self.written[:n].tolist()
+        for name, plane in zip(self.SECTIONS, self.critic[:, :n].tolist()):
+            out[name] = {(key, a): plane[r][a]
+                         for key, r in self.rows.items() for a in actions if written[r][a]}
+        return out
+
+    @classmethod
+    def from_sections(cls, sections: dict[str, dict], *args, **kwargs):
+        """Store ``cls(*args, **kwargs)`` holding a checkpoint's tables.
+
+        Sections named in neither ROW_TABLES nor SECTIONS are ignored.
+        """
+        tables = cls(*args, **kwargs)
+        for name in (*cls.ROW_TABLES, *cls.SECTIONS):
+            for (key, a), value in sections.get(name, {}).items():
+                r = tables.row(key)  # may grow the arrays: look them up after
+                if name in cls.ROW_TABLES:
+                    getattr(tables, name)[r, a] = value
+                else:
+                    tables.critic[cls.SECTIONS.index(name), r, a] = value
+                    tables.written[r, a] = True
+        return tables
 
 
 def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
-    """Train a penalized Q table; returns (q, log rows, schedule)."""
+    """Train a penalized Q table; returns (TableStore, log rows, schedule)."""
     validate_learner(cfg)
     rng = random.Random(seed)
-    q: dict = defaultdict(float)
-    target: dict = {}
+    tables = TableStore(env.n_actions)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     sched = LambdaSchedule(cfg.lambda0, cfg.lambda_floor, cfg.window)
     budget = env.budget
-    nA = env.n_actions
     log: list[TrainRow] = []
     steps = 0
     for episode in range(cfg.episodes):
         started = time.perf_counter()
         s, c, _d = env.reset()
-        key = obs_key(s, c, budget, cfg.key_quantum)
+        r = tables.row(obs_key(s, c, budget, cfg.key_quantum))
         eps = _epsilon(cfg, episode)
         ep_return = 0.0
         done = False
         t = 0
         while not done and t < env.horizon:
             if rng.random() < eps:
-                a = rng.randrange(nA)
+                a = rng.randrange(tables.n_actions)
             else:
-                a = greedy_action(q, key, nA)
-            (s2, c2, d2), r, done = env.step(a)
-            key2 = obs_key(s2, c2, budget, cfg.key_quantum)
-            ep_return += r
-            buffer.push((key, a, r, key2, done, c, d2, t + 1))
+                a = tables.greedy(r)
+            (s2, c2, d2), rew, done = env.step(a)
+            r2 = tables.row(obs_key(s2, c2, budget, cfg.key_quantum))
+            ep_return += rew
+            buffer.push((r, a, rew, r2, done, c, d2, t + 1))
             steps += 1
             if steps % cfg.update_every == 0:
                 for _ in range(TD_UPDATES):
-                    bkey, ba, br, bkey2, bdone, bc, bd, bepoch = buffer.sample(rng)
+                    br, ba, brew, br2, bdone, bc, bd, bepoch = buffer.sample(rng)
                     rt = penalize_sample(
-                        br, bc, bd, sched.value, cfg.scheme, budget,
+                        brew, bc, bd, sched.value, cfg.scheme, budget,
                         gamma=cfg.gamma, t=bepoch,
                     )
-                    boot = 0.0
-                    if not bdone:
-                        boot = max(target.get((bkey2, b), 0.0) for b in range(nA))
-                    y = rt + cfg.gamma * boot
-                    q[(bkey, ba)] += cfg.lr * (y - q[(bkey, ba)])
+                    boot = 0.0 if bdone else max(tables.target[0, br2].tolist())
+                    q = tables.critic.item(0, br, ba)
+                    tables.critic[0, br, ba] = q + cfg.lr * (rt + cfg.gamma * boot - q)
+                    tables.written[br, ba] = True
             if steps % cfg.target_period == 0:
-                target = dict(q)
-            key, c = key2, c2
+                np.copyto(tables.target, tables.critic)
+            r, c = r2, c2
             t += 1
         sched.record(c, budget)
         log.append(
@@ -201,45 +258,28 @@ def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
                 (time.perf_counter() - started) * 1000.0,
             )
         )
-    return dict(q), log, sched
+    return tables, log, sched
 
 
-class ActorCriticTables:
-    """Dense table store of the actor-critic, shared by training and evaluation.
+class ActorCriticTables(TableStore):
+    """The actor-critic's store: critic planes q and qd, and per row ``logits``.
 
-    ``rows`` maps an observation key to a row of every table: ``logits``
-    (rows, A); ``critic``, the planes q and qd stacked as (2, rows, A);
-    ``target``, their Polyak targets tq and tqd in the same layout; and the
-    bool (rows, A) masks ``dirty`` (target still lags the critic) and
-    ``written`` (critic entry updated at least once).  Arrays grow by
-    doubling along the row axis.  A row is allocated only by ``row``, which the learner calls
-    where it reads a key's probabilities, so every row is a key whose policy
-    was read.  There is a single critic per signal because tabular twins with
-    equal initialisation and equal targets stay identical.  Every value read
-    out of the store is a Python float.
+    Besides TableStore's arrays it keeps ``logits`` (rows, A) and the bool
+    mask ``dirty`` (target still lags the critic).  The learner allocates a
+    row where it reads a key's probabilities, so every row is a key whose
+    policy was read.  There is a single critic per signal because tabular
+    twins with equal initialisation and equal targets stay identical.
     """
 
-    def __init__(self, n_actions: int, alpha_ent: float):
-        self.n_actions = n_actions
-        self.alpha_ent = alpha_ent
-        self.rows: dict = {}
-        self.logits = np.zeros((64, n_actions))
-        self.critic = np.zeros((2, 64, n_actions))
-        self.target = np.zeros((2, 64, n_actions))
-        self.dirty = np.zeros((64, n_actions), dtype=bool)
-        self.written = np.zeros((64, n_actions), dtype=bool)
+    SECTIONS = ("q1", "qd1")
+    ROW_TABLES = ("logits",)
+    ARRAYS = (*TableStore.ARRAYS, "logits", "dirty")
 
-    def row(self, key) -> int:
-        """Row of ``key``, allocated (all zeros) on first use."""
-        r = self.rows.get(key)
-        if r is None:
-            r = self.rows[key] = len(self.rows)
-            if r == len(self.logits):
-                for name in ("logits", "critic", "target", "dirty", "written"):
-                    old = getattr(self, name)
-                    axis = old.ndim - 2  # the row axis
-                    setattr(self, name, np.concatenate([old, np.zeros_like(old)], axis=axis))
-        return r
+    def __init__(self, n_actions: int, alpha_ent: float):
+        super().__init__(n_actions)
+        self.alpha_ent = alpha_ent
+        self.logits = np.zeros((64, n_actions))
+        self.dirty = np.zeros((64, n_actions), dtype=bool)
 
     def probabilities(self, r: int) -> list[float]:
         """softmax of the logits row; a fresh row is uniform."""
@@ -290,36 +330,6 @@ class ActorCriticTables:
         gap = np.abs(targ - main)
         dirty[idx[np.maximum(gap[0], gap[1]) < 1e-12]] = False
 
-    def sections(self) -> dict[str, dict]:
-        """Checkpoint tables: logits of every row, critics of written entries."""
-        n = len(self.rows)
-        logits, critic, written = (
-            x[..., :n, :].tolist() for x in (self.logits, self.critic, self.written)
-        )
-        q, qd = critic
-        out: dict[str, dict] = {"logits": {}, "q1": {}, "qd1": {}}
-        for key, r in self.rows.items():
-            for a in range(self.n_actions):
-                out["logits"][(key, a)] = logits[r][a]
-                if written[r][a]:
-                    out["q1"][(key, a)] = q[r][a]
-                    out["qd1"][(key, a)] = qd[r][a]
-        return out
-
-    @classmethod
-    def from_sections(cls, sections: dict[str, dict], n_actions: int, alpha_ent: float):
-        """Store holding a checkpoint's ``logits``, ``q1`` and ``qd1`` tables."""
-        tables = cls(n_actions, alpha_ent)
-        for (key, a), value in sections.get("logits", {}).items():
-            r = tables.row(key)  # may grow the arrays: look them up after
-            tables.logits[r, a] = value
-        for col, name in enumerate(("q1", "qd1")):
-            for (key, a), value in sections.get(name, {}).items():
-                r = tables.row(key)
-                tables.critic[col, r, a] = value
-                tables.written[r, a] = True
-        return tables
-
 
 def constrained_action_select(tables: ActorCriticTables, r: int, c: float, d: float, budget: float) -> int:
     """Soft-greedy action of store row ``r`` among those predicted to stay within budget.
@@ -334,9 +344,9 @@ def constrained_action_select(tables: ActorCriticTables, r: int, c: float, d: fl
     n = tables.n_actions
     feasible = [a for a in range(n) if qd[a] + c - d <= budget]
     if not feasible:
-        return _argmax_low([-x for x in qd])
+        return argmax_low([-x for x in qd])
     scores = [q[a] - tables.alpha_ent * tables.log_probability(r, a, probs) for a in feasible]
-    return feasible[_argmax_low(scores)]
+    return feasible[argmax_low(scores)]
 
 
 def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):

@@ -73,12 +73,13 @@ class ValueTable:
         return TabularPolicy(self.layers, tuple(eye[choice] for choice in self.greedy))
 
 
-def _pick(best_actions: list[tuple[int, float]]) -> tuple[int, float]:
-    top = max(v for _, v in best_actions)
-    for a, v in best_actions:
-        if v >= top - TIE_TOL:
-            return a, top
-    raise AssertionError("unreachable: empty action list")
+def argmax_low(values: list[float]) -> int:
+    """Index of the first value within TIE_TOL of the maximum."""
+    low = max(values) - TIE_TOL
+    for i, v in enumerate(values):
+        if v >= low:
+            return i
+    raise ValueError(f"no maximum among {values}")
 
 
 def _cost_classes(m: Cmdp) -> list[tuple[list[float], np.ndarray]]:
@@ -129,7 +130,7 @@ def _sweep(
     ``e.compiled[T]`` (a float pays every one); the worst case passes -inf
     for a violated ledger.  Without a policy a node takes the max over its
     available actions with TIE_TOL ties going to the lowest index, as
-    ``_pick`` does, and greedy[t] holds the choices of layer t; with one,
+    ``argmax_low`` does, and greedy[t] holds the choices of layer t; with one,
     the policy-weighted expectation over actions of nonzero probability.
     Raises ValueError for a policy over another space.  A node whose policy
     row is NaN is worth NaN, which reaches V(0) only along edges of positive
@@ -211,15 +212,15 @@ def unconstrained_value(m: Cmdp) -> tuple[float, list[dict[int, int]]]:
     for t in range(T - 1, -1, -1):
         layer = {}
         for s in range(m.n_states):
+            actions = m.actions_at(s)
             scored = []
-            for a in m.actions_at(s):
+            for a in actions:
                 acc = pows[t] * m.reward[s, a]
                 for s2, p in m.successors(s, a):
                     acc += p * vnext[s2]
-                scored.append((a, acc))
-            a, v = _pick(scored)
-            layer[s] = v
-            greedy[t][s] = a
+                scored.append(acc)
+            layer[s] = max(scored)
+            greedy[t][s] = actions[argmax_low(scored)]
         vnext = layer
     return vnext[m.s0], greedy
 

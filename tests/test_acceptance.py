@@ -18,7 +18,6 @@ from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import fixture_pack, two_action_chain
 from cmdp_forge.learners import (
     LambdaSchedule,
-    greedy_action,
     obs_key,
     safe_actor_critic,
     safe_q_learning,
@@ -194,7 +193,7 @@ def test_criterion_10_learners_converge_on_the_chain():
         env = SampledKernelEnv(m, seed=f"{seed}:env")
         q, _log, _ = safe_q_learning(env, cfg, seed)
         key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
-        q_ok += greedy_action(q, key0, env.n_actions) == 0
+        q_ok += q.greedy(q.row(key0)) == 0
         env2 = SampledKernelEnv(m, seed=f"{seed}:env")
         tables, _log2, _ = safe_actor_critic(env2, cfg, seed)
         ac_ok += tables.probabilities(tables.row(key0))[0] >= 0.95

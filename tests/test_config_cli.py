@@ -437,6 +437,17 @@ TWO_STATE_MODEL = (
     "[transition]\n0 0 = 0 1\n1 0 = 0 1\n"
 )
 DESK_TRAIN = "env.kind = gridworld\nenv.preset = desk\nseeds = 1\nepisodes = 1\n"
+# 460 states, one action, uniform transitions and costs 0..459: at quantum 1
+# the reachable (state, ledger) pairs pass the 200,000-state cap by step 3.
+UNIFORM_ROW = " ".join([repr(1 / 460)] * 460)
+CAPPED_MODEL = (
+    "s0 = 0\nhorizon = 3\nbudget.1 = 100000\n[states]\n"
+    + "".join(f"{s} = s{s}\n" for s in range(460))
+    + "[actions]\n0 = go\n[transition]\n"
+    + "".join(f"{s} 0 = {UNIFORM_ROW}\n" for s in range(460))
+    + "[cost.1]\n"
+    + "".join(f"{s} = {s}\n" for s in range(460))
+)
 
 
 # Bad inputs by case id: (command, input text, flags, eval config, text stderr must name).
@@ -516,6 +527,8 @@ BAD_INPUTS = {
         ("evaluate", Q_CHECKPOINT + "0 0 1 = 2\n", [], CHAIN_EVAL, "line 8: duplicate key '0 0 1'"),
     "config-section-line":
         ("train", DESK_TRAIN + "[env]\n", [], None, "line 5"),
+    "model-past-the-state-cap":
+        ("bounds", CAPPED_MODEL, ["--quantum", "1"], None, "cap of 200000"),
     **{f"quantum-{q}": ("bounds", CHAIN_MODEL, ["--quantum", q], None,
                         f"quantum: must be finite and > 0, got {float(q)}")
        for q in ("0", "-1", "inf", "nan")},
@@ -651,6 +664,18 @@ def test_chain_actor_critic_outputs_are_pinned(tmp_path):
     )
     log = _strip_wall((tmp_path / "train_seed1.csv").read_text())
     assert _sha(log.encode()) == "27f34052a3e124c29611a6b067a63e5ac334bae71f2d2a8fe3978b3a7a31f2af"
+
+
+def test_chain_q_learner_checkpoint_is_pinned(tmp_path):
+    # Digest recorded with the dict-table Q-learner, at the benchmark's chain Q settings.
+    cfg_path = tmp_path / "q.cfg"
+    cfg_path.write_text(
+        CHAIN_AC_BENCH.replace("safe_ac", "safe_q").replace("\nepisodes = 3000", "\nepisodes = 6000")
+    )
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "train"]) == 0
+    assert _sha((tmp_path / "checkpoint_seed1.txt").read_bytes()) == (
+        "973afcf234748a4b826f6bd7683e4319c3fd10bbe2986175879d90136b152db8"
+    )
 
 
 def test_desk_actor_critic_checkpoint_is_pinned(tmp_path):

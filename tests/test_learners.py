@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import statistics
 from pathlib import Path
 
@@ -5,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmdp_forge.config import ExperimentConfig, load_config
-from cmdp_forge.envs import ChainBranch, ChainSpec, GridWorldEnv, SampledKernelEnv, make_chain
+from cmdp_forge.cli import main
+from cmdp_forge.config import ExperimentConfig
+from cmdp_forge.envs import ChainBranch, ChainSpec, SampledKernelEnv, make_chain
 from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import two_action_chain
 from cmdp_forge.learners import (
@@ -14,7 +17,6 @@ from cmdp_forge.learners import (
     LambdaSchedule,
     ReplayBuffer,
     constrained_action_select,
-    greedy_action,
     obs_key,
     penalize_sample,
     safe_actor_critic,
@@ -119,7 +121,7 @@ def test_q_learner_matches_exact_greedy_across_weights():
                                lambda_floor=max(lam, 1e-9) if lam else 1e-9)
         q, _log, _ = safe_q_learning(env, cfg, 17)
         key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
-        assert greedy_action(q, key0, env.n_actions) == exact_action, lam
+        assert q.greedy(q.row(key0)) == exact_action, lam
 
 
 def test_q_learner_with_zero_weight_goes_unconstrained():
@@ -128,7 +130,7 @@ def test_q_learner_with_zero_weight_goes_unconstrained():
     cfg = ExperimentConfig(episodes=1200, lambda0=0.0, lambda_floor=1e-9)
     q, _log, _ = safe_q_learning(env, cfg, 5)
     key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
-    assert greedy_action(q, key0, env.n_actions) == 1  # risky pays more unpenalized
+    assert q.greedy(q.row(key0)) == 1  # risky pays more unpenalized
 
 
 def test_actor_critic_matches_unconstrained_value_without_costs():
@@ -160,14 +162,18 @@ def test_actor_critic_prefers_safe_under_pressure():
     assert tables.probabilities(tables.row(key0))[0] >= 0.95
 
 
-def test_desk_grid_q_learner_keeps_cost_under_budget():
-    cfg = load_config((CONFIGS / "desk_gridworld_q.cfg").read_text())
-    seed = cfg.seeds[0]
-    env = GridWorldEnv(cfg.grid, seed=f"{seed}:env")
-    _q, log, _ = safe_q_learning(env, cfg, seed)
-    tail = log[-1000:]
-    assert statistics.fmean(r.final_cost for r in tail) <= 2.0
-    assert statistics.fmean(r.ret for r in tail) > 0.0
+def test_desk_grid_q_learner_keeps_cost_under_budget(tmp_path):
+    # One training run through the CLI gives both the final-1000 tail and the
+    # checkpoint, whose digest was recorded with the dict-table Q-learner.
+    cfg_path = str(CONFIGS / "desk_gridworld_q.cfg")
+    assert main(["--config", cfg_path, "--out", str(tmp_path), "--seeds", "1", "train"]) == 0
+    with open(tmp_path / "train_seed1.csv", newline="") as fh:
+        tail = list(csv.DictReader(fh))[-1000:]
+    assert statistics.fmean(float(r["final_cost"]) for r in tail) <= 2.0
+    assert statistics.fmean(float(r["return"]) for r in tail) > 0.0
+    assert hashlib.sha256((tmp_path / "checkpoint_seed1.txt").read_bytes()).hexdigest() == (
+        "0784e37ce89599e3a496f634b5fd1d6b945473e15ee6c90d1df0d6e896fe527e"
+    )
 
 
 def test_training_log_shape_and_determinism():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmdp_forge.fixtures import fixture_pack, two_action_chain
-from cmdp_forge.learners import ActorCriticTables
+from cmdp_forge.learners import ActorCriticTables, TableStore
 from cmdp_forge.textio import (
     FormatError,
     dump_checkpoint,
@@ -145,7 +145,7 @@ _META = st.fixed_dictionaries({
 
 @settings(max_examples=400, deadline=None)
 @given(
-    st.sampled_from(["safe_ac"] * 4 + ["safe_q", "other"]),
+    st.sampled_from(["safe_ac"] * 4 + ["safe_q"] * 4 + ["other"]),
     _META,
     st.one_of(st.lists(_TABLE_LINE, max_size=8), st.lists(_ANY_LINE, max_size=8)),
 )
@@ -156,12 +156,16 @@ def test_any_checkpoint_text_loads_or_raises_format_error(learner, meta, lines):
         learner, tables, meta = load_checkpoint("\n".join(head + lines) + "\n")
     except FormatError:
         return
-    if learner == "safe_ac":
-        store = ActorCriticTables.from_sections(tables, int(meta["n_actions"]), meta.get("alpha_ent", 0.1))
-        out = store.sections()
-        for name in ("logits", "q1", "qd1"):
-            for entry, value in tables.get(name, {}).items():
-                assert repr(out[name][entry]) == repr(value)
+    n_actions = int(meta["n_actions"])
+    if learner == "safe_q":
+        store, names = TableStore.from_sections(tables, n_actions), ("q",)
+    else:
+        store = ActorCriticTables.from_sections(tables, n_actions, meta.get("alpha_ent", 0.1))
+        names = ("logits", "q1", "qd1")
+    out = store.sections()
+    for name in names:
+        for entry, value in tables.get(name, {}).items():
+            assert repr(out[name][entry]) == repr(value)
 
 
 _INDEX = st.sampled_from(["0", "1", "2"] * 2 + ["3", "7", "-1", "x", ""])

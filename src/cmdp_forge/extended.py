@@ -25,9 +25,9 @@ layer twice: as the tuple of augmented states in discovery order
 solvers: each node's base state and ledger id, the layer's distinct ledgers,
 their costs decoded once (``Layer.cost``, inf where over budget) and the
 table nx[ledger id, s2] giving the index in the next layer of
-(s2, advance(L, s2)).  The arrival depends on (ledger, successor) only, so
-``advance`` runs once per such pair, and each state's successors are walked
-once however many actions reach them.
+(s2, advance(L, s2)).  Layer t+1 is a function of layer t's node tuple
+alone, so the walk stops at the first layer equal to the next (the fixed
+point) and shares that tuple and its ``Layer`` for every later epoch.
 """
 
 from __future__ import annotations
@@ -166,7 +166,11 @@ def _index(nodes: tuple[AugState, ...], quantum: float):
 def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
     """The augmented space of ``m`` on the ``quantum`` grid, at zero weights.
 
-    Walked once per (model, quantum), epochs 0..T, and kept on the model.
+    Walked once per (model, quantum) and kept on the model.  The walk stops
+    at the first t with layer t+1 equal to layer t; layers t..T share that
+    tuple, compiled[t..T-1] its ``Layer``.  This is exact: layer t+1 reads
+    only layer t's node tuple and data that do not depend on t (``reach``,
+    ``advance``), so one repeat implies every later one.
     Raises on an invalid model, on costs or budgets that do not quantize,
     and when the reachable set exceeds ``max_states``, a cached one included.
     """
@@ -182,31 +186,23 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
     # Per state, its distinct successors over all its actions, first-seen
     # order: the next layer is discovered in the same order as a walk over
     # every (action, successor) pair, and the arrival depends on the successor only.
-    reach: dict[int, tuple[int, ...]] = {}
+    reach = [tuple(dict.fromkeys(s2 for a in m.actions_at(s) for s2, _p in m.successors(s, a)))
+             for s in range(S)]
     initial = (m.s0, advance((0,) * K, m.s0))
     seen: dict[AugState, AugState] = {initial: initial}  # insertion-ordered; layers reuse these
     layers: list[tuple[AugState, ...]] = [(initial,)]
     compiled: list[Layer] = []
-    moves: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}  # L -> s2 -> advance(L, s2)
     for t in range(m.horizon):
         nodes = layers[t]
         state, ledger_ids, ledgers, cost = _index(nodes, quantum)
-        # Per ledger id: successor state -> index of (s2, advance(L, s2)) in layer t+1.
-        rows: list[dict[int, int]] = [{} for _ in ledgers]
-        moved = [moves.setdefault(ledger, {}) for ledger in ledgers]
+        nx = np.full((len(ledgers), S), -1, dtype=np.intp)  # -1: (L, s2) not seen yet
         nxt: dict[AugState, int] = {}
         for (s, ledger), l in zip(nodes, ledger_ids.tolist()):
-            row = rows[l]
-            if s not in reach:
-                reach[s] = tuple(dict.fromkeys(
-                    s2 for a in m.actions_at(s) for s2, _p in m.successors(s, a)))
+            row = nx[l]
             for s2 in reach[s]:
-                if s2 in row:
+                if row[s2] >= 0:
                     continue
-                ledger2 = moved[l].get(s2)
-                if ledger2 is None:
-                    ledger2 = moved[l][s2] = advance(ledger, s2)
-                x2 = (s2, ledger2)
+                x2 = (s2, advance(ledger, s2))
                 j = nxt.get(x2)
                 if j is None:
                     if x2 not in seen:
@@ -217,9 +213,12 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
                         seen[x2] = x2
                     j = nxt[seen[x2]] = len(nxt)
                 row[s2] = j
-        layers.append(tuple(nxt))
-        nx = np.array([[row.get(s2, -1) for s2 in range(S)] for row in rows], dtype=np.intp)
         compiled.append(Layer(state, ledger_ids, ledgers, cost, _frozen(nx)))
+        if tuple(nxt) == nodes:  # the fixed point: every later layer repeats this one
+            layers += [nodes] * (m.horizon - t)
+            compiled += compiled[-1:] * (m.horizon - t - 1)
+            break
+        layers.append(tuple(nxt))
     state, ledger_ids, ledgers, cost = _index(layers[-1], quantum)
     last = np.full((len(ledgers), S), -1, dtype=np.intp)
     compiled.append(Layer(state, ledger_ids, ledgers, cost, _frozen(last)))

@@ -83,7 +83,7 @@ def penalize_sample(
 class LambdaSchedule:
     """Multiplicative decay of the penalty weight while recent episodes stay safe.
 
-    Every ``window`` episodes: if the window's max final cost is under the
+    Every ``window`` episodes: if the window's max final cost is within the
     budget and decaying would stay above the floor, multiply by LAMBDA_DECAY;
     the window is emptied either way.
     """
@@ -97,7 +97,7 @@ class LambdaSchedule:
         self.costs.append(final_cost)
         if len(self.costs) < self.window:
             return
-        if max(self.costs) < budget and LAMBDA_DECAY * self.value > self.floor:
+        if max(self.costs) <= budget and LAMBDA_DECAY * self.value > self.floor:
             self.value *= LAMBDA_DECAY
         self.costs.clear()
 
@@ -368,7 +368,7 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
         done = False
         t = 0
         # Same window signal as the schedule, kept rolling across episodes.
-        safe = (max(recent_costs) < budget) if recent_costs else True
+        safe = (max(recent_costs) <= budget) if recent_costs else True
         while not done and t < env.horizon:
             seg = []
             while len(seg) < cfg.n_step and not done and t < env.horizon:

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cmdp_forge import extended
-from cmdp_forge.envs import desk_grid, make_gridworld
+from cmdp_forge.envs import desk_grid, large_grid, make_gridworld
 from cmdp_forge.extended import (
     VIOLATED,
     LedgerCapExceeded,
@@ -80,6 +81,7 @@ def reference_layers(m, quantum):
 def test_compiled_build_keeps_the_reference_discovery_order():
     models = [(f.name, f.cmdp, f.quantum) for f in fixture_pack()]
     models.append(("desk", make_gridworld(desk_grid(), "exact"), 0.25))
+    models.append(("desk noise-free", make_gridworld(replace(desk_grid(), noise_p=0.0), "exact"), 0.25))
     for name, m, quantum in models:
         K = m.n_constraints
         e = build_extended(m, [0.5] * K, [RN] * K, quantum)
@@ -95,6 +97,23 @@ def test_compiled_build_keeps_the_reference_discovery_order():
                     for a in m.actions_at(s):
                         for s2, _p in m.successors(s, a):
                             assert layers[t + 1][layer.nx[l, s2]] == (s2, advance(ledger, s2))
+
+
+@pytest.mark.parametrize("grid, fixed", [(desk_grid, 17), (large_grid, 23)])
+def test_the_walk_stops_at_the_layer_fixed_point(grid, fixed):
+    m = make_gridworld(grid(), "exact")
+    e = augment(m, 0.25)
+    T = m.horizon
+    t = next(t for t in range(T) if e.layers[t + 1] == e.layers[t])
+    assert t == fixed
+    # Every later layer is the same tuple, and every later epoch below T the same Layer.
+    assert all(e.layers[u] is e.layers[t] for u in range(t, T + 1))
+    assert all(e.compiled[u] is e.compiled[t] for u in range(t, T))
+    last, before = e.compiled[T], e.compiled[T - 1]
+    assert (last.nx == -1).all()
+    assert last.ledgers == before.ledgers
+    for name in ("state", "ledger", "cost"):
+        assert np.array_equal(getattr(last, name), getattr(before, name))
 
 
 def test_quantize_accepts_multiples_and_rejects_others():
@@ -172,6 +191,13 @@ def test_state_cap_is_enforced_by_name():
     f = fixture("grid3_noisy")
     with pytest.raises(LedgerCapExceeded, match="cap of 10"):
         build_extended(f.cmdp, [0.5], [RN], f.quantum, max_states=10)
+
+
+def test_state_cap_is_exact_on_a_fresh_walk():
+    # The desk grid has 151 augmented states; the cap counts them as they are found.
+    assert len(augment(make_gridworld(desk_grid(), "exact"), 0.25, max_states=151).states) == 151
+    with pytest.raises(LedgerCapExceeded, match="cap of 150"):
+        augment(make_gridworld(desk_grid(), "exact"), 0.25, max_states=150)
 
 
 def test_weights_and_schemes_share_one_interned_space():

@@ -58,6 +58,13 @@ def test_schedule_decays_once_per_safe_window():
     assert sched.costs == []
 
 
+def test_schedule_counts_a_final_cost_at_the_budget_as_safe():
+    sched = LambdaSchedule(2.0, 0.1, window=2)
+    sched.record(2.0, 2.0)
+    sched.record(2.0, 2.0)
+    assert sched.value == 1.9
+
+
 def test_schedule_respects_the_floor():
     sched = LambdaSchedule(0.1, 0.1, window=1)
     sched.record(0.0, 2.0)

@@ -144,11 +144,13 @@ KEYS = (
     Key("w", "safe_weight", *_NON_NEGATIVE),
     Key("gamma", "gamma", *_UNIT),
     Key("episodes", "episodes", *_COUNT),
-    Key("seeds", "seeds", _int_list, lambda v: len(v) >= 1, "at least one seed"),
+    Key("seeds", "seeds", _int_list, lambda v: len(v) >= 1 and len(set(v)) == len(v),
+        "at least one seed, none repeated"),
     Key("eval_episodes", "eval_episodes", *_COUNT),
     Key("alpha", "alpha", *_UNIT),
-    Key("lambda_grid", "lambda_grid", _float_list, lambda v: all(x >= 0.0 for x in v),
-        "finite weights >= 0"),
+    Key("lambda_grid", "lambda_grid", _float_list,
+        lambda v: all(x >= 0.0 for x in v) and len(set(v)) == len(v),
+        "finite weights >= 0, none repeated"),
     Key("lr", "lr", *_UNIT),
     Key("lr_actor", "lr_actor", *_UNIT),
     Key("update_every", "update_every", *_COUNT),

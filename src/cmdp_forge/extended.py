@@ -23,11 +23,14 @@ model, and ``build_extended`` attaches weights to it.  The walk emits every
 layer twice: as the tuple of augmented states in discovery order
 (``layers``), and in read-only index form (``compiled``) for the array
 solvers: each node's base state and ledger id, the layer's distinct ledgers,
-their costs decoded once (``Layer.cost``, inf where over budget) and the
+their costs decoded once (``Layer.cost``, inf where over budget), the
 table nx[ledger id, s2] giving the index in the next layer of
-(s2, advance(L, s2)).  Layer t+1 is a function of layer t's node tuple
-alone, so the walk stops at the first layer equal to the next (the fixed
-point) and shares that tuple and its ``Layer`` for every later epoch.
+(s2, advance(L, s2)), and the layer's edges per (node, action, successor
+slot): probability, slot mask and flat (ledger, successor) index.  The edge
+layout is known here alone; the solvers read it as it is.  Layer t+1 is a
+function of layer t's node tuple alone, so the walk stops at the first layer
+equal to the next (the fixed point) and shares that tuple and its ``Layer``,
+edges included, for every later epoch.
 """
 
 from __future__ import annotations
@@ -114,6 +117,15 @@ class Layer:
     # (len(ledgers), S): index in layer t+1 of (s2, advance(L, s2)), -1 where
     # no node of the epoch with ledger L moves to s2 (everywhere at t = T).
     nx: np.ndarray
+    # The edges, (n, A, J) with J the longest successor list: slot j of node i
+    # and action a is the j-th of ``base.successors(state[i], a)`` where
+    # ``real`` is set, with its probability and flat = ledger * S + successor,
+    # an index into a flattened (len(ledgers), S) table such as ``nx``.
+    # Unused slots hold probability 0.0 and successor 0, so a gather through
+    # ``flat`` stays in bounds; only ``real`` tells them apart.
+    prob: np.ndarray
+    real: np.ndarray
+    flat: np.ndarray  # int32: every index is below nx.size
 
 
 @dataclass(frozen=True)
@@ -152,15 +164,20 @@ class TabularPolicy:
                 in zip(keys, rows.tolist(), np.isnan(rows).any(axis=1).tolist()) if not undefined}
 
 
-def _index(nodes: tuple[AugState, ...], quantum: float):
-    """A layer's base states, ledger ids, distinct ledgers (first seen first) and their costs."""
+def _layer(nodes: tuple[AugState, ...], quantum: float, slots) -> Layer:
+    """The ``Layer`` of ``nodes``, its edges gathered from the (S, A, J) ``slots``
+    and its ``nx`` a writable -1 table that the walk fills."""
     ids: dict[tuple[int, ...], int] = {}
-    ledger_ids = [ids.setdefault(ledger, len(ids)) for (_s, ledger) in nodes]
-    state = [s for (s, _ledger) in nodes]
+    ledger = np.array([ids.setdefault(ledger, len(ids)) for (_s, ledger) in nodes], dtype=np.intp)
+    state = np.array([s for (s, _ledger) in nodes], dtype=np.intp)
     entries = np.array(tuple(ids), dtype=float).reshape(len(ids), -1)
     cost = np.where(entries == VIOLATED, math.inf, entries * quantum)
-    return (_frozen(np.array(state, dtype=np.intp)), _frozen(np.array(ledger_ids, dtype=np.intp)),
-            tuple(ids), _frozen(cost))
+    succ, prob, real = slots
+    S = len(succ)
+    flat = ledger[:, None, None] * S + succ[state]
+    return Layer(_frozen(state), _frozen(ledger), tuple(ids), _frozen(cost),
+                 np.full((len(ids), S), -1, dtype=np.intp),
+                 _frozen(prob[state]), _frozen(real[state]), _frozen(flat.astype(np.int32)))
 
 
 def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
@@ -183,22 +200,29 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
         raise ValueError("invalid model: " + "; ".join(m.problems))
     advance = ledger_rule(m, quantum)
     K, S = m.n_constraints, m.n_states
+    # The successor lists as (S, A, J) slots, J the longest list, from which
+    # every distinct layer gathers its edges.
+    lists = {(s, a): m.successors(s, a) for s in range(S) for a in m.actions_at(s)}
+    succ = np.zeros((S, m.n_actions, max(map(len, lists.values()))), dtype=np.intp)
+    prob, real = np.zeros(succ.shape), np.zeros(succ.shape, dtype=bool)
+    for (s, a), row in lists.items():
+        for j, (s2, p) in enumerate(row):
+            succ[s, a, j], prob[s, a, j], real[s, a, j] = s2, p, True
+    slots = succ, prob, real
     # Per state, its distinct successors over all its actions, first-seen
     # order: the next layer is discovered in the same order as a walk over
     # every (action, successor) pair, and the arrival depends on the successor only.
-    reach = [tuple(dict.fromkeys(s2 for a in m.actions_at(s) for s2, _p in m.successors(s, a)))
-             for s in range(S)]
+    reach = [tuple(dict.fromkeys(succ[s][real[s]].tolist())) for s in range(S)]
     initial = (m.s0, advance((0,) * K, m.s0))
     seen: dict[AugState, AugState] = {initial: initial}  # insertion-ordered; layers reuse these
     layers: list[tuple[AugState, ...]] = [(initial,)]
     compiled: list[Layer] = []
     for t in range(m.horizon):
         nodes = layers[t]
-        state, ledger_ids, ledgers, cost = _index(nodes, quantum)
-        nx = np.full((len(ledgers), S), -1, dtype=np.intp)  # -1: (L, s2) not seen yet
+        layer = _layer(nodes, quantum, slots)
         nxt: dict[AugState, int] = {}
-        for (s, ledger), l in zip(nodes, ledger_ids.tolist()):
-            row = nx[l]
+        for (s, ledger), l in zip(nodes, layer.ledger.tolist()):
+            row = layer.nx[l]  # -1: (L, s2) not seen yet
             for s2 in reach[s]:
                 if row[s2] >= 0:
                     continue
@@ -213,15 +237,16 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
                         seen[x2] = x2
                     j = nxt[seen[x2]] = len(nxt)
                 row[s2] = j
-        compiled.append(Layer(state, ledger_ids, ledgers, cost, _frozen(nx)))
+        layer.nx.setflags(write=False)
+        compiled.append(layer)
         if tuple(nxt) == nodes:  # the fixed point: every later layer repeats this one
             layers += [nodes] * (m.horizon - t)
             compiled += compiled[-1:] * (m.horizon - t - 1)
             break
         layers.append(tuple(nxt))
-    state, ledger_ids, ledgers, cost = _index(layers[-1], quantum)
-    last = np.full((len(ledgers), S), -1, dtype=np.intp)
-    compiled.append(Layer(state, ledger_ids, ledgers, cost, _frozen(last)))
+    last = _layer(layers[-1], quantum, slots)
+    last.nx.setflags(write=False)
+    compiled.append(last)
     e = m._derived["augment", quantum] = ExtendedMdp(
         base=m,
         lambdas=(0.0,) * K,

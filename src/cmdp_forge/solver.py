@@ -24,12 +24,13 @@ penalty cases read each ledger's cost and violation from the space's
 ``Layer.cost``.  The worst case and ``lambda_bounds``' alpha-free
 report are kept on the model too, and every threshold is read from that report.
 
-``_sweep`` is a numpy kernel over the space's compiled layers.  Per layer
-it forms the arrival term W = V(t+1)[nx] - PEN for every (ledger,
-successor), gathers it through the model's (S, A, J) ``successor_arrays``,
-adds the terms successor by successor in the model's order and takes the
-max or the policy expectation over actions.  No reduction reorders the
-additions, so every value is the float a per-edge scalar recursion gives.
+``_sweep`` is a numpy kernel over the space's compiled layers, each of
+which carries its own (n, A, J) edges (``Layer.prob``, ``real`` and
+``flat``).  Per layer it forms the arrival term W = V(t+1)[nx] - PEN for
+every (ledger, successor), reads it per edge through ``flat``, adds the
+terms successor by successor in the model's order and takes the max or
+the policy expectation over actions.  No reduction reorders the additions,
+so every value is the float a per-edge scalar recursion gives.
 """
 
 from __future__ import annotations
@@ -139,31 +140,30 @@ def _sweep(
     ``_first_undefined`` after the sweep.
 
     Each layer is one numpy pass: the arrival term W = V(t+1)[nx] - PEN per
-    (ledger, successor), then per (node, action) the reward plus p * W over
-    the successors, added one successor at a time in ``base.successors``
+    (ledger, successor), read per edge as W.ravel()[layer.flat], then per
+    (node, action) the reward plus layer.prob * W over the slots where
+    ``layer.real`` holds, added one slot at a time in ``base.successors``
     order, so every float is the one a per-edge scalar recursion gives.  A -inf
     arrival term makes the action -inf, which is how masking propagates.
     """
     m = e.base
-    T, S, A = m.horizon, m.n_states, m.n_actions
+    T, A = m.horizon, m.n_actions
     if policy is not None and policy.layers != e.layers:
         raise ValueError("policy is over another augmented space")
     pows = discount_powers(m.discount, T)
-    arrays = m.successor_arrays
     costs = _cost_classes(m) if any(e.lambdas) else None
     last = e.compiled[T]
     vnext = np.full(len(last.ledgers), terminal, dtype=float)[last.ledger]
     greedy: list[np.ndarray] = [None] * T
     for t in range(T - 1, -1, -1):
         layer = e.compiled[t]
-        prob, real = arrays.prob[layer.state], arrays.real[layer.state]
+        real = layer.real
         ok = real[:, :, 0]  # an available action has a first successor
         w = vnext[layer.nx]
         if costs is not None:
             w -= _arrival_penalties(e, layer, t + 1, costs)
         # p * W(ledger, s2) per slot; unused slots stay 0.0 and are never added.
-        flat = layer.ledger[:, None, None] * S + arrays.state[layer.state]
-        terms = np.multiply(prob, w.ravel()[flat], out=np.zeros(prob.shape), where=real)
+        terms = np.multiply(layer.prob, w.ravel()[layer.flat], out=np.zeros(real.shape), where=real)
         acc = pows[t] * m.reward[layer.state] if rewards else np.zeros(ok.shape)
         for j in range(terms.shape[2]):
             np.add(acc, terms[:, :, j], out=acc, where=real[:, :, j])
@@ -273,18 +273,16 @@ def _first_reached(e: ExtendedMdp, masks) -> tuple[int, int, tuple[int, ...]] | 
     The frontier is a bool mask over each layer's nodes; the node named is
     the one of lowest index, discovery order, in the first layer that has one.
     """
-    arrays = e.base.successor_arrays
     frontier = np.ones(1, dtype=bool)  # layer 0 is the initial state alone
     for t in range(e.base.horizon):
         layer = e.compiled[t]
-        real = arrays.real[layer.state]
-        nxt_index = layer.nx[layer.ledger[:, None, None], arrays.state[layer.state]]
-        stop, moves = masks(t, real, nxt_index)
+        nxt_index = layer.nx.ravel()[layer.flat]
+        stop, moves = masks(t, layer.real, nxt_index)
         hit = np.flatnonzero(frontier & stop)
         if len(hit):
             s, ledger = e.layers[t][hit[0]]
             return t, s, ledger
-        entered = nxt_index[real & (moves & frontier[:, None])[:, :, None]]
+        entered = nxt_index[layer.real & (moves & frontier[:, None])[:, :, None]]
         frontier = np.bincount(entered, minlength=len(e.compiled[t + 1].state)) > 0
     return None
 

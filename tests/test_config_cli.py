@@ -191,7 +191,9 @@ def test_out_of_range_table_covers_every_key():
     "key, value",
     [(key, value) for key, bad in OUT_OF_RANGE.items() for value in ("nan", "inf", bad)]
     + [(key, value) for key, bad in ENV_OUT_OF_RANGE.items()
-       for value in (("nan", "inf", bad) if key in ENV_FLOAT_KEYS else (bad,))],
+       for value in (("nan", "inf", bad) if key in ENV_FLOAT_KEYS else (bad,))]
+    # A repeat would run a seed or a weight twice and count it twice in the aggregate.
+    + [("seeds", "1,1"), ("lambda_grid", "1,1")],
 )
 def test_bad_key_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     base = DESK_TRAIN if key.startswith("env.") else CHAIN_TRAIN
@@ -214,6 +216,19 @@ def test_empty_seed_override_exits_2(tmp_path, capsys, command):
     args = ["--config", str(cfg_path), "--out", str(tmp_path / "x"), "--seeds", ",", command]
     assert main(args + extra) == 2
     assert "seeds: " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_repeated_seed_override_exits_2(tmp_path, capsys, command):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CHAIN_TRAIN)
+    checkpoint = tmp_path / "ck.txt"
+    checkpoint.write_text(Q_CHECKPOINT)
+    extra = ["--checkpoint", str(checkpoint)] if command == "evaluate" else []
+    args = ["--config", str(cfg_path), "--out", str(tmp_path / "x"), "--seeds", "1,2,1", command]
+    assert main(args + extra) == 2
+    assert "seeds: want at least one seed, none repeated, got (1, 2, 1)" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

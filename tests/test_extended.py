@@ -92,11 +92,20 @@ def test_compiled_build_keeps_the_reference_discovery_order():
         for t, layer in enumerate(e.compiled):
             assert [(s, layer.ledgers[l]) for s, l in zip(layer.state, layer.ledger)] == list(layers[t])
             if t < m.horizon:
-                # nx sends (ledger, successor) to that arrival's index in layer t+1.
-                for (s, ledger), l in zip(layers[t], layer.ledger):
+                # nx sends (ledger, successor) to that arrival's index in layer t+1, and
+                # slot j of (node, action) is the j-th successor with its probability.
+                assert layer.flat.dtype == np.int32
+                entered = layer.nx.ravel()[layer.flat]
+                for i, ((s, ledger), l) in enumerate(zip(layers[t], layer.ledger)):
+                    used = np.zeros(layer.real.shape[1:], dtype=bool)
                     for a in m.actions_at(s):
-                        for s2, _p in m.successors(s, a):
-                            assert layers[t + 1][layer.nx[l, s2]] == (s2, advance(ledger, s2))
+                        for j, (s2, p) in enumerate(m.successors(s, a)):
+                            arrival = (s2, advance(ledger, s2))
+                            assert layers[t + 1][layer.nx[l, s2]] == arrival
+                            assert layers[t + 1][entered[i, a, j]] == arrival
+                            assert layer.prob[i, a, j] == p and layer.real[i, a, j]
+                            used[a, j] = True
+                    assert not layer.real[i][~used].any() and (layer.prob[i][~used] == 0.0).all()
 
 
 @pytest.mark.parametrize("grid, fixed", [(desk_grid, 17), (large_grid, 23)])
@@ -212,7 +221,8 @@ def test_weights_and_schemes_share_one_interned_space():
     canonical = {x: x for x in space.states}
     assert all(canonical[x] is x for layer in space.layers for x in layer)
     layer = space.compiled[0]
-    assert not any(x.flags.writeable for x in (layer.state, layer.ledger, layer.nx))
+    assert not any(x.flags.writeable for x in
+                   (layer.state, layer.ledger, layer.nx, layer.prob, layer.real, layer.flat))
     # A cap below the size of the space already walked still raises.
     with pytest.raises(LedgerCapExceeded, match="cap of 10"):
         build_extended(f.cmdp, [0.5], [RN], f.quantum, max_states=10)

@@ -25,9 +25,9 @@ layer twice: as the tuple of augmented states in discovery order
 solvers: each node's base state and ledger id, the layer's distinct ledgers,
 their costs decoded once (``Layer.cost``, inf where over budget), the
 table nx[ledger id, s2] giving the index in the next layer of
-(s2, advance(L, s2)), and the layer's edges per (node, action, successor
-slot): probability, slot mask and flat (ledger, successor) index.  The edge
-layout is known here alone; the solvers read it as it is.  Layer t+1 is a
+(s2, advance(L, s2)), and the layer's real edges alone, slot-major over
+its (node, action) pairs sorted by successor count.  The edge layout is
+known here alone; the solvers read it as it is.  Layer t+1 is a
 function of layer t's node tuple alone, so the walk stops at the first layer
 equal to the next (the fixed point) and shares that tuple and its ``Layer``,
 edges included, for every later epoch.
@@ -117,15 +117,20 @@ class Layer:
     # (len(ledgers), S): index in layer t+1 of (s2, advance(L, s2)), -1 where
     # no node of the epoch with ledger L moves to s2 (everywhere at t = T).
     nx: np.ndarray
-    # The edges, (n, A, J) with J the longest successor list: slot j of node i
-    # and action a is the j-th of ``base.successors(state[i], a)`` where
-    # ``real`` is set, with its probability and flat = ledger * S + successor,
-    # an index into a flattened (len(ledgers), S) table such as ``nx``.
-    # Unused slots hold probability 0.0 and successor 0, so a gather through
-    # ``flat`` stays in bounds; only ``real`` tells them apart.
-    prob: np.ndarray
-    real: np.ndarray
+    # The real edges.  ``pairs`` holds each available (node i, action a) as
+    # a * n + i, by successor count, highest first (a stable sort), so slot
+    # j, the j-th of ``base.successors(state[i], a)``, exists for exactly
+    # ``pairs[:ends[j]]``.  ``flat`` and ``prob`` run slot-major over them,
+    # flat = ledger * S + successor indexing a flattened (len(ledgers), S)
+    # table such as ``nx``.  ``pos`` (A, n) is each pair's index in
+    # ``pairs``, and len(pairs), a sentinel, where ``ok`` (A, n) is unset.
+    pairs: np.ndarray
+    reward: np.ndarray  # base.reward[state[i], a] per pair
+    ends: tuple[int, ...]
     flat: np.ndarray  # int32: every index is below nx.size
+    prob: np.ndarray
+    pos: np.ndarray
+    ok: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -164,20 +169,36 @@ class TabularPolicy:
                 in zip(keys, rows.tolist(), np.isnan(rows).any(axis=1).tolist()) if not undefined}
 
 
-def _layer(nodes: tuple[AugState, ...], quantum: float, slots) -> Layer:
-    """The ``Layer`` of ``nodes``, its edges gathered from the (S, A, J) ``slots``
-    and its ``nx`` a writable -1 table that the walk fills."""
+def _layer(nodes: tuple[AugState, ...], quantum: float, slots, last: bool = False) -> Layer:
+    """The ``Layer`` of ``nodes``, its ``nx`` a writable -1 table that the
+    walk fills, its edges gathered from the (J, S * A) successor and
+    probability ``slots`` (column s * A + a), their (S, A) counts and the
+    (S * A,) rewards.  The ``last`` layer, at t = T, takes no action, so it
+    has no edges."""
     ids: dict[tuple[int, ...], int] = {}
     ledger = np.array([ids.setdefault(ledger, len(ids)) for (_s, ledger) in nodes], dtype=np.intp)
     state = np.array([s for (s, _ledger) in nodes], dtype=np.intp)
     entries = np.array(tuple(ids), dtype=float).reshape(len(ids), -1)
     cost = np.where(entries == VIOLATED, math.inf, entries * quantum)
-    succ, prob, real = slots
-    S = len(succ)
-    flat = ledger[:, None, None] * S + succ[state]
+    succ, prob, degree, reward = slots
+    (S, A), n = degree.shape, len(nodes)
+    sa = np.add.outer(np.arange(A), state * A).ravel()  # per pair a * n + i: its (s, a) column
+    count = np.zeros(A * n, dtype=np.intp) if last else degree.ravel()[sa]  # 0 where unavailable
+    pairs = np.flatnonzero(count)
+    key = -count[pairs]
+    order = np.argsort(key, kind="stable")
+    pairs, key = pairs[order], key[order]
+    ends = np.searchsorted(key, -np.arange(len(succ)))
+    cols = sa[pairs]
+    edge = np.arange(len(succ))[:, None] < -key  # (J, pairs): selects the real slots slot-major
+    flat = (ledger[pairs % n] * S + succ.take(cols, axis=1))[edge]
+    pos = np.full(A * n, len(pairs), dtype=np.intp)
+    pos[pairs] = np.arange(len(pairs))
     return Layer(_frozen(state), _frozen(ledger), tuple(ids), _frozen(cost),
-                 np.full((len(ids), S), -1, dtype=np.intp),
-                 _frozen(prob[state]), _frozen(real[state]), _frozen(flat.astype(np.int32)))
+                 np.full((len(ids), S), -1, dtype=np.intp), _frozen(pairs), _frozen(reward[cols]),
+                 tuple(ends[ends > 0].tolist()),
+                 _frozen(flat.astype(np.int32)), _frozen(prob.take(cols, axis=1)[edge]),
+                 _frozen(pos.reshape(A, n)), _frozen(count.reshape(A, n) > 0))
 
 
 def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
@@ -199,20 +220,20 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
     if m.problems:
         raise ValueError("invalid model: " + "; ".join(m.problems))
     advance = ledger_rule(m, quantum)
-    K, S = m.n_constraints, m.n_states
-    # The successor lists as (S, A, J) slots, J the longest list, from which
-    # every distinct layer gathers its edges.
+    K, S, A = m.n_constraints, m.n_states, m.n_actions
+    # The successor lists as ``_layer``'s slots, J the longest list.
     lists = {(s, a): m.successors(s, a) for s in range(S) for a in m.actions_at(s)}
-    succ = np.zeros((S, m.n_actions, max(map(len, lists.values()))), dtype=np.intp)
-    prob, real = np.zeros(succ.shape), np.zeros(succ.shape, dtype=bool)
+    succ = np.zeros((max(map(len, lists.values())), S * A), dtype=np.intp)
+    prob, degree = np.zeros(succ.shape), np.zeros((S, A), dtype=np.intp)
     for (s, a), row in lists.items():
+        degree[s, a] = len(row)
         for j, (s2, p) in enumerate(row):
-            succ[s, a, j], prob[s, a, j], real[s, a, j] = s2, p, True
-    slots = succ, prob, real
+            succ[j, s * A + a], prob[j, s * A + a] = s2, p
+    slots = succ, prob, degree, m.reward.ravel()
     # Per state, its distinct successors over all its actions, first-seen
     # order: the next layer is discovered in the same order as a walk over
     # every (action, successor) pair, and the arrival depends on the successor only.
-    reach = [tuple(dict.fromkeys(succ[s][real[s]].tolist())) for s in range(S)]
+    reach = [tuple(dict.fromkeys(s2 for a in m.actions_at(s) for s2, _p in lists[s, a])) for s in range(S)]
     initial = (m.s0, advance((0,) * K, m.s0))
     seen: dict[AugState, AugState] = {initial: initial}  # insertion-ordered; layers reuse these
     layers: list[tuple[AugState, ...]] = [(initial,)]
@@ -244,7 +265,7 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
             compiled += compiled[-1:] * (m.horizon - t - 1)
             break
         layers.append(tuple(nxt))
-    last = _layer(layers[-1], quantum, slots)
+    last = _layer(layers[-1], quantum, slots, last=True)
     last.nx.setflags(write=False)
     compiled.append(last)
     e = m._derived["augment", quantum] = ExtendedMdp(

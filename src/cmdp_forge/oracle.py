@@ -9,15 +9,14 @@ programming solver.
 
 ``stats`` walks each path once for its return and computes everything on
 the cost side (D_k, and the literal per-epoch penalty walk) once per
-distinct state path, through ``trajectory_cost`` and
-``trajectory_penalty_total``: those read the states alone, and many paths
-share a state path (665 state paths carry the 170,240 paths of a random
-policy on the noisy 3x3 grid at horizon 4).  Every float is the one a
-separate walk per path gives: the discount powers are one running product,
-whose prefix serves every shorter path; each path's return is one
-``math.fsum`` over the same products ``discounted_return`` forms; each
-cost-side addend is the same product of the path's probability and a value
-of its state path.  ``math.fsum`` is correctly rounded, so gathering the
+distinct state path, over the cost rows read as lists once per call:
+those sums read the states alone, and many paths share a state path (665
+state paths carry the 170,240 paths of a random policy on the noisy 3x3
+grid at horizon 4).  Every float is the one a separate walk per path
+gives: the discount powers are one running product, whose prefix serves
+every shorter path; each path's return is one ``math.fsum`` over the same
+products ``discounted_return`` forms; each cost-side addend is the same
+product of the path's probability and a value of its state path.  ``math.fsum`` is correctly rounded, so gathering the
 addends per state path instead of in path order changes no sum.
 """
 
@@ -111,26 +110,32 @@ def trajectory_penalty_total(
     state is a plain float accumulation, one assessment per visited state
     including the terminal one.
     """
-    row = m.costs[k]
-    budget = m.budgets[k]
+    return _penalty_walk(traj.states, m.costs[k].tolist(), m.budgets[k], scheme, lam)
+
+
+def _penalty_walk(states, row: list[float], budget: float, scheme: PenaltyScheme, lam: float) -> float:
+    """``trajectory_penalty_total`` over a cost row read as a list."""
     total = 0.0
     before = 0.0
-    for epoch, s in enumerate(traj.states):
-        d = float(row[s])
+    for epoch, s in enumerate(states):
+        d = row[s]
         total += penalty_amount(scheme, lam, before, d, budget, epoch)
         before += d
     return total
 
 
-def _cost_side(traj: Trajectory, m: Cmdp, lambdas, schemes) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _cost_side(states, rows: list[list[float]], m: Cmdp, lambdas, schemes
+               ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """D_k of every constraint, and the literal penalty total of every k with lambda_k != 0.
 
-    Both read ``traj.states`` alone, so the callers compute them once per
+    Both read the state path alone, so the callers compute them once per
     distinct state path and reuse them for every path that shares it.
+    ``rows`` is ``m.costs`` as lists; each sum is ``trajectory_cost``'s and
+    ``trajectory_penalty_total``'s, addend for addend.
     """
     return (
-        tuple(trajectory_cost(traj, m, k) for k in range(m.n_constraints)),
-        tuple(trajectory_penalty_total(traj, m, k, schemes[k], lam)
+        tuple(math.fsum([row[s] for s in states]) for row in rows),
+        tuple(_penalty_walk(states, rows[k], m.budgets[k], schemes[k], lam)
               for k, lam in enumerate(lambdas) if lam != 0.0),
     )
 
@@ -178,6 +183,7 @@ def stats(
     # longest path serve every path.
     pows = discount_powers(m.discount, max(1, max(len(t.actions) for t in trajs)))
     reward_row = m.reward.tolist().__getitem__
+    cost_rows = m.costs.tolist()
     returns = []
     penalized = []
     # Distinct state path -> (its cost side, the probability of every path along it).
@@ -189,7 +195,7 @@ def stats(
         returns.append(p * r)
         group = groups.get(traj.states)
         if group is None:
-            group = groups[traj.states] = (_cost_side(traj, m, lambdas, schemes), [])
+            group = groups[traj.states] = (_cost_side(traj.states, cost_rows, m, lambdas, schemes), [])
         (_ds, pens), probs = group
         for total in pens:
             r -= total

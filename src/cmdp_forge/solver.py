@@ -25,24 +25,29 @@ penalty cases read each ledger's cost and violation from the space's
 report are kept on the model too, and every threshold is read from that report.
 
 ``_sweep`` is a numpy kernel over the space's compiled layers, each of
-which carries its own (n, A, J) edges (``Layer.prob``, ``real`` and
-``flat``).  Per layer it forms the arrival term W = V(t+1)[nx] - PEN for
-every (ledger, successor), reads it per edge through ``flat``, adds the
-terms successor by successor in the model's order and takes the max or
-the policy expectation over actions.  No reduction reorders the additions,
-so every value is the float a per-edge scalar recursion gives.
+which carries its own real edges and rewards, slot-major over its (node,
+action) pairs sorted by successor count (``Layer.pairs``, ``ends``,
+``flat``, ``prob``, ``reward``).  Per layer it forms the arrival term
+W = V(t+1)[nx] - PEN for every (ledger, successor), the penalty table once
+per distinct layer and call, reads W per edge through ``flat`` in one
+gather, adds each slot's terms to a contiguous prefix of the pairs,
+successor by successor in the model's order, and takes the max or the
+policy expectation over actions through ``Layer.pos``.  No reduction
+reorders the additions, so every value is the float a per-edge scalar
+recursion gives.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .extended import AugState, ExtendedMdp, Layer, PolicyUndefined, TabularPolicy, augment
 from .model import Cmdp, discount_powers
-from .penalties import penalty_amount
+from .penalties import PenaltyScheme, penalty_amount
 
 # Action values within this distance of the row maximum count as ties;
 # the lowest action index among them wins, for reproducible reports.
@@ -98,25 +103,42 @@ def _violated(layer: Layer) -> np.ndarray:
     return np.isinf(layer.cost).any(axis=1)
 
 
-def _arrival_penalties(e: ExtendedMdp, layer: Layer, epoch: int, costs) -> np.ndarray:
-    """PEN[l, s2]: the penalty for arriving at s2 at ``epoch`` from ledger l.
+def _arrival_penalties(e: ExtendedMdp, layer: Layer, costs) -> Callable[[int], np.ndarray] | None:
+    """PEN(epoch)[l, s2]: the penalty for arriving at s2 at ``epoch`` from ledger l.
 
     ``costs`` is ``_cost_classes(e.base)``.  ``penalty_amount`` runs once per
-    (ledger, distinct cost value, constraint) on the ledger's decoded cost,
-    whose inf takes the violated case; the amounts are summed over
-    constraints in index order.
+    layer and (ledger, distinct cost value, constraint) on the ledger's
+    decoded cost, whose inf takes the violated case; the amounts are summed
+    over constraints in index order.  Only value-at-risk reads the epoch,
+    lam * (epoch + 1) on a crossing, so its crossing mask is filled per
+    epoch; without it the table is formed once.  None when every weight is 0.
     """
     m = e.base
-    pen = np.zeros((len(layer.ledgers), m.n_states))
+    parts = []
     for k, lam in enumerate(e.lambdas):
         if lam == 0.0:
             continue
-        budget = m.budgets[k]
+        scheme, budget = e.schemes[k], m.budgets[k]
         values, cls = costs[k]
-        amount = [[penalty_amount(e.schemes[k], lam, before, d, budget, epoch) for d in values]
-                  for before in layer.cost[:, k].tolist()]
-        pen += np.array(amount)[:, cls]
-    return pen
+        before = layer.cost[:, k]
+        amount = [[penalty_amount(scheme, lam, c, d, budget, 0) for d in values] for c in before.tolist()]
+        crossing = None
+        if scheme is PenaltyScheme.VALUE_AT_RISK:
+            crossing = ((before[:, None] <= budget) & (before[:, None] + np.array(values) > budget))[:, cls]
+        parts.append((np.array(amount)[:, cls], crossing, lam))
+    if not parts:
+        return None
+
+    def table(epoch: int) -> np.ndarray:
+        pen = np.zeros((len(layer.ledgers), m.n_states))
+        for amount, crossing, lam in parts:
+            pen += amount if crossing is None else np.where(crossing, lam * (epoch + 1), amount)
+        return pen
+
+    if all(crossing is None for _amount, crossing, _lam in parts):
+        fixed = table(0)
+        return lambda _epoch: fixed
+    return table
 
 
 def _sweep(
@@ -139,12 +161,13 @@ def _sweep(
     a reached node raises PolicyUndefined naming the first, found by
     ``_first_undefined`` after the sweep.
 
-    Each layer is one numpy pass: the arrival term W = V(t+1)[nx] - PEN per
-    (ledger, successor), read per edge as W.ravel()[layer.flat], then per
-    (node, action) the reward plus layer.prob * W over the slots where
-    ``layer.real`` holds, added one slot at a time in ``base.successors``
-    order, so every float is the one a per-edge scalar recursion gives.  A -inf
-    arrival term makes the action -inf, which is how masking propagates.
+    Each layer is one numpy pass over its real edges: the arrival term
+    W = V(t+1)[nx] - PEN per (ledger, successor), read per edge through
+    ``layer.flat`` and times ``layer.prob``; per pair, the reward plus those
+    terms slot by slot in ``base.successors`` order, so every float is the
+    one a per-edge scalar recursion gives; then ``layer.pos`` lays the pairs
+    out per (action, node), -inf where unavailable.  A -inf arrival term
+    makes the action -inf, which is how masking propagates.
     """
     m = e.base
     T, A = m.horizon, m.n_actions
@@ -152,35 +175,43 @@ def _sweep(
         raise ValueError("policy is over another augmented space")
     pows = discount_powers(m.discount, T)
     costs = _cost_classes(m) if any(e.lambdas) else None
+    pens: dict[int, Callable[[int], np.ndarray] | None] = {}  # id(layer) -> PEN(epoch)
     last = e.compiled[T]
     vnext = np.full(len(last.ledgers), terminal, dtype=float)[last.ledger]
     greedy: list[np.ndarray] = [None] * T
     for t in range(T - 1, -1, -1):
         layer = e.compiled[t]
-        real = layer.real
-        ok = real[:, :, 0]  # an available action has a first successor
+        if id(layer) not in pens:
+            pens[id(layer)] = _arrival_penalties(e, layer, costs)
+        pen = pens[id(layer)]
         w = vnext[layer.nx]
-        if costs is not None:
-            w -= _arrival_penalties(e, layer, t + 1, costs)
-        # p * W(ledger, s2) per slot; unused slots stay 0.0 and are never added.
-        terms = np.multiply(layer.prob, w.ravel()[layer.flat], out=np.zeros(real.shape), where=real)
-        acc = pows[t] * m.reward[layer.state] if rewards else np.zeros(ok.shape)
-        for j in range(terms.shape[2]):
-            np.add(acc, terms[:, :, j], out=acc, where=real[:, :, j])
+        if pen is not None:
+            w -= pen(t + 1)
+        terms = w.ravel().take(layer.flat)
+        terms *= layer.prob
+        acc = np.empty(len(layer.pairs) + 1)  # the last entry is the unavailable actions' -inf
+        np.multiply(pows[t], layer.reward if rewards else 0.0, out=acc[:-1])
+        acc[-1] = -math.inf
+        start = 0
+        for end in layer.ends:
+            acc[:end] += terms[start:start + end]
+            start += end
+        acc = acc.take(layer.pos)  # (A, n)
         if policy is None:
-            values = np.where(ok, acc, -math.inf).max(axis=1)
-            greedy[t] = np.argmax(ok & (acc >= (values - TIE_TOL)[:, None]), axis=1)
+            values = acc.max(axis=0)
+            greedy[t] = np.argmax(layer.ok & (acc >= values - TIE_TOL), axis=0)
         else:
-            pi = policy.rows[t]
+            rows = policy.rows[t]
+            pi = rows.T
             # Skipping zero-probability actions keeps 0 * -inf, and 0 * NaN
             # from an unreached node, out of the sum.
-            weighted = ok & (pi != 0.0)
+            weighted = layer.ok & (pi != 0.0)
             acc[~weighted] = 0.0
-            values = np.zeros(len(pi))
+            values = np.zeros(len(rows))
             for a in range(A):
-                np.add(values, pi[:, a] * acc[:, a], out=values, where=weighted[:, a])
-            if np.isnan(pi).any():  # a row holding NaN is no row: its node is worth NaN
-                values[np.isnan(pi).any(axis=1)] = math.nan
+                np.add(values, pi[a] * acc[a], out=values, where=weighted[a])
+            if np.isnan(rows).any():  # a row holding NaN is no row: its node is worth NaN
+                values[np.isnan(rows).any(axis=1)] = math.nan
         vnext = values
     if policy is not None and math.isnan(vnext[0]):
         raise PolicyUndefined(f"policy has no row for augmented state {_first_undefined(e, policy)}")
@@ -203,24 +234,26 @@ def unconstrained_value(m: Cmdp) -> tuple[float, list[dict[int, int]]]:
     """Plain finite-horizon DP on the base model, ignoring costs entirely.
 
     Kept independent of the augmented machinery so the zero-penalty
-    equivalence check compares two separately coded routes.
+    equivalence check compares two separately coded routes.  Runs over
+    plain lists: the rewards and each state's (action, successors) read once.
     """
     T = m.horizon
     pows = discount_powers(m.discount, T)
-    vnext = {s: 0.0 for s in range(m.n_states)}
+    reward = m.reward.tolist()
+    moves = [[(a, m.successors(s, a)) for a in m.actions_at(s)] for s in range(m.n_states)]
+    vnext = [0.0] * m.n_states
     greedy: list[dict[int, int]] = [dict() for _ in range(T)]
     for t in range(T - 1, -1, -1):
-        layer = {}
-        for s in range(m.n_states):
-            actions = m.actions_at(s)
+        layer = []
+        for s, (row, acts) in enumerate(zip(reward, moves)):
             scored = []
-            for a in actions:
-                acc = pows[t] * m.reward[s, a]
-                for s2, p in m.successors(s, a):
+            for a, succ in acts:
+                acc = pows[t] * row[a]
+                for s2, p in succ:
                     acc += p * vnext[s2]
                 scored.append(acc)
-            layer[s] = max(scored)
-            greedy[t][s] = actions[argmax_low(scored)]
+            layer.append(max(scored))
+            greedy[t][s] = acts[argmax_low(scored)][0]
         vnext = layer
     return vnext[m.s0], greedy
 
@@ -266,24 +299,25 @@ def _first_reached(e: ExtendedMdp, masks) -> tuple[int, int, tuple[int, ...]] | 
     """(t, s, ledger) of the first node reached from the initial state at
     which a stop mask holds, or None.
 
-    One forward walk over the compiled layers.  ``masks(t, real, nxt_index)``
-    gets, per (node, action, slot) of layer t, whether the slot is real and
-    the index in layer t+1 of the node it enters, and returns two masks: the
-    (n_t,) nodes to stop at and the (n_t, A) actions the walk moves along.
+    One forward walk over the compiled layers.  ``masks(t, entered, owner)``
+    gets, per edge of layer t, the index in layer t+1 of the node it enters
+    and its pair (``Layer.pairs``), and returns two masks: the (n_t,) nodes
+    to stop at and the (A, n_t) actions the walk moves along.
     The frontier is a bool mask over each layer's nodes; the node named is
     the one of lowest index, discovery order, in the first layer that has one.
     """
     frontier = np.ones(1, dtype=bool)  # layer 0 is the initial state alone
     for t in range(e.base.horizon):
         layer = e.compiled[t]
-        nxt_index = layer.nx.ravel()[layer.flat]
-        stop, moves = masks(t, layer.real, nxt_index)
+        entered = layer.nx.ravel().take(layer.flat)
+        owner = layer.pairs[np.concatenate([np.arange(end) for end in layer.ends])]
+        stop, moves = masks(t, entered, owner)
         hit = np.flatnonzero(frontier & stop)
         if len(hit):
             s, ledger = e.layers[t][hit[0]]
             return t, s, ledger
-        entered = nxt_index[layer.real & (moves & frontier[:, None])[:, :, None]]
-        frontier = np.bincount(entered, minlength=len(e.compiled[t + 1].state)) > 0
+        follow = (moves & frontier).ravel()[owner]
+        frontier = np.bincount(entered[follow], minlength=len(e.compiled[t + 1].state)) > 0
     return None
 
 
@@ -295,11 +329,12 @@ def _first_dead_end(e: ExtendedMdp) -> str:
     """
     m = e.base
 
-    def masks(t, real, nxt_index):
-        after = e.compiled[t + 1]
-        violated = _violated(after)[after.ledger]
-        ok = real[:, :, 0] & ~(real & violated[nxt_index]).any(axis=2)
-        return ~ok.any(axis=1), ok
+    def masks(t, entered, owner):
+        layer, after = e.compiled[t], e.compiled[t + 1]
+        unsafe = np.zeros(layer.ok.size, dtype=bool)
+        unsafe[owner[_violated(after)[after.ledger][entered]]] = True
+        ok = layer.ok & ~unsafe.reshape(layer.ok.shape)
+        return ~ok.any(axis=0), ok
 
     found = _first_reached(e, masks)
     if found is None:
@@ -315,7 +350,7 @@ def _first_undefined(e: ExtendedMdp, policy: TabularPolicy) -> tuple[int, int, t
     after a policy sweep ends in NaN, which a reached NaN row alone causes.
     """
     rows = policy.rows
-    found = _first_reached(e, lambda t, _real, _nxt: (np.isnan(rows[t]).any(axis=1), rows[t] != 0.0))
+    found = _first_reached(e, lambda t, _entered, _owner: (np.isnan(rows[t]).any(axis=1), rows[t].T != 0.0))
     if found is None:
         raise AssertionError("unreachable: a NaN value with no reached NaN row")
     return found

@@ -92,20 +92,38 @@ def test_compiled_build_keeps_the_reference_discovery_order():
         for t, layer in enumerate(e.compiled):
             assert [(s, layer.ledgers[l]) for s, l in zip(layer.state, layer.ledger)] == list(layers[t])
             if t < m.horizon:
-                # nx sends (ledger, successor) to that arrival's index in layer t+1, and
-                # slot j of (node, action) is the j-th successor with its probability.
+                # Every available (node i, action a) is one pair a * n + i, by successor
+                # count, highest first.
+                n = len(layers[t])
+                available = sorted(a * n + i for i, (s, _ledger) in enumerate(layers[t]) for a in m.actions_at(s))
+                assert sorted(layer.pairs.tolist()) == available
+                counts = [len(m.successors(layer.state[q % n], q // n)) for q in layer.pairs.tolist()]
+                assert all(x >= y for x, y in zip(counts, counts[1:]))
+                keyed = list(zip([-c for c in counts], layer.pairs.tolist()))
+                assert keyed == sorted(keyed)  # a stable sort: ties keep (action, node) order
+                assert layer.ends == tuple(sum(c > j for c in counts) for j in range(max(counts)))
+                for q, pair in enumerate(layer.pairs.tolist()):
+                    assert layer.pos[divmod(pair, n)] == q and layer.ok[divmod(pair, n)]
+                    assert layer.reward[q] == m.reward[layer.state[pair % n], pair // n]
+                assert (layer.pos[~layer.ok] == len(layer.pairs)).all() and layer.ok.sum() == len(available)
+                # Only real edges, slot-major: nx sends (ledger, successor) to that arrival's
+                # index in layer t+1, and slot j of pair q is the j-th successor with its probability.
                 assert layer.flat.dtype == np.int32
+                assert layer.flat.size == layer.prob.size == sum(counts)
                 entered = layer.nx.ravel()[layer.flat]
-                for i, ((s, ledger), l) in enumerate(zip(layers[t], layer.ledger)):
-                    used = np.zeros(layer.real.shape[1:], dtype=bool)
-                    for a in m.actions_at(s):
-                        for j, (s2, p) in enumerate(m.successors(s, a)):
-                            arrival = (s2, advance(ledger, s2))
-                            assert layers[t + 1][layer.nx[l, s2]] == arrival
-                            assert layers[t + 1][entered[i, a, j]] == arrival
-                            assert layer.prob[i, a, j] == p and layer.real[i, a, j]
-                            used[a, j] = True
-                    assert not layer.real[i][~used].any() and (layer.prob[i][~used] == 0.0).all()
+                start = 0
+                for j, end in enumerate(layer.ends):
+                    for q, pair in enumerate(layer.pairs[:end].tolist()):
+                        a, i = divmod(pair, n)
+                        (s, ledger), l = layers[t][i], layer.ledger[i]
+                        s2, p = m.successors(s, a)[j]
+                        arrival = (s2, advance(ledger, s2))
+                        assert layers[t + 1][layer.nx[l, s2]] == arrival
+                        assert layers[t + 1][entered[start + q]] == arrival
+                        assert layer.prob[start + q] == p
+                    start += end
+            else:  # no action is taken at layer T
+                assert layer.pairs.size == layer.flat.size == 0 and not layer.ok.any()
 
 
 @pytest.mark.parametrize("grid, fixed", [(desk_grid, 17), (large_grid, 23)])
@@ -222,7 +240,8 @@ def test_weights_and_schemes_share_one_interned_space():
     assert all(canonical[x] is x for layer in space.layers for x in layer)
     layer = space.compiled[0]
     assert not any(x.flags.writeable for x in
-                   (layer.state, layer.ledger, layer.nx, layer.prob, layer.real, layer.flat))
+                   (layer.state, layer.ledger, layer.nx, layer.pairs, layer.reward, layer.flat, layer.prob,
+                    layer.pos, layer.ok))
     # A cap below the size of the space already walked still raises.
     with pytest.raises(LedgerCapExceeded, match="cap of 10"):
         build_extended(f.cmdp, [0.5], [RN], f.quantum, max_states=10)

@@ -318,6 +318,49 @@ def test_desk_grid_results_are_bit_identical_to_the_scalar_sweep(desk, scheme):
     assert repr(float(evaluate_policy(e, policy))) == random_value
 
 
+# The same three pins on the noisy large grid at lambda = 3, recorded from
+# the padded (node, action, slot) sweep, and its worst-case dead end.
+LARGE_PINS = {
+    PenaltyScheme.RISK_NEUTRAL: (
+        "84.10625346712992",
+        "75ce48afd3cecfb90b254554cd4b72eff2d78dc38a26edb4cc2ac2a89e6453e5",
+        "-342.51060926900647",
+    ),
+    PenaltyScheme.VALUE_AT_RISK: (
+        "82.12250507534533",
+        "aa2c7288053a973499625895831dd08ec94f099f79e175938e02b4e33a4af2a7",
+        "-733.0041976409119",
+    ),
+    PenaltyScheme.CONDITIONAL_VALUE_AT_RISK: (
+        "84.48398776972468",
+        "104cc63b39eaf8e766ce12589981180986084d6d521f5b4f062bdfe849968069",
+        "-336.5240787839927",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def large():
+    return make_gridworld(large_grid(), "exact")
+
+
+@pytest.mark.parametrize("scheme", list(PenaltyScheme))
+def test_large_grid_results_are_bit_identical_to_the_padded_sweep(large, scheme):
+    value, greedy_sha, random_value = LARGE_PINS[scheme]
+    e = build_extended(large, [3.0], [scheme], 0.25)
+    vt = backward_induction(e)
+    rows = sorted((t, x, a) for t, (nodes, choice) in enumerate(zip(e.layers, vt.greedy))
+                  for x, a in zip(nodes, choice.tolist()))
+    assert repr(float(vt.initial_value)) == value
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == greedy_sha
+    policy = random_policy(large, 0.25, random.Random(7))
+    assert repr(float(evaluate_policy(e, policy))) == random_value
+    with pytest.raises(WorstCaseInfeasible) as exc:
+        worst_case_value(large, 0.25)
+    assert str(exc.value) == ("worst-case constrained problem is infeasible: "
+                              "no feasible action at r7c6@1.0 with ledger (4,) at step 1")
+
+
 def masked_model():
     """Start -> safe (a0) or trap (a1); a2 at start and a0 at the trap are
     unavailable and carry the largest reward.  Every available action at the

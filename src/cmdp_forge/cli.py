@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import statistics
 import sys
@@ -53,12 +52,6 @@ from .textio import dump_checkpoint, format_number, load_checkpoint, load_cmdp
 from .verification import run_all
 
 TRAIN_COLUMNS = ("episode", "return", "final_cost", "lambda", "epsilon_or_entropy", "wall_ms")
-
-
-def _num(x) -> str:
-    if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
-        return str(x)
-    return format_number(float(x))
 
 
 def _spread(values: list[float]) -> float:
@@ -107,8 +100,7 @@ def _train_one(cfg: ExperimentConfig, seed, lam: float) -> tuple[list[TrainRow],
 
 
 def _log_row(r: TrainRow) -> tuple:
-    return (r.episode, _num(r.ret), _num(r.final_cost), _num(r.lam), _num(r.explore),
-            _num(round(r.wall_ms, 3)))
+    return (r.episode, *map(format_number, (r.ret, r.final_cost, r.lam, r.explore, round(r.wall_ms, 3))))
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
@@ -131,7 +123,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
             except Exception as exc:  # recorded, remaining runs proceed
                 failures.append((seed, lam, f"{type(exc).__name__}: {exc}"))
                 continue
-            name = f"seed{seed}_lambda{_num(lam)}" if cfg.lambda_grid else f"seed{seed}"
+            name = f"seed{seed}_lambda{format_number(lam)}" if cfg.lambda_grid else f"seed{seed}"
             write_csv(out / f"train_{name}.csv", TRAIN_COLUMNS, map(_log_row, log))
             (out / f"checkpoint_{name}.txt").write_text(checkpoint)
             logs[seed, lam] = log
@@ -142,8 +134,8 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
         seed_logs = [logs[seed, lam] for seed in cfg.seeds if (seed, lam) in logs]
         for rows in zip(*seed_logs):
             columns = ([r.ret for r in rows], [r.final_cost for r in rows], [r.lam for r in rows])
-            stats = (_num(f(values)) for values in columns for f in (statistics.fmean, _spread))
-            agg_rows.append((_num(lam), rows[0].episode, *stats))
+            stats = (format_number(f(values)) for values in columns for f in (statistics.fmean, _spread))
+            agg_rows.append((format_number(lam), rows[0].episode, *stats))
     write_csv(
         out / "train_aggregate.csv",
         ("lambda0", "episode", "return_mean", "return_std",
@@ -152,7 +144,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     )
     if failures:
         write_csv(out / "failures.csv", ("seed", "lambda0", "error"),
-                  [(s, _num(l), e) for s, l, e in failures])
+                  [(s, format_number(l), e) for s, l, e in failures])
         for s, l, e in failures:
             print(f"FAIL seed {s} lambda {l}: {e}", file=sys.stderr)
         return 1
@@ -218,19 +210,19 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint_path: Path, out: Path) -> int
     for key, want in (("n_actions", envs[0].n_actions), ("budget", envs[0].budget)):
         if meta[key] != want:
             raise ConfigError(
-                f"{checkpoint_path}: checkpoint {key} = {_num(meta[key])} does not match "
-                f"the configured environment's {_num(want)}"
+                f"{checkpoint_path}: checkpoint {key} = {format_number(meta[key])} does not match "
+                f"the configured environment's {format_number(want)}"
             )
     per_seed = evaluate_checkpoint(checkpoint, envs, cfg.eval_episodes)
     ret, cost, violation, excess, _ = zip(*per_seed)
     agg = [statistics.fmean(column) for column in (ret, cost, violation, excess)]
-    rows = [(seed, *map(_num, row[:4]), "" if row[4] is None else row[4])
+    rows = [(seed, *map(format_number, row[:4]), "" if row[4] is None else row[4])
             for seed, row in zip(cfg.seeds, per_seed)]
     write_csv(
         out / "eval_report.csv",
         ("seed", "mean_return", "mean_cost", "violation_prob", "mean_excess",
          "episodes_to_satisfaction"),
-        [*rows, ("aggregate", *map(_num, agg), "")],
+        [*rows, ("aggregate", *map(format_number, agg), "")],
     )
     print(
         f"return {agg[0]:.3f} +- {_spread(ret):.3f}  "
@@ -254,7 +246,7 @@ def cmd_verify(cfg: ExperimentConfig | None, out: Path) -> int:
         print(f"{rep.kind}: {len(rep.rows)} checks, {status}")
         for r in rep.rows:
             rows.append(
-                (r.kind, r.fixture, _num(r.lam), _num(r.bound), _num(r.measured),
+                (r.kind, r.fixture, *map(format_number, (r.lam, r.bound, r.measured)),
                  "pass" if r.passed else "FAIL", r.note)
             )
         for note in rep.notes:
@@ -275,8 +267,8 @@ def cmd_bounds(model_path: Path, alpha: float, quantum: float, out: Path) -> int
         print(f"worst case infeasible: {exc}")
         rows = [("feasible_worst_case", 0.0)]
     for name, value in rows:
-        print(f"{name} = {_num(value)}")
-    write_csv(out / "bounds.csv", ("quantity", "value"), [(n, _num(v)) for n, v in rows])
+        print(f"{name} = {format_number(value)}")
+    write_csv(out / "bounds.csv", ("quantity", "value"), [(n, format_number(v)) for n, v in rows])
     return 0
 
 

@@ -22,7 +22,7 @@ The reachable nodes depend on neither the penalty weights nor the schemes:
 model, and ``build_extended`` attaches weights to it.  The walk emits every
 layer twice: as the tuple of augmented states in discovery order
 (``layers``), and in read-only index form (``compiled``) for the array
-solvers: each node's base state and ledger id, the layer's distinct ledgers,
+solvers: each node's ledger id, the layer's distinct ledgers,
 their costs decoded once (``Layer.cost``, inf where over budget), the
 table nx[ledger id, s2] giving the index in the next layer of
 (s2, advance(L, s2)), and the layer's real edges alone, slot-major over
@@ -109,7 +109,6 @@ def ledger_rule(m: Cmdp, quantum: float) -> Callable[[tuple[int, ...], int], tup
 class Layer:
     """Epoch t of an ExtendedMdp in index form; node i is ``layers[t][i]``."""
 
-    state: np.ndarray  # (n,) base state of each node
     ledger: np.ndarray  # (n,) each node's ledger as an index into ``ledgers``
     ledgers: tuple[tuple[int, ...], ...]  # the epoch's distinct ledgers, first-seen order
     # (len(ledgers), K): each ledger entry times the quantum, inf where VIOLATED.
@@ -117,15 +116,15 @@ class Layer:
     # (len(ledgers), S): index in layer t+1 of (s2, advance(L, s2)), -1 where
     # no node of the epoch with ledger L moves to s2 (everywhere at t = T).
     nx: np.ndarray
-    # The real edges.  ``pairs`` holds each available (node i, action a) as
-    # a * n + i, by successor count, highest first (a stable sort), so slot
-    # j, the j-th of ``base.successors(state[i], a)``, exists for exactly
-    # ``pairs[:ends[j]]``.  ``flat`` and ``prob`` run slot-major over them,
+    # The real edges.  ``pairs`` holds each available (node i = (s, L),
+    # action a) as a * n + i, by successor count, highest first (a stable
+    # sort), so slot j, the j-th of ``base.successors(s, a)``, exists for
+    # exactly ``pairs[:ends[j]]``.  ``flat`` and ``prob`` run slot-major over them,
     # flat = ledger * S + successor indexing a flattened (len(ledgers), S)
     # table such as ``nx``.  ``pos`` (A, n) is each pair's index in
     # ``pairs``, and len(pairs), a sentinel, where ``ok`` (A, n) is unset.
     pairs: np.ndarray
-    reward: np.ndarray  # base.reward[state[i], a] per pair
+    reward: np.ndarray  # base.reward[s, a] per pair
     ends: tuple[int, ...]
     flat: np.ndarray  # int32: every index is below nx.size
     prob: np.ndarray
@@ -194,7 +193,7 @@ def _layer(nodes: tuple[AugState, ...], quantum: float, slots, last: bool = Fals
     flat = (ledger[pairs % n] * S + succ.take(cols, axis=1))[edge]
     pos = np.full(A * n, len(pairs), dtype=np.intp)
     pos[pairs] = np.arange(len(pairs))
-    return Layer(_frozen(state), _frozen(ledger), tuple(ids), _frozen(cost),
+    return Layer(_frozen(ledger), tuple(ids), _frozen(cost),
                  np.full((len(ids), S), -1, dtype=np.intp), _frozen(pairs), _frozen(reward[cols]),
                  tuple(ends[ends > 0].tolist()),
                  _frozen(flat.astype(np.int32)), _frozen(prob.take(cols, axis=1)[edge]),
@@ -290,8 +289,8 @@ def build_extended(
 ) -> ExtendedMdp:
     """``augment(m, quantum, max_states)`` under penalty weights ``lambdas``.
 
-    Raises on lambda/scheme arity mismatch and negative weights, and
-    wherever ``augment`` does.
+    Raises on lambda/scheme arity mismatch and on a weight that is not
+    finite and >= 0, and wherever ``augment`` does.
     """
     K = m.n_constraints
     if len(lambdas) != K or len(schemes) != K:
@@ -300,8 +299,8 @@ def build_extended(
             f"and {len(schemes)} schemes"
         )
     for k, lam in enumerate(lambdas):
-        if lam < 0.0:
-            raise ValueError(f"lambdas[{k}] must be >= 0, got {lam}")
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise ValueError(f"lambdas[{k}] must be finite and >= 0, got {lam}")
     e = augment(m, quantum, max_states)
     # Epoch-0 assessment for occupying s0 (nonzero only when d(s0) crosses).
     init_pen = 0.0

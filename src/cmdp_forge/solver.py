@@ -156,10 +156,11 @@ def _sweep(
     ``argmax_low`` does, and greedy[t] holds the choices of layer t; with one,
     the policy-weighted expectation over actions of nonzero probability.
     Raises ValueError for a policy over another space.  A node whose policy
-    row is NaN is worth NaN, which reaches V(0) only along edges of positive
-    weight: such a row at a node the policy never reaches passes, and one at
-    a reached node raises PolicyUndefined naming the first, found by
-    ``_first_undefined`` after the sweep.
+    row is NaN is worth NaN, and one whose row puts probability on an
+    unavailable action is worth its -inf; either reaches V(0) only along
+    edges of positive weight, so such a row passes where the policy never
+    goes, and the first one it reaches is named by ``_first_undefined``
+    after the sweep, as PolicyUndefined (NaN first) or ValueError.
 
     Each layer is one numpy pass over its real edges: the arrival term
     W = V(t+1)[nx] - PEN per (ledger, successor), read per edge through
@@ -204,8 +205,9 @@ def _sweep(
             rows = policy.rows[t]
             pi = rows.T
             # Skipping zero-probability actions keeps 0 * -inf, and 0 * NaN
-            # from an unreached node, out of the sum.
-            weighted = layer.ok & (pi != 0.0)
+            # from an unreached node, out of the sum; mass on an unavailable
+            # action meets its -inf.
+            weighted = pi != 0.0
             acc[~weighted] = 0.0
             values = np.zeros(len(rows))
             for a in range(A):
@@ -214,7 +216,11 @@ def _sweep(
                 values[np.isnan(rows).any(axis=1)] = math.nan
         vnext = values
     if policy is not None and math.isnan(vnext[0]):
-        raise PolicyUndefined(f"policy has no row for augmented state {_first_undefined(e, policy)}")
+        raise PolicyUndefined(f"policy has no row for augmented state {_first_undefined(e, policy.rows)}")
+    if policy is not None and vnext[0] == -math.inf:  # only an unavailable action's -inf gets here
+        first = _first_undefined(e, (np.where(((r.T != 0.0) & ~layer.ok).any(axis=0)[:, None], math.nan, r)
+                                     for layer, r in zip(e.compiled, policy.rows)))
+        raise ValueError(f"policy puts probability on an unavailable action at augmented state {first}")
     return float(vnext[0]), greedy
 
 
@@ -295,65 +301,51 @@ def _masked_sweep(m: Cmdp, quantum: float) -> tuple[float, TabularPolicy] | str:
     return value, policy
 
 
-def _first_reached(e: ExtendedMdp, masks) -> tuple[int, int, tuple[int, ...]] | None:
-    """(t, s, ledger) of the first node reached from the initial state at
-    which a stop mask holds, or None.
-
-    One forward walk over the compiled layers.  ``masks(t, entered, owner)``
-    gets, per edge of layer t, the index in layer t+1 of the node it enters
-    and its pair (``Layer.pairs``), and returns two masks: the (n_t,) nodes
-    to stop at and the (A, n_t) actions the walk moves along.
-    The frontier is a bool mask over each layer's nodes; the node named is
-    the one of lowest index, discovery order, in the first layer that has one.
-    """
-    frontier = np.ones(1, dtype=bool)  # layer 0 is the initial state alone
-    for t in range(e.base.horizon):
-        layer = e.compiled[t]
-        entered = layer.nx.ravel().take(layer.flat)
-        owner = layer.pairs[np.concatenate([np.arange(end) for end in layer.ends])]
-        stop, moves = masks(t, entered, owner)
-        hit = np.flatnonzero(frontier & stop)
-        if len(hit):
-            s, ledger = e.layers[t][hit[0]]
-            return t, s, ledger
-        follow = (moves & frontier).ravel()[owner]
-        frontier = np.bincount(entered[follow], minlength=len(e.compiled[t + 1].state)) > 0
-    return None
-
-
 def _first_dead_end(e: ExtendedMdp) -> str:
     """Name the first reachable augmented state with no feasible action.
 
-    ``_first_reached`` along feasible actions, those with no successor in a
-    violated ledger, stopping at a node that has none.
+    A feasible action has no successor in a violated ledger, so a dead end
+    is a node where the policy spread evenly over feasible actions has no
+    row; its rows are formed a layer at a time, as the walk reaches them.
+    After a masked sweep ending in -inf with s0's ledger safe, that policy
+    reaches one: otherwise its every path stays safe and its value finite.
     """
-    m = e.base
+    def spread():
+        for layer, after in zip(e.compiled, e.compiled[1:]):
+            unsafe = np.zeros(layer.ok.size, dtype=bool)
+            unsafe[_owners(layer)[_violated(after)[after.ledger][layer.nx.ravel()[layer.flat]]]] = True
+            ok = layer.ok & ~unsafe.reshape(layer.ok.shape)
+            with np.errstate(invalid="ignore"):  # 0 / 0: NaN, no row
+                yield (ok / ok.sum(axis=0)).T
 
-    def masks(t, entered, owner):
-        layer, after = e.compiled[t], e.compiled[t + 1]
-        unsafe = np.zeros(layer.ok.size, dtype=bool)
-        unsafe[owner[_violated(after)[after.ledger][entered]]] = True
-        ok = layer.ok & ~unsafe.reshape(layer.ok.shape)
-        return ~ok.any(axis=0), ok
-
-    found = _first_reached(e, masks)
-    if found is None:
-        return f"initial state {m.state_name(m.s0)}"
-    t, s, ledger = found
-    return f"{m.state_name(s)} with ledger {ledger} at step {t}"
+    t, s, ledger = _first_undefined(e, spread())
+    return f"{e.base.state_name(s)} with ledger {ledger} at step {t}"
 
 
-def _first_undefined(e: ExtendedMdp, policy: TabularPolicy) -> tuple[int, int, tuple[int, ...]]:
-    """The first node ``policy`` reaches whose row is NaN, as (t, s, ledger).
+def _owners(layer: Layer) -> np.ndarray:
+    """Per edge of ``layer``, slot-major as ``flat``, its pair (``Layer.pairs``)."""
+    return layer.pairs[np.concatenate([np.arange(end) for end in layer.ends])]
 
-    ``_first_reached`` along the actions of nonzero probability.  Run only
-    after a policy sweep ends in NaN, which a reached NaN row alone causes.
+
+def _first_undefined(e: ExtendedMdp, rows) -> tuple[int, int, tuple[int, ...]]:
+    """(t, s, ledger) of the first node whose row is NaN that policy ``rows`` reach.
+
+    ``rows`` yields the (n_t, A) rows of layer t = 0, 1, ..., read only up
+    to the layer named.  One forward walk from the initial state along the
+    actions of nonzero probability, each edge to the node it enters; the
+    node named has the lowest index, discovery order, in the first layer
+    with one.  Run only where one must exist, as after a policy sweep ends
+    in NaN, which a reached NaN row alone causes.
     """
-    rows = policy.rows
-    found = _first_reached(e, lambda t, _entered, _owner: (np.isnan(rows[t]).any(axis=1), rows[t].T != 0.0))
-    if found is None:
-        raise AssertionError("unreachable: a NaN value with no reached NaN row")
-    return found
+    frontier = np.ones(1, dtype=bool)  # layer 0 is the initial state alone
+    for t, (layer, r) in enumerate(zip(e.compiled, rows)):
+        hit = np.flatnonzero(frontier & np.isnan(r).any(axis=1))
+        if len(hit):
+            s, ledger = e.layers[t][hit[0]]
+            return t, s, ledger
+        follow = ((r.T != 0.0) & frontier).ravel()[_owners(layer)]
+        frontier = np.bincount(layer.nx.ravel()[layer.flat][follow], minlength=len(e.layers[t + 1])) > 0
+    raise AssertionError("unreachable: the walk reached no NaN row")
 
 
 def max_safe_cost(m: Cmdp, k: int = 0, quantum: float = 0.25) -> float:

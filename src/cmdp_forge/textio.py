@@ -41,6 +41,8 @@ class FormatError(ValueError):
 
 
 def format_number(x: float) -> str:
+    if not math.isfinite(x):
+        return str(float(x))
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return repr(float(x))

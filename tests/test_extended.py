@@ -90,21 +90,22 @@ def test_compiled_build_keeps_the_reference_discovery_order():
         assert e.states == states, name
         assert e.layers == layers, name
         for t, layer in enumerate(e.compiled):
-            assert [(s, layer.ledgers[l]) for s, l in zip(layer.state, layer.ledger)] == list(layers[t])
+            state = [s for s, _ledger in layers[t]]
+            assert [layer.ledgers[l] for l in layer.ledger.tolist()] == [ledger for _s, ledger in layers[t]]
             if t < m.horizon:
                 # Every available (node i, action a) is one pair a * n + i, by successor
                 # count, highest first.
                 n = len(layers[t])
                 available = sorted(a * n + i for i, (s, _ledger) in enumerate(layers[t]) for a in m.actions_at(s))
                 assert sorted(layer.pairs.tolist()) == available
-                counts = [len(m.successors(layer.state[q % n], q // n)) for q in layer.pairs.tolist()]
+                counts = [len(m.successors(state[q % n], q // n)) for q in layer.pairs.tolist()]
                 assert all(x >= y for x, y in zip(counts, counts[1:]))
                 keyed = list(zip([-c for c in counts], layer.pairs.tolist()))
                 assert keyed == sorted(keyed)  # a stable sort: ties keep (action, node) order
                 assert layer.ends == tuple(sum(c > j for c in counts) for j in range(max(counts)))
                 for q, pair in enumerate(layer.pairs.tolist()):
                     assert layer.pos[divmod(pair, n)] == q and layer.ok[divmod(pair, n)]
-                    assert layer.reward[q] == m.reward[layer.state[pair % n], pair // n]
+                    assert layer.reward[q] == m.reward[state[pair % n], pair // n]
                 assert (layer.pos[~layer.ok] == len(layer.pairs)).all() and layer.ok.sum() == len(available)
                 # Only real edges, slot-major: nx sends (ledger, successor) to that arrival's
                 # index in layer t+1, and slot j of pair q is the j-th successor with its probability.
@@ -139,8 +140,18 @@ def test_the_walk_stops_at_the_layer_fixed_point(grid, fixed):
     last, before = e.compiled[T], e.compiled[T - 1]
     assert (last.nx == -1).all()
     assert last.ledgers == before.ledgers
-    for name in ("state", "ledger", "cost"):
+    # The nodes' states are e.layers[T], the same tuple as e.layers[T - 1]; the
+    # last layer's columns match the one before it, and it takes no action.
+    for name in ("ledger", "cost"):
         assert np.array_equal(getattr(last, name), getattr(before, name))
+    assert last.ok.shape == before.ok.shape and not last.ok.any() and last.pairs.size == 0
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan, -1.0])
+def test_a_weight_that_is_not_finite_and_non_negative_is_rejected(lam):
+    f = fixture("grid3_noisy")
+    with pytest.raises(ValueError, match=rf"^lambdas\[0\] must be finite and >= 0, got {lam}$"):
+        build_extended(f.cmdp, [lam], [RN], f.quantum)
 
 
 def test_quantize_accepts_multiples_and_rejects_others():
@@ -240,7 +251,7 @@ def test_weights_and_schemes_share_one_interned_space():
     assert all(canonical[x] is x for layer in space.layers for x in layer)
     layer = space.compiled[0]
     assert not any(x.flags.writeable for x in
-                   (layer.state, layer.ledger, layer.nx, layer.pairs, layer.reward, layer.flat, layer.prob,
+                   (layer.ledger, layer.cost, layer.nx, layer.pairs, layer.reward, layer.flat, layer.prob,
                     layer.pos, layer.ok))
     # A cap below the size of the space already walked still raises.
     with pytest.raises(LedgerCapExceeded, match="cap of 10"):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmdp_forge import solver
 from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, large_grid, make_chain, make_gridworld, tiny_grid
@@ -20,7 +22,7 @@ from cmdp_forge.extended import (
 )
 from cmdp_forge.fixtures import fixture, fixture_pack, two_action_chain
 from cmdp_forge.model import Cmdp
-from cmdp_forge.oracle import enumerate_trajectories, random_policy, stats
+from cmdp_forge.oracle import IncompleteMass, enumerate_trajectories, random_policy, stats
 from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import (
     WorstCaseInfeasible,
@@ -467,3 +469,81 @@ def test_nan_rows_off_the_policy_pass_and_the_first_reached_is_named():
     first = min((e.layers[1].index((s, ledger)), (1, s, ledger)) for t, s, ledger in reached if t == 1)[1]
     with pytest.raises(PolicyUndefined, match=re.escape(f"no row for augmented state {first}")):
         evaluate_policy(e, holed(lambda t, s, ledger: t >= 1 and (t, s, ledger) in reached))
+
+
+def test_probability_on_an_unavailable_action_is_named_where_reached():
+    m = masked_model()
+    e = build_extended(m, [0.0], [RN], 1.0)
+    start, trap = e.layers[0].index((0, (0,))), e.layers[1].index((2, (0,)))
+
+    def policy(at_start, at_trap):
+        rows = [np.full((len(nodes), m.n_actions), 1 / 3) for nodes in e.layers[:-1]]
+        rows[0][start], rows[1][trap] = at_start, at_trap
+        return TabularPolicy(e.layers, tuple(rows))
+
+    uniform = policy([1 / 3] * 3, [1 / 3] * 3)
+    with pytest.raises(ValueError, match=re.escape("unavailable action at augmented state (0, 0, (0,))")):
+        evaluate_policy(e, uniform)
+    with pytest.raises(IncompleteMass):  # the oracle's route: the mass on a2 at start goes nowhere
+        stats(enumerate_trajectories(m, uniform, 1.0), m)
+    with pytest.raises(ValueError, match=re.escape("unavailable action at augmented state (1, 2, (0,))")):
+        evaluate_policy(e, policy([0.0, 1.0, 0.0], [0.5, 0.5, 0.0]))
+    # A row the policy never reaches passes, as a NaN row does.
+    assert evaluate_policy(e, policy([1.0, 0.0, 0.0], [1 / 3] * 3)) == 1.0
+    assert evaluate_policy(e, policy([0.0, 1.0, 0.0], [0.0, 0.5, 0.5])) == 2.0
+
+
+@st.composite
+def small_cmdps(draw):
+    """S <= 5 and A <= 3 with masked actions, T <= 5, K <= 2; costs, budgets
+    and rewards on the 0.5 grid."""
+    S, A, T, K = (draw(st.integers(1, n)) for n in (5, 3, 5, 2))
+    halves = st.integers(0, 2).map(lambda n: n * 0.5)
+    masks = draw(st.lists(st.integers(1, 2 ** A - 1), min_size=S, max_size=S))  # each state keeps an action
+    available = np.array([[mask >> a & 1 for a in range(A)] for mask in masks], dtype=bool)
+    weights = st.lists(st.integers(0, 3), min_size=S, max_size=S).filter(any)
+    transition = np.array([[draw(weights) for _a in range(A)] for _s in range(S)], dtype=float)
+    transition /= transition.sum(axis=2, keepdims=True)
+    return Cmdp(
+        transition=transition,
+        reward=np.array(draw(st.lists(halves, min_size=S * A, max_size=S * A))).reshape(S, A) - 0.5,
+        costs=[draw(st.lists(halves, min_size=S, max_size=S)) for _k in range(K)],
+        budgets=tuple(draw(st.lists(st.integers(1, 8).map(lambda n: n * 0.5), min_size=K, max_size=K))),
+        horizon=T, s0=draw(st.integers(0, S - 1)), available=available,
+    )
+
+
+def dead_end_by_walk(m, quantum):
+    """Independent route: a scalar walk along feasible actions, those with no
+    successor in a violated ledger, naming the first node it reaches (layer
+    by layer, lowest index first) that has none."""
+    e = augment(m, quantum)
+    advance = ledger_rule(m, quantum)
+    if VIOLATED in e.layers[0][0][1]:
+        return f"initial state {m.state_name(m.s0)}"
+    frontier = set(e.layers[0])
+    for t in range(m.horizon):
+        reached = set()
+        for s, ledger in e.layers[t]:
+            if (s, ledger) not in frontier:
+                continue
+            feasible = [a for a in m.actions_at(s)
+                        if all(VIOLATED not in advance(ledger, s2) for s2, _p in m.successors(s, a))]
+            if not feasible:
+                return f"{m.state_name(s)} with ledger {ledger} at step {t}"
+            reached.update((s2, advance(ledger, s2)) for a in feasible for s2, _p in m.successors(s, a))
+        frontier = reached
+    raise AssertionError("no dead end along feasible actions")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_cmdps())
+def test_worst_case_is_scored_exactly_or_names_the_walked_dead_end(m):
+    try:
+        value, policy = worst_case_value(m, 0.5)
+    except WorstCaseInfeasible as exc:
+        assert str(exc) == ("worst-case constrained problem is infeasible: "
+                            f"no feasible action at {dead_end_by_walk(m, 0.5)}")
+        return
+    K = m.n_constraints
+    assert evaluate_policy(build_extended(m, [0.0] * K, [RN] * K, 0.5), policy) == value

@@ -13,17 +13,17 @@ the rule it returns.
 Penalty assessments are charged on transitions.  Arriving at s' from an
 augmented state whose ledger is L pays the assessment for s' computed from
 (ledger value of L, d(s')); the epoch-0 assessment for s_0 is a constant
-reported as ``initial_penalty``.  Solvers fold these amounts undiscounted
+the solver charges itself.  Solvers fold these amounts undiscounted
 into trajectory-return space, which is algebraically identical to the
 per-step gamma^-t form and immune to discount underflow.
 
 The reachable nodes depend on neither the penalty weights nor the schemes:
 ``augment`` walks them once per (model, quantum) and keeps the space on the
-model, and ``build_extended`` attaches weights to it.  The walk emits every
-layer twice: as the tuple of augmented states in discovery order
+model, and ``build_extended`` only attaches weights to it.  The walk emits
+every layer twice: as the tuple of augmented states in discovery order
 (``layers``), and in read-only index form (``compiled``) for the array
-solvers: each node's ledger id, the layer's distinct ledgers,
-their costs decoded once (``Layer.cost``, inf where over budget), the
+solvers: each node's ledger id, the costs of the layer's distinct ledgers
+decoded once (``Layer.cost``, inf where over budget), the
 table nx[ledger id, s2] giving the index in the next layer of
 (s2, advance(L, s2)), and the layer's real edges alone, slot-major over
 its (node, action) pairs sorted by successor count.  The edge layout is
@@ -42,12 +42,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import Cmdp, _frozen
-from .penalties import PenaltyScheme, penalty_amount
+from .penalties import PenaltyScheme
 
 # Ledger entry marking "accumulated cost already exceeds the budget".
 VIOLATED = -1
 
 QUANTIZE_TOL = 1e-9
+MASS_TOL = 1e-9  # a policy row's entries are >= 0 and sum to 1 within this
+MAX_STATES = 200_000  # the most augmented states one walk may reach
 
 AugState = tuple[int, tuple[int, ...]]  # (base state, ledger)
 
@@ -78,10 +80,12 @@ def ledger_rule(m: Cmdp, quantum: float) -> Callable[[tuple[int, ...], int], tup
 
     The rule maps (ledger, s_next) to the ledger after arriving at s_next:
     c <- c + d(s_next) per constraint, collapsing over budget into VIOLATED.
-    Raises ValueError for a quantum that is not finite and > 0, and
-    QuantizationError naming the first cost or budget that is not a
-    multiple of ``quantum``.
+    Kept on the model: ``augment`` and the oracle share it.  Raises, and
+    keeps nothing, for a quantum that is not finite and > 0 (ValueError) and
+    for a cost or budget that is not a multiple of it (QuantizationError).
     """
+    if ("ledger_rule", quantum) in m._derived:
+        return m._derived["ledger_rule", quantum]
     if not (math.isfinite(quantum) and quantum > 0):
         raise ValueError(f"quantum: must be finite and > 0, got {quantum}")
     cost_quanta = tuple(
@@ -102,6 +106,7 @@ def ledger_rule(m: Cmdp, quantum: float) -> Callable[[tuple[int, ...], int], tup
             out.append(c if c <= budget_quanta[k] else VIOLATED)
         return tuple(out)
 
+    m._derived["ledger_rule", quantum] = advance
     return advance
 
 
@@ -109,18 +114,17 @@ def ledger_rule(m: Cmdp, quantum: float) -> Callable[[tuple[int, ...], int], tup
 class Layer:
     """Epoch t of an ExtendedMdp in index form; node i is ``layers[t][i]``."""
 
-    ledger: np.ndarray  # (n,) each node's ledger as an index into ``ledgers``
-    ledgers: tuple[tuple[int, ...], ...]  # the epoch's distinct ledgers, first-seen order
-    # (len(ledgers), K): each ledger entry times the quantum, inf where VIOLATED.
+    ledger: np.ndarray  # (n,) each node's ledger id: the epoch's L distinct ledgers, first-seen order
+    # (L, K): each ledger entry times the quantum, inf where VIOLATED.
     cost: np.ndarray
-    # (len(ledgers), S): index in layer t+1 of (s2, advance(L, s2)), -1 where
+    # (L, S): index in layer t+1 of (s2, advance(L, s2)), -1 where
     # no node of the epoch with ledger L moves to s2 (everywhere at t = T).
     nx: np.ndarray
     # The real edges.  ``pairs`` holds each available (node i = (s, L),
     # action a) as a * n + i, by successor count, highest first (a stable
     # sort), so slot j, the j-th of ``base.successors(s, a)``, exists for
     # exactly ``pairs[:ends[j]]``.  ``flat`` and ``prob`` run slot-major over them,
-    # flat = ledger * S + successor indexing a flattened (len(ledgers), S)
+    # flat = ledger * S + successor indexing a flattened (L, S)
     # table such as ``nx``.  ``pos`` (A, n) is each pair's index in
     # ``pairs``, and len(pairs), a sentinel, where ``ok`` (A, n) is unset.
     pairs: np.ndarray
@@ -142,10 +146,8 @@ class ExtendedMdp:
     base: Cmdp
     lambdas: tuple[float, ...]
     schemes: tuple[PenaltyScheme, ...]
-    quantum: float
     states: tuple[AugState, ...]  # distinct reachable pairs, discovery order
     layers: tuple[tuple[AugState, ...], ...]  # states reachable at epoch t, t = 0..T
-    initial_penalty: float
     compiled: tuple[Layer, ...] = field(repr=False, compare=False)
 
 
@@ -154,11 +156,26 @@ class TabularPolicy:
     """Action distributions over an augmented space, one per node and step.
 
     rows[t] is an (n_t, A) array whose row i belongs to node layers[t][i],
-    for t < T.  A row holding NaN means the policy has no row for that node.
+    for t < T.  A row holding NaN means the policy has no row for that node;
+    every other row must be a distribution, its entries >= 0 and summing to
+    1 within MASS_TOL.  Raises ValueError naming the (t, s, ledger) of the
+    first row, in layer order, that is not.
     """
 
     layers: tuple[tuple[AugState, ...], ...]
     rows: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        rows = np.concatenate(self.rows)
+        with np.errstate(invalid="ignore"):  # a row with inf and -inf sums to NaN, as a NaN row does
+            bad = abs(rows.sum(axis=1) - 1.0) > MASS_TOL  # False at a NaN sum
+        negative = rows < 0.0
+        if negative.any():
+            bad |= negative.any(axis=1) & ~np.isnan(rows).any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            node = [(t, s, ledger) for t, nodes in enumerate(self.layers[:-1]) for s, ledger in nodes][i]
+            raise ValueError(f"policy row at augmented state {node} is not a distribution: {rows[i].tolist()}")
 
     def table(self) -> dict[tuple[int, int, tuple[int, ...]], list[float]]:
         """The rows keyed by (t, s, ledger), with no key for a NaN row."""
@@ -193,14 +210,14 @@ def _layer(nodes: tuple[AugState, ...], quantum: float, slots, last: bool = Fals
     flat = (ledger[pairs % n] * S + succ.take(cols, axis=1))[edge]
     pos = np.full(A * n, len(pairs), dtype=np.intp)
     pos[pairs] = np.arange(len(pairs))
-    return Layer(_frozen(ledger), tuple(ids), _frozen(cost),
+    return Layer(_frozen(ledger), _frozen(cost),
                  np.full((len(ids), S), -1, dtype=np.intp), _frozen(pairs), _frozen(reward[cols]),
                  tuple(ends[ends > 0].tolist()),
                  _frozen(flat.astype(np.int32)), _frozen(prob.take(cols, axis=1)[edge]),
                  _frozen(pos.reshape(A, n)), _frozen(count.reshape(A, n) > 0))
 
 
-def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
+def augment(m: Cmdp, quantum: float) -> ExtendedMdp:
     """The augmented space of ``m`` on the ``quantum`` grid, at zero weights.
 
     Walked once per (model, quantum) and kept on the model.  The walk stops
@@ -209,12 +226,10 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
     only layer t's node tuple and data that do not depend on t (``reach``,
     ``advance``), so one repeat implies every later one.
     Raises on an invalid model, on costs or budgets that do not quantize,
-    and when the reachable set exceeds ``max_states``, a cached one included.
+    and when the walk reaches more than MAX_STATES states.
     """
     e = m._derived.get(("augment", quantum))
     if e is not None:
-        if len(e.states) > max_states:
-            raise LedgerCapExceeded(f"reachable augmented states exceed the cap of {max_states}")
         return e
     if m.problems:
         raise ValueError("invalid model: " + "; ".join(m.problems))
@@ -250,9 +265,9 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
                 j = nxt.get(x2)
                 if j is None:
                     if x2 not in seen:
-                        if len(seen) >= max_states:
+                        if len(seen) >= MAX_STATES:
                             raise LedgerCapExceeded(
-                                f"reachable augmented states exceed the cap of {max_states}"
+                                f"reachable augmented states exceed the cap of {MAX_STATES}"
                             )
                         seen[x2] = x2
                     j = nxt[seen[x2]] = len(nxt)
@@ -271,10 +286,8 @@ def augment(m: Cmdp, quantum: float, max_states: int = 200_000) -> ExtendedMdp:
         base=m,
         lambdas=(0.0,) * K,
         schemes=(PenaltyScheme.RISK_NEUTRAL,) * K,
-        quantum=quantum,
         states=tuple(seen),
         layers=tuple(layers),
-        initial_penalty=0.0,
         compiled=tuple(compiled),
     )
     return e
@@ -285,9 +298,8 @@ def build_extended(
     lambdas: list[float] | tuple[float, ...],
     schemes: list[PenaltyScheme] | tuple[PenaltyScheme, ...],
     quantum: float = 0.25,
-    max_states: int = 200_000,
 ) -> ExtendedMdp:
-    """``augment(m, quantum, max_states)`` under penalty weights ``lambdas``.
+    """``augment(m, quantum)`` under penalty weights ``lambdas``.
 
     Raises on lambda/scheme arity mismatch and on a weight that is not
     finite and >= 0, and wherever ``augment`` does.
@@ -301,16 +313,4 @@ def build_extended(
     for k, lam in enumerate(lambdas):
         if not (math.isfinite(lam) and lam >= 0.0):
             raise ValueError(f"lambdas[{k}] must be finite and >= 0, got {lam}")
-    e = augment(m, quantum, max_states)
-    # Epoch-0 assessment for occupying s0 (nonzero only when d(s0) crosses).
-    init_pen = 0.0
-    for k in range(K):
-        init_pen += penalty_amount(
-            schemes[k], float(lambdas[k]), 0.0, float(m.costs[k, m.s0]), m.budgets[k], 0
-        )
-    return replace(
-        e,
-        lambdas=tuple(float(v) for v in lambdas),
-        schemes=tuple(schemes),
-        initial_penalty=init_pen,
-    )
+    return replace(augment(m, quantum), lambdas=tuple(float(v) for v in lambdas), schemes=tuple(schemes))

@@ -84,8 +84,8 @@ class Cmdp:
     _succ: dict = field(default_factory=dict, repr=False, compare=False)
     _problems: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
     # (function name, quantum[, k]) -> that function's budget-only result,
-    # formed once per model and written only by it: ``extended.augment``'s
-    # space, ``solver.worst_case_value``'s and ``solver.lambda_bounds``'.
+    # formed once per model and written only by it: ``extended.ledger_rule``
+    # and ``augment``'s, ``solver.worst_case_value``'s and ``lambda_bounds``'.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

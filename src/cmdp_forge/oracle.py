@@ -28,11 +28,11 @@ from operator import mul
 
 import numpy as np
 
-from .extended import PolicyUndefined, TabularPolicy, augment, ledger_rule
+from .extended import MASS_TOL, PolicyUndefined, TabularPolicy, augment, ledger_rule
 from .model import Cmdp, Trajectory, discount_powers, trajectory_cost
 from .penalties import PenaltyScheme, penalty_amount
 
-MASS_TOL = 1e-9
+TRAJECTORY_CAP = 1_000_000  # the most trajectories one enumeration may return
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -52,14 +52,14 @@ def enumerate_trajectories(
     m: Cmdp,
     policy: TabularPolicy,
     quantum: float = 0.25,
-    cap: int = 1_000_000,
 ) -> list[Trajectory]:
     """All positive-probability depth-T trajectories of ``policy``, in DFS order.
 
     The running ledger is tracked only to form policy lookup keys (the
-    solver's own ``ledger_rule``) into the policy's (t, s, ledger) table;
-    probabilities and costs are pure path products and sums.  A node one
-    step before the horizon appends its leaves directly.
+    solver's own ``ledger_rule``, kept on the model) into the policy's
+    (t, s, ledger) table; probabilities and costs are pure path products
+    and sums.  A node one step before the horizon appends its leaves
+    directly.  Raises EnumerationCapExceeded past TRAJECTORY_CAP paths.
     """
     advance = ledger_rule(m, quantum)
     table = policy.table()
@@ -81,8 +81,8 @@ def enumerate_trajectories(
                 continue
             q = prob * row[a]
             if t + 1 == T:
-                if len(out) + len(succ) > cap:
-                    raise EnumerationCapExceeded(cap, T)
+                if len(out) + len(succ) > TRAJECTORY_CAP:
+                    raise EnumerationCapExceeded(TRAJECTORY_CAP, T)
                 states, actions = tuple(states_path), (*actions_path, a)
                 out.extend([Trajectory(states + (s2,), actions, probability=q * p) for s2, p in succ])
                 continue
@@ -94,8 +94,8 @@ def enumerate_trajectories(
             actions_path.pop()
 
     if T == 0:
-        if cap <= 0:
-            raise EnumerationCapExceeded(cap, 0)
+        if TRAJECTORY_CAP <= 0:
+            raise EnumerationCapExceeded(TRAJECTORY_CAP, 0)
         return [Trajectory((m.s0,), (), probability=1.0)]
     walk(m.s0, advance((0,) * m.n_constraints, m.s0), 0, 1.0)
     return out

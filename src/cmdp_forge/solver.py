@@ -2,9 +2,9 @@
 
 Values are kept in absolute-time form: V(t, x) is the optimal expectation of
 sum_{u>=t} gamma^u r_u minus all penalty assessments from epoch t+1 on.  The
-epoch-0 assessment is a constant added at the end, so the reported objective
-equals the expected penalized trajectory return exactly, for any discount,
-with no gamma^-t factors anywhere.
+epoch-0 assessment is a constant ``_sweep`` charges at the end, so the
+objective equals the expected penalized trajectory return exactly, for any
+discount, with no gamma^-t factors anywhere, and penalties are charged here alone.
 
 Every exact quantity here is one layered backward sweep (``_sweep``) over
 the augmented MDP: ``backward_induction``, ``evaluate_policy``,
@@ -130,7 +130,7 @@ def _arrival_penalties(e: ExtendedMdp, layer: Layer, costs) -> Callable[[int], n
         return None
 
     def table(epoch: int) -> np.ndarray:
-        pen = np.zeros((len(layer.ledgers), m.n_states))
+        pen = np.zeros((len(layer.cost), m.n_states))
         for amount, crossing, lam in parts:
             pen += amount if crossing is None else np.where(crossing, lam * (epoch + 1), amount)
         return pen
@@ -147,7 +147,7 @@ def _sweep(
     policy: TabularPolicy | None = None,
     rewards: bool = True,
 ) -> tuple[float, list[np.ndarray]]:
-    """One backward pass over e's compiled layers; returns (V(0, initial), greedy).
+    """One backward pass over e's compiled layers; returns (V(0) - epoch-0 charge, greedy).
 
     ``terminal`` is the payoff at layer T, one per distinct ledger of
     ``e.compiled[T]`` (a float pays every one); the worst case passes -inf
@@ -156,8 +156,9 @@ def _sweep(
     ``argmax_low`` does, and greedy[t] holds the choices of layer t; with one,
     the policy-weighted expectation over actions of nonzero probability.
     Raises ValueError for a policy over another space.  A node whose policy
-    row is NaN is worth NaN, and one whose row puts probability on an
-    unavailable action is worth its -inf; either reaches V(0) only along
+    row holds NaN is worth NaN (a NaN entry is a nonzero weight), and one
+    whose row puts probability on an unavailable action is worth its -inf;
+    either reaches V(0) only along
     edges of positive weight, so such a row passes where the policy never
     goes, and the first one it reaches is named by ``_first_undefined``
     after the sweep, as PolicyUndefined (NaN first) or ValueError.
@@ -178,7 +179,7 @@ def _sweep(
     costs = _cost_classes(m) if any(e.lambdas) else None
     pens: dict[int, Callable[[int], np.ndarray] | None] = {}  # id(layer) -> PEN(epoch)
     last = e.compiled[T]
-    vnext = np.full(len(last.ledgers), terminal, dtype=float)[last.ledger]
+    vnext = np.full(len(last.cost), terminal, dtype=float)[last.ledger]
     greedy: list[np.ndarray] = [None] * T
     for t in range(T - 1, -1, -1):
         layer = e.compiled[t]
@@ -202,18 +203,15 @@ def _sweep(
             values = acc.max(axis=0)
             greedy[t] = np.argmax(layer.ok & (acc >= values - TIE_TOL), axis=0)
         else:
-            rows = policy.rows[t]
-            pi = rows.T
+            pi = policy.rows[t].T
             # Skipping zero-probability actions keeps 0 * -inf, and 0 * NaN
             # from an unreached node, out of the sum; mass on an unavailable
-            # action meets its -inf.
+            # action meets its -inf, and a NaN entry makes its node NaN.
             weighted = pi != 0.0
             acc[~weighted] = 0.0
-            values = np.zeros(len(rows))
+            values = np.zeros(pi.shape[1])
             for a in range(A):
                 np.add(values, pi[a] * acc[a], out=values, where=weighted[a])
-            if np.isnan(rows).any():  # a row holding NaN is no row: its node is worth NaN
-                values[np.isnan(rows).any(axis=1)] = math.nan
         vnext = values
     if policy is not None and math.isnan(vnext[0]):
         raise PolicyUndefined(f"policy has no row for augmented state {_first_undefined(e, policy.rows)}")
@@ -221,19 +219,21 @@ def _sweep(
         first = _first_undefined(e, (np.where(((r.T != 0.0) & ~layer.ok).any(axis=0)[:, None], math.nan, r)
                                      for layer, r in zip(e.compiled, policy.rows)))
         raise ValueError(f"policy puts probability on an unavailable action at augmented state {first}")
-    return float(vnext[0]), greedy
+    initial = 0.0  # the epoch-0 assessment for occupying s0, nonzero only when d(s0) crosses
+    for k, lam in enumerate(e.lambdas):
+        initial += penalty_amount(e.schemes[k], lam, 0.0, float(m.costs[k, m.s0]), m.budgets[k], 0)
+    return float(vnext[0]) - initial, greedy
 
 
 def backward_induction(e: ExtendedMdp) -> ValueTable:
-    """Greedy actions and the optimal value of the penalized objective."""
+    """Greedy actions and the optimal penalized objective, epoch-0 charge included."""
     value, greedy = _sweep(e)
-    return ValueTable(layers=e.layers, greedy=greedy, initial_value=value - e.initial_penalty)
+    return ValueTable(layers=e.layers, greedy=greedy, initial_value=value)
 
 
 def evaluate_policy(e: ExtendedMdp, policy: TabularPolicy) -> float:
     """Expected penalized return of an arbitrary policy (linear sweep, no max)."""
-    value, _ = _sweep(e, policy=policy)
-    return value - e.initial_penalty
+    return _sweep(e, policy=policy)[0]
 
 
 def unconstrained_value(m: Cmdp) -> tuple[float, list[dict[int, int]]]:

@@ -38,6 +38,7 @@ TOL = 1e-9
 DEFAULT_LAMBDA_GRID = (0.1, 0.5, 1.0, 5.0, 25.0)
 EQUIVALENCE_LAMBDA_GRID = (0.1, 1.0, 10.0, 100.0)
 DEFAULT_ALPHAS = (0.05, 0.25, 0.5)
+THRESHOLD_MULTIPLIERS = (1.0, 2.0, 10.0)  # expected-cost feasibility runs at these multiples of the threshold
 HUGE_LAMBDA = 1e9
 POLICY_CAP = 10_000  # optimality is checked by exhaustion up to this many policies
 
@@ -157,12 +158,10 @@ def check_violation_cost_bound(
     return rep
 
 
-def check_expected_cost_feasibility(
-    fixtures: list[Fixture], multipliers=(1.0, 2.0, 10.0)
-) -> VerificationReport:
+def check_expected_cost_feasibility(fixtures: list[Fixture]) -> VerificationReport:
     """At or above the threshold weight, the greedy policy meets E[D] <= budget.
 
-    The threshold is ``lambda_bounds``' lambda_expected_cost.
+    The threshold is ``lambda_bounds``' lambda_expected_cost, times each of THRESHOLD_MULTIPLIERS.
     """
     rep = VerificationReport("expected_cost_feasibility")
     for f in fixtures:
@@ -173,7 +172,7 @@ def check_expected_cost_feasibility(
             continue
         threshold = bounds.lambda_expected_cost
         budget = f.cmdp.budgets[0]
-        for mult in multipliers:
+        for mult in THRESHOLD_MULTIPLIERS:
             lam = threshold * mult
             if lam == 0.0:
                 rep.notes.append(f"{f.name}: zero threshold, bound not applicable")

@@ -26,6 +26,7 @@ from cmdp_forge.oracle import enumerate_trajectories, random_policy, stats
 from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import backward_induction, evaluate_policy, lambda_bounds
 from cmdp_forge.verification import (
+    THRESHOLD_MULTIPLIERS,
     check_chance_penalty_equivalence,
     check_excess_penalty_equivalence,
     check_expected_cost_feasibility,
@@ -73,7 +74,8 @@ def test_criterion_02_worst_case_masking():
 
 def test_criterion_03_expected_cost_feasibility_with_negative_control():
     started = time.perf_counter()
-    rep = check_expected_cost_feasibility(PACK, multipliers=(1.0, 2.0, 10.0))
+    assert THRESHOLD_MULTIPLIERS == (1.0, 2.0, 10.0)
+    rep = check_expected_cost_feasibility(PACK)
     assert len({r.fixture for r in rep.rows}) >= 3
     # Negative control: a tenth of the threshold weight picks the risky branch
     # and busts the budget, demonstrating the check can fail.

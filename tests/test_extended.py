@@ -91,7 +91,10 @@ def test_compiled_build_keeps_the_reference_discovery_order():
         assert e.layers == layers, name
         for t, layer in enumerate(e.compiled):
             state = [s for s, _ledger in layers[t]]
-            assert [layer.ledgers[l] for l in layer.ledger.tolist()] == [ledger for _s, ledger in layers[t]]
+            # Ledger ids number the layer's distinct ledgers in first-seen order.
+            distinct = list(dict.fromkeys(ledger for _s, ledger in layers[t]))
+            assert [distinct[l] for l in layer.ledger.tolist()] == [ledger for _s, ledger in layers[t]]
+            assert len(layer.cost) == len(distinct)
             if t < m.horizon:
                 # Every available (node i, action a) is one pair a * n + i, by successor
                 # count, highest first.
@@ -139,7 +142,6 @@ def test_the_walk_stops_at_the_layer_fixed_point(grid, fixed):
     assert all(e.compiled[u] is e.compiled[t] for u in range(t, T))
     last, before = e.compiled[T], e.compiled[T - 1]
     assert (last.nx == -1).all()
-    assert last.ledgers == before.ledgers
     # The nodes' states are e.layers[T], the same tuple as e.layers[T - 1]; the
     # last layer's columns match the one before it, and it takes no action.
     for name in ("ledger", "cost"):
@@ -168,9 +170,10 @@ def test_ledger_rule_rejects_a_quantum_that_is_not_finite_and_positive(quantum):
 
 def test_chain_reachable_states_match_float_walk_oracle():
     m = two_action_chain()
-    e = build_extended(m, [0.5], [RN], quantum=1.0)
+    quantum = 1.0
+    e = build_extended(m, [0.5], [RN], quantum)
     got = {
-        (s, tuple("V" if v == VIOLATED else v * e.quantum for v in ledger))
+        (s, tuple("V" if v == VIOLATED else v * quantum for v in ledger))
         for (s, ledger) in e.states
     }
     assert got == reachable_by_float_walk(m)
@@ -185,14 +188,14 @@ def test_gridworld_under_budget_ledgers_stay_in_the_cost_lattice():
     f = fixture("grid3_noisy")
     e = build_extended(f.cmdp, [0.5], [RN], quantum=f.quantum)
     under = {
-        ledger[0] * e.quantum
+        ledger[0] * f.quantum
         for (_s, ledger) in e.states
         if ledger[0] != VIOLATED
     }
     assert under <= {0.0, 1.0, 1.25, 1.5, 2.0}
     assert any(ledger[0] == VIOLATED for (_s, ledger) in e.states)
     got = {
-        (s, tuple("V" if v == VIOLATED else v * e.quantum for v in ledger))
+        (s, tuple("V" if v == VIOLATED else v * f.quantum for v in ledger))
         for (s, ledger) in e.states
     }
     assert got == reachable_by_float_walk(f.cmdp)
@@ -225,17 +228,20 @@ def test_arity_mismatch_rejected():
         build_extended(m, [-1.0], [RN], quantum=1.0)
 
 
-def test_state_cap_is_enforced_by_name():
+def test_state_cap_is_enforced_by_name(monkeypatch):
     f = fixture("grid3_noisy")
+    monkeypatch.setattr(extended, "MAX_STATES", 10)
     with pytest.raises(LedgerCapExceeded, match="cap of 10"):
-        build_extended(f.cmdp, [0.5], [RN], f.quantum, max_states=10)
+        build_extended(f.cmdp, [0.5], [RN], f.quantum)
 
 
-def test_state_cap_is_exact_on_a_fresh_walk():
+def test_state_cap_is_exact_on_a_fresh_walk(monkeypatch):
     # The desk grid has 151 augmented states; the cap counts them as they are found.
-    assert len(augment(make_gridworld(desk_grid(), "exact"), 0.25, max_states=151).states) == 151
+    monkeypatch.setattr(extended, "MAX_STATES", 151)
+    assert len(augment(make_gridworld(desk_grid(), "exact"), 0.25).states) == 151
+    monkeypatch.setattr(extended, "MAX_STATES", 150)
     with pytest.raises(LedgerCapExceeded, match="cap of 150"):
-        augment(make_gridworld(desk_grid(), "exact"), 0.25, max_states=150)
+        augment(make_gridworld(desk_grid(), "exact"), 0.25)
 
 
 def test_weights_and_schemes_share_one_interned_space():
@@ -253,10 +259,6 @@ def test_weights_and_schemes_share_one_interned_space():
     assert not any(x.flags.writeable for x in
                    (layer.ledger, layer.cost, layer.nx, layer.pairs, layer.reward, layer.flat, layer.prob,
                     layer.pos, layer.ok))
-    # A cap below the size of the space already walked still raises.
-    with pytest.raises(LedgerCapExceeded, match="cap of 10"):
-        build_extended(f.cmdp, [0.5], [RN], f.quantum, max_states=10)
-    assert build_extended(f.cmdp, [0.5], [RN], f.quantum, max_states=len(a.states)).states is a.states
 
 
 def test_verify_walks_each_model_once_per_quantum(monkeypatch):
@@ -282,12 +284,14 @@ def test_max_safe_cost_on_a_one_constraint_model_walks_it_once(monkeypatch):
 def test_layer_cost_decodes_every_ledger():
     spaces = [(make_gridworld(desk_grid(), "exact"), 0.25)] + [(f.cmdp, f.quantum) for f in fixture_pack()]
     for m, quantum in spaces:
-        for layer in augment(m, quantum).compiled:
-            assert layer.cost.shape == (len(layer.ledgers), m.n_constraints)
+        e = augment(m, quantum)
+        for nodes, layer in zip(e.layers, e.compiled):
+            ledgers = [ledger for _s, ledger in nodes]
+            assert layer.cost.shape == (len(set(ledgers)), m.n_constraints)
             assert not layer.cost.flags.writeable
-            assert layer.cost.tolist() == [
+            assert layer.cost[layer.ledger].tolist() == [
                 [math.inf if entry == VIOLATED else entry * quantum for entry in ledger]
-                for ledger in layer.ledgers
+                for ledger in ledgers
             ]
 
 

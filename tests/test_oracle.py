@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cmdp_forge import oracle
 from cmdp_forge.envs import make_gridworld, tiny_grid
 from cmdp_forge.extended import PolicyUndefined, TabularPolicy, augment, build_extended, ledger_rule
 from cmdp_forge.fixtures import fixture, fixture_pack, two_action_chain
@@ -52,11 +53,12 @@ def greedy(f, lambdas, schemes):
     return backward_induction(e).greedy_policy(f.cmdp.n_actions)
 
 
-def test_enumeration_cap_is_reported():
+def test_enumeration_cap_is_reported(monkeypatch):
     f = fixture("grid3_noisy")
     policy = greedy(f, [1.0], [RN])
+    monkeypatch.setattr(oracle, "TRAJECTORY_CAP", 5)
     with pytest.raises(EnumerationCapExceeded, match="cap of 5"):
-        enumerate_trajectories(f.cmdp, policy, f.quantum, cap=5)
+        enumerate_trajectories(f.cmdp, policy, f.quantum)
 
 
 def test_noisy_grid_mass_sums_to_one():
@@ -301,7 +303,7 @@ def plain_walk(m, policy, quantum, cap=1_000_000):
     return out
 
 
-def test_enumeration_is_the_plain_recursive_walk_in_order():
+def test_enumeration_is_the_plain_recursive_walk_in_order(monkeypatch):
     rng = random.Random(23)
     for f in fixture_pack():
         policies = [greedy(f, [1.0] * f.cmdp.n_constraints, [RN] * f.cmdp.n_constraints)]
@@ -312,18 +314,21 @@ def test_enumeration_is_the_plain_recursive_walk_in_order():
     # At horizon 0 the start is the one leaf.
     m = replace(two_action_chain(), horizon=0)
     assert enumerate_trajectories(m, chain_policy(0.5), 1.0) == [Trajectory((0,), (), probability=1.0)]
+    monkeypatch.setattr(oracle, "TRAJECTORY_CAP", 0)
     with pytest.raises(EnumerationCapExceeded, match="depth 0"):
-        enumerate_trajectories(m, chain_policy(0.5), 1.0, cap=0)
+        enumerate_trajectories(m, chain_policy(0.5), 1.0)
 
 
-def test_enumeration_cap_reports_the_same_depth():
+def test_enumeration_cap_reports_the_same_depth(monkeypatch):
     f = fixture("grid3_noisy")
     policy = greedy(f, [1.0], [RN])
     n = len(enumerate_trajectories(f.cmdp, policy, f.quantum))
-    assert len(enumerate_trajectories(f.cmdp, policy, f.quantum, cap=n)) == n
+    monkeypatch.setattr(oracle, "TRAJECTORY_CAP", n)
+    assert len(enumerate_trajectories(f.cmdp, policy, f.quantum)) == n
     for cap in (0, 5, n - 1):
+        monkeypatch.setattr(oracle, "TRAJECTORY_CAP", cap)
         with pytest.raises(EnumerationCapExceeded) as ours:
-            enumerate_trajectories(f.cmdp, policy, f.quantum, cap=cap)
+            enumerate_trajectories(f.cmdp, policy, f.quantum)
         with pytest.raises(EnumerationCapExceeded) as plain:
             plain_walk(f.cmdp, policy, f.quantum, cap=cap)
         assert (ours.value.cap, ours.value.depth) == (plain.value.cap, plain.value.depth) == (cap, f.cmdp.horizon)

@@ -422,6 +422,57 @@ def test_a_reachable_nan_row_is_named():
         enumerate_trajectories(f.cmdp, holed, f.quantum)
 
 
+def test_a_reachable_row_with_one_nan_entry_is_named():
+    f = fixture("grid3_det")
+    e = build_extended(f.cmdp, [1.0], [RN], f.quantum)
+    greedy = backward_induction(e).greedy_policy(f.cmdp.n_actions)
+    after = enumerate_trajectories(f.cmdp, greedy, f.quantum)[0].states[1]
+    i, (s, ledger) = next((i, x) for i, x in enumerate(e.layers[1]) if x[0] == after)
+    rows = [r.copy() for r in greedy.rows]
+    # The row keeps all its mass on the greedy action; an action it never takes reads NaN.
+    rows[1][i, np.flatnonzero(rows[1][i] == 0.0)[0]] = np.nan
+    holed = TabularPolicy(greedy.layers, tuple(rows))
+    with pytest.raises(PolicyUndefined, match=re.escape(f"no row for augmented state {(1, s, ledger)}")):
+        evaluate_policy(e, holed)
+
+
+def masked_rows(e, at_start, at_trap):
+    """``masked_model``'s rows: ``at_start`` and ``at_trap`` at its two decision
+    nodes, uniform elsewhere."""
+    rows = [np.full((len(nodes), 3), 1 / 3) for nodes in e.layers[:-1]]
+    rows[0][0], rows[1][e.layers[1].index((2, (0,)))] = at_start, at_trap
+    return tuple(rows)
+
+
+# Unchecked, each row is scored: on the chain by ``evaluate_policy`` and the
+# oracle alike (-2.0, violation probability 1.5), so no cross-check sees it;
+# on ``masked_model`` at +inf and at 1.0.
+@pytest.mark.parametrize("model, bad", [
+    ("chain", [-0.5, 1.5]),
+    ("masked", [-0.5, 1.5, 0.0]),
+    ("masked", [0.0, 0.5, 0.0]),
+])
+def test_a_row_that_is_not_a_distribution_is_rejected_where_it_is_built(model, bad):
+    if model == "chain":
+        layers, rows, node = augment(two_action_chain(), 1.0).layers, (np.array([bad]),), (0, 0, (0,))
+    else:
+        e = augment(masked_model(), 1.0)
+        layers, rows, node = e.layers, masked_rows(e, [1.0, 0.0, 0.0], bad), (1, 2, (0,))
+    with pytest.raises(ValueError, match=re.escape(f"policy row at augmented state {node} "
+                                                   f"is not a distribution: {bad}")):
+        TabularPolicy(layers, rows)
+
+
+def test_the_first_bad_row_in_layer_order_is_named_and_nan_rows_pass():
+    e = augment(masked_model(), 1.0)
+    with pytest.raises(ValueError, match=re.escape("at augmented state (0, 0, (0,))")):
+        TabularPolicy(e.layers, masked_rows(e, [0.0, 1.5, 0.0], [0.0, 0.5, 0.0]))
+    # A row holding NaN is no row, whatever its other entries; a sum within MASS_TOL of 1 passes.
+    TabularPolicy(e.layers, masked_rows(e, [0.0, 1.0, 1e-10], [np.nan, 2.0, -1.0]))
+    with pytest.raises(ValueError, match=re.escape("at augmented state (0, 0, (0,))")):
+        TabularPolicy(e.layers, masked_rows(e, [0.0, 1.0, 1e-8], [1.0, 0.0, 0.0]))
+
+
 def test_evaluate_policy_scores_the_worst_case_policy():
     """The worst-case policy's rows are NaN at violated nodes, which it never
     reaches; evaluating it gives the worst-case value on every feasible model."""

@@ -32,11 +32,12 @@ def test_full_battery_passes_on_the_pack():
         assert rep.passed, rep.kind
 
 
-def test_underweighted_penalty_produces_a_fail_row():
+def test_underweighted_penalty_produces_a_fail_row(monkeypatch):
     # A tenth of the required weight leaves the risky branch optimal; the
     # feasibility check must report the measured breach, not hide it.
     f = Fixture("underweighted", two_action_chain(), quantum=1.0)
-    rep = check_expected_cost_feasibility([f], multipliers=(0.1,))
+    monkeypatch.setattr(verification, "THRESHOLD_MULTIPLIERS", (0.1,))
+    rep = check_expected_cost_feasibility([f])
     assert not rep.passed
     bad = [r for r in rep.rows if not r.passed]
     assert bad and bad[0].measured > bad[0].bound

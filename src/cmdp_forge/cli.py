@@ -167,7 +167,7 @@ def evaluate_checkpoint(checkpoint: tuple, envs: list, episodes: int) -> list[tu
         store = TableStore.from_sections(tables, n_actions)
         select = lambda r, c, d: store.greedy(r)
     else:
-        store = ActorCriticTables.from_sections(tables, n_actions, meta.get("alpha_ent", 0.1))
+        store = ActorCriticTables.from_sections(tables, n_actions, meta["alpha_ent"])
         select = lambda r, c, d: constrained_action_select(store, r, c, d, budget)
     rows = []
     for env in envs:

@@ -23,11 +23,12 @@ model, and ``build_extended`` only attaches weights to it.  The walk emits
 every layer twice: as the tuple of augmented states in discovery order
 (``layers``), and in read-only index form (``compiled``) for the array
 solvers: each node's ledger id, the costs of the layer's distinct ledgers
-decoded once (``Layer.cost``, inf where over budget), the
+decoded once (``Layer.cost``, inf where over budget, and ``violated``), the
 table nx[ledger id, s2] giving the index in the next layer of
-(s2, advance(L, s2)), and the layer's real edges alone, slot-major over
-its (node, action) pairs sorted by successor count.  The edge layout is
-known here alone; the solvers read it as it is.  Layer t+1 is a
+(s2, advance(L, s2)), and the layer's real edges.  The layer is its own
+transition operator: ``Layer.backup`` takes expectations backward along the
+edges and ``Layer.push`` carries weight forward, and they alone read the
+edge layout.  Layer t+1 is a
 function of layer t's node tuple alone, so the walk stops at the first layer
 equal to the next (the fixed point) and shares that tuple and its ``Layer``,
 edges included, for every later epoch.
@@ -81,11 +82,14 @@ def ledger_rule(m: Cmdp, quantum: float) -> Callable[[tuple[int, ...], int], tup
     The rule maps (ledger, s_next) to the ledger after arriving at s_next:
     c <- c + d(s_next) per constraint, collapsing over budget into VIOLATED.
     Kept on the model: ``augment`` and the oracle share it.  Raises, and
-    keeps nothing, for a quantum that is not finite and > 0 (ValueError) and
-    for a cost or budget that is not a multiple of it (QuantizationError).
+    keeps nothing, for an invalid model or a quantum that is not finite and
+    > 0 (ValueError) and for a cost or budget that is not a multiple of it
+    (QuantizationError).
     """
     if ("ledger_rule", quantum) in m._derived:
         return m._derived["ledger_rule", quantum]
+    if m.problems:
+        raise ValueError("invalid model: " + "; ".join(m.problems))
     if not (math.isfinite(quantum) and quantum > 0):
         raise ValueError(f"quantum: must be finite and > 0, got {quantum}")
     cost_quanta = tuple(
@@ -117,16 +121,17 @@ class Layer:
     ledger: np.ndarray  # (n,) each node's ledger id: the epoch's L distinct ledgers, first-seen order
     # (L, K): each ledger entry times the quantum, inf where VIOLATED.
     cost: np.ndarray
+    violated: np.ndarray  # (L,) whether any entry of the ledger is VIOLATED
     # (L, S): index in layer t+1 of (s2, advance(L, s2)), -1 where
     # no node of the epoch with ledger L moves to s2 (everywhere at t = T).
     nx: np.ndarray
-    # The real edges.  ``pairs`` holds each available (node i = (s, L),
-    # action a) as a * n + i, by successor count, highest first (a stable
-    # sort), so slot j, the j-th of ``base.successors(s, a)``, exists for
-    # exactly ``pairs[:ends[j]]``.  ``flat`` and ``prob`` run slot-major over them,
-    # flat = ledger * S + successor indexing a flattened (L, S)
-    # table such as ``nx``.  ``pos`` (A, n) is each pair's index in
-    # ``pairs``, and len(pairs), a sentinel, where ``ok`` (A, n) is unset.
+    # The real edges, read by ``backup`` and ``push`` alone.  ``pairs`` holds
+    # each available (node i = (s, L), action a) as a * n + i, by successor
+    # count, highest first (a stable sort), so slot j, the j-th of
+    # ``base.successors(s, a)``, exists for exactly ``pairs[:ends[j]]``.
+    # ``flat`` and ``prob`` run slot-major over them, flat = ledger * S +
+    # successor indexing a flattened (L, S) table such as ``nx``.  ``pos``
+    # (A, n) is each pair's index in ``pairs``, len(pairs) where ``ok`` is unset.
     pairs: np.ndarray
     reward: np.ndarray  # base.reward[s, a] per pair
     ends: tuple[int, ...]
@@ -134,6 +139,30 @@ class Layer:
     prob: np.ndarray
     pos: np.ndarray
     ok: np.ndarray
+
+    def backup(self, w: np.ndarray, scale: float) -> np.ndarray:
+        """(A, n): ``scale`` times each pair's reward plus prob * w[ledger, successor]
+        per edge, -inf where unavailable.  The terms are added slot by slot in
+        ``base.successors`` order, so every float is the one a per-edge
+        scalar recursion gives."""
+        terms = w.ravel().take(self.flat)
+        terms *= self.prob
+        acc = np.empty(len(self.pairs) + 1)  # the last entry is the unavailable actions' -inf
+        np.multiply(scale, self.reward, out=acc[:-1])
+        acc[-1] = -math.inf
+        start = 0
+        for end in self.ends:
+            acc[:end] += terms[start:start + end]
+            start += end
+        return acc.take(self.pos)
+
+    def push(self, weight: np.ndarray, n_next: int) -> np.ndarray:
+        """(n_next,): what each node of the next layer receives when every
+        (node i, action a) sends ``weight[a, i]`` along its edges, each
+        times the edge's probability."""
+        sent = weight.ravel()[self.pairs]
+        along = np.concatenate([sent[:end] for end in self.ends]) * self.prob
+        return np.bincount(self.nx.ravel()[self.flat], weights=along, minlength=n_next)
 
 
 @dataclass(frozen=True)
@@ -210,7 +239,7 @@ def _layer(nodes: tuple[AugState, ...], quantum: float, slots, last: bool = Fals
     flat = (ledger[pairs % n] * S + succ.take(cols, axis=1))[edge]
     pos = np.full(A * n, len(pairs), dtype=np.intp)
     pos[pairs] = np.arange(len(pairs))
-    return Layer(_frozen(ledger), _frozen(cost),
+    return Layer(_frozen(ledger), _frozen(cost), _frozen(np.isinf(cost).any(axis=1)),
                  np.full((len(ids), S), -1, dtype=np.intp), _frozen(pairs), _frozen(reward[cols]),
                  tuple(ends[ends > 0].tolist()),
                  _frozen(flat.astype(np.int32)), _frozen(prob.take(cols, axis=1)[edge]),
@@ -231,8 +260,6 @@ def augment(m: Cmdp, quantum: float) -> ExtendedMdp:
     e = m._derived.get(("augment", quantum))
     if e is not None:
         return e
-    if m.problems:
-        raise ValueError("invalid model: " + "; ".join(m.problems))
     advance = ledger_rule(m, quantum)
     K, S, A = m.n_constraints, m.n_states, m.n_actions
     # The successor lists as ``_layer``'s slots, J the longest list.

@@ -59,7 +59,8 @@ def enumerate_trajectories(
     solver's own ``ledger_rule``, kept on the model) into the policy's
     (t, s, ledger) table; probabilities and costs are pure path products
     and sums.  A node one step before the horizon appends its leaves
-    directly.  Raises EnumerationCapExceeded past TRAJECTORY_CAP paths.
+    directly.  Raises EnumerationCapExceeded past TRAJECTORY_CAP paths,
+    and wherever ``ledger_rule`` does, on an invalid model included.
     """
     advance = ledger_rule(m, quantum)
     table = policy.table()
@@ -93,10 +94,6 @@ def enumerate_trajectories(
                 states_path.pop()
             actions_path.pop()
 
-    if T == 0:
-        if TRAJECTORY_CAP <= 0:
-            raise EnumerationCapExceeded(TRAJECTORY_CAP, 0)
-        return [Trajectory((m.s0,), (), probability=1.0)]
     walk(m.s0, advance((0,) * m.n_constraints, m.s0), 0, 1.0)
     return out
 

@@ -25,16 +25,12 @@ penalty cases read each ledger's cost and violation from the space's
 report are kept on the model too, and every threshold is read from that report.
 
 ``_sweep`` is a numpy kernel over the space's compiled layers, each of
-which carries its own real edges and rewards, slot-major over its (node,
-action) pairs sorted by successor count (``Layer.pairs``, ``ends``,
-``flat``, ``prob``, ``reward``).  Per layer it forms the arrival term
+which is its own transition operator.  Per layer it forms the arrival term
 W = V(t+1)[nx] - PEN for every (ledger, successor), the penalty table once
-per distinct layer and call, reads W per edge through ``flat`` in one
-gather, adds each slot's terms to a contiguous prefix of the pairs,
-successor by successor in the model's order, and takes the max or the
-policy expectation over actions through ``Layer.pos``.  No reduction
-reorders the additions, so every value is the float a per-edge scalar
-recursion gives.
+per distinct layer and call, takes each (action, node) value from
+``Layer.backup`` and the max or the policy expectation over actions.  The
+forward walk (``_first_undefined``) steps with ``Layer.push``; neither
+reads the edge layout, which ``extended.Layer`` keeps to itself.
 """
 
 from __future__ import annotations
@@ -98,11 +94,6 @@ def _cost_classes(m: Cmdp) -> list[tuple[list[float], np.ndarray]]:
     return out
 
 
-def _violated(layer: Layer) -> np.ndarray:
-    """Per distinct ledger of ``layer``: whether any of its entries is over budget."""
-    return np.isinf(layer.cost).any(axis=1)
-
-
 def _arrival_penalties(e: ExtendedMdp, layer: Layer, costs) -> Callable[[int], np.ndarray] | None:
     """PEN(epoch)[l, s2]: the penalty for arriving at s2 at ``epoch`` from ledger l.
 
@@ -163,16 +154,15 @@ def _sweep(
     goes, and the first one it reaches is named by ``_first_undefined``
     after the sweep, as PolicyUndefined (NaN first) or ValueError.
 
-    Each layer is one numpy pass over its real edges: the arrival term
-    W = V(t+1)[nx] - PEN per (ledger, successor), read per edge through
-    ``layer.flat`` and times ``layer.prob``; per pair, the reward plus those
-    terms slot by slot in ``base.successors`` order, so every float is the
-    one a per-edge scalar recursion gives; then ``layer.pos`` lays the pairs
-    out per (action, node), -inf where unavailable.  A -inf arrival term
-    makes the action -inf, which is how masking propagates.
+    Each layer is one ``Layer.backup`` of the arrival term
+    W = V(t+1)[nx] - PEN per (ledger, successor), the rewards scaled by
+    gamma^t (by 0 when ``rewards`` is off): per (action, node), the reward
+    plus the expected arrival term, every float the one a per-edge scalar
+    recursion gives, -inf where unavailable.  A -inf arrival term makes the
+    action -inf, which is how masking propagates.
     """
     m = e.base
-    T, A = m.horizon, m.n_actions
+    T = m.horizon
     if policy is not None and policy.layers != e.layers:
         raise ValueError("policy is over another augmented space")
     pows = discount_powers(m.discount, T)
@@ -189,29 +179,17 @@ def _sweep(
         w = vnext[layer.nx]
         if pen is not None:
             w -= pen(t + 1)
-        terms = w.ravel().take(layer.flat)
-        terms *= layer.prob
-        acc = np.empty(len(layer.pairs) + 1)  # the last entry is the unavailable actions' -inf
-        np.multiply(pows[t], layer.reward if rewards else 0.0, out=acc[:-1])
-        acc[-1] = -math.inf
-        start = 0
-        for end in layer.ends:
-            acc[:end] += terms[start:start + end]
-            start += end
-        acc = acc.take(layer.pos)  # (A, n)
+        acc = layer.backup(w, pows[t] if rewards else 0.0)  # (A, n)
         if policy is None:
             values = acc.max(axis=0)
             greedy[t] = np.argmax(layer.ok & (acc >= values - TIE_TOL), axis=0)
         else:
             pi = policy.rows[t].T
-            # Skipping zero-probability actions keeps 0 * -inf, and 0 * NaN
+            # Zeroing zero-probability actions keeps 0 * -inf, and 0 * NaN
             # from an unreached node, out of the sum; mass on an unavailable
             # action meets its -inf, and a NaN entry makes its node NaN.
-            weighted = pi != 0.0
-            acc[~weighted] = 0.0
-            values = np.zeros(pi.shape[1])
-            for a in range(A):
-                np.add(values, pi[a] * acc[a], out=values, where=weighted[a])
+            acc[pi == 0.0] = 0.0
+            values = sum(p * v for p, v in zip(pi, acc))  # 0.0 + a0 + a1 + ..., action order
         vnext = values
     if policy is not None and math.isnan(vnext[0]):
         raise PolicyUndefined(f"policy has no row for augmented state {_first_undefined(e, policy.rows)}")
@@ -289,14 +267,14 @@ def worst_case_value(
 def _masked_sweep(m: Cmdp, quantum: float) -> tuple[float, TabularPolicy] | str:
     """``worst_case_value``'s result, or the dead end that makes it infeasible."""
     e = augment(m, quantum)
-    if _violated(e.compiled[0]).any():
+    if e.compiled[0].violated.any():
         return f"initial state {m.state_name(m.s0)}"
-    value, greedy = _sweep(e, np.where(_violated(e.compiled[-1]), -math.inf, 0.0))
+    value, greedy = _sweep(e, np.where(e.compiled[-1].violated, -math.inf, 0.0))
     if value == -math.inf:
         return _first_dead_end(e)
     policy = ValueTable(e.layers, greedy, value).greedy_policy(m.n_actions)
     for layer, rows in zip(e.compiled, policy.rows):
-        rows[_violated(layer)[layer.ledger]] = math.nan
+        rows[layer.violated[layer.ledger]] = math.nan
         rows.setflags(write=False)
     return value, policy
 
@@ -304,27 +282,23 @@ def _masked_sweep(m: Cmdp, quantum: float) -> tuple[float, TabularPolicy] | str:
 def _first_dead_end(e: ExtendedMdp) -> str:
     """Name the first reachable augmented state with no feasible action.
 
-    A feasible action has no successor in a violated ledger, so a dead end
-    is a node where the policy spread evenly over feasible actions has no
-    row; its rows are formed a layer at a time, as the walk reaches them.
-    After a masked sweep ending in -inf with s0's ledger safe, that policy
-    reaches one: otherwise its every path stays safe and its value finite.
+    A feasible action has no successor in a violated ledger: its one-step
+    ``Layer.backup`` of 0 on safe arrivals and -inf on violated ones, with
+    rewards off, is above -inf.  A dead end is a node where the policy
+    spread evenly over feasible actions has no row; its rows are formed a
+    layer at a time, as the walk reaches them.  After a masked sweep ending
+    in -inf with s0's ledger safe, that policy reaches one: otherwise its
+    every path stays safe and its value finite.
     """
     def spread():
         for layer, after in zip(e.compiled, e.compiled[1:]):
-            unsafe = np.zeros(layer.ok.size, dtype=bool)
-            unsafe[_owners(layer)[_violated(after)[after.ledger][layer.nx.ravel()[layer.flat]]]] = True
-            ok = layer.ok & ~unsafe.reshape(layer.ok.shape)
+            arrival = np.where(after.violated[after.ledger], -math.inf, 0.0)[layer.nx]
+            ok = layer.backup(arrival, 0.0) > -math.inf
             with np.errstate(invalid="ignore"):  # 0 / 0: NaN, no row
                 yield (ok / ok.sum(axis=0)).T
 
     t, s, ledger = _first_undefined(e, spread())
     return f"{e.base.state_name(s)} with ledger {ledger} at step {t}"
-
-
-def _owners(layer: Layer) -> np.ndarray:
-    """Per edge of ``layer``, slot-major as ``flat``, its pair (``Layer.pairs``)."""
-    return layer.pairs[np.concatenate([np.arange(end) for end in layer.ends])]
 
 
 def _first_undefined(e: ExtendedMdp, rows) -> tuple[int, int, tuple[int, ...]]:
@@ -343,8 +317,7 @@ def _first_undefined(e: ExtendedMdp, rows) -> tuple[int, int, tuple[int, ...]]:
         if len(hit):
             s, ledger = e.layers[t][hit[0]]
             return t, s, ledger
-        follow = ((r.T != 0.0) & frontier).ravel()[_owners(layer)]
-        frontier = np.bincount(layer.nx.ravel()[layer.flat][follow], minlength=len(e.layers[t + 1])) > 0
+        frontier = layer.push((r.T != 0.0) & frontier, len(e.layers[t + 1])) > 0
     raise AssertionError("unreachable: the walk reached no NaN row")
 
 

@@ -273,7 +273,8 @@ def load_checkpoint(text: str) -> tuple[str, dict[str, dict], dict[str, float]]:
         raise FormatError("checkpoint missing a learner key")
     if learner not in ("safe_q", "safe_ac"):
         raise FormatError(f"unknown learner {learner!r}; want safe_q or safe_ac")
-    for name in ("quantum", "budget", "n_actions"):
+    required = ("quantum", "budget", "n_actions") + (("alpha_ent",) if learner == "safe_ac" else ())
+    for name in required:
         if name not in meta:
             raise FormatError(f"checkpoint missing a {name} key")
     if not (meta["n_actions"].is_integer() and meta["n_actions"] >= 1):

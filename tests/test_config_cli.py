@@ -487,6 +487,9 @@ BAD_INPUTS = {
         ("evaluate", Q_CHECKPOINT.replace("budget = 2\n", "budget = 3\n"), [], CHAIN_EVAL, "budget"),
     "checkpoint-alpha_ent-0":
         ("evaluate", ZERO_ENTROPY_CHECKPOINT, [], CHAIN_EVAL, "alpha_ent"),
+    "checkpoint-ac-no-alpha_ent":
+        ("evaluate", ZERO_ENTROPY_CHECKPOINT.replace("alpha_ent = 0\n", ""), [], CHAIN_EVAL,
+         "checkpoint missing a alpha_ent key"),
     "checkpoint-action-past-n_actions":
         ("evaluate", Q_CHECKPOINT.replace("0 0 1 = 1", "0 0 2 = 1"), [], CHAIN_EVAL, "line 7"),
     "checkpoint-negative-action":

@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,8 +259,8 @@ def test_weights_and_schemes_share_one_interned_space():
     assert all(canonical[x] is x for layer in space.layers for x in layer)
     layer = space.compiled[0]
     assert not any(x.flags.writeable for x in
-                   (layer.ledger, layer.cost, layer.nx, layer.pairs, layer.reward, layer.flat, layer.prob,
-                    layer.pos, layer.ok))
+                   (layer.ledger, layer.cost, layer.violated, layer.nx, layer.pairs, layer.reward,
+                    layer.flat, layer.prob, layer.pos, layer.ok))
 
 
 def test_verify_walks_each_model_once_per_quantum(monkeypatch):
@@ -281,6 +283,19 @@ def test_max_safe_cost_on_a_one_constraint_model_walks_it_once(monkeypatch):
     assert walks == [m]
 
 
+def test_only_extended_reads_the_edge_form():
+    """The slot-major edge layout is ``extended.Layer``'s own: no other
+    module of the package reads its fields."""
+    fields = {"pairs", "ends", "flat", "prob", "pos"}
+    readers = sorted(
+        (path.name, node.lineno, node.attr)
+        for path in Path(extended.__file__).parent.glob("*.py") if path.name != "extended.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    )
+    assert readers == []
+
+
 def test_layer_cost_decodes_every_ledger():
     spaces = [(make_gridworld(desk_grid(), "exact"), 0.25)] + [(f.cmdp, f.quantum) for f in fixture_pack()]
     for m, quantum in spaces:
@@ -293,6 +308,7 @@ def test_layer_cost_decodes_every_ledger():
                 [math.inf if entry == VIOLATED else entry * quantum for entry in ledger]
                 for ledger in ledgers
             ]
+            assert layer.violated[layer.ledger].tolist() == [VIOLATED in ledger for ledger in ledgers]
 
 
 def corridor(costs, budget, horizon):

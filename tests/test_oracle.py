@@ -303,7 +303,7 @@ def plain_walk(m, policy, quantum, cap=1_000_000):
     return out
 
 
-def test_enumeration_is_the_plain_recursive_walk_in_order(monkeypatch):
+def test_enumeration_is_the_plain_recursive_walk_in_order():
     rng = random.Random(23)
     for f in fixture_pack():
         policies = [greedy(f, [1.0] * f.cmdp.n_constraints, [RN] * f.cmdp.n_constraints)]
@@ -311,11 +311,9 @@ def test_enumeration_is_the_plain_recursive_walk_in_order(monkeypatch):
             policies += [random_policy(f.cmdp, f.quantum, rng) for _ in range(3)]
         for policy in policies:
             assert enumerate_trajectories(f.cmdp, policy, f.quantum) == plain_walk(f.cmdp, policy, f.quantum)
-    # At horizon 0 the start is the one leaf.
+    # A horizon-0 model is invalid, and the oracle rejects it as ``augment`` does.
     m = replace(two_action_chain(), horizon=0)
-    assert enumerate_trajectories(m, chain_policy(0.5), 1.0) == [Trajectory((0,), (), probability=1.0)]
-    monkeypatch.setattr(oracle, "TRAJECTORY_CAP", 0)
-    with pytest.raises(EnumerationCapExceeded, match="depth 0"):
+    with pytest.raises(ValueError, match="invalid model: horizon"):
         enumerate_trajectories(m, chain_policy(0.5), 1.0)
 
 

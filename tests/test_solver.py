@@ -397,6 +397,39 @@ def test_unavailable_actions_are_never_greedy():
     assert policy.table()[(1, 2, (0,))] == [0.0, 1.0, 0.0]
 
 
+@pytest.mark.parametrize("model", ["desk", "masked"])
+def test_layer_backup_and_push_are_the_per_edge_loops(request, model):
+    """On every distinct layer below T: ``backup`` is the scalar recursion
+    over ``m.successors`` (bit for bit), and ``push`` the per-edge sum into
+    each arrival, found by its (state, ledger) in the next layer."""
+    m, quantum = (request.getfixturevalue("desk"), 0.25) if model == "desk" else (masked_model(), 1.0)
+    e = augment(m, quantum)
+    advance = ledger_rule(m, quantum)
+    rng = np.random.default_rng(11)
+    seen = set()
+    for t in range(m.horizon):
+        layer, nodes = e.compiled[t], e.layers[t]
+        if id(layer) in seen:
+            continue
+        seen.add(id(layer))
+        after = {x: j for j, x in enumerate(e.layers[t + 1])}
+        w = rng.normal(size=(len(layer.cost), m.n_states))
+        weight = rng.random((m.n_actions, len(nodes)))
+        scale = float(rng.random())
+        backup = np.full((m.n_actions, len(nodes)), -math.inf)
+        pushed = np.zeros(len(after))
+        for i, ((s, ledger), l) in enumerate(zip(nodes, layer.ledger.tolist())):
+            for a in m.actions_at(s):
+                acc = scale * m.reward[s, a]
+                for s2, p in m.successors(s, a):
+                    acc += p * w[l, s2]
+                    pushed[after[s2, advance(ledger, s2)]] += weight[a, i] * p
+                backup[a, i] = acc
+        assert np.array_equal(layer.backup(w, scale), backup)
+        # push sums slot-major, the loop node by node: float64 rounding alone apart.
+        assert np.allclose(layer.push(weight, len(after)), pushed, rtol=1e-13, atol=0.0)
+
+
 def test_a_policy_over_another_space_is_rejected():
     policy = random_policy(two_action_chain(), 1.0, random.Random(1))
     e = build_extended(fixture("three_branch_chain").cmdp, [1.0], [RN], 1.0)

@@ -160,7 +160,7 @@ def test_any_checkpoint_text_loads_or_raises_format_error(learner, meta, lines):
     if learner == "safe_q":
         store, names = TableStore.from_sections(tables, n_actions), ("q",)
     else:
-        store = ActorCriticTables.from_sections(tables, n_actions, meta.get("alpha_ent", 0.1))
+        store = ActorCriticTables.from_sections(tables, n_actions, meta["alpha_ent"])
         names = ("logits", "q1", "qd1")
     out = store.sections()
     for name in names:

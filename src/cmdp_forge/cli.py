@@ -3,12 +3,15 @@
 Subcommands:
   train     seeded learner runs; per-seed CSV logs, checkpoints, aggregate CSV
   evaluate  Monte-Carlo rollouts of a checkpoint with exploration off
-  verify    the full battery of bound checks on the fixture pack
+  verify    the full battery of bound checks on the fixture pack, each
+            bound that holds at every penalty weight checked at the exact
+            breakpoints of the penalized value; reads no config
   bounds    threshold report for a model file
 
-Common flags: --config PATH, --out DIR (default $CMDP_FORGE_OUT or ./out),
---seeds a,b,c (overrides the config), --jobs N.  Exit codes: 0 success,
-1 check or run failure, 2 configuration or input-file error.
+Common flags: --config PATH (train and evaluate), --out DIR (default
+$CMDP_FORGE_OUT or ./out), --seeds a,b,c (overrides the config), --jobs N.
+Exit codes: 0 success, 1 check or run failure, 2 configuration, flag or
+input-file error.
 
 Each input file (config, model, checkpoint) is read and parsed by ``_read``,
 which turns an unreadable file or a parse error into a ConfigError whose
@@ -233,10 +236,8 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint_path: Path, out: Path) -> int
     return 0
 
 
-def cmd_verify(cfg: ExperimentConfig | None, out: Path) -> int:
-    grid = cfg.lambda_grid if cfg and cfg.lambda_grid else None
-    alphas = (cfg.alpha,) if cfg else None
-    reports = run_all(fixture_pack(), lambda_grid=grid, alphas=alphas)
+def cmd_verify(out: Path) -> int:
+    reports = run_all(fixture_pack())
     rows = []
     failed = 0
     for rep in reports:
@@ -295,12 +296,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "bounds":
+            if not 0.0 < args.alpha <= 1.0:
+                raise ConfigError(f"--alpha: must be in (0, 1], got {args.alpha}")
             return cmd_bounds(Path(args.model), args.alpha, args.quantum, args.out)
-        cfg = _read(args.config, load_config) if args.config else None
         if args.command == "verify":
-            return cmd_verify(cfg, args.out)
-        if cfg is None:
+            if args.config:
+                raise ConfigError(f"--config: verify reads no config, got {args.config}; "
+                                  "it checks the fixture pack at its exact lambda breakpoints")
+            return cmd_verify(args.out)
+        if not args.config:
             raise ConfigError("--config is required for this command")
+        cfg = _read(args.config, load_config)
         if args.seeds is not None:
             cfg = override(cfg, "seeds", args.seeds)
         if args.command == "train":

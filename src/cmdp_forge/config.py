@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .envs import GridConfig, PitCost, desk_grid, large_grid, tiny_grid, validate_grid_config
-from .fixtures import fixture_pack
+from .fixtures import FIXTURES, fixture
 from .penalties import PenaltyScheme
 from .textio import FormatError, _parse_lines
 
@@ -93,7 +93,6 @@ class ExperimentConfig:
     episodes: int = 4000
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     eval_episodes: int = 1000
-    alpha: float = 0.25
     lambda_grid: tuple[float, ...] = ()
     lr: float = 0.1
     lr_actor: float = 0.01
@@ -147,7 +146,6 @@ KEYS = (
     Key("seeds", "seeds", _int_list, lambda v: len(v) >= 1 and len(set(v)) == len(v),
         "at least one seed, none repeated"),
     Key("eval_episodes", "eval_episodes", *_COUNT),
-    Key("alpha", "alpha", *_UNIT),
     Key("lambda_grid", "lambda_grid", _float_list,
         lambda v: all(x >= 0.0 for x in v) and len(set(v)) == len(v),
         "finite weights >= 0, none repeated"),
@@ -208,9 +206,10 @@ def load_config(text: str) -> ExperimentConfig:
         grid = _grid_from(raw)
     else:
         chain_name = raw.pop("env.chain", "two_action_chain")
-        names = [f.name for f in fixture_pack()]
-        if chain_name not in names:
-            raise ConfigError(f"env.chain: unknown fixture {chain_name!r}; want one of {names}")
+        if chain_name not in FIXTURES:
+            raise ConfigError(f"env.chain: unknown fixture {chain_name!r}; want one of {list(FIXTURES)}")
+        if (K := fixture(chain_name).cmdp.n_constraints) != 1:
+            raise ConfigError(f"env.chain: {chain_name} has {K} constraints; the chain environment takes one")
 
     values = {k.field: parse_value(k.name, k.parse, raw.pop(k.name)) for k in KEYS if k.name in raw}
     if raw:

@@ -73,24 +73,24 @@ def two_cost_chain() -> Cmdp:
     )
 
 
-def fixture_pack() -> list[Fixture]:
-    return [
-        Fixture("two_action_chain", two_action_chain(), quantum=1.0),
-        Fixture("three_branch_chain", three_branch_chain(), quantum=1.0),
-        Fixture("stochastic_chain", stochastic_chain(), quantum=1.0),
-        Fixture("two_cost_chain", two_cost_chain(), quantum=1.0),
-        # Budget below every single pit draw: crossing the pit always
-        # violates, so the safe detour is strictly worse and the gap between
-        # the unconstrained and the always-safe optimum is positive.
-        Fixture("grid3_det", make_gridworld(tiny_grid(noise_p=0.0, horizon=4, c_max=0.75), "exact"),
-                quantum=0.25),
-        Fixture("grid3_noisy", make_gridworld(tiny_grid(noise_p=0.05, horizon=6), "exact"),
-                quantum=0.25),
-    ]
+# Each fixture's name, model builder and quantum.
+FIXTURES = {
+    "two_action_chain": (two_action_chain, 1.0),
+    "three_branch_chain": (three_branch_chain, 1.0),
+    "stochastic_chain": (stochastic_chain, 1.0),
+    "two_cost_chain": (two_cost_chain, 1.0),
+    # Budget below every single pit draw: crossing the pit always
+    # violates, so the safe detour is strictly worse and the gap between
+    # the unconstrained and the always-safe optimum is positive.
+    "grid3_det": (lambda: make_gridworld(tiny_grid(noise_p=0.0, horizon=4, c_max=0.75), "exact"), 0.25),
+    "grid3_noisy": (lambda: make_gridworld(tiny_grid(noise_p=0.05, horizon=6), "exact"), 0.25),
+}
 
 
 def fixture(name: str) -> Fixture:
-    for f in fixture_pack():
-        if f.name == name:
-            return f
-    raise KeyError(f"no fixture named {name!r}")
+    build, quantum = FIXTURES[name]
+    return Fixture(name, build(), quantum)
+
+
+def fixture_pack() -> list[Fixture]:
+    return [fixture(name) for name in FIXTURES]

@@ -6,6 +6,8 @@ at a fixed tolerance.  Checks emit rows (kind, lambda, bound, measured,
 pass) suitable for CSV so a failing bound is visible, not just a boolean.
 Every gap and threshold weight a check runs at is read from
 ``lambda_bounds``' report (``_report``), the numbers ``bounds`` prints.
+Bounds that hold at every penalty weight are checked at the exact
+breakpoints of the penalized value (``_frontier``), covering every weight.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from .solver import (
 
 TOL = 1e-9
 
-DEFAULT_LAMBDA_GRID = (0.1, 0.5, 1.0, 5.0, 25.0)
-EQUIVALENCE_LAMBDA_GRID = (0.1, 1.0, 10.0, 100.0)
 DEFAULT_ALPHAS = (0.05, 0.25, 0.5)
 THRESHOLD_MULTIPLIERS = (1.0, 2.0, 10.0)  # expected-cost feasibility runs at these multiples of the threshold
 HUGE_LAMBDA = 1e9
@@ -81,9 +81,12 @@ class VerificationReport:
 
 
 def _greedy_oracle(f: Fixture, lambdas, schemes):
+    """The greedy policy's value, its oracle stats and trajectories.  The
+    stats are taken at unit weights, so expected_return - penalized_objective
+    is the slope of the policy's value line in lambda."""
     vt = backward_induction(build_extended(f.cmdp, lambdas, schemes, f.quantum))
     trajs = enumerate_trajectories(f.cmdp, vt.greedy_policy(f.cmdp.n_actions), f.quantum)
-    return vt.initial_value, stats(trajs, f.cmdp), trajs
+    return vt.initial_value, stats(trajs, f.cmdp, [1.0] * len(schemes), schemes), trajs
 
 
 def _report(f: Fixture, k: int = 0) -> BoundsReport | None:
@@ -139,23 +142,9 @@ def check_worst_case_masking(fixtures: list[Fixture]) -> VerificationReport:
     return rep
 
 
-def check_violation_cost_bound(
-    fixtures: list[Fixture], lambda_grid=DEFAULT_LAMBDA_GRID
-) -> VerificationReport:
+def check_violation_cost_bound(fixtures: list[Fixture]) -> VerificationReport:
     """Expected cost carried by violating trajectories is at most gap/lambda."""
-    rep = VerificationReport("violation_cost_bound")
-    for f in fixtures:
-        bounds = _report(f)
-        if bounds is None:
-            rep.notes.append(f"{f.name}: skipped, worst case infeasible so the gap is undefined")
-            continue
-        K = f.cmdp.n_constraints
-        for lam in lambda_grid:
-            _, st, _ = _greedy_oracle(f, [lam] * K, _rn(f))
-            bound = bounds.gap / lam
-            measured = max(st.trunc_above)
-            rep.add(f.name, lam, bound, measured, measured <= bound + TOL)
-    return rep
+    return _breakpoint_check(fixtures, PenaltyScheme.RISK_NEUTRAL, "violation_cost_bound")
 
 
 def check_expected_cost_feasibility(fixtures: list[Fixture]) -> VerificationReport:
@@ -183,17 +172,15 @@ def check_expected_cost_feasibility(fixtures: list[Fixture]) -> VerificationRepo
     return rep
 
 
-def check_violation_prob_bound(
-    fixtures: list[Fixture], alphas=DEFAULT_ALPHAS
-) -> VerificationReport:
+def check_violation_prob_bound(fixtures: list[Fixture]) -> VerificationReport:
     """At ``lambda_bounds``' lambda_chance, gap/(alpha*budget), violation
-    probability is at most alpha.  ``_report``'s report is read at each
-    alpha."""
+    probability is at most alpha, for each of DEFAULT_ALPHAS.  ``_report``'s
+    report is read at each alpha."""
     rep = VerificationReport("violation_prob_bound")
     for f in fixtures:
         if f.cmdp.n_constraints != 1 or (bounds := _report(f)) is None:
             continue
-        for alpha in alphas:
+        for alpha in DEFAULT_ALPHAS:
             lam = replace(bounds, alpha=alpha).lambda_chance
             if lam == 0.0:
                 rep.notes.append(f"{f.name}: zero gap, any policy qualifies")
@@ -225,85 +212,104 @@ def enumerate_deterministic_policies(m: Cmdp, quantum: float):
         yield TabularPolicy(layers, tuple(eye[part] for part in np.split(choice, ends[:-1])))
 
 
-def _equivalence_check(
-    fixtures: list[Fixture],
-    scheme: PenaltyScheme,
-    kind: str,
-    lambda_grid,
-) -> VerificationReport:
-    """Shared body for the chance/excess penalty-equivalence suites.
+def _slope(st) -> float:
+    return st.expected_return - st.penalized_objective
 
-    Measures the policy's violation level (probability, or expected excess),
-    checks it against gap/(lam*steps) resp. gap/lam, asserts the level is
-    non-increasing in lambda and hits zero at the top of the grid, and on
-    small fixtures verifies the greedy policy is optimal among all
-    deterministic policies at least as safe.
+
+def _frontier(f: Fixture, scheme: PenaltyScheme) -> list[tuple]:
+    """The greedy policies for lambda in [0, inf), in order, each as (the
+    lambda from which it is optimal, its stats, its trajectories).
+
+    V(lambda) is convex and piecewise linear, one line R - lambda*slope per
+    policy.  Starting from the policies at 0 and HUGE_LAMBDA, solve at the
+    crossing of two neighbours' lines: a value on the lines makes it a
+    breakpoint, a value above them brings in a new policy between the two.
     """
-    chance = scheme is PenaltyScheme.VALUE_AT_RISK
+    K = f.cmdp.n_constraints
+
+    def piece(lam):
+        value, st, trajs = _greedy_oracle(f, [lam] * K, [scheme] * K)
+        return value, (lam, st, trajs)
+
+    def split(lo, hi):
+        """The pieces after lo's, up to hi's policy."""
+        (_, lo_st, _), (_, hi_st, _) = lo, hi
+        drop = _slope(lo_st) - _slope(hi_st)
+        if drop <= TOL:  # one line: lo's policy stays optimal
+            return []
+        lam = (lo_st.expected_return - hi_st.expected_return) / drop
+        value, mid = piece(lam)
+        if value <= lo_st.expected_return - lam * _slope(lo_st) + TOL:
+            return [(lam, hi_st, hi[2])]
+        return split(lo, mid) + split(mid, hi)
+
+    first, last = piece(0.0)[1], piece(HUGE_LAMBDA)[1]
+    pieces = [first, *split(first, last)]
+    # A policy optimal at lambda = 0 alone is optimal at no weight > 0.
+    return pieces[1:] if len(pieces) > 1 and pieces[1][0] == 0.0 else pieces
+
+
+def _level(st, scheme: PenaltyScheme) -> float:
+    """What the scheme's bound is on: the largest E[D*1{D > b}] over the
+    constraints, P(D > b), or E[(D - b)^+]."""
+    if scheme is PenaltyScheme.RISK_NEUTRAL:
+        return max(st.trunc_above)
+    return st.violation_prob[0] if scheme is PenaltyScheme.VALUE_AT_RISK else st.cvar_excess[0]
+
+
+def _breakpoint_check(fixtures: list[Fixture], scheme: PenaltyScheme, kind: str) -> VerificationReport:
+    """Shared body of the violation-cost, chance and excess suites.
+
+    Each policy on a fixture's frontier has its level checked against
+    gap/(lam*s) at the breakpoint that ends its piece, where the bound is
+    tightest (s: the measured chance-penalty step count, else 1).  Levels
+    must not increase along the frontier, and the last must be zero.  The
+    chance and excess suites take one-constraint fixtures, and on small ones
+    check each policy is optimal among the deterministic policies as safe.
+    """
+    rn, chance = scheme is PenaltyScheme.RISK_NEUTRAL, scheme is PenaltyScheme.VALUE_AT_RISK
     rep = VerificationReport(kind)
     for f in fixtures:
-        if f.cmdp.n_constraints != 1 or (bounds := _report(f)) is None:
+        if not rn and f.cmdp.n_constraints != 1:
             continue
-        gap = bounds.gap
-        # Every rival's (level, return) is lambda-free: enumerate them once.
-        rivals = None
-        n_pol = count_deterministic_policies(f.cmdp, f.quantum)
-        if n_pol <= POLICY_CAP:
-            rivals = []
-            for rival in enumerate_deterministic_policies(f.cmdp, f.quantum):
-                rst = stats(enumerate_trajectories(f.cmdp, rival, f.quantum), f.cmdp)
-                rival_level = rst.violation_prob[0] if chance else rst.cvar_excess[0]
-                rivals.append((rival_level, rst.expected_return))
-        levels = []
-        for lam in lambda_grid:
-            _, st, trajs = _greedy_oracle(f, [lam], [scheme])
-            if chance:
-                level = st.violation_prob[0]
-                steps = chance_penalty_steps(trajs, f.cmdp, 0, lam)
-                if steps is None:
-                    # No violating trajectory under this policy; the constant
-                    # is the horizon-determined count of assessment epochs.
-                    steps = float(f.cmdp.horizon + 1)
-                bound = gap / (lam * steps)
-                note = f"measured penalty steps {steps:g}"
-            else:
-                level = st.cvar_excess[0]
-                bound = gap / lam
-                note = ""
-            levels.append(level)
-            rep.add(f.name, lam, bound, level, level <= bound + TOL, note)
-            if rivals is not None:
-                better = next(
-                    (ret for rival_level, ret in rivals
-                     if rival_level <= level + TOL and ret > st.expected_return + TOL),
-                    None,
-                )
-                rep.add(
-                    f.name, lam, st.expected_return,
-                    st.expected_return if better is None else better, better is None,
-                    f"optimal among {n_pol} deterministic policies at level <= {level:g}",
-                )
+        if (bounds := _report(f)) is None:
+            if rn:
+                rep.notes.append(f"{f.name}: skipped, worst case infeasible so the gap is undefined")
+            continue
+        pieces = _frontier(f, scheme)
+        levels = [_level(st, scheme) for _, st, _ in pieces]
+        for (_, _, trajs), level, (end, _, _) in zip(pieces, levels, pieces[1:]):
+            steps = 1.0
+            if chance:  # None when no path violates: then the T + 1 assessment epochs
+                steps = chance_penalty_steps(trajs, f.cmdp, 0, end) or float(f.cmdp.horizon + 1)
+            bound = bounds.gap / (end * steps)
+            rep.add(f.name, end, bound, level, level <= bound + TOL,
+                    f"measured penalty steps {steps:g}" if chance else "")
+        n_pol = 0 if rn else count_deterministic_policies(f.cmdp, f.quantum)
+        if 0 < n_pol <= POLICY_CAP:
+            # Every rival's (level, return) is lambda-free: score them once.
+            rivals = [(_level(rst, scheme), rst.expected_return) for rst in (
+                stats(enumerate_trajectories(f.cmdp, rival, f.quantum), f.cmdp)
+                for rival in enumerate_deterministic_policies(f.cmdp, f.quantum))]
+            for (start, st, _), level in zip(pieces, levels):
+                better = next((ret for rival_level, ret in rivals
+                               if rival_level <= level + TOL and ret > st.expected_return + TOL), None)
+                rep.add(f.name, start, st.expected_return,
+                        st.expected_return if better is None else better, better is None,
+                        f"optimal among {n_pol} deterministic policies at level <= {level:g}")
         for a, b in zip(levels, levels[1:]):
             rep.add(f.name, math.nan, a, b, b <= a + TOL, "level non-increasing in lambda")
-        rep.add(f.name, lambda_grid[-1], 0.0, levels[-1], levels[-1] == 0.0,
-                "level reaches zero at the top of the grid")
+        rep.add(f.name, pieces[-1][0], 0.0, levels[-1], levels[-1] == 0.0,
+                "level is zero above the last breakpoint")
     return rep
 
 
-def check_chance_penalty_equivalence(
-    fixtures: list[Fixture], lambda_grid=EQUIVALENCE_LAMBDA_GRID
-) -> VerificationReport:
-    return _equivalence_check(
-        fixtures, PenaltyScheme.VALUE_AT_RISK, "chance_penalty_equivalence", lambda_grid
-    )
+def check_chance_penalty_equivalence(fixtures: list[Fixture]) -> VerificationReport:
+    return _breakpoint_check(fixtures, PenaltyScheme.VALUE_AT_RISK, "chance_penalty_equivalence")
 
 
-def check_excess_penalty_equivalence(
-    fixtures: list[Fixture], lambda_grid=EQUIVALENCE_LAMBDA_GRID
-) -> VerificationReport:
-    return _equivalence_check(
-        fixtures, PenaltyScheme.CONDITIONAL_VALUE_AT_RISK, "excess_penalty_equivalence", lambda_grid
-    )
+def check_excess_penalty_equivalence(fixtures: list[Fixture]) -> VerificationReport:
+    return _breakpoint_check(fixtures, PenaltyScheme.CONDITIONAL_VALUE_AT_RISK, "excess_penalty_equivalence")
 
 
 def check_multi_constraint_feasibility(fixtures: list[Fixture]) -> VerificationReport:
@@ -327,18 +333,6 @@ def check_multi_constraint_feasibility(fixtures: list[Fixture]) -> VerificationR
     return rep
 
 
-def run_all(fixtures: list[Fixture], lambda_grid=None, alphas=None) -> list[VerificationReport]:
+def run_all(fixtures: list[Fixture]) -> list[VerificationReport]:
     """Run the whole battery; used by the CLI verify command and acceptance."""
-    grid = tuple(lambda_grid) if lambda_grid else DEFAULT_LAMBDA_GRID
-    eq_grid = tuple(lambda_grid) if lambda_grid else EQUIVALENCE_LAMBDA_GRID
-    avals = tuple(alphas) if alphas else DEFAULT_ALPHAS
-    return [
-        check_zero_penalty_equivalence(fixtures),
-        check_worst_case_masking(fixtures),
-        check_violation_cost_bound(fixtures, grid),
-        check_expected_cost_feasibility(fixtures),
-        check_violation_prob_bound(fixtures, avals),
-        check_chance_penalty_equivalence(fixtures, eq_grid),
-        check_excess_penalty_equivalence(fixtures, eq_grid),
-        check_multi_constraint_feasibility(fixtures),
-    ]
+    return [globals()[f"check_{kind}"](fixtures) for kind in ALL_KINDS]

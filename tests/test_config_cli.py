@@ -62,7 +62,6 @@ EVERY_KEY = {
     "episodes": ("episodes", "123"),
     "seeds": ("seeds", "4,9"),
     "eval_episodes": ("eval_episodes", "77"),
-    "alpha": ("alpha", "0.5"),
     "lambda_grid": ("lambda_grid", "0.5,1.5"),
     "lr": ("lr", "0.3"),
     "lr_actor": ("lr_actor", "0.02"),
@@ -145,7 +144,7 @@ def test_unknown_key_is_rejected():
 
 
 @pytest.mark.parametrize(
-    "key", ["exact_quantum = 0.25", "oracle_cap = 10", "scheme.2 = rn", "lambda.2 = 1"]
+    "key", ["exact_quantum = 0.25", "oracle_cap = 10", "scheme.2 = rn", "lambda.2 = 1", "alpha = 0.25"]
 )
 def test_removed_keys_exit_as_unknown(tmp_path, capsys, key):
     cfg = tmp_path / "old.cfg"
@@ -167,7 +166,7 @@ def test_bad_value_is_rejected():
 OUT_OF_RANGE = {
     "learner": "x", "scheme.1": "x", "lambda.1": "-1", "Lambda_floor": "0", "M": "0",
     "C": "0", "N": "0", "n": "0", "rho": "1", "alpha_ent": "0", "w": "-1", "gamma": "0",
-    "episodes": "0", "seeds": ",", "eval_episodes": "0", "alpha": "0", "lambda_grid": "1,-1",
+    "episodes": "0", "seeds": ",", "eval_episodes": "0", "lambda_grid": "1,-1",
     "lr": "1.5", "lr_actor": "0", "update_every": "0", "epsilon.start": "1.5",
     "epsilon.end": "-0.1", "key_quantum": "0",
 }
@@ -323,7 +322,7 @@ def test_unreadable_inputs_exit_2_naming_the_file(tmp_path, capsys):
     out = ["--out", str(tmp_path / "x")]
     for path, args in (
         (undecodable, ["--config", str(undecodable), "train"]),
-        (tmp_path / "none.cfg", ["--config", str(tmp_path / "none.cfg"), "verify"]),
+        (tmp_path / "none.cfg", ["--config", str(tmp_path / "none.cfg"), "train"]),
         (tmp_path / "none.cmdp", ["bounds", str(tmp_path / "none.cmdp")]),
         (tmp_path, ["--config", str(cfg), "evaluate", "--checkpoint", str(tmp_path)]),
     ):
@@ -474,7 +473,7 @@ BAD_INPUTS = {
     "invalid-model":
         ("bounds", CHAIN_MODEL.replace("0 0 = 0 1 0", "0 0 = 0 0.9 0"), ["--quantum", "1"], None, ""),
     "alpha-0":
-        ("bounds", CHAIN_MODEL, ["--quantum", "1", "--alpha", "0"], None, ""),
+        ("bounds", CHAIN_MODEL, ["--quantum", "1", "--alpha", "0"], None, "--alpha"),
     "checkpoint-no-n_actions":
         ("evaluate", Q_CHECKPOINT.replace("n_actions = 2\n", ""), [], CHAIN_EVAL, ""),
     "malformed-checkpoint-row":
@@ -547,6 +546,16 @@ BAD_INPUTS = {
         ("train", DESK_TRAIN + "[env]\n", [], None, "line 5"),
     "model-past-the-state-cap":
         ("bounds", CAPPED_MODEL, ["--quantum", "1"], None, "cap of 200000"),
+    # The chain environment samples one constraint's cost: a chain of two exits 2.
+    "chain-of-two-constraints-train":
+        ("train", "env.kind = chain\nenv.chain = two_cost_chain\nseeds = 1\nepisodes = 1\n", [], None,
+         "env.chain: two_cost_chain has 2 constraints"),
+    "chain-of-two-constraints-evaluate":
+        ("evaluate", CHAIN_EVAL.replace("two_action_chain", "two_cost_chain"), [], None,
+         "env.chain: two_cost_chain has 2 constraints"),
+    # verify checks the fixture pack at its exact breakpoints and reads no config.
+    "verify-with-config":
+        ("verify", (CONFIGS / "chain_smoke.cfg").read_text(), [], None, "--config: verify reads no config"),
     **{f"quantum-{q}": ("bounds", CHAIN_MODEL, ["--quantum", q], None,
                         f"quantum: must be finite and > 0, got {float(q)}")
        for q in ("0", "-1", "inf", "nan")},
@@ -554,7 +563,11 @@ BAD_INPUTS = {
 
 
 def _bad_input_args(tmp_path, command, text, flags, config):
-    """Write the input (and the eval config) and return its path and the CLI arguments."""
+    """Write the input (and the eval config) and return its path and the CLI arguments.
+
+    The input is the model for bounds, evaluate's checkpoint when an eval
+    config is given, and otherwise the config (evaluate then reads a valid
+    Q checkpoint)."""
     path = tmp_path / "input.txt"
     path.write_text(text)
     cfg = tmp_path / "eval.cfg"
@@ -563,10 +576,14 @@ def _bad_input_args(tmp_path, command, text, flags, config):
     args = ["--out", str(tmp_path / "out")]
     if command == "bounds":
         args += ["bounds", str(path), *flags]
-    elif command == "train":
-        args += ["--config", str(path), "train"]
-    else:
+    elif config is not None:
         args += ["--config", str(cfg), "evaluate", "--checkpoint", str(path)]
+    else:
+        args += ["--config", str(path), command]
+        if command == "evaluate":
+            checkpoint = tmp_path / "checkpoint.txt"
+            checkpoint.write_text(Q_CHECKPOINT)
+            args += ["--checkpoint", str(checkpoint)]
     return path, args
 
 
@@ -575,7 +592,8 @@ def test_bad_input_exits_2_without_a_traceback(tmp_path, capsys, command, text, 
     path, args = _bad_input_args(tmp_path, command, text, flags, config)
     assert main(args) == 2  # an exception escaping main fails the test
     err = capsys.readouterr().err
-    assert str(path) in err
+    # The message starts with the file at fault, or with the flag at fault.
+    assert err.startswith(named if named.startswith("--") else f"{path}: ")
     assert named in err
     assert "Traceback" not in err
 
@@ -739,7 +757,7 @@ def test_verify_report_is_pinned(tmp_path):
     # A change to any verify row must update this digest and say why in CHANGES.md.
     assert main(["--out", str(tmp_path), "verify"]) == 0
     assert _sha((tmp_path / "verify_report.csv").read_bytes()) == (
-        "82f1dd44ef3aa2ed3cd47809b46c720dd4f6287f07d03d94dc4f5bc985f8e7bf"
+        "d465c893e626c1bf727fa9ce12c417adaac8a84a58d733655b4852d8b49f0923"
     )
 
 

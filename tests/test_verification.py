@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import backward_induction, evaluate_policy, lambda_bounds
 from cmdp_forge.verification import (
     POLICY_CAP,
+    _frontier,
     _report,
     check_excess_penalty_equivalence,
     check_expected_cost_feasibility,
@@ -23,6 +25,8 @@ from cmdp_forge.verification import (
 )
 
 RN = PenaltyScheme.RISK_NEUTRAL
+VAR = PenaltyScheme.VALUE_AT_RISK
+CVAR = PenaltyScheme.CONDITIONAL_VALUE_AT_RISK
 
 
 def test_full_battery_passes_on_the_pack():
@@ -110,7 +114,7 @@ def test_fixture_facts_are_measured_on_the_models():
 def test_gap_suites_run_at_the_numbers_lambda_bounds_reports():
     pack = fixture_pack()
     reports = {f.name: lambda_bounds(f.cmdp, 0.25, f.quantum) for f in pack[:5]}
-    rows = check_violation_cost_bound(pack).rows
+    rows = [r for r in check_violation_cost_bound(pack).rows if r.note == ""]
     assert {r.fixture for r in rows} == set(reports)
     assert all(r.bound == reports[r.fixture].gap / r.lam for r in rows)
     rows = [r for r in check_excess_penalty_equivalence(pack).rows if r.note == ""]
@@ -135,3 +139,67 @@ def test_verify_forms_each_report_once(monkeypatch):
     # one report per constraint: five for constraint 0, one for constraint 1.
     assert calls.count("unconstrained_value") == 6 + 6
     assert calls.count("max_safe_cost") == 6
+
+
+# The breakpoints of every (fixture, scheme) frontier the suites check.
+BREAKPOINTS = {
+    ("two_action_chain", RN): [1 / 3], ("two_action_chain", VAR): [0.5], ("two_action_chain", CVAR): [1.0],
+    ("three_branch_chain", RN): [1 / 6], ("three_branch_chain", VAR): [0.25],
+    ("three_branch_chain", CVAR): [0.5],
+    ("stochastic_chain", RN): [2 / 3], ("stochastic_chain", VAR): [1.0], ("stochastic_chain", CVAR): [2.0],
+    ("two_cost_chain", RN): [1 / 3],
+    ("grid3_det", RN): [1.6], ("grid3_det", VAR): [0.4], ("grid3_det", CVAR): [4.0],
+}
+
+
+def _frontiers():
+    """(fixture, scheme, frontier) for every pair a breakpoint suite checks."""
+    for f in fixture_pack():
+        if _report(f) is not None:
+            for scheme in PenaltyScheme:
+                if scheme is RN or f.cmdp.n_constraints == 1:
+                    yield f, scheme, _frontier(f, scheme)
+
+
+def test_frontier_breakpoints_are_pinned():
+    found = {(f.name, scheme): [lam for lam, _, _ in pieces[1:]] for f, scheme, pieces in _frontiers()}
+    assert found.keys() == BREAKPOINTS.keys()
+    for key, lams in BREAKPOINTS.items():
+        assert found[key] == pytest.approx(lams, rel=1e-12), key
+
+
+def test_frontier_lines_are_the_value_at_every_weight():
+    # Off the search's own path: at random weights, the sweep's value is the
+    # line R - lam*slope of the frontier policy whose piece holds lam.
+    rng = random.Random(21)
+    for f, scheme, pieces in _frontiers():
+        K = f.cmdp.n_constraints
+        starts = [lam for lam, _, _ in pieces]
+        draws = 0
+        while draws < 20:
+            lam = rng.uniform(0.0, 2.0 * max(starts[-1], 1.0))
+            if lam == 0.0 or min(abs(lam - s) for s in starts) < 1e-6:
+                continue
+            draws += 1
+            _, st, _ = pieces[sum(s < lam for s in starts) - 1]
+            line = st.expected_return - lam * (st.expected_return - st.penalized_objective)
+            value = backward_induction(build_extended(f.cmdp, [lam] * K, [scheme] * K, f.quantum)).initial_value
+            assert abs(value - line) <= 1e-9, (f.name, scheme, lam)
+
+
+def test_a_policy_optimal_at_zero_weight_alone_leaves_the_frontier():
+    # Equal rewards: the greedy policy at lambda 0 takes the risky branch
+    # (the lower index), which no weight > 0 keeps; its bound would sit at
+    # lambda 0, where gap/lambda is undefined.
+    m = make_chain(ChainSpec(
+        branches=(ChainBranch("risky", 1.0, ((1.0, (3.0,)),)), ChainBranch("safe", 1.0, ((1.0, (0.0,)),))),
+        budgets=(2.0,),
+    ))
+    f = Fixture("tie", m, 1.0)
+    _, st, _ = verification._greedy_oracle(f, [0.0], [RN])
+    assert st.violation_prob == (1.0,)
+    for scheme in PenaltyScheme:
+        assert [(lam, st.violation_prob) for lam, st, _ in _frontier(f, scheme)] == [(0.0, (0.0,))]
+    reports = run_all([f])
+    assert all(rep.passed for rep in reports)
+    assert [r.note for r in reports[2].rows] == ["level is zero above the last breakpoint"]

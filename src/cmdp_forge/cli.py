@@ -8,8 +8,10 @@ Subcommands:
             breakpoints of the penalized value; reads no config
   bounds    threshold report for a model file
 
-Common flags: --config PATH (train and evaluate), --out DIR (default
-$CMDP_FORGE_OUT or ./out), --seeds a,b,c (overrides the config), --jobs N.
+Common flags: --out DIR (every command; default $CMDP_FORGE_OUT or ./out),
+--config PATH and --seeds a,b,c (train and evaluate; the seeds override the
+config's), --jobs N >= 1 (train).  A flag given to a command that does not
+read it exits 2.
 Exit codes: 0 success, 1 check or run failure, 2 configuration, flag or
 input-file error.
 
@@ -282,7 +284,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path(os.environ.get("CMDP_FORGE_OUT", "out")),
                         help="output directory (default $CMDP_FORGE_OUT or ./out)")
     parser.add_argument("--seeds", default=None, help="comma-separated seed list overriding the config")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel jobs for seeded runs")
+    parser.add_argument("--jobs", type=int, default=None, help="parallel jobs for seeded runs (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("train", help="run the configured learner per seed")
     p_eval = sub.add_parser("evaluate", help="Monte-Carlo evaluation of a checkpoint")
@@ -294,23 +296,28 @@ def main(argv=None) -> int:
     p_bounds.add_argument("--quantum", type=float, default=0.25)
 
     args = parser.parse_args(argv)
+    # The global flags each command reads, besides --out, which all four read.
+    reads = {"train": ("--config", "--seeds", "--jobs"), "evaluate": ("--config", "--seeds")}
     try:
+        for flag in ("--config", "--seeds", "--jobs"):
+            given = getattr(args, flag[2:])
+            if flag not in reads.get(args.command, ()) and given is not None:
+                raise ConfigError(f"{flag}: {args.command} reads no {flag[2:]}, got {given}")
+        if args.jobs is not None and args.jobs < 1:
+            raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
         if args.command == "bounds":
             if not 0.0 < args.alpha <= 1.0:
                 raise ConfigError(f"--alpha: must be in (0, 1], got {args.alpha}")
             return cmd_bounds(Path(args.model), args.alpha, args.quantum, args.out)
         if args.command == "verify":
-            if args.config:
-                raise ConfigError(f"--config: verify reads no config, got {args.config}; "
-                                  "it checks the fixture pack at its exact lambda breakpoints")
             return cmd_verify(args.out)
-        if not args.config:
-            raise ConfigError("--config is required for this command")
+        if args.config is None:
+            raise ConfigError(f"--config: {args.command} needs a config file")
         cfg = _read(args.config, load_config)
         if args.seeds is not None:
             cfg = override(cfg, "seeds", args.seeds)
         if args.command == "train":
-            return cmd_train(cfg, args.out, max(1, args.jobs))
+            return cmd_train(cfg, args.out, args.jobs or 1)
         return cmd_evaluate(cfg, Path(args.checkpoint), args.out)
     except ConfigError as exc:
         print(exc, file=sys.stderr)

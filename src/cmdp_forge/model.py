@@ -83,9 +83,10 @@ class Cmdp:
     action_names: tuple[str, ...] | None = None
     _succ: dict = field(default_factory=dict, repr=False, compare=False)
     _problems: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    # (function name, quantum[, k]) -> that function's budget-only result,
-    # formed once per model and written only by it: ``extended.ledger_rule``
-    # and ``augment``'s, ``solver.worst_case_value``'s and ``lambda_bounds``'.
+    # (function name, quantum[, k or scheme]) -> that function's lambda-free
+    # result, formed once per model and written only by it:
+    # ``extended.ledger_rule`` and ``augment``'s, ``solver.worst_case_value``'s,
+    # ``lambda_bounds``' and ``verification._frontier``'s.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

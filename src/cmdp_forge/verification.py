@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .solver import (
 
 TOL = 1e-9
 
-DEFAULT_ALPHAS = (0.05, 0.25, 0.5)
-THRESHOLD_MULTIPLIERS = (1.0, 2.0, 10.0)  # expected-cost feasibility runs at these multiples of the threshold
 HUGE_LAMBDA = 1e9
 POLICY_CAP = 10_000  # optimality is checked by exhaustion up to this many policies
 
@@ -92,8 +90,7 @@ def _greedy_oracle(f: Fixture, lambdas, schemes):
 def _report(f: Fixture, k: int = 0) -> BoundsReport | None:
     """``lambda_bounds``' report for constraint k, the one source of every
     gap and threshold weight the suites check; None when no policy is
-    always safe (on a noisy grid whose pit can be re-entered, for one).
-    Its alpha is 1.0; only lambda_chance reads it."""
+    always safe (on a noisy grid whose pit can be re-entered, for one)."""
     try:
         return lambda_bounds(f.cmdp, 1.0, f.quantum, k)
     except WorstCaseInfeasible:
@@ -118,17 +115,16 @@ def check_zero_penalty_equivalence(fixtures: list[Fixture]) -> VerificationRepor
 def check_worst_case_masking(fixtures: list[Fixture]) -> VerificationReport:
     """A huge penalty weight reproduces the masked always-safe optimum.
 
-    Asserts the greedy policy's violation probability is exactly zero, its
-    expected (unpenalized) return matches the masked value within 1e-9, and
-    the huge-lambda objective matches it within 1e-6.
+    At the rn frontier's solve at HUGE_LAMBDA, asserts the greedy policy's
+    violation probability is exactly zero, its expected (unpenalized) return
+    matches the masked value within 1e-9, and the objective within 1e-6.
     """
     rep = VerificationReport("worst_case_masking")
     for f in fixtures:
         if (bounds := _report(f)) is None:
             continue
         masked = bounds.worst_case_return
-        K = f.cmdp.n_constraints
-        value, st, _ = _greedy_oracle(f, [HUGE_LAMBDA] * K, _rn(f))
+        (value, st), _ = _frontier(f, PenaltyScheme.RISK_NEUTRAL)
         viol = max(st.violation_prob)
         rep.add(f.name, HUGE_LAMBDA, 0.0, viol, viol == 0.0, "violation probability")
         rep.add(
@@ -148,10 +144,9 @@ def check_violation_cost_bound(fixtures: list[Fixture]) -> VerificationReport:
 
 
 def check_expected_cost_feasibility(fixtures: list[Fixture]) -> VerificationReport:
-    """At or above the threshold weight, the greedy policy meets E[D] <= budget.
-
-    The threshold is ``lambda_bounds``' lambda_expected_cost, times each of THRESHOLD_MULTIPLIERS.
-    """
+    """Every greedy policy at or above ``lambda_bounds``' lambda_expected_cost
+    meets E[D] <= budget: each rn frontier policy optimal above that
+    threshold, at the least weight where it is."""
     rep = VerificationReport("expected_cost_feasibility")
     for f in fixtures:
         if f.cmdp.n_constraints != 1 or (bounds := _report(f)) is None:
@@ -159,35 +154,31 @@ def check_expected_cost_feasibility(fixtures: list[Fixture]) -> VerificationRepo
         if bounds.cost_slack == 0.0:
             rep.notes.append(f"{f.name}: skipped, zero slack makes the threshold infinite")
             continue
-        threshold = bounds.lambda_expected_cost
-        budget = f.cmdp.budgets[0]
-        for mult in THRESHOLD_MULTIPLIERS:
-            lam = threshold * mult
-            if lam == 0.0:
-                rep.notes.append(f"{f.name}: zero threshold, bound not applicable")
-                continue
-            _, st, _ = _greedy_oracle(f, [lam], _rn(f))
-            rep.add(f.name, lam, budget, st.expected_cost[0],
-                    st.expected_cost[0] <= budget + TOL)
+        threshold, budget = bounds.lambda_expected_cost, f.cmdp.budgets[0]
+        _, pieces = _frontier(f, PenaltyScheme.RISK_NEUTRAL)
+        ends = [lam for lam, _, _ in pieces[1:]] + [math.inf]
+        for (start, st, _), end in zip(pieces, ends):
+            if end >= threshold:
+                rep.add(f.name, max(start, threshold), budget, st.expected_cost[0],
+                        st.expected_cost[0] <= budget + TOL)
     return rep
 
 
 def check_violation_prob_bound(fixtures: list[Fixture]) -> VerificationReport:
-    """At ``lambda_bounds``' lambda_chance, gap/(alpha*budget), violation
-    probability is at most alpha, for each of DEFAULT_ALPHAS.  ``_report``'s
-    report is read at each alpha."""
+    """Violation probability is at most gap/(lambda*budget), alpha at
+    ``lambda_bounds``' lambda_chance: checked for each rn frontier policy at
+    the breakpoint ending its piece, where it is tightest, so at every weight
+    and alpha in (0, 1]; the last policy must never violate."""
     rep = VerificationReport("violation_prob_bound")
     for f in fixtures:
         if f.cmdp.n_constraints != 1 or (bounds := _report(f)) is None:
             continue
-        for alpha in DEFAULT_ALPHAS:
-            lam = replace(bounds, alpha=alpha).lambda_chance
-            if lam == 0.0:
-                rep.notes.append(f"{f.name}: zero gap, any policy qualifies")
-                continue
-            _, st, _ = _greedy_oracle(f, [lam], _rn(f))
-            rep.add(f.name, lam, alpha, st.violation_prob[0],
-                    st.violation_prob[0] <= alpha + TOL)
+        _, pieces = _frontier(f, PenaltyScheme.RISK_NEUTRAL)
+        for (_, st, _), (end, _, _) in zip(pieces, pieces[1:]):
+            bound = bounds.gap / (end * bounds.budget)
+            rep.add(f.name, end, bound, st.violation_prob[0], st.violation_prob[0] <= bound + TOL)
+        last = pieces[-1][1].violation_prob[0]
+        rep.add(f.name, pieces[-1][0], 0.0, last, last == 0.0, "level is zero above the last breakpoint")
     return rep
 
 
@@ -216,15 +207,19 @@ def _slope(st) -> float:
     return st.expected_return - st.penalized_objective
 
 
-def _frontier(f: Fixture, scheme: PenaltyScheme) -> list[tuple]:
-    """The greedy policies for lambda in [0, inf), in order, each as (the
-    lambda from which it is optimal, its stats, its trajectories).
+def _frontier(f: Fixture, scheme: PenaltyScheme) -> tuple[tuple, list[tuple]]:
+    """The greedy solve at HUGE_LAMBDA as (value, stats), and the greedy
+    policies for lambda in [0, inf), in order, each as (the lambda from
+    which it is optimal, its stats, its trajectories).  Kept on the model,
+    so each (fixture, scheme) pair is solved once.
 
     V(lambda) is convex and piecewise linear, one line R - lambda*slope per
     policy.  Starting from the policies at 0 and HUGE_LAMBDA, solve at the
     crossing of two neighbours' lines: a value on the lines makes it a
     breakpoint, a value above them brings in a new policy between the two.
     """
+    if (found := f.cmdp._derived.get(("frontier", f.quantum, scheme))) is not None:
+        return found
     K = f.cmdp.n_constraints
 
     def piece(lam):
@@ -243,10 +238,12 @@ def _frontier(f: Fixture, scheme: PenaltyScheme) -> list[tuple]:
             return [(lam, hi_st, hi[2])]
         return split(lo, mid) + split(mid, hi)
 
-    first, last = piece(0.0)[1], piece(HUGE_LAMBDA)[1]
+    (_, first), (top, last) = piece(0.0), piece(HUGE_LAMBDA)
     pieces = [first, *split(first, last)]
     # A policy optimal at lambda = 0 alone is optimal at no weight > 0.
-    return pieces[1:] if len(pieces) > 1 and pieces[1][0] == 0.0 else pieces
+    found = f.cmdp._derived["frontier", f.quantum, scheme] = (
+        (top, last[1]), pieces[1:] if len(pieces) > 1 and pieces[1][0] == 0.0 else pieces)
+    return found
 
 
 def _level(st, scheme: PenaltyScheme) -> float:
@@ -276,7 +273,7 @@ def _breakpoint_check(fixtures: list[Fixture], scheme: PenaltyScheme, kind: str)
             if rn:
                 rep.notes.append(f"{f.name}: skipped, worst case infeasible so the gap is undefined")
             continue
-        pieces = _frontier(f, scheme)
+        _, pieces = _frontier(f, scheme)
         levels = [_level(st, scheme) for _, st, _ in pieces]
         for (_, _, trajs), level, (end, _, _) in zip(pieces, levels, pieces[1:]):
             steps = 1.0

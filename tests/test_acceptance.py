@@ -26,7 +26,7 @@ from cmdp_forge.oracle import enumerate_trajectories, random_policy, stats
 from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import backward_induction, evaluate_policy, lambda_bounds
 from cmdp_forge.verification import (
-    THRESHOLD_MULTIPLIERS,
+    _frontier,
     check_chance_penalty_equivalence,
     check_excess_penalty_equivalence,
     check_expected_cost_feasibility,
@@ -74,9 +74,16 @@ def test_criterion_02_worst_case_masking():
 
 def test_criterion_03_expected_cost_feasibility_with_negative_control():
     started = time.perf_counter()
-    assert THRESHOLD_MULTIPLIERS == (1.0, 2.0, 10.0)
     rep = check_expected_cost_feasibility(PACK)
     assert len({r.fixture for r in rep.rows}) >= 3
+    # Each fixture's rows start at its threshold and cover every frontier
+    # policy optimal above it: one more row at each breakpoint from there on.
+    for f in PACK:
+        lams = [r.lam for r in rep.rows if r.fixture == f.name]
+        if lams:
+            threshold = lambda_bounds(f.cmdp, 0.25, f.quantum).lambda_expected_cost
+            breaks = [start for start, _, _ in _frontier(f, RN)[1][1:]]
+            assert lams == [threshold] + [lam for lam in breaks if lam >= threshold], f.name
     # Negative control: a tenth of the threshold weight picks the risky branch
     # and busts the budget, demonstrating the check can fail.
     m = two_action_chain()
@@ -88,8 +95,8 @@ def test_criterion_03_expected_cost_feasibility_with_negative_control():
     assert st.expected_cost[0] > m.budgets[0]
     assert elapsed < 30.0
     report(3, rep.passed,
-           f"expected cost within budget at 1x/2x/10x threshold on "
-           f"{len(rep.rows)} rows; low-weight control exceeds the budget "
+           f"expected cost within budget from the threshold on, one row per "
+           f"frontier policy, {len(rep.rows)} rows; low-weight control exceeds the budget "
            f"(E[D] = {st.expected_cost[0]:g}) ({elapsed:.2f}s)")
 
 
@@ -110,7 +117,8 @@ def test_criterion_05_violation_probability_bound():
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     report(5, rep.passed,
-           f"violation probability within alpha at the chance threshold on "
+           f"violation probability within gap/(weight*budget), alpha at the "
+           f"chance threshold for every alpha, at each breakpoint on "
            f"{len(rep.rows)} rows ({elapsed:.2f}s)")
 
 

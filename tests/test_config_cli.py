@@ -615,6 +615,35 @@ def test_bad_input_exits_2_from_a_fresh_interpreter(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+# A global flag given to a command that does not read it, and --jobs below
+# 1, by case id: (arguments after --out, start of the message).  Each exited
+# 0 before the flags were checked against the command.
+UNREAD_FLAGS = {
+    "bounds-config": (["--config", "nope.cfg", "bounds", "{model}", "--quantum", "1"],
+                      "--config: bounds reads no config, got nope.cfg"),
+    "bounds-seeds-jobs": (["--seeds", "1,1", "--jobs", "-3", "bounds", "{model}", "--quantum", "1"],
+                          "--seeds: bounds reads no seeds"),
+    "verify-empty-seeds": (["--seeds", ",", "verify"], "--seeds: verify reads no seeds"),
+    "verify-jobs-0": (["--jobs", "0", "verify"], "--jobs: verify reads no jobs"),
+    "train-jobs-0": (["--config", "{config}", "--jobs", "0", "train"], "--jobs: must be >= 1, got 0"),
+    "evaluate-jobs": (["--config", "{config}", "--jobs", "-2", "evaluate", "--checkpoint", "{checkpoint}"],
+                      "--jobs: evaluate reads no jobs"),
+}
+
+
+@pytest.mark.parametrize("argv, named", UNREAD_FLAGS.values(), ids=UNREAD_FLAGS)
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv, named):
+    files = {"model": tmp_path / "m.cmdp", "config": tmp_path / "run.cfg", "checkpoint": tmp_path / "ck.txt"}
+    for path, text in zip(files.values(), (CHAIN_MODEL, CHAIN_TRAIN, Q_CHECKPOINT)):
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), *(arg.format(**files) for arg in argv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(named)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_checkpoint_with_an_underflowing_probability_evaluates(tmp_path):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text(CHAIN_EVAL)
@@ -757,7 +786,7 @@ def test_verify_report_is_pinned(tmp_path):
     # A change to any verify row must update this digest and say why in CHANGES.md.
     assert main(["--out", str(tmp_path), "verify"]) == 0
     assert _sha((tmp_path / "verify_report.csv").read_bytes()) == (
-        "d465c893e626c1bf727fa9ce12c417adaac8a84a58d733655b4852d8b49f0923"
+        "3fc0d6c14f11dba336e7ba11c0a3c5324efbecbad3580a6b35d4b0ea5e2e2711"
     )
 
 

@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from cmdp_forge.verification import (
     check_expected_cost_feasibility,
     check_multi_constraint_feasibility,
     check_violation_cost_bound,
+    check_violation_prob_bound,
     count_deterministic_policies,
     enumerate_deterministic_policies,
     run_all,
@@ -36,14 +39,27 @@ def test_full_battery_passes_on_the_pack():
         assert rep.passed, rep.kind
 
 
+def _fail_rows_under(monkeypatch, check, scale):
+    """The FAIL rows of ``check`` on two_action_chain when every report it
+    reads is passed through ``scale``."""
+    real = verification._report
+    monkeypatch.setattr(verification, "_report", lambda f, k=0: scale(real(f, k)))
+    rep = check([Fixture("underweighted", two_action_chain(), quantum=1.0)])
+    return [r for r in rep.rows if not r.passed]
+
+
 def test_underweighted_penalty_produces_a_fail_row(monkeypatch):
-    # A tenth of the required weight leaves the risky branch optimal; the
-    # feasibility check must report the measured breach, not hide it.
-    f = Fixture("underweighted", two_action_chain(), quantum=1.0)
-    monkeypatch.setattr(verification, "THRESHOLD_MULTIPLIERS", (0.1,))
-    rep = check_expected_cost_feasibility([f])
-    assert not rep.passed
-    bad = [r for r in rep.rows if not r.passed]
+    # A tenth of the threshold weight puts the risky branch, optimal below
+    # the breakpoint 1/3, under check; the suite must report the breach.
+    bad = _fail_rows_under(monkeypatch, check_expected_cost_feasibility,
+                           lambda r: replace(r, cost_slack=10.0 * r.cost_slack))
+    assert bad and bad[0].measured > bad[0].bound
+
+
+def test_understated_gap_produces_a_violation_prob_fail_row(monkeypatch):
+    # A tenth of the gap puts the risky branch's bound below its P(D > b) = 1.
+    bad = _fail_rows_under(monkeypatch, check_violation_prob_bound,
+                           lambda r: replace(r, best_return=r.worst_case_return + r.gap / 10.0))
     assert bad and bad[0].measured > bad[0].bound
 
 
@@ -158,7 +174,7 @@ def _frontiers():
         if _report(f) is not None:
             for scheme in PenaltyScheme:
                 if scheme is RN or f.cmdp.n_constraints == 1:
-                    yield f, scheme, _frontier(f, scheme)
+                    yield f, scheme, _frontier(f, scheme)[1]
 
 
 def test_frontier_breakpoints_are_pinned():
@@ -187,6 +203,21 @@ def test_frontier_lines_are_the_value_at_every_weight():
             assert abs(value - line) <= 1e-9, (f.name, scheme, lam)
 
 
+def test_frontier_pieces_match_direct_solves_at_threshold_weights():
+    # The weights the expected-cost and violation-probability suites once
+    # solved at: the piece holding each has the stats of a direct solve.
+    for f in fixture_pack():
+        if f.cmdp.n_constraints != 1 or (bounds := _report(f)) is None:
+            continue
+        lams = [replace(bounds, alpha=alpha).lambda_chance for alpha in (0.05, 0.25, 0.5)]
+        if math.isfinite(bounds.lambda_expected_cost):
+            lams += [bounds.lambda_expected_cost * mult for mult in (1.0, 2.0, 10.0)]
+        _, pieces = _frontier(f, RN)
+        for lam in lams:
+            _, st, _ = pieces[sum(start <= lam for start, _, _ in pieces) - 1]
+            assert st == verification._greedy_oracle(f, [lam], [RN])[1], (f.name, lam)
+
+
 def test_a_policy_optimal_at_zero_weight_alone_leaves_the_frontier():
     # Equal rewards: the greedy policy at lambda 0 takes the risky branch
     # (the lower index), which no weight > 0 keeps; its bound would sit at
@@ -199,7 +230,7 @@ def test_a_policy_optimal_at_zero_weight_alone_leaves_the_frontier():
     _, st, _ = verification._greedy_oracle(f, [0.0], [RN])
     assert st.violation_prob == (1.0,)
     for scheme in PenaltyScheme:
-        assert [(lam, st.violation_prob) for lam, st, _ in _frontier(f, scheme)] == [(0.0, (0.0,))]
+        assert [(lam, st.violation_prob) for lam, st, _ in _frontier(f, scheme)[1]] == [(0.0, (0.0,))]
     reports = run_all([f])
     assert all(rep.passed for rep in reports)
     assert [r.note for r in reports[2].rows] == ["level is zero above the last breakpoint"]

@@ -21,7 +21,9 @@ message starts with the file's path; ``main`` prints that message and exits
 2.  For ``bounds`` the parse includes ``lambda_bounds``, so a quantum that is
 not finite and > 0, that a cost does not divide, or whose augmented space
 passes the state cap is a model-file error; for ``evaluate`` the
-checkpoint must also fit the configured environment.
+checkpoint must also fit the configured environment.  An --out that cannot
+be made a directory exits 2 the same way (``--out: ...``), after the inputs
+are read and before any result is printed or ``train`` run starts.
 
 Outputs are deterministic for a fixed config and seed list; the only
 exception is the wall_ms column of training logs, which records real time.
@@ -64,8 +66,16 @@ def _spread(values: list[float]) -> float:
     return statistics.pstdev(values) if any(v != values[0] for v in values) else 0.0
 
 
+def _make_out(out: Path) -> None:
+    """Create the --out directory; a path that cannot be one is a ConfigError."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {out}: {exc.strerror}") from None
+
+
 def write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_out(path.parent)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -112,8 +122,10 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     """One run per (seed, lambda), in ``jobs`` worker processes when jobs > 1.
 
     Each run's log and checkpoint are written as its result comes in; a run
-    that raises is recorded in failures.csv and the others proceed.
+    that raises is recorded in failures.csv and the others proceed.  The
+    output directory is made before any run starts.
     """
+    _make_out(out)
     lams = list(cfg.lambda_grid) if cfg.lambda_grid else [cfg.lambda0]
     runs = [(seed, lam) for lam in lams for seed in cfg.seeds]
     logs: dict[tuple, list[TrainRow]] = {}
@@ -239,6 +251,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint_path: Path, out: Path) -> int
 
 
 def cmd_verify(out: Path) -> int:
+    _make_out(out)
     reports = run_all(fixture_pack())
     rows = []
     failed = 0
@@ -269,9 +282,9 @@ def cmd_bounds(model_path: Path, alpha: float, quantum: float, out: Path) -> int
     except WorstCaseInfeasible as exc:
         print(f"worst case infeasible: {exc}")
         rows = [("feasible_worst_case", 0.0)]
+    write_csv(out / "bounds.csv", ("quantity", "value"), [(n, format_number(v)) for n, v in rows])
     for name, value in rows:
         print(f"{name} = {format_number(value)}")
-    write_csv(out / "bounds.csv", ("quantity", "value"), [(n, format_number(v)) for n, v in rows])
     return 0
 
 

@@ -200,8 +200,8 @@ def validate_cmdp(m: Cmdp) -> list[str]:
 class Trajectory:
     """One path s_0..s_T with the T actions taken along it.
 
-    ``probability`` is the product of policy and transition probabilities in
-    oracle (enumeration) mode, and None for sampled rollouts.
+    ``probability`` is the product of policy and transition probabilities
+    along the path, as the oracle's enumeration forms it.
     """
 
     states: tuple[int, ...]

@@ -29,7 +29,7 @@ from operator import mul
 import numpy as np
 
 from .extended import MASS_TOL, PolicyUndefined, TabularPolicy, augment, ledger_rule
-from .model import Cmdp, Trajectory, discount_powers, trajectory_cost
+from .model import Cmdp, Trajectory, discount_powers
 from .penalties import PenaltyScheme, penalty_amount
 
 TRAJECTORY_CAP = 1_000_000  # the most trajectories one enumeration may return
@@ -238,29 +238,3 @@ def random_policy(m: Cmdp, quantum: float, rng) -> TabularPolicy:
     index = {x: i for i, x in enumerate(e.states)}
     return TabularPolicy(e.layers, tuple(drawn[[index[x] for x in nodes]] for nodes in e.layers[:-1]))
 
-
-def chance_penalty_steps(
-    trajs: list[Trajectory], m: Cmdp, k: int, lam: float
-) -> float | None:
-    """Measured per-trajectory penalty constant of the chance scheme.
-
-    For every violating trajectory the value-at-risk penalties total the
-    same multiple of lambda; this returns that multiple (None when no
-    trajectory violates).  Raises if the multiples disagree, which would
-    falsify the constant-penalty reading of the scheme.
-    """
-    constants = set()
-    for traj in {t.states: t for t in trajs}.values():  # both walks read the states alone
-        if trajectory_cost(traj, m, k) > m.budgets[k]:
-            total = trajectory_penalty_total(
-                traj, m, k, PenaltyScheme.VALUE_AT_RISK, lam
-            )
-            constants.add(round(total / lam, 9))
-    if not constants:
-        return None
-    if len(constants) > 1:
-        raise AssertionError(
-            f"chance-scheme penalty is not constant across violating "
-            f"trajectories: {sorted(constants)}"
-        )
-    return constants.pop()

@@ -21,11 +21,7 @@ import numpy as np
 from .extended import TabularPolicy, augment, build_extended
 from .fixtures import Fixture
 from .model import Cmdp
-from .oracle import (
-    chance_penalty_steps,
-    enumerate_trajectories,
-    stats,
-)
+from .oracle import enumerate_trajectories, stats
 from .penalties import PenaltyScheme
 from .solver import (
     BoundsReport,
@@ -79,12 +75,12 @@ class VerificationReport:
 
 
 def _greedy_oracle(f: Fixture, lambdas, schemes):
-    """The greedy policy's value, its oracle stats and trajectories.  The
-    stats are taken at unit weights, so expected_return - penalized_objective
-    is the slope of the policy's value line in lambda."""
+    """The greedy policy's value and its oracle stats.  The stats are taken
+    at unit weights, so expected_return - penalized_objective is the slope
+    of the policy's value line in lambda."""
     vt = backward_induction(build_extended(f.cmdp, lambdas, schemes, f.quantum))
     trajs = enumerate_trajectories(f.cmdp, vt.greedy_policy(f.cmdp.n_actions), f.quantum)
-    return vt.initial_value, stats(trajs, f.cmdp, [1.0] * len(schemes), schemes), trajs
+    return vt.initial_value, stats(trajs, f.cmdp, [1.0] * len(schemes), schemes)
 
 
 def _report(f: Fixture, k: int = 0) -> BoundsReport | None:
@@ -156,8 +152,8 @@ def check_expected_cost_feasibility(fixtures: list[Fixture]) -> VerificationRepo
             continue
         threshold, budget = bounds.lambda_expected_cost, f.cmdp.budgets[0]
         _, pieces = _frontier(f, PenaltyScheme.RISK_NEUTRAL)
-        ends = [lam for lam, _, _ in pieces[1:]] + [math.inf]
-        for (start, st, _), end in zip(pieces, ends):
+        ends = [lam for lam, _ in pieces[1:]] + [math.inf]
+        for (start, st), end in zip(pieces, ends):
             if end >= threshold:
                 rep.add(f.name, max(start, threshold), budget, st.expected_cost[0],
                         st.expected_cost[0] <= budget + TOL)
@@ -174,7 +170,7 @@ def check_violation_prob_bound(fixtures: list[Fixture]) -> VerificationReport:
         if f.cmdp.n_constraints != 1 or (bounds := _report(f)) is None:
             continue
         _, pieces = _frontier(f, PenaltyScheme.RISK_NEUTRAL)
-        for (_, st, _), (end, _, _) in zip(pieces, pieces[1:]):
+        for (_, st), (end, _) in zip(pieces, pieces[1:]):
             bound = bounds.gap / (end * bounds.budget)
             rep.add(f.name, end, bound, st.violation_prob[0], st.violation_prob[0] <= bound + TOL)
         last = pieces[-1][1].violation_prob[0]
@@ -210,35 +206,39 @@ def _slope(st) -> float:
 def _frontier(f: Fixture, scheme: PenaltyScheme) -> tuple[tuple, list[tuple]]:
     """The greedy solve at HUGE_LAMBDA as (value, stats), and the greedy
     policies for lambda in [0, inf), in order, each as (the lambda from
-    which it is optimal, its stats, its trajectories).  Kept on the model,
-    so each (fixture, scheme) pair is solved once.
+    which it is optimal, its stats).  Kept on the model, so each (fixture,
+    scheme) pair is solved once.
 
     V(lambda) is convex and piecewise linear, one line R - lambda*slope per
     policy.  Starting from the policies at 0 and HUGE_LAMBDA, solve at the
-    crossing of two neighbours' lines: a value on the lines makes it a
-    breakpoint, a value above them brings in a new policy between the two.
+    crossing of two neighbours' lines: a value on the lines, or a policy the
+    search has met already, makes it a breakpoint; a value above them brings
+    in a new policy between the two.  Each split meets a new policy, so the
+    search ends even where the sweep and the oracle's slopes disagree.
     """
     if (found := f.cmdp._derived.get(("frontier", f.quantum, scheme))) is not None:
         return found
     K = f.cmdp.n_constraints
 
     def piece(lam):
-        value, st, trajs = _greedy_oracle(f, [lam] * K, [scheme] * K)
-        return value, (lam, st, trajs)
+        value, st = _greedy_oracle(f, [lam] * K, [scheme] * K)
+        return value, (lam, st)
 
     def split(lo, hi):
         """The pieces after lo's, up to hi's policy."""
-        (_, lo_st, _), (_, hi_st, _) = lo, hi
+        (_, lo_st), (_, hi_st) = lo, hi
         drop = _slope(lo_st) - _slope(hi_st)
         if drop <= TOL:  # one line: lo's policy stays optimal
             return []
         lam = (lo_st.expected_return - hi_st.expected_return) / drop
         value, mid = piece(lam)
-        if value <= lo_st.expected_return - lam * _slope(lo_st) + TOL:
-            return [(lam, hi_st, hi[2])]
+        if value <= lo_st.expected_return - lam * _slope(lo_st) + TOL or mid[1] in met:
+            return [(lam, hi_st)]
+        met.add(mid[1])
         return split(lo, mid) + split(mid, hi)
 
     (_, first), (top, last) = piece(0.0), piece(HUGE_LAMBDA)
+    met = {first[1], last[1]}
     pieces = [first, *split(first, last)]
     # A policy optimal at lambda = 0 alone is optimal at no weight > 0.
     found = f.cmdp._derived["frontier", f.quantum, scheme] = (
@@ -246,25 +246,28 @@ def _frontier(f: Fixture, scheme: PenaltyScheme) -> tuple[tuple, list[tuple]]:
     return found
 
 
-def _level(st, scheme: PenaltyScheme) -> float:
-    """What the scheme's bound is on: the largest E[D*1{D > b}] over the
-    constraints, P(D > b), or E[(D - b)^+]."""
-    if scheme is PenaltyScheme.RISK_NEUTRAL:
-        return max(st.trunc_above)
-    return st.violation_prob[0] if scheme is PenaltyScheme.VALUE_AT_RISK else st.cvar_excess[0]
+# The OracleStats field each scheme's bound is on, one entry per constraint:
+# E[D*1{D > b}], P(D > b) or E[(D - b)^+].  A level is its largest entry.
+LEVEL_FIELD = {
+    PenaltyScheme.RISK_NEUTRAL: "trunc_above",
+    PenaltyScheme.VALUE_AT_RISK: "violation_prob",
+    PenaltyScheme.CONDITIONAL_VALUE_AT_RISK: "cvar_excess",
+}
 
 
 def _breakpoint_check(fixtures: list[Fixture], scheme: PenaltyScheme, kind: str) -> VerificationReport:
     """Shared body of the violation-cost, chance and excess suites.
 
-    Each policy on a fixture's frontier has its level checked against
-    gap/(lam*s) at the breakpoint that ends its piece, where the bound is
-    tightest (s: the measured chance-penalty step count, else 1).  Levels
+    A violating path's penalties total lambda*s times its own D, 1 or D - b
+    (penalties.py), with s = T + 1 for the chance scheme and 1 otherwise, so
+    each frontier policy's slope must be s times the sum of its level field.
+    Each policy's level is checked against gap/(lam*s) at the breakpoint
+    that ends its piece, where the bound is tightest.  Levels
     must not increase along the frontier, and the last must be zero.  The
     chance and excess suites take one-constraint fixtures, and on small ones
     check each policy is optimal among the deterministic policies as safe.
     """
-    rn, chance = scheme is PenaltyScheme.RISK_NEUTRAL, scheme is PenaltyScheme.VALUE_AT_RISK
+    rn, level_field = scheme is PenaltyScheme.RISK_NEUTRAL, LEVEL_FIELD[scheme]
     rep = VerificationReport(kind)
     for f in fixtures:
         if not rn and f.cmdp.n_constraints != 1:
@@ -273,22 +276,23 @@ def _breakpoint_check(fixtures: list[Fixture], scheme: PenaltyScheme, kind: str)
             if rn:
                 rep.notes.append(f"{f.name}: skipped, worst case infeasible so the gap is undefined")
             continue
+        steps = float(f.cmdp.horizon + 1) if scheme is PenaltyScheme.VALUE_AT_RISK else 1.0
         _, pieces = _frontier(f, scheme)
-        levels = [_level(st, scheme) for _, st, _ in pieces]
-        for (_, _, trajs), level, (end, _, _) in zip(pieces, levels, pieces[1:]):
-            steps = 1.0
-            if chance:  # None when no path violates: then the T + 1 assessment epochs
-                steps = chance_penalty_steps(trajs, f.cmdp, 0, end) or float(f.cmdp.horizon + 1)
+        levels = [max(getattr(st, level_field)) for _, st in pieces]
+        for level, (end, _) in zip(levels, pieces[1:]):
             bound = bounds.gap / (end * steps)
-            rep.add(f.name, end, bound, level, level <= bound + TOL,
-                    f"measured penalty steps {steps:g}" if chance else "")
+            rep.add(f.name, end, bound, level, level <= bound + TOL)
+        for start, st in pieces:
+            total = steps * math.fsum(getattr(st, level_field))
+            rep.add(f.name, start, total, _slope(st), abs(_slope(st) - total) <= TOL,
+                    "penalty total is s x level")
         n_pol = 0 if rn else count_deterministic_policies(f.cmdp, f.quantum)
         if 0 < n_pol <= POLICY_CAP:
             # Every rival's (level, return) is lambda-free: score them once.
-            rivals = [(_level(rst, scheme), rst.expected_return) for rst in (
+            rivals = [(max(getattr(rst, level_field)), rst.expected_return) for rst in (
                 stats(enumerate_trajectories(f.cmdp, rival, f.quantum), f.cmdp)
                 for rival in enumerate_deterministic_policies(f.cmdp, f.quantum))]
-            for (start, st, _), level in zip(pieces, levels):
+            for (start, st), level in zip(pieces, levels):
                 better = next((ret for rival_level, ret in rivals
                                if rival_level <= level + TOL and ret > st.expected_return + TOL), None)
                 rep.add(f.name, start, st.expected_return,
@@ -322,7 +326,7 @@ def check_multi_constraint_feasibility(fixtures: list[Fixture]) -> VerificationR
             rep.notes.append(f"{f.name}: constraint {slacks.index(0.0)} has zero slack; skipped")
             continue
         lambdas = [bounds.lambda_expected_cost for bounds in reports]
-        _, st, _ = _greedy_oracle(f, lambdas, _rn(f))
+        _, st = _greedy_oracle(f, lambdas, _rn(f))
         for k in range(m.n_constraints):
             rep.add(f.name, lambdas[k], m.budgets[k], st.expected_cost[k],
                     st.expected_cost[k] <= m.budgets[k] + TOL,

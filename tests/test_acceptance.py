@@ -82,7 +82,7 @@ def test_criterion_03_expected_cost_feasibility_with_negative_control():
         lams = [r.lam for r in rep.rows if r.fixture == f.name]
         if lams:
             threshold = lambda_bounds(f.cmdp, 0.25, f.quantum).lambda_expected_cost
-            breaks = [start for start, _, _ in _frontier(f, RN)[1][1:]]
+            breaks = [start for start, _ in _frontier(f, RN)[1][1:]]
             assert lams == [threshold] + [lam for lam in breaks if lam >= threshold], f.name
     # Negative control: a tenth of the threshold weight picks the risky branch
     # and busts the budget, demonstrating the check can fail.

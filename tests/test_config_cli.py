@@ -596,6 +596,7 @@ def test_bad_input_exits_2_without_a_traceback(tmp_path, capsys, command, text, 
     assert err.startswith(named if named.startswith("--") else f"{path}: ")
     assert named in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["malformed-model", "pit-cost-zero-weight", "checkpoint-no-n_actions"])
@@ -642,6 +643,33 @@ def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv, named)
     assert err.startswith(named)
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# Each command with --out naming an existing file, by case id.  Each ended
+# in a FileExistsError traceback, train's only after its runs.  Nothing is
+# printed or run first.
+OUT_IS_A_FILE = {
+    "verify": ["verify"],
+    "bounds": ["bounds", "{model}", "--quantum", "1"],
+    "train": ["--config", "{config}", "train"],
+    "evaluate": ["--config", "{config}", "evaluate", "--checkpoint", "{checkpoint}"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_IS_A_FILE.values(), ids=OUT_IS_A_FILE)
+def test_an_out_path_that_is_a_file_exits_2_before_any_run(tmp_path, monkeypatch, capsys, argv):
+    files = {"model": tmp_path / "m.cmdp", "config": tmp_path / "run.cfg", "checkpoint": tmp_path / "ck.txt"}
+    for path, text in zip(files.values(), (CHAIN_MODEL, CHAIN_TRAIN, Q_CHECKPOINT)):
+        path.write_text(text)
+    out = tmp_path / "out"
+    out.write_text("")
+    runs = []
+    monkeypatch.setattr(cli, "_train_one", lambda *args: runs.append(args))
+    assert main(["--out", str(out), *(arg.format(**files) for arg in argv)]) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"--out: {out}: ")
+    assert "Traceback" not in printed.err
+    assert printed.out == "" and runs == [] and out.read_text() == ""
 
 
 def test_checkpoint_with_an_underflowing_probability_evaluates(tmp_path):
@@ -786,7 +814,7 @@ def test_verify_report_is_pinned(tmp_path):
     # A change to any verify row must update this digest and say why in CHANGES.md.
     assert main(["--out", str(tmp_path), "verify"]) == 0
     assert _sha((tmp_path / "verify_report.csv").read_bytes()) == (
-        "3fc0d6c14f11dba336e7ba11c0a3c5324efbecbad3580a6b35d4b0ea5e2e2711"
+        "8ba85d03a6c4c6d7685dc182b395099b332b5d887092983fda92af12c6c05911"
     )
 
 

@@ -14,7 +14,6 @@ from cmdp_forge.oracle import (
     EnumerationCapExceeded,
     IncompleteMass,
     OracleStats,
-    chance_penalty_steps,
     enumerate_trajectories,
     random_policy,
     stats,
@@ -160,12 +159,24 @@ def test_small_violation_mass_implies_budget_feasibility():
 
 
 def test_chance_penalty_total_is_constant_per_trajectory():
+    # A random policy reaches every path of grid3_det, and its violating
+    # paths cross the budget at every epoch from 1 to 4; whatever the
+    # epoch, the literal walk totals lambda*(T + 1), exactly at lambda 0.75.
     f = fixture("grid3_det")
     m = f.cmdp
-    policy = greedy(f, [0.1], [VAR])
-    trajs = enumerate_trajectories(m, policy, f.quantum)
-    steps = chance_penalty_steps(trajs, m, 0, 0.1)
-    assert steps == m.horizon + 1
+    lam = 0.75
+    trajs = enumerate_trajectories(m, random_policy(m, f.quantum, random.Random(5)), f.quantum)
+    assert (len(trajs), len({t.states for t in trajs})) == (1026, 665)
+    crossings = set()
+    for t in trajs:
+        running = np.cumsum(m.costs[0][list(t.states)])
+        total = trajectory_penalty_total(t, m, 0, VAR, lam)
+        if running[-1] > m.budgets[0]:
+            crossings.add(int(np.argmax(running > m.budgets[0])))
+            assert total == lam * (m.horizon + 1), t.states
+        else:
+            assert total == 0.0, t.states
+    assert crossings == {1, 2, 3, 4}
 
 
 def test_literal_penalty_walk_matches_trajectory_identities():

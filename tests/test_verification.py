@@ -1,12 +1,14 @@
+import ast
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmdp_forge import solver, verification
+from cmdp_forge import oracle, solver, verification
 from cmdp_forge.envs import ChainBranch, ChainSpec, make_chain
 from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import Fixture, fixture_pack, two_action_chain
@@ -14,6 +16,7 @@ from cmdp_forge.oracle import enumerate_trajectories, random_policy, stats
 from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import backward_induction, evaluate_policy, lambda_bounds
 from cmdp_forge.verification import (
+    ALL_KINDS,
     POLICY_CAP,
     _frontier,
     _report,
@@ -178,7 +181,7 @@ def _frontiers():
 
 
 def test_frontier_breakpoints_are_pinned():
-    found = {(f.name, scheme): [lam for lam, _, _ in pieces[1:]] for f, scheme, pieces in _frontiers()}
+    found = {(f.name, scheme): [lam for lam, _ in pieces[1:]] for f, scheme, pieces in _frontiers()}
     assert found.keys() == BREAKPOINTS.keys()
     for key, lams in BREAKPOINTS.items():
         assert found[key] == pytest.approx(lams, rel=1e-12), key
@@ -190,14 +193,14 @@ def test_frontier_lines_are_the_value_at_every_weight():
     rng = random.Random(21)
     for f, scheme, pieces in _frontiers():
         K = f.cmdp.n_constraints
-        starts = [lam for lam, _, _ in pieces]
+        starts = [lam for lam, _ in pieces]
         draws = 0
         while draws < 20:
             lam = rng.uniform(0.0, 2.0 * max(starts[-1], 1.0))
             if lam == 0.0 or min(abs(lam - s) for s in starts) < 1e-6:
                 continue
             draws += 1
-            _, st, _ = pieces[sum(s < lam for s in starts) - 1]
+            _, st = pieces[sum(s < lam for s in starts) - 1]
             line = st.expected_return - lam * (st.expected_return - st.penalized_objective)
             value = backward_induction(build_extended(f.cmdp, [lam] * K, [scheme] * K, f.quantum)).initial_value
             assert abs(value - line) <= 1e-9, (f.name, scheme, lam)
@@ -214,7 +217,7 @@ def test_frontier_pieces_match_direct_solves_at_threshold_weights():
             lams += [bounds.lambda_expected_cost * mult for mult in (1.0, 2.0, 10.0)]
         _, pieces = _frontier(f, RN)
         for lam in lams:
-            _, st, _ = pieces[sum(start <= lam for start, _, _ in pieces) - 1]
+            _, st = pieces[sum(start <= lam for start, _ in pieces) - 1]
             assert st == verification._greedy_oracle(f, [lam], [RN])[1], (f.name, lam)
 
 
@@ -227,10 +230,41 @@ def test_a_policy_optimal_at_zero_weight_alone_leaves_the_frontier():
         budgets=(2.0,),
     ))
     f = Fixture("tie", m, 1.0)
-    _, st, _ = verification._greedy_oracle(f, [0.0], [RN])
+    _, st = verification._greedy_oracle(f, [0.0], [RN])
     assert st.violation_prob == (1.0,)
     for scheme in PenaltyScheme:
-        assert [(lam, st.violation_prob) for lam, st, _ in _frontier(f, scheme)[1]] == [(0.0, (0.0,))]
+        assert [(lam, st.violation_prob) for lam, st in _frontier(f, scheme)[1]] == [(0.0, (0.0,))]
     reports = run_all([f])
     assert all(rep.passed for rep in reports)
-    assert [r.note for r in reports[2].rows] == ["level is zero above the last breakpoint"]
+    assert [r.note for r in reports[2].rows] == [
+        "penalty total is s x level", "level is zero above the last breakpoint"]
+
+
+def test_a_sweep_the_oracle_disagrees_with_ends_in_fail_rows(monkeypatch):
+    # An oracle that charges a chance-scheme crossing lambda*(t + 2), one
+    # epoch more than the sweep: the crossing's greedy policy is an end's
+    # again, which must end the search, and every violating policy's
+    # penalty total is then off its level.
+    real = oracle.penalty_amount
+
+    def one_epoch_more(scheme, lam, before, step_cost, budget, epoch):
+        if scheme is VAR and before <= budget < before + step_cost:
+            return lam * (epoch + 2)
+        return real(scheme, lam, before, step_cost, budget, epoch)
+
+    monkeypatch.setattr(oracle, "penalty_amount", one_epoch_more)
+    chance = run_all(fixture_pack())[ALL_KINDS.index("chance_penalty_equivalence")]
+    failed = [r.fixture for r in chance.rows if not r.passed and r.note == "penalty total is s x level"]
+    assert failed == ["two_action_chain", "three_branch_chain", "stochastic_chain", "grid3_det"]
+
+
+def test_verification_reads_the_oracle_through_enumeration_and_stats():
+    """verify's measured side is the oracle's enumeration and its stats
+    alone; every other number is derived from those."""
+    tree = ast.parse(Path(verification.__file__).read_text())
+    imported = sorted(
+        (getattr(node, "module", None), alias.name)
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names if "oracle" in f"{getattr(node, 'module', None)} {alias.name}"
+    )
+    assert imported == [("oracle", "enumerate_trajectories"), ("oracle", "stats")]

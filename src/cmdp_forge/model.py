@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,24 +197,30 @@ def validate_cmdp(m: Cmdp) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple("Trajectory", [("states", tuple[int, ...]),
+                                            ("actions", tuple[int, ...]),
+                                            ("probability", "float | None")])):
     """One path s_0..s_T with the T actions taken along it.
 
     ``probability`` is the product of policy and transition probabilities
-    along the path, as the oracle's enumeration forms it.
+    along the path, as the oracle's enumeration forms it.  A named tuple:
+    immutable, hashable and cheap to build, so paths may share their state
+    and action tuples.  Every way of building one checks the lengths.
     """
 
-    states: tuple[int, ...]
-    actions: tuple[int, ...]
-    probability: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.states) != len(self.actions) + 1:
+    def __new__(cls, states, actions, probability=None):
+        if len(states) != len(actions) + 1:
             raise ValueError(
-                f"trajectory has {len(self.states)} states and "
-                f"{len(self.actions)} actions; want |states| = |actions| + 1"
+                f"trajectory has {len(states)} states and "
+                f"{len(actions)} actions; want |states| = |actions| + 1"
             )
+        return tuple.__new__(cls, (states, actions, probability))
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` builds through it
+        return cls(*iterable)
 
 
 def trajectory_cost(traj: Trajectory, m: Cmdp, k: int = 0) -> float:

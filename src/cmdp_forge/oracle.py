@@ -7,17 +7,24 @@ sums over the full enumeration.  No value recursion is used anywhere, so the
 numbers coming out of this module are an independent check on the dynamic
 programming solver.
 
-``stats`` walks each path once for its return and computes everything on
-the cost side (D_k, and the literal per-epoch penalty walk) once per
-distinct state path, over the cost rows read as lists once per call:
-those sums read the states alone, and many paths share a state path (665
-state paths carry the 170,240 paths of a random policy on the noisy 3x3
-grid at horizon 4).  Every float is the one a separate walk per path
-gives: the discount powers are one running product, whose prefix serves
-every shorter path; each path's return is one ``math.fsum`` over the same
-products ``discounted_return`` forms; each cost-side addend is the same
-product of the path's probability and a value of its state path.  ``math.fsum`` is correctly rounded, so gathering the
-addends per state path instead of in path order changes no sum.
+A path is a ``Trajectory``, a checked named tuple.  ``enumerate_trajectories``
+forms each distinct state path once, as one tuple object that every path
+along it shares (665 state paths carry the 170,240 paths of a random policy
+on the noisy 3x3 grid at horizon 4), and each node's action path once for
+its leaves.
+
+``stats`` walks one return per run of consecutive paths that share their
+actions and every state but the last (the terminal step earns no reward,
+so such a run shares its return, in any input order), and computes
+everything on the cost side (D_k, and the literal per-epoch penalty walk)
+once per distinct state path, over the cost rows read as lists once per
+call: those sums read the states alone.  Every float is the one a separate
+walk per path gives: the discount powers are one running product, whose
+prefix serves every shorter path; each return is one ``math.fsum`` over the
+same products ``discounted_return`` forms; each cost-side addend is the
+same product of the path's probability and a value of its state path.
+``math.fsum`` is correctly rounded, so gathering the addends per state path
+instead of in path order changes no sum.
 """
 
 from __future__ import annotations
@@ -59,13 +66,17 @@ def enumerate_trajectories(
     solver's own ``ledger_rule``, kept on the model) into the policy's
     (t, s, ledger) table; probabilities and costs are pure path products
     and sums.  A node one step before the horizon appends its leaves
-    directly.  Raises EnumerationCapExceeded past TRAJECTORY_CAP paths,
-    and wherever ``ledger_rule`` does, on an invalid model included.
+    directly, each successor's state path formed once for all its actions
+    and interned, so every path along one state path holds one tuple.
+    Raises EnumerationCapExceeded past TRAJECTORY_CAP paths, and wherever
+    ``ledger_rule`` does, on an invalid model included.
     """
     advance = ledger_rule(m, quantum)
     table = policy.table()
     T = m.horizon
     moves: dict[int, list[tuple[int, tuple[tuple[int, float], ...]]]] = {}
+    ends: dict[int, list[int]] = {}  # s -> its distinct successors over every action
+    paths: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct state path, interned
 
     out: list[Trajectory] = []
     states_path = [m.s0]
@@ -77,6 +88,12 @@ def enumerate_trajectories(
             raise PolicyUndefined(f"policy has no row for augmented state {(t, s, ledger)}")
         if s not in moves:
             moves[s] = [(a, m.successors(s, a)) for a in m.actions_at(s)]
+            ends[s] = list(dict.fromkeys(s2 for _a, succ in moves[s] for s2, _p in succ))
+        if t + 1 == T:
+            full = {}  # successor -> its one state path, shared by every action
+            for s2 in ends[s]:
+                path = (*states_path, s2)
+                full[s2] = paths.setdefault(path, path)
         for a, succ in moves[s]:
             if row[a] == 0.0:
                 continue
@@ -84,8 +101,8 @@ def enumerate_trajectories(
             if t + 1 == T:
                 if len(out) + len(succ) > TRAJECTORY_CAP:
                     raise EnumerationCapExceeded(TRAJECTORY_CAP, T)
-                states, actions = tuple(states_path), (*actions_path, a)
-                out.extend([Trajectory(states + (s2,), actions, probability=q * p) for s2, p in succ])
+                actions = (*actions_path, a)
+                out.extend([Trajectory(full[s2], actions, q * p) for s2, p in succ])
                 continue
             actions_path.append(a)
             for s2, p in succ:
@@ -163,13 +180,22 @@ def stats(
 ) -> OracleStats:
     """Aggregate a complete enumeration into OracleStats.
 
-    Requires total probability mass 1 within ``MASS_TOL``.  When lambdas and
-    schemes are given, penalized_objective is the expected penalized return
-    under those settings; otherwise it equals the expected return.
+    Every probability must be a number >= 0 (else ValueError, naming the
+    first path whose probability is not), and the total mass 1 within
+    ``MASS_TOL`` (else IncompleteMass).  When lambdas and schemes are given,
+    penalized_objective is the expected penalized return under those
+    settings; otherwise it equals the expected return.
     """
     K = m.n_constraints
-    mass = math.fsum(t.probability for t in trajs)
-    if abs(mass - 1.0) > MASS_TOL:
+    masses = [p for _states, _actions, p in trajs]
+    for i, p in enumerate(masses):
+        if p is None or not p >= 0.0:  # NaN fails the comparison
+            raise ValueError(f"trajectory {i} with states {trajs[i].states} has probability {p}")
+    try:
+        mass = math.fsum(masses)
+    except OverflowError:  # finite probabilities whose sum is not
+        mass = math.inf
+    if not abs(mass - 1.0) <= MASS_TOL:
         raise IncompleteMass(f"trajectory set carries mass {mass}, want 1")
     if lambdas is None:
         lambdas = (0.0,) * K
@@ -178,22 +204,27 @@ def stats(
 
     # A running product's prefix is the same float, so the powers for the
     # longest path serve every path.
-    pows = discount_powers(m.discount, max(1, max(len(t.actions) for t in trajs)))
+    pows = discount_powers(m.discount, max(1, max(len(actions) for _s, actions, _p in trajs)))
     reward_row = m.reward.tolist().__getitem__
     cost_rows = m.costs.tolist()
     returns = []
     penalized = []
     # Distinct state path -> (its cost side, the probability of every path along it).
     groups: dict[tuple[int, ...], tuple[tuple, list[float]]] = {}
-    for traj in trajs:
-        p = traj.probability
-        # pows[t] * reward[s_t][a_t], step by step: discounted_return's addends.
-        r = math.fsum(map(mul, pows, map(list.__getitem__, map(reward_row, traj.states), traj.actions)))
-        returns.append(p * r)
-        group = groups.get(traj.states)
+    # A return reads the actions and every state but the last (the terminal
+    # step earns no reward), so a run of paths that share both shares it.
+    run = None
+    for states, actions, p in trajs:
+        if run != (head := (states[:-1], actions)):
+            run = head
+            # pows[t] * reward[s_t][a_t], step by step: discounted_return's addends.
+            ret = math.fsum(map(mul, pows, map(list.__getitem__, map(reward_row, states), actions)))
+        returns.append(p * ret)
+        group = groups.get(states)
         if group is None:
-            group = groups[traj.states] = (_cost_side(traj.states, cost_rows, m, lambdas, schemes), [])
+            group = groups[states] = (_cost_side(states, cost_rows, m, lambdas, schemes), [])
         (_ds, pens), probs = group
+        r = ret
         for total in pens:
             r -= total
         penalized.append(p * r)

@@ -78,9 +78,31 @@ def test_broken_transition_row_is_reported():
     assert validate_cmdp(wide_kernel) == ["transition: shape (2, 1, 3) != (2, 1, 2)"]
 
 
+LENGTH_MESSAGE = r"trajectory has 2 states and 2 actions; want \|states\| = \|actions\| \+ 1"
+
+
 def test_trajectory_length_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=LENGTH_MESSAGE):
         Trajectory(states=(0, 1), actions=(0, 0))
+
+
+def test_trajectory_is_a_checked_immutable_value():
+    tau = Trajectory((0, 1, 2), (0, 1), probability=0.25)
+    # Equal, with one hash, to a path built field by field from fresh tuples.
+    twin = Trajectory(states=tuple([0, 1, 2]), actions=tuple([0, 1]), probability=0.25)
+    assert tau == twin and hash(tau) == hash(twin)
+    assert [tau] == [Trajectory((0, 1, 2), (0, 1), 0.25)]
+    assert tau != Trajectory((0, 1, 2), (0, 1), 0.5)
+    assert Trajectory((0,), ()).probability is None
+    for name in ("states", "actions", "probability"):
+        with pytest.raises(AttributeError):
+            setattr(tau, name, getattr(tau, name))
+    with pytest.raises(AttributeError):
+        tau.extra = 1
+    # A copy with one field replaced is checked as well.
+    assert tau._replace(probability=0.5) == Trajectory((0, 1, 2), (0, 1), 0.5)
+    with pytest.raises(ValueError, match=LENGTH_MESSAGE):
+        tau._replace(states=(0, 1))
 
 
 def test_zero_cost_path():

@@ -101,6 +101,34 @@ def test_incomplete_mass_is_rejected():
         stats(trajs[:1], m)
 
 
+def test_a_nan_probability_is_rejected():
+    m = two_action_chain()
+    with pytest.raises(ValueError, match=r"trajectory 0 with states \(0, 1\) has probability nan"):
+        stats([Trajectory((0, 1), (0,), probability=math.nan)], m)
+
+
+def test_a_missing_probability_is_rejected():
+    m = two_action_chain()
+    trajs = [Trajectory((0, 1), (0,), probability=1.0), Trajectory((0, 2), (1,))]
+    with pytest.raises(ValueError, match=r"trajectory 1 with states \(0, 2\) has probability None"):
+        stats(trajs, m)
+
+
+def test_a_negative_probability_is_rejected_though_the_mass_is_one():
+    m = two_action_chain()
+    trajs = [Trajectory((0, 1), (0,), probability=1.5), Trajectory((0, 2), (1,), probability=-0.5)]
+    with pytest.raises(ValueError, match=r"trajectory 1 with states \(0, 2\) has probability -0.5"):
+        stats(trajs, m)
+
+
+def test_a_mass_too_large_to_sum_is_incomplete():
+    # Each probability is a finite number >= 0, but their sum overflows.
+    m = two_action_chain()
+    trajs = [Trajectory((0, 1), (0,), probability=1e308), Trajectory((0, 2), (1,), probability=1e308)]
+    with pytest.raises(IncompleteMass, match="mass inf"):
+        stats(trajs, m)
+
+
 def test_truncated_sums_partition_the_expected_cost():
     rng = random.Random(11)
     for name in ("stochastic_chain", "grid3_det"):
@@ -289,6 +317,50 @@ def test_stats_of_mixed_lengths_and_shared_state_paths():
             st = stats(trajs, m, [lam], [scheme])
             assert st == per_path_stats(trajs, m, [lam], [scheme])
     assert st.violation_prob == (0.5,)
+
+
+def test_each_distinct_state_path_is_one_object():
+    rng = random.Random(29)
+    det = fixture("grid3_det")
+    noisy = fixture("grid3_noisy")
+    cases = [(det, random_policy(det.cmdp, det.quantum, rng)), (noisy, greedy(noisy, [1.0], [RN]))]
+    counts = []
+    for f, policy in cases:
+        trajs = enumerate_trajectories(f.cmdp, policy, f.quantum)
+        assert len({id(t.states) for t in trajs}) == len({t.states for t in trajs})
+        counts.append((len(trajs), len({t.states for t in trajs})))
+    # The random policy shares state paths across actions; the greedy one takes one action a node.
+    assert counts == [(1026, 665), (15567, 15567)]
+
+
+@pytest.mark.parametrize("scheme", list(PenaltyScheme))
+def test_stats_of_a_shuffled_enumeration_equal_a_separate_walk(scheme):
+    """The shared return of a sibling run is exact in any path order."""
+    f = fixture("grid3_det")
+    trajs = enumerate_trajectories(f.cmdp, random_policy(f.cmdp, f.quantum, random.Random(31)), f.quantum)
+    random.Random(37).shuffle(trajs)
+    for lam in (0.0, 0.7):
+        assert stats(trajs, f.cmdp, [lam], [scheme]) == per_path_stats(trajs, f.cmdp, [lam], [scheme])
+
+
+def test_one_actions_tuple_under_two_state_prefixes_keeps_two_returns():
+    """Negative control of return sharing: consecutive paths with one
+    ``actions`` object but different rewarded states each get their own
+    return."""
+    m = discounted_grid()
+    actions = (2, 1)
+    trajs = [
+        Trajectory((0, 1, 2), actions, probability=0.25),
+        Trajectory((0, 3, 4), actions, probability=0.25),
+        Trajectory((0, 3, 6), actions, probability=0.25),
+        Trajectory((0, 3, 4), (1, 2), probability=0.25),
+    ]
+    returns = {discounted_return(t, m) for t in trajs}
+    assert len(returns) == 3
+    for scheme in PenaltyScheme:
+        st = stats(trajs, m, [0.7], [scheme])
+        assert st == per_path_stats(trajs, m, [0.7], [scheme])
+    assert st.expected_return == math.fsum(0.25 * discounted_return(t, m) for t in trajs)
 
 
 def plain_walk(m, policy, quantum, cap=1_000_000):

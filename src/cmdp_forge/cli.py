@@ -21,7 +21,8 @@ message starts with the file's path; ``main`` prints that message and exits
 2.  For ``bounds`` the parse includes ``lambda_bounds``, so a quantum that is
 not finite and > 0, that a cost does not divide, or whose augmented space
 passes the state cap is a model-file error; for ``evaluate`` the
-checkpoint must also fit the configured environment.  An --out that cannot
+checkpoint must also fit the configured environment and hold only sections
+its learner writes.  An --out that cannot
 be made a directory exits 2 the same way (``--out: ...``), after the inputs
 are read and before any result is printed or ``train`` run starts.
 
@@ -170,7 +171,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
 
 
 def evaluate_checkpoint(checkpoint: tuple, envs: list, episodes: int) -> list[tuple]:
-    """Monte-Carlo rollouts of a loaded checkpoint, ``episodes`` per env.
+    """Monte-Carlo rollouts of a loaded (learner, store, meta) checkpoint, ``episodes`` per env.
 
     Exploration is off: the Q-learner's store acts greedily and the
     actor-critic's by feasibility-constrained selection.  One row per env:
@@ -178,13 +179,11 @@ def evaluate_checkpoint(checkpoint: tuple, envs: list, episodes: int) -> list[tu
     budget, and the smallest episode index from which the running mean cost
     stays within budget (None if the last one is over).
     """
-    learner, tables, meta = checkpoint
-    quantum, budget, n_actions = meta["quantum"], meta["budget"], int(meta["n_actions"])
+    learner, store, meta = checkpoint
+    quantum, budget = meta["quantum"], meta["budget"]
     if learner == "safe_q":
-        store = TableStore.from_sections(tables, n_actions)
         select = lambda r, c, d: store.greedy(r)
     else:
-        store = ActorCriticTables.from_sections(tables, n_actions, meta["alpha_ent"])
         select = lambda r, c, d: constrained_action_select(store, r, c, d, budget)
     rows = []
     for env in envs:
@@ -219,17 +218,22 @@ def evaluate_checkpoint(checkpoint: tuple, envs: list, episodes: int) -> list[tu
     return rows
 
 
-def cmd_evaluate(cfg: ExperimentConfig, checkpoint_path: Path, out: Path) -> int:
-    checkpoint = _read(checkpoint_path, load_checkpoint)
-    envs = [build_env(cfg, seed=f"{seed}:eval") for seed in cfg.seeds]
-    # Every seed's env has the same shape; check it before sizing any table.
-    meta = checkpoint[2]
-    for key, want in (("n_actions", envs[0].n_actions), ("budget", envs[0].budget)):
+def _checkpoint(text: str, env) -> tuple:
+    """(learner, store, meta) of a checkpoint text; its n_actions and budget,
+    checked before any table is sized, must be ``env``'s."""
+    learner, tables, meta = load_checkpoint(text)
+    for key, want in (("n_actions", env.n_actions), ("budget", env.budget)):
         if meta[key] != want:
-            raise ConfigError(
-                f"{checkpoint_path}: checkpoint {key} = {format_number(meta[key])} does not match "
-                f"the configured environment's {format_number(want)}"
-            )
+            raise ConfigError(f"checkpoint {key} = {format_number(meta[key])} does not match "
+                              f"the configured environment's {format_number(want)}")
+    if learner == "safe_q":
+        return learner, TableStore.from_sections(tables, env.n_actions), meta
+    return learner, ActorCriticTables.from_sections(tables, env.n_actions, meta["alpha_ent"]), meta
+
+
+def cmd_evaluate(cfg: ExperimentConfig, checkpoint_path: Path, out: Path) -> int:
+    envs = [build_env(cfg, seed=f"{seed}:eval") for seed in cfg.seeds]  # of one shape
+    checkpoint = _read(checkpoint_path, lambda text: _checkpoint(text, envs[0]))
     per_seed = evaluate_checkpoint(checkpoint, envs, cfg.eval_episodes)
     ret, cost, violation, excess, _ = zip(*per_seed)
     agg = [statistics.fmean(column) for column in (ret, cost, violation, excess)]

@@ -13,7 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .envs import GridConfig, PitCost, desk_grid, large_grid, tiny_grid, validate_grid_config
+from .envs import GridConfig, PitCost, desk_grid, large_grid, tiny_grid
 from .fixtures import FIXTURES, fixture
 from .penalties import PenaltyScheme
 from .textio import FormatError, _parse_lines
@@ -73,7 +73,12 @@ def _pit_cost(value: str) -> PitCost:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every setting with its default; ``KEYS`` names the config key of each."""
+    """Every setting with its default; ``KEYS`` names the config key of each.
+
+    Construction raises ConfigError listing every value outside its key's
+    range, so every instance (``replace`` included) is valid; the grid
+    checks itself as a GridConfig.
+    """
 
     env_kind: str = "gridworld"
     grid: GridConfig | None = None
@@ -100,6 +105,11 @@ class ExperimentConfig:
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
     key_quantum: float = 0.1
+
+    def __post_init__(self):
+        problems = _key_problems(self)
+        if problems:
+            raise ConfigError("; ".join(problems))
 
 
 class Key(NamedTuple):
@@ -162,36 +172,14 @@ _ENV_PARSERS = {
     "pit_cost": _pit_cost, "noise_p": float, "step_reward": float, "goal_reward": float,
     "horizon": int, "c_max": float,
 }
-
-
-def _grid_from(raw: dict[str, str]) -> GridConfig:
-    preset = raw.pop("env.preset", None)
-    if preset is not None:
-        if preset not in _GRID_PRESETS:
-            raise ConfigError(
-                f"env.preset: unknown preset {preset!r}; "
-                f"want one of {sorted(_GRID_PRESETS)}"
-            )
-        cfg = _GRID_PRESETS[preset]()
-    else:
-        required = ("env.width", "env.height", "env.start", "env.goal")
-        missing = [k for k in required if k not in raw]
-        if missing:
-            raise ConfigError(
-                "gridworld without env.preset needs " + ", ".join(missing)
-            )
-        cfg = GridConfig(
-            width=1, height=1, start=(0, 0), goal=(0, 0), pits=(),
-            pit_cost=PitCost.uniform(1.0, 1.5),
-        )
-    overrides = {
-        name: parse_value(f"env.{name}", parse, raw.pop(f"env.{name}"))
-        for name, parse in _ENV_PARSERS.items() if f"env.{name}" in raw
-    }
-    return replace(cfg, **overrides)
+# A spelled-out grid names these four; its pits and pit cost default to these.
+_GRID_NEEDS = ("env.width", "env.height", "env.start", "env.goal")
+_GRID_DEFAULTS = {"pits": (), "pit_cost": PitCost.uniform(1.0, 1.5)}
 
 
 def load_config(text: str) -> ExperimentConfig:
+    """The config the text sets.  Every value is parsed and unknown keys are
+    rejected before any range is checked: the grid's, then the keys'."""
     try:
         raw = {key: value for _line, _section, key, value in _parse_lines(text, sections=False)}
     except FormatError as exc:
@@ -200,10 +188,18 @@ def load_config(text: str) -> ExperimentConfig:
     if env_kind not in ("gridworld", "chain"):
         raise ConfigError(f"env.kind: want gridworld or chain, got {env_kind!r}")
 
-    grid = None
-    chain_name = ""
+    chain_name, grid = "", None
     if env_kind == "gridworld":
-        grid = _grid_from(raw)
+        preset = raw.pop("env.preset", None)
+        if preset is not None and preset not in _GRID_PRESETS:
+            raise ConfigError(f"env.preset: unknown preset {preset!r}; want one of {sorted(_GRID_PRESETS)}")
+        missing = [k for k in _GRID_NEEDS if preset is None and k not in raw]
+        if missing:
+            raise ConfigError("gridworld without env.preset needs " + ", ".join(missing))
+        env = {
+            name: parse_value(f"env.{name}", parse, raw.pop(f"env.{name}"))
+            for name, parse in _ENV_PARSERS.items() if f"env.{name}" in raw
+        }
     else:
         chain_name = raw.pop("env.chain", "two_action_chain")
         if chain_name not in FIXTURES:
@@ -214,15 +210,18 @@ def load_config(text: str) -> ExperimentConfig:
     values = {k.field: parse_value(k.name, k.parse, raw.pop(k.name)) for k in KEYS if k.name in raw}
     if raw:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(raw)))
-    return validate_config(
-        ExperimentConfig(env_kind=env_kind, grid=grid, chain_name=chain_name, **values)
-    )
+    if env_kind == "gridworld":
+        try:
+            grid = GridConfig(**_GRID_DEFAULTS | env) if preset is None else replace(_GRID_PRESETS[preset](), **env)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return ExperimentConfig(env_kind=env_kind, grid=grid, chain_name=chain_name, **values)
 
 
 def override(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
     """``cfg`` with ``key`` set from the text ``value`` as a config line would set it."""
     k = next(k for k in KEYS if k.name == key)
-    return validate_config(replace(cfg, **{k.field: parse_value(key, k.parse, value)}))
+    return replace(cfg, **{k.field: parse_value(key, k.parse, value)})
 
 
 def _key_problems(cfg: ExperimentConfig) -> list[str]:
@@ -238,21 +237,3 @@ def _key_problems(cfg: ExperimentConfig) -> list[str]:
             f"epsilon.end: want <= epsilon.start, got {cfg.epsilon_end} > {cfg.epsilon_start}"
         )
     return problems
-
-
-def validate_learner(cfg: ExperimentConfig) -> None:
-    """The learners' entry check: every key's range, without the environment."""
-    problems = _key_problems(cfg)
-    if problems:
-        raise ConfigError("; ".join(problems))
-
-
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Every check: the environment, then every key's range."""
-    problems = []
-    if cfg.env_kind == "gridworld":
-        problems += validate_grid_config(cfg.grid)
-    problems += _key_problems(cfg)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return cfg

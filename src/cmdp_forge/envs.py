@@ -70,6 +70,8 @@ class PitCost:
 
 @dataclass(frozen=True)
 class GridConfig:
+    """One GridWorld layout, refused (ValueError) if ``validate_grid_config`` lists a problem."""
+
     width: int
     height: int
     start: tuple[int, int]
@@ -81,6 +83,11 @@ class GridConfig:
     goal_reward: float = 100.0
     horizon: int = 200
     c_max: float = 2.0
+
+    def __post_init__(self):
+        problems = validate_grid_config(self)
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def validate_grid_config(cfg: GridConfig) -> list[str]:
@@ -167,9 +174,6 @@ def _move_distribution(cfg: GridConfig, cell, a):
 
 def make_gridworld(cfg: GridConfig, mode: str = "exact"):
     """The exact-mode Cmdp of the configured GridWorld; ``mode`` must be "exact"."""
-    problems = validate_grid_config(cfg)
-    if problems:
-        raise ValueError("invalid grid config: " + "; ".join(problems))
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}; want 'exact'")
 
@@ -240,9 +244,6 @@ class GridWorldEnv:
     """
 
     def __init__(self, cfg: GridConfig, seed=0):
-        problems = validate_grid_config(cfg)
-        if problems:
-            raise ValueError("invalid grid config: " + "; ".join(problems))
         self.cfg = cfg
         self.n_actions = len(GRID_ACTIONS)
         self.horizon = cfg.horizon
@@ -350,14 +351,10 @@ def make_chain(spec: ChainSpec) -> Cmdp:
         if abs(total - 1.0) > 1e-12:
             problems.append(f"branch {b.name!r}: outcome probabilities sum to {total}")
         for p, costs in b.outcomes:
-            if p < 0.0:
-                problems.append(f"branch {b.name!r}: negative outcome probability {p}")
             if len(costs) != K:
                 problems.append(
                     f"branch {b.name!r}: outcome has {len(costs)} costs for {K} budgets"
                 )
-    if spec.horizon < 1:
-        problems.append(f"horizon must be >= 1, got {spec.horizon}")
     if problems:
         raise ValueError("invalid chain spec: " + "; ".join(problems))
 

@@ -82,14 +82,12 @@ def ledger_rule(m: Cmdp, quantum: float) -> Callable[[tuple[int, ...], int], tup
     The rule maps (ledger, s_next) to the ledger after arriving at s_next:
     c <- c + d(s_next) per constraint, collapsing over budget into VIOLATED.
     Kept on the model: ``augment`` and the oracle share it.  Raises, and
-    keeps nothing, for an invalid model or a quantum that is not finite and
-    > 0 (ValueError) and for a cost or budget that is not a multiple of it
+    keeps nothing, for a quantum that is not finite and > 0 (ValueError)
+    and for a cost or budget that is not a multiple of it
     (QuantizationError).
     """
     if ("ledger_rule", quantum) in m._derived:
         return m._derived["ledger_rule", quantum]
-    if m.problems:
-        raise ValueError("invalid model: " + "; ".join(m.problems))
     if not (math.isfinite(quantum) and quantum > 0):
         raise ValueError(f"quantum: must be finite and > 0, got {quantum}")
     cost_quanta = tuple(
@@ -254,8 +252,8 @@ def augment(m: Cmdp, quantum: float) -> ExtendedMdp:
     tuple, compiled[t..T-1] its ``Layer``.  This is exact: layer t+1 reads
     only layer t's node tuple and data that do not depend on t (``reach``,
     ``advance``), so one repeat implies every later one.
-    Raises on an invalid model, on costs or budgets that do not quantize,
-    and when the walk reaches more than MAX_STATES states.
+    Raises on costs or budgets that do not quantize, and when the walk
+    reaches more than MAX_STATES states.
     """
     e = m._derived.get(("augment", quantum))
     if e is not None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ExperimentConfig, validate_learner
+from .config import ExperimentConfig
 from .extended import VIOLATED
 from .model import inverse_cdf
 from .penalties import PenaltyScheme, penalty_amount
@@ -149,8 +149,10 @@ class TableStore:
     store is a Python float.
     """
 
+    LEARNER = "safe_q"  # the learner that trains in this store
     SECTIONS: tuple[str, ...] = ("q",)  # checkpoint section of each critic plane
     ROW_TABLES: tuple[str, ...] = ()  # (rows, A) arrays checkpointed at every row
+    DROPPED: tuple[str, ...] = ()  # sections older versions wrote, read and ignored
     ARRAYS: tuple[str, ...] = ("critic", "target", "written")  # grown together
 
     def __init__(self, n_actions: int):
@@ -194,8 +196,13 @@ class TableStore:
     def from_sections(cls, sections: dict[str, dict], *args, **kwargs):
         """Store ``cls(*args, **kwargs)`` holding a checkpoint's tables.
 
-        Sections named in neither ROW_TABLES nor SECTIONS are ignored.
+        Raises ValueError for a section named in none of ROW_TABLES,
+        SECTIONS and DROPPED: its learner never writes one.
         """
+        for name in sections:
+            if name not in (*cls.ROW_TABLES, *cls.SECTIONS, *cls.DROPPED):
+                raise ValueError(f"section [{name}] is not one that {cls.LEARNER} writes; "
+                                 f"want {', '.join(sorted((*cls.ROW_TABLES, *cls.SECTIONS)))}")
         tables = cls(*args, **kwargs)
         for name in (*cls.ROW_TABLES, *cls.SECTIONS):
             for (key, a), value in sections.get(name, {}).items():
@@ -210,7 +217,6 @@ class TableStore:
 
 def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
     """Train a penalized Q table; returns (TableStore, log rows, schedule)."""
-    validate_learner(cfg)
     rng = random.Random(seed)
     tables = TableStore(env.n_actions)
     buffer = ReplayBuffer(cfg.buffer_capacity)
@@ -271,8 +277,10 @@ class ActorCriticTables(TableStore):
     twins with equal initialisation and equal targets stay identical.
     """
 
+    LEARNER = "safe_ac"
     SECTIONS = ("q1", "qd1")
     ROW_TABLES = ("logits",)
+    DROPPED = ("q2", "qd2")  # the twin critics, always equal to q1 and qd1
     ARRAYS = (*TableStore.ARRAYS, "logits", "dirty")
 
     def __init__(self, n_actions: int, alpha_ent: float):
@@ -351,7 +359,6 @@ def constrained_action_select(tables: ActorCriticTables, r: int, c: float, d: fl
 
 def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
     """Train the constrained softmax actor-critic; returns (tables, log, schedule)."""
-    validate_learner(cfg)
     rng = random.Random(seed)
     budget = env.budget
     tables = ActorCriticTables(env.n_actions, cfg.alpha_ent)

@@ -9,7 +9,8 @@ Conventions used by every module in this package:
     cost for constraint k is the sum of d_k over all T+1 visited states.
   * "Violation" is strict: a trajectory violates constraint k when its total
     cost exceeds the budget; a total exactly equal to the budget is safe.
-  * Instances are frozen after construction and safe to share across workers.
+  * Instances are valid (checked once, on construction) and frozen after
+    it, and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class Cmdp:
     discount: per-step discount in (0, 1].
     available: optional (S, A) boolean mask; None means every action is
         available in every state.
+    Construction raises ValueError("invalid model: ...") listing every
+    problem ``validate_cmdp`` finds.
     """
 
     transition: np.ndarray
@@ -82,8 +85,7 @@ class Cmdp:
     available: np.ndarray | None = None
     state_names: tuple[str, ...] | None = None
     action_names: tuple[str, ...] | None = None
-    _succ: dict = field(default_factory=dict, repr=False, compare=False)
-    _problems: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _succ: dict = field(init=False, repr=False, compare=False)
     # (function name, quantum[, k or scheme]) -> that function's lambda-free
     # result, formed once per model and written only by it:
     # ``extended.ledger_rule`` and ``augment``'s, ``solver.worst_case_value``'s,
@@ -100,6 +102,9 @@ class Cmdp:
         object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
         if self.available is not None:
             object.__setattr__(self, "available", _frozen(np.asarray(self.available, dtype=bool)))
+        problems = validate_cmdp(self)
+        if problems:
+            raise ValueError("invalid model: " + "; ".join(problems))
         # Successor lists are consulted in every solver/oracle inner loop;
         # precompute them once.
         succ: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
@@ -131,13 +136,6 @@ class Cmdp:
     def successors(self, s: int, a: int) -> tuple[tuple[int, float], ...]:
         """Positive-probability (state, probability) pairs for (s, a)."""
         return self._succ[(s, a)]
-
-    @property
-    def problems(self) -> tuple[str, ...]:
-        """``validate_cmdp``'s findings, computed on first use: instances never change."""
-        if self._problems is None:
-            object.__setattr__(self, "_problems", tuple(validate_cmdp(self)))
-        return self._problems
 
     def state_name(self, s: int) -> str:
         if self.state_names is not None:

@@ -69,7 +69,7 @@ def enumerate_trajectories(
     directly, each successor's state path formed once for all its actions
     and interned, so every path along one state path holds one tuple.
     Raises EnumerationCapExceeded past TRAJECTORY_CAP paths, and wherever
-    ``ledger_rule`` does, on an invalid model included.
+    ``ledger_rule`` does.
     """
     advance = ledger_rule(m, quantum)
     table = policy.table()

@@ -396,14 +396,13 @@ def lambda_bounds(m: Cmdp, alpha: float, quantum: float = 0.25, k: int = 0) -> B
     The report's alpha-free part depends on (model, quantum, k) alone and
     is kept on the model, so a call at another alpha runs no recursion.
     Raises WorstCaseInfeasible when no always-safe policy exists (the
-    thresholds are undefined there), and ValueError on an invalid model
-    before any recursion runs.
+    thresholds are undefined there).
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     report = m._derived.get(("lambda_bounds", quantum, k))
     if report is None:
-        worst, _ = worst_case_value(m, quantum)  # validates m first, in ``augment``
+        worst, _ = worst_case_value(m, quantum)
         best, _ = unconstrained_value(m)
         report = m._derived["lambda_bounds", quantum, k] = BoundsReport(
             best, worst, cost_slack(m, k, quantum), m.budgets[k], alpha)

@@ -1,7 +1,8 @@
 """Plain-text serialization: model files and learner checkpoints.
 
 Model file grammar (decimal numbers, '#' starts a comment, blank lines
-ignored; scalar keys come before the first section header):
+ignored; the scalar keys, these four only, budget.k once per constraint,
+come before the first section header):
 
     s0 = 0
     horizon = 1
@@ -23,12 +24,13 @@ others via shortest round-trip repr), so load -> dump -> load is
 value-identical and dump is idempotent for decimal inputs.
 
 Checkpoint files reuse the same key = value / [section] shape; table rows
-are "state bucket action = value" with bucket V for the over-budget bucket.
+are "state bucket action = value", bucket an integer >= 0 or V (over budget).
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -131,6 +133,8 @@ def load_cmdp(text: str) -> Cmdp:
     for lineno, section, key, value in _parse_lines(text):
         try:
             if section is None:
+                if not re.fullmatch(r"s0|horizon|discount|budget\.[1-9][0-9]*", key):
+                    raise FormatError(f"line {lineno}: unknown key {key!r}")
                 scalars[key] = value
             elif section == "states":
                 states.append((int(key), value))
@@ -217,6 +221,8 @@ def _bucket_str(bucket: int) -> str:
 
 
 def _parse_bucket(token: str) -> int:
+    if token != _BUCKET_V and not token.isdecimal():
+        raise ValueError(f"bucket {token!r} is not V or an integer >= 0")
     return VIOLATED if token == _BUCKET_V else int(token)
 
 

@@ -1,9 +1,10 @@
+import ast
 import hashlib
 import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 import cmdp_forge
 from cmdp_forge import cli
 from cmdp_forge.cli import main
-from cmdp_forge.config import KEYS, ConfigError, ExperimentConfig, load_config
-from cmdp_forge.envs import GridConfig
+from cmdp_forge.config import _ENV_PARSERS, KEYS, ConfigError, ExperimentConfig, load_config
+from cmdp_forge.envs import GridConfig, desk_grid
 from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import stochastic_chain, two_action_chain
 from cmdp_forge.oracle import enumerate_trajectories, stats
@@ -553,6 +554,18 @@ BAD_INPUTS = {
     "chain-of-two-constraints-evaluate":
         ("evaluate", CHAIN_EVAL.replace("two_action_chain", "two_cost_chain"), [], None,
          "env.chain: two_cost_chain has 2 constraints"),
+    # A section its learner does not write, and a scalar key no model has.
+    "checkpoint-foreign-section":
+        ("evaluate", Q_CHECKPOINT.replace("[q]", "[qq]"), [], CHAIN_EVAL,
+         "section [qq] is not one that safe_q writes"),
+    "checkpoint-relabelled-learner":
+        ("evaluate", Q_CHECKPOINT.replace("learner = safe_q\n", "learner = safe_ac\nalpha_ent = 0.1\n"),
+         [], CHAIN_EVAL, "section [q] is not one that safe_ac writes"),
+    "checkpoint-negative-bucket":
+        ("evaluate", Q_CHECKPOINT + "0 -7 1 = 3.0\n", [], CHAIN_EVAL, "line 8: bucket '-7'"),
+    "model-unknown-key":
+        ("bounds", CHAIN_MODEL.replace("discount = 1", "discont = 0.5"), ["--quantum", "1"], None,
+         "line 3: unknown key 'discont'"),
     # verify checks the fixture pack at its exact breakpoints and reads no config.
     "verify-with-config":
         ("verify", (CONFIGS / "chain_smoke.cfg").read_text(), [], None, "--config: verify reads no config"),
@@ -597,6 +610,73 @@ def test_bad_input_exits_2_without_a_traceback(tmp_path, capsys, command, text, 
     assert named in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _set_line(text: str, key: str, value: str) -> str:
+    """``text`` with its ``key`` line, if any, replaced by ``key = value``."""
+    kept = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    return "\n".join([*kept, f"{key} = {value}"]) + "\n"
+
+
+_CHAIN = two_action_chain()
+_HALF_RISKY = _CHAIN.transition.copy()
+_HALF_RISKY[0, 1] *= 0.5
+# (valid object, field, out-of-range value, the command and input text that set it)
+REPLACED = {
+    "model-horizon": (_CHAIN, "horizon", 0, "bounds", CHAIN_MODEL.replace("horizon = 1", "horizon = 0")),
+    "model-risky-row": (_CHAIN, "transition", _HALF_RISKY, "bounds",
+                        CHAIN_MODEL.replace("0 1 = 0 0 1", "0 1 = 0 0 0.5")),
+    "model-budget": (_CHAIN, "budgets", (-1,), "bounds", CHAIN_MODEL.replace("budget.1 = 2", "budget.1 = -1")),
+    **{key: (desk_grid(), key[4:], _ENV_PARSERS[key[4:]](value), "train", _set_line(DESK_TRAIN, key, value))
+       for key, value in {**ENV_OUT_OF_RANGE, "env.step_reward": "nan", "env.goal_reward": "inf"}.items()},
+    # learner and scheme.1 parse only to values in range.
+    **{k.name: (load_config(CHAIN_TRAIN), k.field, k.parse(OUT_OF_RANGE[k.name]), "train",
+                _set_line(CHAIN_TRAIN, k.name, OUT_OF_RANGE[k.name]))
+       for k in KEYS if k.name not in ("learner", "scheme.1")},
+}
+
+
+@pytest.mark.parametrize("valid, field, value, command, text", REPLACED.values(), ids=REPLACED)
+def test_replace_validates_again_with_the_message_the_cli_prints(tmp_path, capsys, valid, field, value,
+                                                                 command, text):
+    with pytest.raises(ValueError) as refused:
+        replace(valid, **{field: value})
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    args = ["bounds", str(path), "--quantum", "1"] if command == "bounds" else ["--config", str(path), "train"]
+    assert main(["--out", str(tmp_path / "out"), *args]) == 2
+    assert capsys.readouterr().err == f"{path}: {refused.value}\n"
+
+
+def test_replace_refuses_a_value_outside_a_choice_key():
+    cfg = load_config(CHAIN_TRAIN)
+    with pytest.raises(ConfigError, match=r"^learner: want one of \['safe_ac', 'safe_q'\], got x$"):
+        replace(cfg, learner="x")
+    with pytest.raises(ConfigError, match=r"^scheme.1: want one of "):
+        replace(cfg, scheme="x")
+
+
+VALIDATORS = {"validate_cmdp": ("model.py", "Cmdp"), "validate_grid_config": ("envs.py", "GridConfig"),
+              "_key_problems": ("config.py", "ExperimentConfig")}
+
+
+def test_each_validator_runs_only_in_its_types_post_init():
+    """A Cmdp, a GridConfig or an ExperimentConfig is valid once built: no
+    module of the package checks one again."""
+    def uses(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name in VALIDATORS:
+                yield name, scope
+            inner = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            yield from uses(child, (*scope, child.name) if inner else scope)
+
+    found = sorted(
+        (name, path.name, *scope)
+        for path in Path(cmdp_forge.__file__).parent.glob("*.py")
+        for name, scope in uses(ast.parse(path.read_text()), ())
+    )
+    assert found == sorted((name, module, cls, "__post_init__") for name, (module, cls) in VALIDATORS.items())
 
 
 @pytest.mark.parametrize("case", ["malformed-model", "pit-cost-zero-weight", "checkpoint-no-n_actions"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cmdp_forge.fixtures import two_action_chain
 from cmdp_forge.model import (
+    Cmdp,
     Trajectory,
     discounted_return,
     trajectory_cost,
@@ -24,8 +25,6 @@ def make_line(costs, rewards, horizon=None, discount=1.0, budget=10.0):
     reward = np.zeros((n, 1))
     for s, r in enumerate(rewards):
         reward[s, 0] = r
-    from cmdp_forge.model import Cmdp
-
     return Cmdp(
         transition=transition,
         reward=reward,
@@ -40,9 +39,17 @@ def test_wellformed_chain_has_no_violations():
     assert validate_cmdp(two_action_chain()) == []
 
 
+def refused(build) -> list[str]:
+    """The problems the Cmdp that ``build()`` makes is refused with."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    message = str(exc.value)
+    assert message.startswith("invalid model: ")
+    return message.removeprefix("invalid model: ").split("; ")
+
+
 def test_negative_cost_is_reported():
-    m = make_line([0.0, -1.0], [0.0, 0.0])
-    problems = validate_cmdp(m)
+    problems = refused(lambda: make_line([0.0, -1.0], [0.0, 0.0]))
     assert len(problems) == 1
     assert "costs[0][s=1]" in problems[0] and "-1.0" in problems[0]
 
@@ -51,31 +58,28 @@ def test_broken_transition_row_is_reported():
     base = two_action_chain()
     t = np.array(base.transition)
     t[0, 0] *= 0.9
-    from cmdp_forge.model import Cmdp
-
-    m = Cmdp(
+    problems = refused(lambda: Cmdp(
         transition=t,
         reward=base.reward,
         costs=base.costs,
         budgets=base.budgets,
         horizon=base.horizon,
         available=base.available,
-    )
-    problems = validate_cmdp(m)
+    ))
     assert len(problems) == 1
     assert "transition[s=0,a=0]" in problems[0] and "0.9" in problems[0]
 
-    # Shape breaches are reported, not raised: too few cost columns, and a
-    # kernel whose successor axis is longer than the state count.
+    # Shape breaches are listed like any other problem, not hit as an
+    # IndexError: too few cost columns, and a kernel whose successor axis is
+    # longer than the state count.
     line = make_line([0.0, 0.0], [0.0, 0.0])
-    short_costs = Cmdp(transition=line.transition, reward=line.reward,
-                       costs=np.zeros((1, 1)), budgets=(1.0,), horizon=1)
-    assert validate_cmdp(short_costs) == ["costs: shape (1, 1) inconsistent with 2 states"]
+    assert refused(lambda: Cmdp(transition=line.transition, reward=line.reward,
+                                costs=np.zeros((1, 1)), budgets=(1.0,), horizon=1)) == [
+        "costs: shape (1, 1) inconsistent with 2 states"]
     wide = np.zeros((2, 1, 3))
     wide[:, 0, 2] = 1.0
-    wide_kernel = Cmdp(transition=wide, reward=line.reward, costs=line.costs,
-                       budgets=(1.0,), horizon=1)
-    assert validate_cmdp(wide_kernel) == ["transition: shape (2, 1, 3) != (2, 1, 2)"]
+    assert refused(lambda: Cmdp(transition=wide, reward=line.reward, costs=line.costs,
+                                budgets=(1.0,), horizon=1)) == ["transition: shape (2, 1, 3) != (2, 1, 2)"]
 
 
 LENGTH_MESSAGE = r"trajectory has 2 states and 2 actions; want \|states\| = \|actions\| \+ 1"

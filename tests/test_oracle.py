@@ -394,10 +394,9 @@ def test_enumeration_is_the_plain_recursive_walk_in_order():
             policies += [random_policy(f.cmdp, f.quantum, rng) for _ in range(3)]
         for policy in policies:
             assert enumerate_trajectories(f.cmdp, policy, f.quantum) == plain_walk(f.cmdp, policy, f.quantum)
-    # A horizon-0 model is invalid, and the oracle rejects it as ``augment`` does.
-    m = replace(two_action_chain(), horizon=0)
+    # A horizon-0 model is invalid, and is refused where it is built.
     with pytest.raises(ValueError, match="invalid model: horizon"):
-        enumerate_trajectories(m, chain_policy(0.5), 1.0)
+        replace(two_action_chain(), horizon=0)
 
 
 def test_enumeration_cap_reports_the_same_depth(monkeypatch):

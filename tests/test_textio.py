@@ -1,3 +1,6 @@
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from cmdp_forge.fixtures import fixture_pack, two_action_chain
 from cmdp_forge.learners import ActorCriticTables, TableStore
+from cmdp_forge.model import validate_cmdp
 from cmdp_forge.textio import (
     FormatError,
     dump_checkpoint,
@@ -109,6 +113,26 @@ def test_checkpoint_rejects_unknown_format():
         load_checkpoint("format = checkpoint.v9\nlearner = safe_q\n")
 
 
+Q_HEAD = "format = checkpoint.v1\nlearner = safe_q\nbudget = 2\nn_actions = 2\nquantum = 1\n[q]\n"
+
+
+def test_checkpoint_bucket_is_v_or_an_integer_at_least_zero():
+    _, tables, _ = load_checkpoint(Q_HEAD + "0 V 0 = 2.0\n0 3 1 = 1.0\n")
+    assert tables["q"] == {((0, -1), 0): 2.0, ((0, 3), 1): 1.0}
+    # -1 would alias V's key; no learner writes a negative bucket.
+    for row, token in (("0 -1 0 = 1.0\n0 V 0 = 2.0", "-1"), ("0 -7 1 = 3.0", "-7"), ("0 v 0 = 1", "v"),
+                       ("0 1.5 0 = 1", "1.5")):
+        with pytest.raises(FormatError, match=f"^line 7: bucket '{token}' is not V or an integer >= 0$"):
+            load_checkpoint(Q_HEAD + row + "\n")
+
+
+def test_model_file_rejects_an_unknown_scalar_key():
+    text = dump_cmdp(two_action_chain())
+    for key in ("discont", "budget.0", "budget.x", "S0"):
+        with pytest.raises(FormatError, match=f"^line 3: unknown key '{key}'$"):
+            load_cmdp(text.replace("discount", key))
+
+
 # One line of text: no character that str.splitlines breaks on.
 _LINE_TEXT = st.text(
     st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12
@@ -158,11 +182,16 @@ def test_any_checkpoint_text_loads_or_raises_format_error(learner, meta, lines):
         return
     n_actions = int(meta["n_actions"])
     if learner == "safe_q":
-        store, names = TableStore.from_sections(tables, n_actions), ("q",)
+        load, names, dropped = partial(TableStore.from_sections, tables, n_actions), ("q",), ()
     else:
-        store = ActorCriticTables.from_sections(tables, n_actions, meta["alpha_ent"])
-        names = ("logits", "q1", "qd1")
-    out = store.sections()
+        load = partial(ActorCriticTables.from_sections, tables, n_actions, meta["alpha_ent"])
+        names, dropped = ("logits", "q1", "qd1"), ("q2", "qd2")
+    foreign = [name for name in tables if name not in names + dropped]
+    if foreign:  # the first section its learner does not write is named
+        with pytest.raises(ValueError, match=rf"^section \[{re.escape(foreign[0])}\] is not one that {learner} writes"):
+            load()
+        return
+    out = load().sections()
     for name in names:
         for entry, value in tables.get(name, {}).items():
             assert repr(out[name][entry]) == repr(value)
@@ -216,4 +245,7 @@ def test_any_model_text_loads_or_raises_format_error(parts):
         m = load_cmdp("\n".join(lines) + "\n")
     except FormatError:
         return
-    assert isinstance(m.problems, tuple)  # validation reports, never raises
+    except ValueError as exc:  # a parsed model that is not valid is refused, naming each problem
+        assert str(exc).startswith("invalid model: ")
+        return
+    assert validate_cmdp(m) == []

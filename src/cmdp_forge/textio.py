@@ -261,6 +261,8 @@ def load_checkpoint(text: str) -> tuple[str, dict[str, dict], dict[str, float]]:
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: expected 'state bucket action = value'")
             s, bucket, a = parts
+            if not s.isdecimal():
+                raise FormatError(f"line {lineno}: state {s!r} is not an integer >= 0")
             action = int(a)
             if "n_actions" in meta and not 0 <= action < meta["n_actions"]:
                 raise FormatError(

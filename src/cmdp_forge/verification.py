@@ -2,25 +2,23 @@
 
 Each check solves the augmented problem, runs the enumeration oracle on the
 greedy policy, and compares the measured quantity against the claimed bound
-at a fixed tolerance.  Checks emit rows (kind, lambda, bound, measured,
-pass) suitable for CSV so a failing bound is visible, not just a boolean.
-Every gap and threshold weight a check runs at is read from
+at a fixed tolerance.  Checks emit rows (kind, fixture, lambda, bound,
+measured, pass, note) suitable for CSV so a failing bound is visible, not
+just a boolean.  Every gap and threshold weight a check runs at is read from
 ``lambda_bounds``' report (``_report``), the numbers ``bounds`` prints.
 Bounds that hold at every penalty weight are checked at the exact
 breakpoints of the penalized value (``_frontier``), covering every weight.
+Optimality at a policy's own risk level is not enumerated: it follows by
+weak duality from the slope row (``_breakpoint_check``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .extended import TabularPolicy, augment, build_extended
+from .extended import build_extended
 from .fixtures import Fixture
-from .model import Cmdp
 from .oracle import enumerate_trajectories, stats
 from .penalties import PenaltyScheme
 from .solver import (
@@ -34,7 +32,6 @@ from .solver import (
 TOL = 1e-9
 
 HUGE_LAMBDA = 1e9
-POLICY_CAP = 10_000  # optimality is checked by exhaustion up to this many policies
 
 # Each kind names one suite, check_<kind>; run_all runs them in this order.
 ALL_KINDS = (
@@ -178,27 +175,6 @@ def check_violation_prob_bound(fixtures: list[Fixture]) -> VerificationReport:
     return rep
 
 
-def count_deterministic_policies(m: Cmdp, quantum: float) -> int:
-    count = 1
-    for layer in augment(m, quantum).layers[:-1]:
-        for (s, _ledger) in layer:
-            count *= len(m.actions_at(s))
-            if count > 10**7:
-                return count
-    return count
-
-
-def enumerate_deterministic_policies(m: Cmdp, quantum: float):
-    """Yield every deterministic step-indexed policy over reachable nodes."""
-    layers = augment(m, quantum).layers
-    pools = [m.actions_at(s) for nodes in layers[:-1] for (s, _ledger) in nodes]
-    ends = np.cumsum([len(nodes) for nodes in layers[:-1]])
-    eye = np.eye(m.n_actions)
-    for assignment in itertools.product(*pools):
-        choice = np.array(assignment)
-        yield TabularPolicy(layers, tuple(eye[part] for part in np.split(choice, ends[:-1])))
-
-
 def _slope(st) -> float:
     return st.expected_return - st.penalized_objective
 
@@ -264,8 +240,12 @@ def _breakpoint_check(fixtures: list[Fixture], scheme: PenaltyScheme, kind: str)
     Each policy's level is checked against gap/(lam*s) at the breakpoint
     that ends its piece, where the bound is tightest.  Levels
     must not increase along the frontier, and the last must be zero.  The
-    chance and excess suites take one-constraint fixtures, and on small ones
-    check each policy is optimal among the deterministic policies as safe.
+    chance and excess suites take one-constraint fixtures.
+
+    The slope row also proves optimality by weak duality: every policy's
+    penalized value at lam is its return less lam*s times its summed level,
+    and the greedy policy's is the largest, so no policy whose summed level
+    is at most the greedy one's returns more.
     """
     rn, level_field = scheme is PenaltyScheme.RISK_NEUTRAL, LEVEL_FIELD[scheme]
     rep = VerificationReport(kind)
@@ -286,18 +266,6 @@ def _breakpoint_check(fixtures: list[Fixture], scheme: PenaltyScheme, kind: str)
             total = steps * math.fsum(getattr(st, level_field))
             rep.add(f.name, start, total, _slope(st), abs(_slope(st) - total) <= TOL,
                     "penalty total is s x level")
-        n_pol = 0 if rn else count_deterministic_policies(f.cmdp, f.quantum)
-        if 0 < n_pol <= POLICY_CAP:
-            # Every rival's (level, return) is lambda-free: score them once.
-            rivals = [(max(getattr(rst, level_field)), rst.expected_return) for rst in (
-                stats(enumerate_trajectories(f.cmdp, rival, f.quantum), f.cmdp)
-                for rival in enumerate_deterministic_policies(f.cmdp, f.quantum))]
-            for (start, st), level in zip(pieces, levels):
-                better = next((ret for rival_level, ret in rivals
-                               if rival_level <= level + TOL and ret > st.expected_return + TOL), None)
-                rep.add(f.name, start, st.expected_return,
-                        st.expected_return if better is None else better, better is None,
-                        f"optimal among {n_pol} deterministic policies at level <= {level:g}")
         for a, b in zip(levels, levels[1:]):
             rep.add(f.name, math.nan, a, b, b <= a + TOL, "level non-increasing in lambda")
         rep.add(f.name, pieces[-1][0], 0.0, levels[-1], levels[-1] == 0.0,

@@ -563,6 +563,8 @@ BAD_INPUTS = {
          [], CHAIN_EVAL, "section [q] is not one that safe_ac writes"),
     "checkpoint-negative-bucket":
         ("evaluate", Q_CHECKPOINT + "0 -7 1 = 3.0\n", [], CHAIN_EVAL, "line 8: bucket '-7'"),
+    "checkpoint-negative-state":
+        ("evaluate", Q_CHECKPOINT + "-7 0 0 = 1.0\n", [], CHAIN_EVAL, "line 8: state '-7'"),
     "model-unknown-key":
         ("bounds", CHAIN_MODEL.replace("discount = 1", "discont = 0.5"), ["--quantum", "1"], None,
          "line 3: unknown key 'discont'"),
@@ -894,7 +896,7 @@ def test_verify_report_is_pinned(tmp_path):
     # A change to any verify row must update this digest and say why in CHANGES.md.
     assert main(["--out", str(tmp_path), "verify"]) == 0
     assert _sha((tmp_path / "verify_report.csv").read_bytes()) == (
-        "8ba85d03a6c4c6d7685dc182b395099b332b5d887092983fda92af12c6c05911"
+        "ad0ea734148b7d7ce7c2311a0987bdbe5e390ef5f3657fdac53f734b1bd4c8b5"
     )
 
 

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cmdp_forge import solver
 from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, large_grid, make_chain, make_gridworld, tiny_grid
@@ -34,7 +33,8 @@ from cmdp_forge.solver import (
     unconstrained_value,
     worst_case_value,
 )
-from cmdp_forge.verification import enumerate_deterministic_policies
+
+from brute import enumerate_deterministic_policies, small_cmdps
 
 RN = PenaltyScheme.RISK_NEUTRAL
 
@@ -575,26 +575,6 @@ def test_probability_on_an_unavailable_action_is_named_where_reached():
     # A row the policy never reaches passes, as a NaN row does.
     assert evaluate_policy(e, policy([1.0, 0.0, 0.0], [1 / 3] * 3)) == 1.0
     assert evaluate_policy(e, policy([0.0, 1.0, 0.0], [0.0, 0.5, 0.5])) == 2.0
-
-
-@st.composite
-def small_cmdps(draw):
-    """S <= 5 and A <= 3 with masked actions, T <= 5, K <= 2; costs, budgets
-    and rewards on the 0.5 grid."""
-    S, A, T, K = (draw(st.integers(1, n)) for n in (5, 3, 5, 2))
-    halves = st.integers(0, 2).map(lambda n: n * 0.5)
-    masks = draw(st.lists(st.integers(1, 2 ** A - 1), min_size=S, max_size=S))  # each state keeps an action
-    available = np.array([[mask >> a & 1 for a in range(A)] for mask in masks], dtype=bool)
-    weights = st.lists(st.integers(0, 3), min_size=S, max_size=S).filter(any)
-    transition = np.array([[draw(weights) for _a in range(A)] for _s in range(S)], dtype=float)
-    transition /= transition.sum(axis=2, keepdims=True)
-    return Cmdp(
-        transition=transition,
-        reward=np.array(draw(st.lists(halves, min_size=S * A, max_size=S * A))).reshape(S, A) - 0.5,
-        costs=[draw(st.lists(halves, min_size=S, max_size=S)) for _k in range(K)],
-        budgets=tuple(draw(st.lists(st.integers(1, 8).map(lambda n: n * 0.5), min_size=K, max_size=K))),
-        horizon=T, s0=draw(st.integers(0, S - 1)), available=available,
-    )
 
 
 def dead_end_by_walk(m, quantum):

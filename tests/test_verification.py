@@ -17,7 +17,6 @@ from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import backward_induction, evaluate_policy, lambda_bounds
 from cmdp_forge.verification import (
     ALL_KINDS,
-    POLICY_CAP,
     _frontier,
     _report,
     check_excess_penalty_equivalence,
@@ -25,9 +24,16 @@ from cmdp_forge.verification import (
     check_multi_constraint_feasibility,
     check_violation_cost_bound,
     check_violation_prob_bound,
+    run_all,
+)
+
+from brute import (
+    better_rival,
     count_deterministic_policies,
     enumerate_deterministic_policies,
-    run_all,
+    frontier_rivals,
+    rival_stats,
+    small_cmdps,
 )
 
 RN = PenaltyScheme.RISK_NEUTRAL
@@ -76,6 +82,31 @@ def test_policy_enumeration_counts_the_chain():
         st = stats(enumerate_trajectories(m, pol, 1.0), m)
         returns.add(st.expected_return)
     assert returns == {1.0, 2.0}
+
+
+def test_brute_force_names_the_rival_that_beats_a_dominated_policy():
+    # The safe branch's return claimed at the risky branch's level: the
+    # risky branch, at that level, returns more.
+    rivals = rival_stats(two_action_chain(), 1.0)
+    assert sorted((r.violation_prob, r.expected_return) for r in rivals) == [((0.0,), 1.0), ((1.0,), 2.0)]
+    assert better_rival(rivals, VAR, 1.0, 1.0) == (1.0, 2.0)
+    assert better_rival(rivals, VAR, 1.0, 2.0) is None
+    assert better_rival(rivals, VAR, 0.0, 1.0) is None
+
+
+MAX_POLICIES = 16  # the property test skips models with more deterministic policies
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_cmdps())
+def test_every_frontier_policy_is_optimal_at_its_summed_level(m):
+    # Weak duality bounds the return of any policy at a summed level no
+    # higher than a frontier policy's; check it against every rival.
+    if count_deterministic_policies(m, 0.5) > MAX_POLICIES:
+        return
+    f, rivals = Fixture("p", m, 0.5), rival_stats(m, 0.5)
+    for scheme in PenaltyScheme:
+        assert frontier_rivals(f, scheme, rivals) == [None] * len(_frontier(f, scheme)[1]), scheme
 
 
 def test_objective_is_non_increasing_in_the_weight():
@@ -127,7 +158,7 @@ def test_fixture_facts_are_measured_on_the_models():
     assert [_report(f) is not None for f in pack] == [True] * 5 + [False]
     counts = [count_deterministic_policies(f.cmdp, f.quantum) for f in pack]
     assert counts[:4] == [2, 3, 2, 3]
-    assert min(counts[4:]) > 10**7 > POLICY_CAP
+    assert min(counts[4:]) > 10**7
 
 
 def test_gap_suites_run_at_the_numbers_lambda_bounds_reports():

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands:
-  train     seeded learner runs; per-seed CSV logs, checkpoints, aggregate CSV
-  evaluate  Monte-Carlo rollouts of a checkpoint with exploration off
+  train     seeded learner runs; per-seed CSV logs, checkpoints, aggregate CSV;
+            --jobs N runs them in at most one worker process per run
+  evaluate  Monte-Carlo rollouts of a checkpoint with exploration off (the
+            action of its table store's ``act``)
   verify    the full battery of bound checks on the fixture pack, each
             bound that holds at every penalty weight checked at the exact
             breakpoints of the penalized value; reads no config
@@ -21,10 +23,11 @@ message starts with the file's path; ``main`` prints that message and exits
 2.  For ``bounds`` the parse includes ``lambda_bounds``, so a quantum that is
 not finite and > 0, that a cost does not divide, or whose augmented space
 passes the state cap is a model-file error; for ``evaluate`` the
-checkpoint must also fit the configured environment and hold only sections
-its learner writes.  An --out that cannot
-be made a directory exits 2 the same way (``--out: ...``), after the inputs
-are read and before any result is printed or ``train`` run starts.
+checkpoint must also fit the configured environment and hold exactly the
+keys, and only sections, that its learner's table store writes.  An --out
+that cannot be made a directory exits 2 the same way (``--out: ...``),
+after the inputs are read and before any result is printed or ``train``
+run starts.
 
 Outputs are deterministic for a fixed config and seed list; the only
 exception is the wall_ms column of training logs, which records real time.
@@ -46,15 +49,7 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig, load_config, override
 from .envs import GridWorldEnv, SampledKernelEnv
 from .fixtures import fixture, fixture_pack
-from .learners import (
-    ActorCriticTables,
-    TableStore,
-    TrainRow,
-    constrained_action_select,
-    obs_key,
-    safe_actor_critic,
-    safe_q_learning,
-)
+from .learners import STORES, TrainRow, safe_actor_critic, safe_q_learning
 from .solver import WorstCaseInfeasible, lambda_bounds
 from .textio import dump_checkpoint, format_number, load_checkpoint, load_cmdp
 from .verification import run_all
@@ -107,11 +102,9 @@ def _train_one(cfg: ExperimentConfig, seed, lam: float) -> tuple[list[TrainRow],
     """One (seed, lambda) training run: the learner's log and its checkpoint text."""
     cfg = replace(cfg, lambda0=lam)
     env = build_env(cfg, seed=f"{seed}:env")
-    meta = {"quantum": cfg.key_quantum, "budget": env.budget, "n_actions": env.n_actions}
-    if cfg.learner == "safe_ac":
-        meta["alpha_ent"] = cfg.alpha_ent
     learn = safe_q_learning if cfg.learner == "safe_q" else safe_actor_critic
-    tables, log, _sched = learn(env, cfg, seed)
+    tables, log = learn(env, cfg, seed)
+    meta = {key: getattr(tables, key) for key in tables.META}
     return log, dump_checkpoint(cfg.learner, tables.sections(), meta)
 
 
@@ -120,7 +113,7 @@ def _log_row(r: TrainRow) -> tuple:
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
-    """One run per (seed, lambda), in ``jobs`` worker processes when jobs > 1.
+    """One run per (seed, lambda), in min(jobs, runs) worker processes when that is > 1.
 
     Each run's log and checkpoint are written as its result comes in; a run
     that raises is recorded in failures.csv and the others proceed.  The
@@ -131,7 +124,8 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     runs = [(seed, lam) for lam in lams for seed in cfg.seeds]
     logs: dict[tuple, list[TrainRow]] = {}
     failures: list[tuple] = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    workers = min(jobs, len(runs))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = [partial(_train_one, cfg, seed, lam) for seed, lam in runs]
         if pool is not None:
             results = [pool.submit(run).result for run in results]
@@ -170,21 +164,15 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def evaluate_checkpoint(checkpoint: tuple, envs: list, episodes: int) -> list[tuple]:
-    """Monte-Carlo rollouts of a loaded (learner, store, meta) checkpoint, ``episodes`` per env.
+def evaluate_checkpoint(store, envs: list, episodes: int) -> list[tuple]:
+    """Monte-Carlo rollouts of a checkpoint's table store, ``episodes`` per env.
 
-    Exploration is off: the Q-learner's store acts greedily and the
-    actor-critic's by feasibility-constrained selection.  One row per env:
+    Exploration is off: each step takes the store's ``act``.  One row per env:
     mean return, mean cost, violation probability, mean excess over the
     budget, and the smallest episode index from which the running mean cost
     stays within budget (None if the last one is over).
     """
-    learner, store, meta = checkpoint
-    quantum, budget = meta["quantum"], meta["budget"]
-    if learner == "safe_q":
-        select = lambda r, c, d: store.greedy(r)
-    else:
-        select = lambda r, c, d: constrained_action_select(store, r, c, d, budget)
+    budget = store.budget
     rows = []
     for env in envs:
         returns, costs = [], []
@@ -194,7 +182,7 @@ def evaluate_checkpoint(checkpoint: tuple, envs: list, episodes: int) -> list[tu
             t = 0
             ep_ret = 0.0
             while not done and t < env.horizon:
-                a = select(store.row(obs_key(s, c, budget, quantum)), c, d)
+                a = store.act(store.row(store.key(s, c)), c, d)
                 (s, c, d), r, done = env.step(a)
                 ep_ret += r
                 t += 1
@@ -218,23 +206,34 @@ def evaluate_checkpoint(checkpoint: tuple, envs: list, episodes: int) -> list[tu
     return rows
 
 
-def _checkpoint(text: str, env) -> tuple:
-    """(learner, store, meta) of a checkpoint text; its n_actions and budget,
-    checked before any table is sized, must be ``env``'s."""
+def _checkpoint(text: str, env):
+    """The table store of a checkpoint text, of its learner's class in ``STORES``.
+
+    The checkpoint keys must be exactly that class's ``META``; n_actions and
+    budget, checked before any table is sized, must be ``env``'s.
+    """
     learner, tables, meta = load_checkpoint(text)
+    if learner not in STORES:
+        raise ConfigError(f"unknown learner {learner!r}; want one of {', '.join(STORES)}")
+    store = STORES[learner]
+    for key in meta:
+        if key not in store.META:
+            raise ConfigError(f"checkpoint key {key} is not one that {learner} writes; "
+                              f"want {', '.join(store.META)}")
+    for key in store.META:
+        if key not in meta:
+            raise ConfigError(f"checkpoint missing a {key} key")
     for key, want in (("n_actions", env.n_actions), ("budget", env.budget)):
         if meta[key] != want:
             raise ConfigError(f"checkpoint {key} = {format_number(meta[key])} does not match "
                               f"the configured environment's {format_number(want)}")
-    if learner == "safe_q":
-        return learner, TableStore.from_sections(tables, env.n_actions), meta
-    return learner, ActorCriticTables.from_sections(tables, env.n_actions, meta["alpha_ent"]), meta
+    return store.from_sections(tables, **{**meta, "n_actions": env.n_actions})  # an int, not meta's float
 
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint_path: Path, out: Path) -> int:
     envs = [build_env(cfg, seed=f"{seed}:eval") for seed in cfg.seeds]  # of one shape
-    checkpoint = _read(checkpoint_path, lambda text: _checkpoint(text, envs[0]))
-    per_seed = evaluate_checkpoint(checkpoint, envs, cfg.eval_episodes)
+    store = _read(checkpoint_path, lambda text: _checkpoint(text, envs[0]))
+    per_seed = evaluate_checkpoint(store, envs, cfg.eval_episodes)
     ret, cost, violation, excess, _ = zip(*per_seed)
     agg = [statistics.fmean(column) for column in (ret, cost, violation, excess)]
     rows = [(seed, *map(format_number, row[:4]), "" if row[4] is None else row[4])

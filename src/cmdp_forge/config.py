@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 from .envs import GridConfig, PitCost, desk_grid, large_grid, tiny_grid
@@ -172,9 +172,8 @@ _ENV_PARSERS = {
     "pit_cost": _pit_cost, "noise_p": float, "step_reward": float, "goal_reward": float,
     "horizon": int, "c_max": float,
 }
-# A spelled-out grid names these four; its pits and pit cost default to these.
-_GRID_NEEDS = ("env.width", "env.height", "env.start", "env.goal")
-_GRID_DEFAULTS = {"pits": (), "pit_cost": PitCost.uniform(1.0, 1.5)}
+# A spelled-out grid names every GridConfig field that has no default.
+_GRID_NEEDS = tuple(f"env.{f.name}" for f in fields(GridConfig) if f.default is MISSING)
 
 
 def load_config(text: str) -> ExperimentConfig:
@@ -212,7 +211,7 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(raw)))
     if env_kind == "gridworld":
         try:
-            grid = GridConfig(**_GRID_DEFAULTS | env) if preset is None else replace(_GRID_PRESETS[preset](), **env)
+            grid = GridConfig(**env) if preset is None else replace(_GRID_PRESETS[preset](), **env)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     return ExperimentConfig(env_kind=env_kind, grid=grid, chain_name=chain_name, **values)

@@ -76,8 +76,8 @@ class GridConfig:
     height: int
     start: tuple[int, int]
     goal: tuple[int, int]
-    pits: tuple[tuple[int, int], ...]
-    pit_cost: PitCost
+    pits: tuple[tuple[int, int], ...] = ()
+    pit_cost: PitCost = PitCost.uniform(1.0, 1.5)
     noise_p: float = 0.05
     step_reward: float = -1.0
     goal_reward: float = 100.0
@@ -329,10 +329,20 @@ class ChainBranch:
 
 @dataclass(frozen=True)
 class ChainSpec:
+    """A chain's branches and budgets, each outcome with one cost per budget;
+    the model ``make_chain`` builds checks the rest (ValueError either way)."""
+
     branches: tuple[ChainBranch, ...]
     budgets: tuple[float, ...]
     horizon: int = 1
     discount: float = 1.0
+
+    def __post_init__(self):
+        for b in self.branches:
+            for _p, costs in b.outcomes:
+                if len(costs) != len(self.budgets):
+                    raise ValueError(f"branch {b.name!r}: outcome has {len(costs)} costs "
+                                     f"for {len(self.budgets)} budgets")
 
 
 def make_chain(spec: ChainSpec) -> Cmdp:
@@ -342,22 +352,7 @@ def make_chain(spec: ChainSpec) -> Cmdp:
     horizons above one) a zero-cost pad the landings drain into so landing
     costs accrue exactly once.  Only action 0 is available off the start.
     """
-    problems = []
     K = len(spec.budgets)
-    if not spec.branches:
-        problems.append("chain needs at least one branch")
-    for i, b in enumerate(spec.branches):
-        total = sum(p for p, _ in b.outcomes)
-        if abs(total - 1.0) > 1e-12:
-            problems.append(f"branch {b.name!r}: outcome probabilities sum to {total}")
-        for p, costs in b.outcomes:
-            if len(costs) != K:
-                problems.append(
-                    f"branch {b.name!r}: outcome has {len(costs)} costs for {K} budgets"
-                )
-    if problems:
-        raise ValueError("invalid chain spec: " + "; ".join(problems))
-
     names = ["start"]
     landing_cost: list[tuple[float, ...]] = [(0.0,) * K]
     landings: list[list[tuple[int, float]]] = []  # per branch: (state, prob)
@@ -416,17 +411,8 @@ def desk_grid() -> GridConfig:
     row-3 shortcut, leaving a clean detour through row 2.
     """
     return GridConfig(
-        width=5,
-        height=5,
-        start=(4, 4),
-        goal=(4, 0),
-        pits=((4, 1), (4, 2), (4, 3), (3, 2)),
-        pit_cost=PitCost.uniform(1.0, 1.5),
-        noise_p=0.05,
-        step_reward=-1.0,
-        goal_reward=100.0,
-        horizon=50,
-        c_max=2.0,
+        width=5, height=5, start=(4, 4), goal=(4, 0),
+        pits=((4, 1), (4, 2), (4, 3), (3, 2)), horizon=50,
     )
 
 
@@ -442,33 +428,13 @@ def large_grid() -> GridConfig:
         + tuple((5, c) for c in range(2, 6))
         + ((4, 3), (4, 4))
     )
-    return GridConfig(
-        width=8,
-        height=8,
-        start=(7, 7),
-        goal=(7, 0),
-        pits=pits,
-        pit_cost=PitCost.uniform(1.0, 1.5),
-        noise_p=0.05,
-        step_reward=-1.0,
-        goal_reward=100.0,
-        horizon=200,
-        c_max=2.0,
-    )
+    return GridConfig(width=8, height=8, start=(7, 7), goal=(7, 0), pits=pits)
 
 
 def tiny_grid(noise_p: float = 0.05, horizon: int = 6, c_max: float = 2.0) -> GridConfig:
     """3x3 grid, one pit on the direct route, exact-mode friendly support."""
     return GridConfig(
-        width=3,
-        height=3,
-        start=(2, 2),
-        goal=(2, 0),
-        pits=((2, 1),),
+        width=3, height=3, start=(2, 2), goal=(2, 0), pits=((2, 1),),
         pit_cost=PitCost.of_support((1.0, 1.0), (1.25, 1.0), (1.5, 1.0)),
-        noise_p=noise_p,
-        step_reward=-1.0,
-        goal_reward=100.0,
-        horizon=horizon,
-        c_max=c_max,
+        noise_p=noise_p, horizon=horizon, c_max=c_max,
     )

@@ -15,8 +15,11 @@ Both learn in one table store, TableStore: a dense (rows, A) row per
 observation key, with a critic and a target plane for each checkpoint
 section (``q`` for the Q-learner; ``q1`` and ``qd1`` for the actor-critic,
 whose subclass ActorCriticTables adds the logits and Polyak averaging as one
-masked vector op).  Each learner returns its store, ``train`` writes the
-store's ``sections()`` and ``evaluate`` loads a checkpoint back into one.
+masked vector op).  A store also holds its checkpoint keys (``META``), its
+observation key rule ``key`` and its exploration-off action ``act``.  Each
+learner returns its store and its log; ``train`` writes the store's ``META``
+values and ``sections()``, and ``evaluate`` loads a checkpoint back into the
+store of its learner (``STORES``).
 
 Both read their settings from the run's ExperimentConfig and take the seed
 as an argument; ``lr`` is the step size of the Q table and of both critics.
@@ -51,8 +54,11 @@ def ledger_bucket(c: float, budget: float, quantum: float) -> int:
     return VIOLATED if c > budget else round(c / quantum)
 
 
-def obs_key(s: int, c: float, budget: float, quantum: float) -> tuple[int, int]:
-    return (s, ledger_bucket(c, budget, quantum))
+def _positive(name: str, value: float) -> float:
+    """``value``, refused (ValueError naming ``name``) unless finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name}: want finite and > 0, got {value}")
+    return value
 
 
 def penalize_sample(
@@ -146,21 +152,29 @@ class TableStore:
     and the bool (rows, A) mask ``written`` (critic entry updated at least
     once).  Arrays grow by doubling along the row axis, and a row is
     allocated (all zeros) only by ``row``.  Every value read out of the
-    store is a Python float.
+    store is a Python float.  ``budget`` and ``quantum`` (finite and > 0,
+    as the ``key_quantum`` config key) set the observation ``key`` of a row.
     """
 
     LEARNER = "safe_q"  # the learner that trains in this store
+    META: tuple[str, ...] = ("n_actions", "budget", "quantum")  # checkpoint keys, constructor arguments
     SECTIONS: tuple[str, ...] = ("q",)  # checkpoint section of each critic plane
     ROW_TABLES: tuple[str, ...] = ()  # (rows, A) arrays checkpointed at every row
     DROPPED: tuple[str, ...] = ()  # sections older versions wrote, read and ignored
     ARRAYS: tuple[str, ...] = ("critic", "target", "written")  # grown together
 
-    def __init__(self, n_actions: int):
+    def __init__(self, n_actions: int, budget: float, quantum: float):
         self.n_actions = n_actions
+        self.budget = budget
+        self.quantum = _positive("quantum", quantum)
         self.rows: dict = {}
         self.critic = np.zeros((len(self.SECTIONS), 64, n_actions))
         self.target = np.zeros_like(self.critic)
         self.written = np.zeros((64, n_actions), dtype=bool)
+
+    def key(self, s: int, c: float) -> tuple[int, int]:
+        """Observation key of state ``s`` at accumulated cost ``c``."""
+        return (s, ledger_bucket(c, self.budget, self.quantum))
 
     def row(self, key) -> int:
         """Row of ``key``, allocated on first use."""
@@ -177,6 +191,10 @@ class TableStore:
     def greedy(self, r: int) -> int:
         """Lowest-index argmax of row ``r`` of the first critic plane."""
         return argmax_low(self.critic[0, r].tolist())
+
+    def act(self, r: int, c: float, d: float) -> int:
+        """Exploration-off action at row ``r``: the greedy one."""
+        return self.greedy(r)
 
     def sections(self) -> dict[str, dict]:
         """Checkpoint tables: ROW_TABLES at every row, critic planes at written entries."""
@@ -216,9 +234,9 @@ class TableStore:
 
 
 def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
-    """Train a penalized Q table; returns (TableStore, log rows, schedule)."""
+    """Train a penalized Q table; returns (TableStore, log rows)."""
     rng = random.Random(seed)
-    tables = TableStore(env.n_actions)
+    tables = TableStore(env.n_actions, env.budget, cfg.key_quantum)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     sched = LambdaSchedule(cfg.lambda0, cfg.lambda_floor, cfg.window)
     budget = env.budget
@@ -227,7 +245,7 @@ def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
     for episode in range(cfg.episodes):
         started = time.perf_counter()
         s, c, _d = env.reset()
-        r = tables.row(obs_key(s, c, budget, cfg.key_quantum))
+        r = tables.row(tables.key(s, c))
         eps = _epsilon(cfg, episode)
         ep_return = 0.0
         done = False
@@ -238,7 +256,7 @@ def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
             else:
                 a = tables.greedy(r)
             (s2, c2, d2), rew, done = env.step(a)
-            r2 = tables.row(obs_key(s2, c2, budget, cfg.key_quantum))
+            r2 = tables.row(tables.key(s2, c2))
             ep_return += rew
             buffer.push((r, a, rew, r2, done, c, d2, t + 1))
             steps += 1
@@ -264,7 +282,7 @@ def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
                 (time.perf_counter() - started) * 1000.0,
             )
         )
-    return tables, log, sched
+    return tables, log
 
 
 class ActorCriticTables(TableStore):
@@ -278,14 +296,15 @@ class ActorCriticTables(TableStore):
     """
 
     LEARNER = "safe_ac"
+    META = (*TableStore.META, "alpha_ent")
     SECTIONS = ("q1", "qd1")
     ROW_TABLES = ("logits",)
     DROPPED = ("q2", "qd2")  # the twin critics, always equal to q1 and qd1
     ARRAYS = (*TableStore.ARRAYS, "logits", "dirty")
 
-    def __init__(self, n_actions: int, alpha_ent: float):
-        super().__init__(n_actions)
-        self.alpha_ent = alpha_ent
+    def __init__(self, n_actions: int, budget: float, quantum: float, alpha_ent: float):
+        super().__init__(n_actions, budget, quantum)
+        self.alpha_ent = _positive("alpha_ent", alpha_ent)
         self.logits = np.zeros((64, n_actions))
         self.dirty = np.zeros((64, n_actions), dtype=bool)
 
@@ -307,6 +326,10 @@ class ActorCriticTables(TableStore):
 
     def entropy(self, r: int) -> float:
         return -sum(p * math.log(p) for p in self.probabilities(r) if p > 0.0)
+
+    def act(self, r: int, c: float, d: float) -> int:
+        """Exploration-off action at row ``r``: ``constrained_action_select``."""
+        return constrained_action_select(self, r, c, d, self.budget)
 
     def learn_critic(self, r: int, a: int, lr: float, ret_target: float, cost_target: float) -> None:
         """One TD step of both critics toward their n-step targets."""
@@ -339,6 +362,9 @@ class ActorCriticTables(TableStore):
         dirty[idx[np.maximum(gap[0], gap[1]) < 1e-12]] = False
 
 
+STORES = {store.LEARNER: store for store in (TableStore, ActorCriticTables)}  # by checkpoint learner
+
+
 def constrained_action_select(tables: ActorCriticTables, r: int, c: float, d: float, budget: float) -> int:
     """Soft-greedy action of store row ``r`` among those predicted to stay within budget.
 
@@ -358,10 +384,10 @@ def constrained_action_select(tables: ActorCriticTables, r: int, c: float, d: fl
 
 
 def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
-    """Train the constrained softmax actor-critic; returns (tables, log, schedule)."""
+    """Train the constrained softmax actor-critic; returns (tables, log rows)."""
     rng = random.Random(seed)
     budget = env.budget
-    tables = ActorCriticTables(env.n_actions, cfg.alpha_ent)
+    tables = ActorCriticTables(env.n_actions, budget, cfg.key_quantum, cfg.alpha_ent)
     sched = LambdaSchedule(cfg.lambda0, cfg.lambda_floor, cfg.window)
     recent_costs: list[float] = []  # rolling window for the safety classifier
     log: list[TrainRow] = []
@@ -369,7 +395,7 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
     for episode in range(cfg.episodes):
         started = time.perf_counter()
         s, c, d = env.reset()
-        key = obs_key(s, c, budget, cfg.key_quantum)
+        key = tables.key(s, c)
         init_key = key
         ep_return = 0.0
         done = False
@@ -382,7 +408,7 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
                 r = tables.row(key)
                 a = constrained_action_select(tables, r, c, d, budget)
                 (s2, c2, d2), rew, done = env.step(a)
-                key2 = obs_key(s2, c2, budget, cfg.key_quantum)
+                key2 = tables.key(s2, c2)
                 rt = penalize_sample(
                     rew, c, d2, sched.value, cfg.scheme, budget,
                     gamma=cfg.gamma, t=t + 1,
@@ -431,4 +457,4 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
                 (time.perf_counter() - started) * 1000.0,
             )
         )
-    return tables, log, sched
+    return tables, log

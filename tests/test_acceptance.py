@@ -19,7 +19,6 @@ from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import fixture_pack, two_action_chain
 from cmdp_forge.learners import (
     LambdaSchedule,
-    obs_key,
     safe_actor_critic,
     safe_q_learning,
 )
@@ -217,11 +216,11 @@ def test_criterion_10_learners_converge_on_the_chain():
     q_ok = ac_ok = 0
     for seed in (1, 2, 3, 4, 5):
         env = SampledKernelEnv(m, seed=f"{seed}:env")
-        q, _log, _ = safe_q_learning(env, cfg, seed)
-        key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
+        q, _log = safe_q_learning(env, cfg, seed)
+        key0 = q.key(m.s0, 0.0)
         q_ok += q.greedy(q.row(key0)) == 0
         env2 = SampledKernelEnv(m, seed=f"{seed}:env")
-        tables, _log2, _ = safe_actor_critic(env2, cfg, seed)
+        tables, _log2 = safe_actor_critic(env2, cfg, seed)
         ac_ok += tables.probabilities(tables.row(key0))[0] >= 0.95
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -235,7 +234,7 @@ def test_criterion_11_desk_gridworld_learning():
     rets, costs = [], []
     for seed in (1, 2, 3, 4, 5):
         env = GridWorldEnv(desk_grid(), seed=f"{seed}:env")
-        _tables, log, _ = safe_actor_critic(env, ExperimentConfig(episodes=4000), seed)
+        _tables, log = safe_actor_critic(env, ExperimentConfig(episodes=4000), seed)
         tail = log[-1000:]
         rets.append(statistics.fmean(r.ret for r in tail))
         costs.append(statistics.fmean(r.final_cost for r in tail))
@@ -261,7 +260,7 @@ def test_criterion_12_schedule_trace_is_exact():
     )
     env = SampledKernelEnv(m, seed="1:env")
     cfg = ExperimentConfig(episodes=200, window=5, lambda0=2.0, lambda_floor=0.1)
-    _q, log, _ = safe_q_learning(env, cfg, 1)
+    _q, log = safe_q_learning(env, cfg, 1)
     trace = [row.lam for row in log]
 
     ref_sched = LambdaSchedule(2.0, 0.1, 5)

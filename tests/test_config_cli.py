@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -565,6 +566,16 @@ BAD_INPUTS = {
         ("evaluate", Q_CHECKPOINT + "0 -7 1 = 3.0\n", [], CHAIN_EVAL, "line 8: bucket '-7'"),
     "checkpoint-negative-state":
         ("evaluate", Q_CHECKPOINT + "-7 0 0 = 1.0\n", [], CHAIN_EVAL, "line 8: state '-7'"),
+    # A checkpoint holds exactly its learner's keys, each in its config key's range.
+    "checkpoint-unknown-key":
+        ("evaluate", Q_CHECKPOINT.replace("quantum = 1\n", "quantum = 1\nfoo = 7\n"), [], CHAIN_EVAL,
+         "checkpoint key foo is not one that safe_q writes; want n_actions, budget, quantum"),
+    "checkpoint-q-with-alpha_ent":
+        ("evaluate", Q_CHECKPOINT.replace("quantum = 1\n", "alpha_ent = 0.1\nquantum = 1\n"), [], CHAIN_EVAL,
+         "checkpoint key alpha_ent is not one that safe_q writes"),
+    "checkpoint-alpha_ent-inf":
+        ("evaluate", ZERO_ENTROPY_CHECKPOINT.replace("alpha_ent = 0\n", "alpha_ent = inf\n"), [], CHAIN_EVAL,
+         "alpha_ent: want finite and > 0, got inf"),
     "model-unknown-key":
         ("bounds", CHAIN_MODEL.replace("discount = 1", "discont = 0.5"), ["--quantum", "1"], None,
          "line 3: unknown key 'discont'"),
@@ -964,3 +975,34 @@ def test_parallel_jobs_match_sequential(tmp_path):
     for name in ("train_seed7.csv", "train_seed8.csv"):
         assert _strip_wall((seq / name).read_text()) == _strip_wall((par / name).read_text())
     assert (seq / "train_aggregate.csv").read_text() == (par / "train_aggregate.csv").read_text()
+
+
+def test_jobs_start_at_most_one_worker_per_run(tmp_path, monkeypatch):
+    """``--jobs N`` asks for min(N, runs) workers, and one run trains in
+    process.  The stand-in pool records what it is asked for and runs each
+    call inline, so the test starts no process."""
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, run):
+            return SimpleNamespace(result=run)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CHAIN_TRAIN)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "two"), "--jobs", "64", "train"]) == 0
+    assert asked == [2]
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "one"), "--seeds", "7", "--jobs", "3",
+                 "train"]) == 0
+    assert asked == [2]
+    two = (tmp_path / "two" / "checkpoint_seed7.txt").read_text()
+    assert two == (tmp_path / "one" / "checkpoint_seed7.txt").read_text()

@@ -147,18 +147,14 @@ def test_invalid_grid_configs_are_listed():
 
 
 def test_chain_spec_validation():
-    with pytest.raises(ValueError, match="probabilities sum"):
-        make_chain(
-            ChainSpec(
-                branches=(ChainBranch("a", 1.0, ((0.5, (0.0,)),)),), budgets=(1.0,)
-            )
-        )
-    with pytest.raises(ValueError, match="costs for"):
-        make_chain(
-            ChainSpec(
-                branches=(ChainBranch("a", 1.0, ((1.0, (0.0, 1.0)),)),), budgets=(1.0,)
-            )
-        )
+    # The spec refuses the one problem the model cannot name ...
+    with pytest.raises(ValueError, match=r"^branch 'a': outcome has 2 costs for 1 budgets$"):
+        ChainSpec(branches=(ChainBranch("a", 1.0, ((1.0, (0.0, 1.0)),)),), budgets=(1.0,))
+    # ... and the model's own validator names the rest.
+    with pytest.raises(ValueError, match=r"^invalid model: transition\[s=0,a=0\]: row sums to 0.5$"):
+        make_chain(ChainSpec(branches=(ChainBranch("a", 1.0, ((0.5, (0.0,)),)),), budgets=(1.0,)))
+    with pytest.raises(ValueError, match=r"^invalid model: available\[s=0\]: no available action$"):
+        make_chain(ChainSpec(branches=(), budgets=(1.0,)))
 
 
 def test_two_constraint_chain_shape():

@@ -17,7 +17,6 @@ from cmdp_forge.learners import (
     LambdaSchedule,
     ReplayBuffer,
     constrained_action_select,
-    obs_key,
     penalize_sample,
     safe_actor_critic,
     safe_q_learning,
@@ -91,7 +90,7 @@ def test_replay_ring_overwrites_oldest():
 
 
 def _select(sections, c, d, budget):
-    tables = ActorCriticTables.from_sections(sections, 2, alpha_ent=0.5)
+    tables = ActorCriticTables.from_sections(sections, 2, 2.0, 0.1, alpha_ent=0.5)
     return constrained_action_select(tables, tables.row((0, (0,))), c, d, budget)
 
 
@@ -126,8 +125,8 @@ def test_q_learner_matches_exact_greedy_across_weights():
         env = SampledKernelEnv(m, seed="17:env")
         cfg = ExperimentConfig(episodes=1500, lambda0=lam,
                                lambda_floor=max(lam, 1e-9) if lam else 1e-9)
-        q, _log, _ = safe_q_learning(env, cfg, 17)
-        key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
+        q, _log = safe_q_learning(env, cfg, 17)
+        key0 = q.key(m.s0, 0.0)
         assert q.greedy(q.row(key0)) == exact_action, lam
 
 
@@ -135,8 +134,8 @@ def test_q_learner_with_zero_weight_goes_unconstrained():
     m = two_action_chain()
     env = SampledKernelEnv(m, seed="5:env")
     cfg = ExperimentConfig(episodes=1200, lambda0=0.0, lambda_floor=1e-9)
-    q, _log, _ = safe_q_learning(env, cfg, 5)
-    key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
+    q, _log = safe_q_learning(env, cfg, 5)
+    key0 = q.key(m.s0, 0.0)
     assert q.greedy(q.row(key0)) == 1  # risky pays more unpenalized
 
 
@@ -155,7 +154,7 @@ def test_actor_critic_matches_unconstrained_value_without_costs():
     # With no cost pressure the entropy bonus is the only exploration driver;
     # it needs enough weight to get the second branch tried at all.
     cfg = ExperimentConfig(episodes=3000, alpha_ent=0.2, lr_actor=0.05)
-    _tables, log, _ = safe_actor_critic(env, cfg, 3)
+    _tables, log = safe_actor_critic(env, cfg, 3)
     tail_mean = statistics.fmean(r.ret for r in log[-500:])
     assert abs(tail_mean - best) / best <= 0.05
 
@@ -164,8 +163,8 @@ def test_actor_critic_prefers_safe_under_pressure():
     m = two_action_chain()
     env = SampledKernelEnv(m, seed="9:env")
     cfg = ExperimentConfig(episodes=2000, lambda0=1.0, lambda_floor=1.0)
-    tables, _log, _ = safe_actor_critic(env, cfg, 9)
-    key0 = obs_key(m.s0, 0.0, env.budget, cfg.key_quantum)
+    tables, _log = safe_actor_critic(env, cfg, 9)
+    key0 = tables.key(m.s0, 0.0)
     assert tables.probabilities(tables.row(key0))[0] >= 0.95
 
 
@@ -189,14 +188,14 @@ def test_training_log_shape_and_determinism():
     for _ in range(2):
         env = SampledKernelEnv(m, seed="7:env")
         cfg = ExperimentConfig(episodes=50)
-        _q, log, _ = safe_q_learning(env, cfg, 7)
+        _q, log = safe_q_learning(env, cfg, 7)
         runs.append([(r.episode, r.ret, r.final_cost, r.lam, r.explore) for r in log])
     assert runs[0] == runs[1]
     assert [r[0] for r in runs[0]] == list(range(50))
 
 
 def test_polyak_blends_then_settles_until_the_next_write():
-    tables = ActorCriticTables(2, alpha_ent=0.1)
+    tables = ActorCriticTables(2, 2.0, 0.1, alpha_ent=0.1)
     r = tables.row((0, 0))
     rho = 0.5
     tables.learn_critic(r, 1, 0.5, 2.0, 4.0)
@@ -226,7 +225,7 @@ def test_polyak_blends_then_settles_until_the_next_write():
 
 
 def test_store_rows_survive_growth_and_export_read_keys_only():
-    tables = ActorCriticTables(3, alpha_ent=0.1)
+    tables = ActorCriticTables(3, 2.0, 0.1, alpha_ent=0.1)
     for s in range(200):  # past the initial capacity, several doublings
         r = tables.row((s, 0))
         tables.step_actor(r, s % 3, 0.25, tables.probabilities(r))
@@ -237,5 +236,5 @@ def test_store_rows_survive_growth_and_export_read_keys_only():
     assert out["q1"] == {((7, 0), 2): 0.5}
     assert out["qd1"] == {((7, 0), 2): -0.5}
     assert all(type(v) is float for table in out.values() for v in table.values())
-    again = ActorCriticTables.from_sections(out, 3, alpha_ent=0.1)
+    again = ActorCriticTables.from_sections(out, 3, 2.0, 0.1, alpha_ent=0.1)
     assert again.sections() == out

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmdp_forge import solver
 from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, large_grid, make_chain, make_gridworld, tiny_grid
@@ -611,3 +612,29 @@ def test_worst_case_is_scored_exactly_or_names_the_walked_dead_end(m):
         return
     K = m.n_constraints
     assert evaluate_policy(build_extended(m, [0.0] * K, [RN] * K, 0.5), policy) == value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_cmdps(), st.sampled_from([0.9, 1.0]), st.sampled_from([0.0, 0.5, 3.0]))
+def test_exact_identities_hold_on_random_discounted_models(m, discount, lam):
+    """Per scheme: the zero weight is the plain DP, and the greedy policy's
+    sweep and oracle values are the solve's.  A feasible worst case never
+    violates, and its oracle return is the masked value."""
+    m = replace(m, discount=discount)
+    K = m.n_constraints
+    for scheme in PenaltyScheme:
+        e = build_extended(m, [lam] * K, [scheme] * K, 0.5)
+        vt = backward_induction(e)
+        greedy = vt.greedy_policy(m.n_actions)
+        if lam == 0.0:
+            assert abs(vt.initial_value - unconstrained_value(m)[0]) <= 1e-9
+        assert abs(evaluate_policy(e, greedy) - vt.initial_value) <= 1e-9
+        oracle = stats(enumerate_trajectories(m, greedy, 0.5), m, [lam] * K, [scheme] * K)
+        assert abs(oracle.penalized_objective - vt.initial_value) <= 1e-9, scheme
+    try:
+        value, policy = worst_case_value(m, 0.5)
+    except WorstCaseInfeasible:
+        return
+    oracle = stats(enumerate_trajectories(m, policy, 0.5), m)
+    assert oracle.violation_prob == (0.0,) * K
+    assert abs(oracle.expected_return - value) <= 1e-9

@@ -1,5 +1,6 @@
+import math
 import re
-from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmdp_forge.fixtures import fixture_pack, two_action_chain
-from cmdp_forge.learners import ActorCriticTables, TableStore
+from cmdp_forge.cli import _checkpoint
+from cmdp_forge.learners import STORES
 from cmdp_forge.model import validate_cmdp
 from cmdp_forge.textio import (
     FormatError,
@@ -161,10 +163,38 @@ _META = st.fixed_dictionaries({
     for name, valid, invalid in (
         ("n_actions", ["2", "1", "4"], [None, "0", "-2", "2.5", "nan", "inf", "two"]),
         ("quantum", ["1", "0.25"], [None, "0", "-1", "nan", "inf"]),
-        ("budget", ["2", "nan"], [None, "x"]),
+        ("budget", ["2"], [None, "nan", "x"]),
         ("alpha_ent", ["0.1", None], ["0", "-1", "nan", "inf"]),
     )
 })
+
+
+# Each learner's checkpoint keys, the sections it writes and those older versions wrote.
+_WRITES = {
+    "safe_q": (("n_actions", "budget", "quantum"), ("q",), ()),
+    "safe_ac": (("n_actions", "budget", "quantum", "alpha_ent"), ("logits", "q1", "qd1"), ("q2", "qd2")),
+}
+
+
+def _store_refusal(learner, tables, meta, env):
+    """The start of the message the checkpoint's store refuses it with, or None."""
+    if learner not in _WRITES:
+        return "unknown learner"
+    keys, names, dropped = _WRITES[learner]
+    foreign_keys = [key for key in meta if key not in keys]
+    if foreign_keys:
+        return f"checkpoint key {foreign_keys[0]} is not one that {learner} writes"
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        return f"checkpoint missing a {missing[0]} key"
+    for key in ("n_actions", "budget"):
+        if meta[key] != getattr(env, key):
+            return f"checkpoint {key} = "
+    foreign = [name for name in tables if name not in names + dropped]
+    if foreign:  # the first section its learner does not write is named
+        return f"section [{foreign[0]}] is not one that {learner} writes"
+    bad = [key for key in ("quantum", "alpha_ent") if key in meta and not 0.0 < meta[key] < math.inf]
+    return f"{bad[0]}: want finite and > 0, got " if bad else None
 
 
 @settings(max_examples=400, deadline=None)
@@ -173,25 +203,30 @@ _META = st.fixed_dictionaries({
     _META,
     st.one_of(st.lists(_TABLE_LINE, max_size=8), st.lists(_ANY_LINE, max_size=8)),
 )
-def test_any_checkpoint_text_loads_or_raises_format_error(learner, meta, lines):
+def test_any_checkpoint_text_loads_or_raises_a_named_error(learner, meta, lines):
+    """``load_checkpoint`` reads the format; the store of the learner it names
+    checks the keys, the sections and the values the store is built from."""
+    if learner == "safe_q" and meta["alpha_ent"] == "0.1":
+        meta = {**meta, "alpha_ent": None}  # a valid safe_q checkpoint has no alpha_ent
     head = ["format = checkpoint.v1", f"learner = {learner}"]
     head += [f"{name} = {value}" for name, value in meta.items() if value is not None]
+    text = "\n".join(head + lines) + "\n"
     try:
-        learner, tables, meta = load_checkpoint("\n".join(head + lines) + "\n")
+        learner, tables, meta = load_checkpoint(text)
     except FormatError:
         return
-    n_actions = int(meta["n_actions"])
-    if learner == "safe_q":
-        load, names, dropped = partial(TableStore.from_sections, tables, n_actions), ("q",), ()
-    else:
-        load = partial(ActorCriticTables.from_sections, tables, n_actions, meta["alpha_ent"])
-        names, dropped = ("logits", "q1", "qd1"), ("q2", "qd2")
-    foreign = [name for name in tables if name not in names + dropped]
-    if foreign:  # the first section its learner does not write is named
-        with pytest.raises(ValueError, match=rf"^section \[{re.escape(foreign[0])}\] is not one that {learner} writes"):
-            load()
+    n = meta.get("n_actions")  # an environment that every valid count of the draw fits
+    env = SimpleNamespace(n_actions=int(n) if n in (1.0, 2.0, 4.0) else 2, budget=2.0)
+    refusal = _store_refusal(learner, tables, meta, env)
+    if refusal is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
+            _checkpoint(text, env)
         return
-    out = load().sections()
+    store = _checkpoint(text, env)
+    keys, names, _dropped = _WRITES[learner]
+    assert type(store) is STORES[learner]
+    assert {key: getattr(store, key) for key in keys} == meta
+    out = store.sections()
     for name in names:
         for entry, value in tables.get(name, {}).items():
             assert repr(out[name][entry]) == repr(value)

@@ -68,11 +68,12 @@ class PolicyUndefined(KeyError):
 
 
 def quantize(value: float, quantum: float, what: str) -> int:
-    n = round(value / quantum)
+    ratio = value / quantum
+    if not math.isfinite(ratio):  # a quantum too small for the value
+        raise QuantizationError(f"{what} = {value} over the quantum {quantum} is not finite")
+    n = round(ratio)
     if abs(value - n * quantum) > QUANTIZE_TOL * max(1.0, abs(value)):
-        raise QuantizationError(
-            f"{what} = {value} is not a multiple of the quantum {quantum}"
-        )
+        raise QuantizationError(f"{what} = {value} is not a multiple of the quantum {quantum}")
     return n
 
 
@@ -83,7 +84,7 @@ def ledger_rule(m: Cmdp, quantum: float) -> Callable[[tuple[int, ...], int], tup
     c <- c + d(s_next) per constraint, collapsing over budget into VIOLATED.
     Kept on the model: ``augment`` and the oracle share it.  Raises, and
     keeps nothing, for a quantum that is not finite and > 0 (ValueError)
-    and for a cost or budget that is not a multiple of it
+    and for a cost or budget that is not a finite multiple of it
     (QuantizationError).
     """
     if ("ledger_rule", quantum) in m._derived:
@@ -250,8 +251,9 @@ def augment(m: Cmdp, quantum: float) -> ExtendedMdp:
     Walked once per (model, quantum) and kept on the model.  The walk stops
     at the first t with layer t+1 equal to layer t; layers t..T share that
     tuple, compiled[t..T-1] its ``Layer``.  This is exact: layer t+1 reads
-    only layer t's node tuple and data that do not depend on t (``reach``,
-    ``advance``), so one repeat implies every later one.
+    only layer t's node tuple and data that do not depend on t (the model's
+    ``moves``, which are the edges, its ``reach``, which orders each node's
+    successors, and ``advance``), so one repeat implies every later one.
     Raises on costs or budgets that do not quantize, and when the walk
     reaches more than MAX_STATES states.
     """
@@ -260,19 +262,16 @@ def augment(m: Cmdp, quantum: float) -> ExtendedMdp:
         return e
     advance = ledger_rule(m, quantum)
     K, S, A = m.n_constraints, m.n_states, m.n_actions
-    # The successor lists as ``_layer``'s slots, J the longest list.
-    lists = {(s, a): m.successors(s, a) for s in range(S) for a in m.actions_at(s)}
-    succ = np.zeros((max(map(len, lists.values())), S * A), dtype=np.intp)
+    # The model's moves as ``_layer``'s slots, J the longest successor list.
+    succ = np.zeros((max(len(row) for acts in m.moves for _a, row in acts), S * A), dtype=np.intp)
     prob, degree = np.zeros(succ.shape), np.zeros((S, A), dtype=np.intp)
-    for (s, a), row in lists.items():
-        degree[s, a] = len(row)
-        for j, (s2, p) in enumerate(row):
-            succ[j, s * A + a], prob[j, s * A + a] = s2, p
+    for s, acts in enumerate(m.moves):
+        for a, row in acts:
+            degree[s, a] = len(row)
+            for j, (s2, p) in enumerate(row):
+                succ[j, s * A + a], prob[j, s * A + a] = s2, p
     slots = succ, prob, degree, m.reward.ravel()
-    # Per state, its distinct successors over all its actions, first-seen
-    # order: the next layer is discovered in the same order as a walk over
-    # every (action, successor) pair, and the arrival depends on the successor only.
-    reach = [tuple(dict.fromkeys(s2 for a in m.actions_at(s) for s2, _p in lists[s, a])) for s in range(S)]
+    reach = m.reach  # successors in the order a walk over every (action, successor) pair meets them
     initial = (m.s0, advance((0,) * K, m.s0))
     seen: dict[AugState, AugState] = {initial: initial}  # insertion-ordered; layers reuse these
     layers: list[tuple[AugState, ...]] = [(initial,)]

@@ -9,14 +9,15 @@ Conventions used by every module in this package:
     cost for constraint k is the sum of d_k over all T+1 visited states.
   * "Violation" is strict: a trajectory violates constraint k when its total
     cost exceeds the budget; a total exactly equal to the budget is safe.
-  * Instances are valid (checked once, on construction) and frozen after
-    it, and safe to share across workers.
+  * Instances are valid (checked once, on construction), read their kernel
+    once (``moves``, ``reach``), are frozen and are safe to share across workers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -65,14 +66,17 @@ class Cmdp:
         for every available action.
     reward: (S, A) array of task rewards.
     costs: (K, S) array of non-negative per-state costs, one row per
-        constraint.
+        constraint; K >= 1.
     budgets: K positive cumulative-cost budgets.
     horizon: number of action steps T (episodes visit T+1 states).
     discount: per-step discount in (0, 1].
-    available: optional (S, A) boolean mask; None means every action is
-        available in every state.
+    available: (S, A) boolean mask, stored in full; None means every action
+        is available in every state.
     Construction raises ValueError("invalid model: ...") listing every
-    problem ``validate_cmdp`` finds.
+    problem ``validate_cmdp`` finds.  One ``np.nonzero`` over the available
+    rows then fills ``moves[s]`` (each available action of s with its
+    (successor, probability) pairs, as ``successors`` serves them) and
+    ``reach[s]`` (s's distinct successors, first-seen order).
     """
 
     transition: np.ndarray
@@ -85,7 +89,9 @@ class Cmdp:
     available: np.ndarray | None = None
     state_names: tuple[str, ...] | None = None
     action_names: tuple[str, ...] | None = None
-    _succ: dict = field(init=False, repr=False, compare=False)
+    moves: tuple = field(init=False, repr=False, compare=False)
+    reach: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _succ: dict = field(init=False, repr=False, compare=False)  # (s, a) -> its pairs in ``moves``
     # (function name, quantum[, k or scheme]) -> that function's lambda-free
     # result, formed once per model and written only by it:
     # ``extended.ledger_rule`` and ``augment``'s, ``solver.worst_case_value``'s,
@@ -100,20 +106,23 @@ class Cmdp:
             costs = costs[None, :]
         object.__setattr__(self, "costs", _frozen(costs))
         object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
-        if self.available is not None:
-            object.__setattr__(self, "available", _frozen(np.asarray(self.available, dtype=bool)))
+        available = np.ones((self.n_states, self.n_actions)) if self.available is None else self.available
+        object.__setattr__(self, "available", _frozen(np.asarray(available, dtype=bool)))
         problems = validate_cmdp(self)
         if problems:
             raise ValueError("invalid model: " + "; ".join(problems))
-        # Successor lists are consulted in every solver/oracle inner loop;
-        # precompute them once.
-        succ: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-        for s in range(self.n_states):
-            for a in self.actions_at(s):
-                row = self.transition[s, a]
-                succ[(s, a)] = tuple(
-                    (int(j), float(row[j])) for j in np.nonzero(row)[0]
-                )
+        s_of, a_of, s2_of = np.nonzero(self.available[:, :, None] & (self.transition != 0.0))
+        pairs = list(zip(s2_of.tolist(), self.transition[s_of, a_of, s2_of].tolist()))
+        # Each available row sums to one and each state has an action, so every
+        # available (s, a) is one run of entries and every state one run of pairs.
+        starts = np.flatnonzero(np.diff(s_of * self.n_actions + a_of, prepend=-1)).tolist()
+        succ = {(s, a): tuple(pairs[i:j]) for s, a, i, j in zip(
+            s_of[starts].tolist(), a_of[starts].tolist(), starts, starts[1:] + [len(pairs)])}
+        moves = tuple(tuple((a, row) for (_s, a), row in run)
+                      for _s, run in groupby(succ.items(), lambda item: item[0][0]))
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "reach", tuple(tuple(dict.fromkeys(s2 for _a, row in acts for s2, _p in row))
+                                                for acts in moves))
         object.__setattr__(self, "_succ", succ)
 
     @property
@@ -129,9 +138,7 @@ class Cmdp:
         return self.costs.shape[0]
 
     def actions_at(self, s: int) -> list[int]:
-        if self.available is None:
-            return list(range(self.n_actions))
-        return [a for a in range(self.n_actions) if self.available[s, a]]
+        return [a for a, _succ in self.moves[s]]
 
     def successors(self, s: int, a: int) -> tuple[tuple[int, float], ...]:
         """Positive-probability (state, probability) pairs for (s, a)."""
@@ -148,6 +155,7 @@ def validate_cmdp(m: Cmdp) -> list[str]:
 
     Validation never raises: an empty list means the model is well formed,
     otherwise each entry names the offending field, index and measured value.
+    Each kind of breach is listed in ascending index order, kind after kind.
     """
     problems: list[str] = []
     S, A = m.n_states, m.n_actions
@@ -167,31 +175,25 @@ def validate_cmdp(m: Cmdp) -> list[str]:
     costs_fit = m.costs.shape[1] == S
     if not costs_fit:
         problems.append(f"costs: shape {m.costs.shape} inconsistent with {S} states")
+    if m.n_constraints == 0:
+        problems.append("costs: at least one constraint is required")
     if len(m.budgets) != m.n_constraints:
-        problems.append(
-            f"budgets: {len(m.budgets)} entries for {m.n_constraints} cost functions"
-        )
+        problems.append(f"budgets: {len(m.budgets)} entries for {m.n_constraints} cost functions")
     for k, b in enumerate(m.budgets):
         if not 0.0 < b < math.inf:
             problems.append(f"budgets[{k}]: must be finite and > 0, got {b}")
-    for k in range(m.n_constraints if costs_fit else 0):
-        for s in range(S):
-            d = m.costs[k, s]
-            if not 0.0 <= d < math.inf:
-                problems.append(f"costs[{k}][s={s}]: must be finite and >= 0, got {d}")
-    for s in range(S):
-        acts = m.actions_at(s)
-        if not acts:
-            problems.append(f"available[s={s}]: no available action")
-        for a in acts:
-            row = m.transition[s, a]
-            for j in np.nonzero(~(row >= 0.0))[0]:  # NaN included; inf fails the sum
-                problems.append(
-                    f"transition[s={s},a={a},s'={int(j)}]: must be >= 0, got {row[j]}"
-                )
-            total = float(row.sum())
-            if abs(total - 1.0) > PROB_TOL:
-                problems.append(f"transition[s={s},a={a}]: row sums to {total}")
+    for k, s in np.argwhere(~((m.costs >= 0.0) & (m.costs < math.inf)) & costs_fit).tolist():
+        problems.append(f"costs[{k}][s={s}]: must be finite and >= 0, got {m.costs[k, s]}")
+    if m.available.shape != (S, A):
+        return problems + [f"available: shape {m.available.shape} != {(S, A)}"]
+    for s in np.flatnonzero(~m.available.any(axis=1)).tolist():
+        problems.append(f"available[s={s}]: no available action")
+    # NaN fails ">= 0", inf fails the sum, and a NaN sum is no breach of its own.
+    for s, a, j in np.argwhere(m.available[:, :, None] & ~(m.transition >= 0.0)).tolist():
+        problems.append(f"transition[s={s},a={a},s'={j}]: must be >= 0, got {m.transition[s, a, j]}")
+    totals = m.transition.sum(axis=2)
+    for s, a in np.argwhere(m.available & (abs(totals - 1.0) > PROB_TOL)).tolist():
+        problems.append(f"transition[s={s},a={a}]: row sums to {float(totals[s, a])}")
     return problems
 
 

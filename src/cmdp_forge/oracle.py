@@ -65,17 +65,17 @@ def enumerate_trajectories(
     The running ledger is tracked only to form policy lookup keys (the
     solver's own ``ledger_rule``, kept on the model) into the policy's
     (t, s, ledger) table; probabilities and costs are pure path products
-    and sums.  A node one step before the horizon appends its leaves
-    directly, each successor's state path formed once for all its actions
-    and interned, so every path along one state path holds one tuple.
+    and sums.  Nodes read the model's ``moves`` and ``reach``.  A node one
+    step before the horizon appends its leaves directly, each successor's
+    state path formed once for all its actions and interned, so every path
+    along one state path holds one tuple.
     Raises EnumerationCapExceeded past TRAJECTORY_CAP paths, and wherever
     ``ledger_rule`` does.
     """
     advance = ledger_rule(m, quantum)
     table = policy.table()
     T = m.horizon
-    moves: dict[int, list[tuple[int, tuple[tuple[int, float], ...]]]] = {}
-    ends: dict[int, list[int]] = {}  # s -> its distinct successors over every action
+    moves, reach = m.moves, m.reach
     paths: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct state path, interned
 
     out: list[Trajectory] = []
@@ -86,12 +86,9 @@ def enumerate_trajectories(
         row = table.get((t, s, ledger))
         if row is None:
             raise PolicyUndefined(f"policy has no row for augmented state {(t, s, ledger)}")
-        if s not in moves:
-            moves[s] = [(a, m.successors(s, a)) for a in m.actions_at(s)]
-            ends[s] = list(dict.fromkeys(s2 for _a, succ in moves[s] for s2, _p in succ))
         if t + 1 == T:
             full = {}  # successor -> its one state path, shared by every action
-            for s2 in ends[s]:
+            for s2 in reach[s]:
                 path = (*states_path, s2)
                 full[s2] = paths.setdefault(path, path)
         for a, succ in moves[s]:

@@ -219,17 +219,16 @@ def unconstrained_value(m: Cmdp) -> tuple[float, list[dict[int, int]]]:
 
     Kept independent of the augmented machinery so the zero-penalty
     equivalence check compares two separately coded routes.  Runs over
-    plain lists: the rewards and each state's (action, successors) read once.
+    plain lists: the rewards read once, and the model's ``moves``.
     """
     T = m.horizon
     pows = discount_powers(m.discount, T)
     reward = m.reward.tolist()
-    moves = [[(a, m.successors(s, a)) for a in m.actions_at(s)] for s in range(m.n_states)]
     vnext = [0.0] * m.n_states
     greedy: list[dict[int, int]] = [dict() for _ in range(T)]
     for t in range(T - 1, -1, -1):
         layer = []
-        for s, (row, acts) in enumerate(zip(reward, moves)):
+        for s, (row, acts) in enumerate(zip(reward, m.moves)):
             scored = []
             for a, succ in acts:
                 acc = pows[t] * row[a]

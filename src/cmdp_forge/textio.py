@@ -248,13 +248,14 @@ def load_checkpoint(text: str) -> tuple[str, dict[str, dict], dict[str, float]]:
     Which keys and sections a learner's checkpoint holds is for its table
     store to check; this reads the format alone.
     """
-    learner = None
+    learner = fmt = None
     meta: dict[str, float] = {}
     tables: dict[str, dict] = {}
     for lineno, section, key, value in _parse_lines(text):
         try:
             if section is None:
                 if key == "format":
+                    fmt = value
                     if value != "checkpoint.v1":
                         raise FormatError(f"unsupported checkpoint format {value!r}")
                 elif key == "learner":
@@ -282,6 +283,7 @@ def load_checkpoint(text: str) -> tuple[str, dict[str, dict], dict[str, float]]:
             if isinstance(exc, FormatError):
                 raise
             raise FormatError(f"line {lineno}: {exc}") from None
-    if learner is None:
-        raise FormatError("checkpoint missing a learner key")
+    for key, value in (("format", fmt), ("learner", learner)):
+        if value is None:
+            raise FormatError(f"checkpoint missing a {key} key")
     return learner, tables, meta

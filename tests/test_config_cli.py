@@ -117,7 +117,7 @@ _CONFIG_LINE = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(st.sampled_from(["env.preset = desk", "env.kind = chain", ""]), st.lists(_CONFIG_LINE, max_size=6))
 def test_any_config_text_loads_or_raises_config_error(head, lines):
     try:
@@ -585,6 +585,13 @@ BAD_INPUTS = {
     **{f"quantum-{q}": ("bounds", CHAIN_MODEL, ["--quantum", q], None,
                         f"quantum: must be finite and > 0, got {float(q)}")
        for q in ("0", "-1", "inf", "nan")},
+    # A quantum so small that a cost over it is not a finite number of quanta.
+    "quantum-1e-320":
+        ("bounds", CHAIN_MODEL, ["--quantum", "1e-320"], None,
+         "costs[0][s=2] = 3.0 over the quantum 1e-320 is not finite"),
+    "checkpoint-no-format":
+        ("evaluate", Q_CHECKPOINT.replace("format = checkpoint.v1\n", ""), [], CHAIN_EVAL,
+         "checkpoint missing a format key"),
 }
 
 

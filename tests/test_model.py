@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute import small_cmdps
+from cmdp_forge.envs import ChainBranch, ChainSpec, make_chain
 from cmdp_forge.fixtures import two_action_chain
 from cmdp_forge.model import (
+    PROB_TOL,
     Cmdp,
     Trajectory,
     discounted_return,
@@ -80,6 +83,70 @@ def test_broken_transition_row_is_reported():
     wide[:, 0, 2] = 1.0
     assert refused(lambda: Cmdp(transition=wide, reward=line.reward, costs=line.costs,
                                 budgets=(1.0,), horizon=1)) == ["transition: shape (2, 1, 3) != (2, 1, 2)"]
+
+
+def test_model_without_a_constraint_is_refused():
+    spec = ChainSpec(branches=(ChainBranch("a", 1.0, ((1.0, ()),)),), budgets=())
+    assert refused(lambda: make_chain(spec)) == ["costs: at least one constraint is required"]
+
+
+def kernel_problems(transition, available) -> list[str]:
+    """The kernel problems of (transition, available), entry by entry: the
+    mask's shape, then states with no action, negative or NaN entries of
+    available rows, and available rows that do not sum to one."""
+    S, A = transition.shape[:2]
+    if available.shape != (S, A):
+        return [f"available: shape {available.shape} != {(S, A)}"]
+    idle, entries, sums = [], [], []
+    for s in range(S):
+        if not available[s].any():
+            idle.append(f"available[s={s}]: no available action")
+        for a in range(A):
+            if not available[s, a]:
+                continue
+            for j in range(S):
+                if not transition[s, a, j] >= 0.0:
+                    entries.append(f"transition[s={s},a={a},s'={j}]: must be >= 0, got {transition[s, a, j]}")
+            total = float(transition[s, a].sum())
+            if abs(total - 1.0) > PROB_TOL:
+                sums.append(f"transition[s={s},a={a}]: row sums to {total}")
+    return idle + entries + sums
+
+
+@settings(max_examples=120)
+@given(small_cmdps(), st.sampled_from(["negative", "row", "idle", "short"]), st.integers(0, 10**6))
+def test_kernel_structure_and_problems_match_a_per_entry_reference(m, corruption, pick):
+    """``moves``, ``reach`` and ``successors`` are the dense kernel's rows read
+    one by one, and a kernel broken one way is refused with exactly the
+    problems an entry-by-entry walk lists."""
+    S, A = m.n_states, m.n_actions
+    moves, reach = [], []
+    for s in range(S):
+        acts = [(a, tuple((j, float(m.transition[s, a, j])) for j in range(S) if m.transition[s, a, j] != 0.0))
+                for a in range(A) if m.available[s, a]]
+        seen = []
+        for _a, succ in acts:
+            seen += [j for j, _p in succ if j not in seen]
+        moves.append(tuple(acts))
+        reach.append(tuple(seen))
+    assert m.moves == tuple(moves) and m.reach == tuple(reach)
+    assert all(m.successors(s, a) == succ for s in range(S) for a, succ in moves[s])
+    assert all(m.actions_at(s) == [a for a, _succ in moves[s]] for s in range(S))
+
+    transition, available = np.array(m.transition), np.array(m.available)
+    s, a = np.argwhere(available)[pick % available.sum()]
+    if corruption == "negative":
+        transition[s, a, pick % S] = -0.5
+    elif corruption == "row":
+        transition[s, a, pick % S] += 0.5
+    elif corruption == "idle":
+        available[s] = False
+    else:
+        available = available[:-1]
+    expected = kernel_problems(transition, available)
+    assert expected
+    assert refused(lambda: Cmdp(transition=transition, reward=m.reward, costs=m.costs, budgets=m.budgets,
+                                horizon=m.horizon, s0=m.s0, available=available)) == expected
 
 
 LENGTH_MESSAGE = r"trajectory has 2 states and 2 actions; want \|states\| = \|actions\| \+ 1"

@@ -601,7 +601,7 @@ def dead_end_by_walk(m, quantum):
     raise AssertionError("no dead end along feasible actions")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(small_cmdps())
 def test_worst_case_is_scored_exactly_or_names_the_walked_dead_end(m):
     try:
@@ -614,7 +614,7 @@ def test_worst_case_is_scored_exactly_or_names_the_walked_dead_end(m):
     assert evaluate_policy(build_extended(m, [0.0] * K, [RN] * K, 0.5), policy) == value
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(small_cmdps(), st.sampled_from([0.9, 1.0]), st.sampled_from([0.0, 0.5, 3.0]))
 def test_exact_identities_hold_on_random_discounted_models(m, discount, lam):
     """Per scheme: the zero weight is the plain DP, and the greedy policy's

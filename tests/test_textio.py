@@ -197,7 +197,7 @@ def _store_refusal(learner, tables, meta, env):
     return f"{bad[0]}: want finite and > 0, got " if bad else None
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(
     st.sampled_from(["safe_ac"] * 4 + ["safe_q"] * 4 + ["other"]),
     _META,
@@ -267,7 +267,7 @@ _MODEL_PARTS = st.tuples(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_MODEL_PARTS)
 def test_any_model_text_loads_or_raises_format_error(parts):
     scalars, states, actions, transitions, rewards, cost_header, costs, extra = parts

@@ -97,7 +97,7 @@ def test_brute_force_names_the_rival_that_beats_a_dominated_policy():
 MAX_POLICIES = 16  # the property test skips models with more deterministic policies
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(small_cmdps())
 def test_every_frontier_policy_is_optimal_at_its_summed_level(m):
     # Weak duality bounds the return of any policy at a summed level no
@@ -130,7 +130,7 @@ branch_costs = st.lists(
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(branch_rewards, branch_costs, st.sampled_from([0.25, 0.5, 1.5, 4.0]))
 def test_solver_matches_oracle_on_random_chains(rewards, costs, lam):
     n = min(len(rewards), len(costs))

@@ -280,8 +280,9 @@ def augment(m: Cmdp, quantum: float) -> ExtendedMdp:
         nodes = layers[t]
         layer = _layer(nodes, quantum, slots)
         nxt: dict[AugState, int] = {}
+        rows = [[-1] * S for _ in range(len(layer.nx))]  # nx as lists, -1: (L, s2) not seen yet
         for (s, ledger), l in zip(nodes, layer.ledger.tolist()):
-            row = layer.nx[l]  # -1: (L, s2) not seen yet
+            row = rows[l]
             for s2 in reach[s]:
                 if row[s2] >= 0:
                     continue
@@ -296,6 +297,7 @@ def augment(m: Cmdp, quantum: float) -> ExtendedMdp:
                         seen[x2] = x2
                     j = nxt[seen[x2]] = len(nxt)
                 row[s2] = j
+        layer.nx[:] = rows
         layer.nx.setflags(write=False)
         compiled.append(layer)
         if tuple(nxt) == nodes:  # the fixed point: every later layer repeats this one

@@ -99,15 +99,16 @@ class Cmdp:
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "transition", _frozen(np.asarray(self.transition, dtype=float)))
-        object.__setattr__(self, "reward", _frozen(np.asarray(self.reward, dtype=float)))
-        costs = np.asarray(self.costs, dtype=float)
+        # Copies, so the model owns what it freezes and the caller's arrays stay writable.
+        object.__setattr__(self, "transition", _frozen(np.array(self.transition, dtype=float)))
+        object.__setattr__(self, "reward", _frozen(np.array(self.reward, dtype=float)))
+        costs = np.array(self.costs, dtype=float)
         if costs.ndim == 1:
             costs = costs[None, :]
         object.__setattr__(self, "costs", _frozen(costs))
         object.__setattr__(self, "budgets", tuple(float(b) for b in self.budgets))
         available = np.ones((self.n_states, self.n_actions)) if self.available is None else self.available
-        object.__setattr__(self, "available", _frozen(np.asarray(available, dtype=bool)))
+        object.__setattr__(self, "available", _frozen(np.array(available, dtype=bool)))
         problems = validate_cmdp(self)
         if problems:
             raise ValueError("invalid model: " + "; ".join(problems))

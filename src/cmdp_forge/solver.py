@@ -31,6 +31,15 @@ per distinct layer and call, takes each (action, node) value from
 ``Layer.backup`` and the max or the policy expectation over actions.  The
 forward walk (``_first_undefined``) steps with ``Layer.push``; neither
 reads the edge layout, which ``extended.Layer`` keeps to itself.
+
+An epoch is a deterministic function of its layer, penalty table, reward
+scale, V(t+1) and (under a policy) rows, so an epoch whose inputs are the
+last computed epoch's, the same objects and the same bytes, reuses its
+values.  That happens below the walk's fixed point, where every epoch shares
+one ``Layer``, once the values stop changing: rn and cvar on the large grid
+run about 75 of their 200 backups.  Value-at-risk with a weight (a new
+table per epoch), a discount below one with rewards on (a new scale per
+epoch) and a policy whose rows change never match.
 """
 
 from __future__ import annotations
@@ -160,6 +169,12 @@ def _sweep(
     plus the expected arrival term, every float the one a per-edge scalar
     recursion gives, -inf where unavailable.  A -inf arrival term makes the
     action -inf, which is how masking propagates.
+
+    An epoch whose inputs are those of the last epoch computed (the same
+    ``Layer`` and penalty table objects, an equal scale, and V(t+1) and the
+    policy rows equal byte for byte) gives the same output, so it takes
+    V(t) = V(t+1) and greedy[t] = greedy[t+1] with no backup.  Bytes, not
+    ``==``: a NaN still matches itself and -0.0 against 0.0 counts as a change.
     """
     m = e.base
     T = m.horizon
@@ -171,20 +186,30 @@ def _sweep(
     last = e.compiled[T]
     vnext = np.full(len(last.cost), terminal, dtype=float)[last.ledger]
     greedy: list[np.ndarray] = [None] * T
+    prev = None  # the inputs of the last epoch computed: (layer, PEN, scale, V(t+1), rows)
     for t in range(T - 1, -1, -1):
         layer = e.compiled[t]
         if id(layer) not in pens:
             pens[id(layer)] = _arrival_penalties(e, layer, costs)
         pen = pens[id(layer)]
+        table = None if pen is None else pen(t + 1)
+        scale = pows[t] if rewards else 0.0
+        rows = None if policy is None else policy.rows[t]
+        if (prev is not None and layer is prev[0] and table is prev[1] and scale == prev[2]
+                and vnext.tobytes() == prev[3].tobytes()
+                and (rows is None or rows.tobytes() == prev[4].tobytes())):
+            greedy[t] = greedy[t + 1]  # the same inputs give the same V(t) = V(t+1)
+            continue
+        prev = layer, table, scale, vnext, rows
         w = vnext[layer.nx]
-        if pen is not None:
-            w -= pen(t + 1)
-        acc = layer.backup(w, pows[t] if rewards else 0.0)  # (A, n)
+        if table is not None:
+            w -= table
+        acc = layer.backup(w, scale)  # (A, n)
         if policy is None:
             values = acc.max(axis=0)
             greedy[t] = np.argmax(layer.ok & (acc >= values - TIE_TOL), axis=0)
         else:
-            pi = policy.rows[t].T
+            pi = rows.T
             # Zeroing zero-probability actions keeps 0 * -inf, and 0 * NaN
             # from an unreached node, out of the sum; mass on an unavailable
             # action meets its -inf, and a NaN entry makes its node NaN.

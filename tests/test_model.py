@@ -90,6 +90,26 @@ def test_model_without_a_constraint_is_refused():
     assert refused(lambda: make_chain(spec)) == ["costs: at least one constraint is required"]
 
 
+def test_the_model_keeps_copies_and_leaves_the_callers_arrays_writable():
+    transition = np.zeros((2, 2, 2))
+    transition[:, :, 1] = 1.0
+    reward = np.array([[1.0, 2.0], [0.0, 0.0]])
+    costs = np.array([[0.0, 1.0]])
+    available = np.ones((2, 2), dtype=bool)
+    m = Cmdp(transition=transition, reward=reward, costs=costs, budgets=(1.0,), horizon=1,
+             available=available)
+    moves = m.moves
+    transition[0, 0] = (0.5, 0.5)
+    reward[0, 0] = 9.0
+    costs[0, 1] = 5.0
+    available[0, 1] = False
+    assert m.transition[0, 0].tolist() == [0.0, 1.0] and m.reward[0, 0] == 1.0
+    assert m.costs[0, 1] == 1.0 and m.available.all()
+    assert m.moves == moves == (((0, ((1, 1.0),)), (1, ((1, 1.0),))),
+                                ((0, ((1, 1.0),)), (1, ((1, 1.0),))))
+    assert not m.transition.flags.writeable and not m.available.flags.writeable
+
+
 def kernel_problems(transition, available) -> list[str]:
     """The kernel problems of (transition, available), entry by entry: the
     mask's shape, then states with no action, negative or NaN entries of

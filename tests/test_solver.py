@@ -13,6 +13,7 @@ from cmdp_forge import solver
 from cmdp_forge.envs import ChainBranch, ChainSpec, desk_grid, large_grid, make_chain, make_gridworld, tiny_grid
 from cmdp_forge.extended import (
     VIOLATED,
+    Layer,
     PolicyUndefined,
     QuantizationError,
     TabularPolicy,
@@ -362,6 +363,70 @@ def test_large_grid_results_are_bit_identical_to_the_padded_sweep(large, scheme)
         worst_case_value(large, 0.25)
     assert str(exc.value) == ("worst-case constrained problem is infeasible: "
                               "no feasible action at r7c6@1.0 with ledger (4,) at step 1")
+
+
+# The three pins on the noise-free large grid at lambda = 0 (rn), recorded
+# from a sweep that ran Layer.backup at every one of the 200 epochs.
+LARGE_NOISE_FREE_PINS = (
+    "92.99999999999997",
+    "2c8a1725d757af450ebc5e23301bfcf84fccfb09b2b6517360fd22c05736b457",
+    "-126.44944178021731",
+)
+
+
+def test_noise_free_large_grid_results_are_bit_identical_to_the_full_sweep():
+    value, greedy_sha, random_value = LARGE_NOISE_FREE_PINS
+    m = make_gridworld(replace(large_grid(), noise_p=0.0), "exact")
+    e = build_extended(m, [0.0], [RN], 0.25)
+    vt = backward_induction(e)
+    rows = sorted((t, x, a) for t, (nodes, choice) in enumerate(zip(e.layers, vt.greedy))
+                  for x, a in zip(nodes, choice.tolist()))
+    assert repr(float(vt.initial_value)) == value
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == greedy_sha
+    policy = random_policy(m, 0.25, random.Random(7))
+    assert repr(float(evaluate_policy(e, policy))) == random_value
+    # Rows that change below the values' fixed point: uniform over the
+    # available actions for t < 100, greedy from there on.
+    uniform = [layer.ok.T / layer.ok.sum(axis=0)[:, None] for layer in e.compiled[:100]]
+    mixed = TabularPolicy(e.layers, (*uniform, *vt.greedy_policy(m.n_actions).rows[100:]))
+    assert repr(evaluate_policy(e, mixed)) == "5.031257389392898"
+
+
+def test_a_reward_scale_that_changes_below_the_fixed_point_is_charged():
+    # gamma^t underflows to 0.0 from t = 2: epochs 5..2 share their inputs,
+    # epochs 1 and 0 do not.
+    m = Cmdp(transition=[[[1.0]]], reward=[[1.0]], costs=[[0.0]], budgets=(1.0,), horizon=6,
+             discount=1e-200)
+    assert backward_induction(build_extended(m, [0.0], [RN], 1.0)).initial_value == 1.0
+    assert unconstrained_value(m)[0] == 1.0
+
+
+def test_an_epoch_with_the_last_computed_inputs_is_reused(monkeypatch, large, desk):
+    calls = []
+    real = Layer.backup
+    monkeypatch.setattr(Layer, "backup", lambda layer, w, scale: calls.append(1) or real(layer, w, scale))
+
+    def backups(m, scheme, lam=3.0, policy=None):
+        e = build_extended(m, [lam], [scheme], 0.25)
+        calls.clear()
+        vt = backward_induction(e)
+        counts = [len(calls)]
+        calls.clear()
+        evaluate_policy(e, policy or vt.greedy_policy(m.n_actions))
+        return counts + [len(calls)]
+
+    # From about epoch 150 down, V(t+1) of rn and cvar is bitwise V(t+2) on the
+    # shared layer; var builds a new penalty table every epoch.
+    assert backups(large, RN) == [76, 76]
+    assert backups(large, PenaltyScheme.CONDITIONAL_VALUE_AT_RISK) == [76, 76]
+    assert backups(large, PenaltyScheme.VALUE_AT_RISK) == [200, 200]
+    # A seeded random policy's rows differ between epochs.
+    assert backups(large, RN, policy=random_policy(large, 0.25, random.Random(7)))[1] == 200
+    # With discount < 1 the reward scale changes every epoch.
+    assert backups(replace(desk, discount=0.9), RN) == [50, 50]
+    noise_free = make_gridworld(replace(large_grid(), noise_p=0.0), "exact")
+    assert backups(noise_free, RN, 0.0) == [30, 30]
+    assert backups(replace(noise_free, discount=0.9), RN, 0.0) == [200, 200]
 
 
 def masked_model():

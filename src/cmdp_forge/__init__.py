@@ -10,7 +10,7 @@ brute-force trajectory oracle.
 
 from .envs import ChainBranch, ChainSpec, GridConfig, PitCost, make_chain, make_gridworld
 from .extended import ExtendedMdp, TabularPolicy, build_extended
-from .model import Cmdp, Trajectory, discounted_return, trajectory_cost, validate_cmdp
+from .model import Cmdp, Trajectory, validate_cmdp
 from .oracle import OracleStats, enumerate_trajectories, stats
 from .penalties import PenaltyScheme
 from .solver import (
@@ -39,13 +39,11 @@ __all__ = [
     "backward_induction",
     "build_extended",
     "cost_slack",
-    "discounted_return",
     "enumerate_trajectories",
     "lambda_bounds",
     "make_chain",
     "make_gridworld",
     "stats",
-    "trajectory_cost",
     "unconstrained_value",
     "validate_cmdp",
     "worst_case_value",

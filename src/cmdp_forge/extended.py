@@ -248,18 +248,27 @@ def _layer(nodes: tuple[AugState, ...], quantum: float, slots, last: bool = Fals
 def augment(m: Cmdp, quantum: float) -> ExtendedMdp:
     """The augmented space of ``m`` on the ``quantum`` grid, at zero weights.
 
-    Walked once per (model, quantum) and kept on the model.  The walk stops
-    at the first t with layer t+1 equal to layer t; layers t..T share that
-    tuple, compiled[t..T-1] its ``Layer``.  This is exact: layer t+1 reads
-    only layer t's node tuple and data that do not depend on t (the model's
-    ``moves``, which are the edges, its ``reach``, which orders each node's
-    successors, and ``advance``), so one repeat implies every later one.
+    Walked once per (model, quantum).  The walk stops at the first t with
+    layer t+1 equal to layer t; layers t..T share that tuple, compiled[t..T-1]
+    its ``Layer``.  This is exact: layer t+1 reads only layer t's node tuple
+    and data that do not depend on t (the model's ``moves``, which are the
+    edges, its ``reach``, which orders each node's successors, and
+    ``advance``), so one repeat implies every later one.  The model keeps
+    the space, not an ``ExtendedMdp``, whose ``base`` would hold the model
+    in a cycle; each call returns a new one over it.
     Raises on costs or budgets that do not quantize, and when the walk
     reaches more than MAX_STATES states.
     """
-    e = m._derived.get(("augment", quantum))
-    if e is not None:
-        return e
+    space = m._derived.get(("augment", quantum))
+    if space is None:
+        space = m._derived["augment", quantum] = _space(m, quantum)
+    K = m.n_constraints
+    return ExtendedMdp(m, (0.0,) * K, (PenaltyScheme.RISK_NEUTRAL,) * K, *space)
+
+
+def _space(m: Cmdp, quantum: float
+           ) -> tuple[tuple[AugState, ...], tuple[tuple[AugState, ...], ...], tuple[Layer, ...]]:
+    """``augment``'s walk: the states, layers and compiled layers of ``m``."""
     advance = ledger_rule(m, quantum)
     K, S, A = m.n_constraints, m.n_states, m.n_actions
     # The model's moves as ``_layer``'s slots, J the longest successor list.
@@ -308,15 +317,7 @@ def augment(m: Cmdp, quantum: float) -> ExtendedMdp:
     last = _layer(layers[-1], quantum, slots, last=True)
     last.nx.setflags(write=False)
     compiled.append(last)
-    e = m._derived["augment", quantum] = ExtendedMdp(
-        base=m,
-        lambdas=(0.0,) * K,
-        schemes=(PenaltyScheme.RISK_NEUTRAL,) * K,
-        states=tuple(seen),
-        layers=tuple(layers),
-        compiled=tuple(compiled),
-    )
-    return e
+    return tuple(seen), tuple(layers), tuple(compiled)
 
 
 def build_extended(

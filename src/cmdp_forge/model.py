@@ -94,8 +94,10 @@ class Cmdp:
     _succ: dict = field(init=False, repr=False, compare=False)  # (s, a) -> its pairs in ``moves``
     # (function name, quantum[, k or scheme]) -> that function's lambda-free
     # result, formed once per model and written only by it:
-    # ``extended.ledger_rule`` and ``augment``'s, ``solver.worst_case_value``'s,
-    # ``lambda_bounds``' and ``verification._frontier``'s.
+    # ``extended.ledger_rule``'s, ``augment``'s space (its states, layers and
+    # compiled layers, not an ``ExtendedMdp``), ``solver.worst_case_value``'s,
+    # ``lambda_bounds``' and ``verification._frontier``'s.  No entry refers
+    # back to the model, so a dropped model is freed by reference counting.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -198,6 +200,15 @@ def validate_cmdp(m: Cmdp) -> list[str]:
     return problems
 
 
+def check_lengths(n_states: int, n_actions: int) -> None:
+    """Raise ValueError unless a path of ``n_states`` states takes ``n_actions`` actions."""
+    if n_states != n_actions + 1:
+        raise ValueError(
+            f"trajectory has {n_states} states and "
+            f"{n_actions} actions; want |states| = |actions| + 1"
+        )
+
+
 class Trajectory(NamedTuple("Trajectory", [("states", tuple[int, ...]),
                                             ("actions", tuple[int, ...]),
                                             ("probability", "float | None")])):
@@ -206,35 +217,17 @@ class Trajectory(NamedTuple("Trajectory", [("states", tuple[int, ...]),
     ``probability`` is the product of policy and transition probabilities
     along the path, as the oracle's enumeration forms it.  A named tuple:
     immutable, hashable and cheap to build, so paths may share their state
-    and action tuples.  Every way of building one checks the lengths.
+    and action tuples.  Every way of building one checks the lengths: the
+    constructor per path, and the enumerator once per leaf node, whose
+    leaves all extend one state path and one action path by one entry each.
     """
 
     __slots__ = ()
 
     def __new__(cls, states, actions, probability=None):
-        if len(states) != len(actions) + 1:
-            raise ValueError(
-                f"trajectory has {len(states)} states and "
-                f"{len(actions)} actions; want |states| = |actions| + 1"
-            )
+        check_lengths(len(states), len(actions))
         return tuple.__new__(cls, (states, actions, probability))
 
     @classmethod
     def _make(cls, iterable):  # ``_replace`` builds through it
         return cls(*iterable)
-
-
-def trajectory_cost(traj: Trajectory, m: Cmdp, k: int = 0) -> float:
-    """Total cost of constraint k over all visited states, terminal included."""
-    if not (0 <= k < m.n_constraints):
-        raise IndexError(f"constraint index {k} outside 0..{m.n_constraints - 1}")
-    row = m.costs[k]
-    return math.fsum(row[s] for s in traj.states)
-
-
-def discounted_return(traj: Trajectory, m: Cmdp) -> float:
-    """Discounted task return; the terminal step contributes no reward."""
-    pows = discount_powers(m.discount, max(len(traj.actions), 1))
-    return math.fsum(
-        pows[t] * m.reward[traj.states[t], a] for t, a in enumerate(traj.actions)
-    )

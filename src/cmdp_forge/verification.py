@@ -191,6 +191,9 @@ def _frontier(f: Fixture, scheme: PenaltyScheme) -> tuple[tuple, list[tuple]]:
     search has met already, makes it a breakpoint; a value above them brings
     in a new policy between the two.  Each split meets a new policy, so the
     search ends even where the sweep and the oracle's slopes disagree.
+    The neighbours wait on a stack, leftmost on top, so the solves run in
+    depth-first order and no function refers to itself: a dropped fixture
+    is freed by reference counting.
     """
     if (found := f.cmdp._derived.get(("frontier", f.quantum, scheme))) is not None:
         return found
@@ -200,22 +203,23 @@ def _frontier(f: Fixture, scheme: PenaltyScheme) -> tuple[tuple, list[tuple]]:
         value, st = _greedy_oracle(f, [lam] * K, [scheme] * K)
         return value, (lam, st)
 
-    def split(lo, hi):
-        """The pieces after lo's, up to hi's policy."""
+    (_, first), (top, last) = piece(0.0), piece(HUGE_LAMBDA)
+    met = {first[1], last[1]}
+    pieces = [first]
+    todo = [(first, last)]  # neighbours whose pieces are still to find, in reverse order
+    while todo:
+        lo, hi = todo.pop()
         (_, lo_st), (_, hi_st) = lo, hi
         drop = _slope(lo_st) - _slope(hi_st)
         if drop <= TOL:  # one line: lo's policy stays optimal
-            return []
+            continue
         lam = (lo_st.expected_return - hi_st.expected_return) / drop
         value, mid = piece(lam)
         if value <= lo_st.expected_return - lam * _slope(lo_st) + TOL or mid[1] in met:
-            return [(lam, hi_st)]
+            pieces.append((lam, hi_st))
+            continue
         met.add(mid[1])
-        return split(lo, mid) + split(mid, hi)
-
-    (_, first), (top, last) = piece(0.0), piece(HUGE_LAMBDA)
-    met = {first[1], last[1]}
-    pieces = [first, *split(first, last)]
+        todo += [(mid, hi), (lo, mid)]
     # A policy optimal at lambda = 0 alone is optimal at no weight > 0.
     found = f.cmdp._derived["frontier", f.quantum, scheme] = (
         (top, last[1]), pieces[1:] if len(pieces) > 1 and pieces[1][0] == 0.0 else pieces)

@@ -1,6 +1,7 @@
-"""Brute-force reference code for the tests: every deterministic policy of a
-small model, scored by the trajectory oracle, and a strategy drawing such
-models.  None of it is part of the package; the package's own argument for
+"""Brute-force reference code for the tests: one path's cost, return and
+penalty total, each walked on its own; every deterministic policy of a small
+model, scored by the trajectory oracle; and a strategy drawing such models.
+None of it is part of the package; the package's own argument for
 optimality at a level is weak duality (``verification._breakpoint_check``).
 """
 
@@ -11,9 +12,45 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cmdp_forge.extended import TabularPolicy, augment
-from cmdp_forge.model import Cmdp
+from cmdp_forge.model import Cmdp, Trajectory, discount_powers
 from cmdp_forge.oracle import enumerate_trajectories, stats
+from cmdp_forge.penalties import PenaltyScheme, penalty_amount
 from cmdp_forge.verification import LEVEL_FIELD, TOL, _frontier
+
+
+def trajectory_cost(traj: Trajectory, m: Cmdp, k: int = 0) -> float:
+    """Total cost of constraint k over all visited states, terminal included."""
+    if not (0 <= k < m.n_constraints):
+        raise IndexError(f"constraint index {k} outside 0..{m.n_constraints - 1}")
+    row = m.costs[k]
+    return math.fsum(row[s] for s in traj.states)
+
+
+def discounted_return(traj: Trajectory, m: Cmdp) -> float:
+    """Discounted task return; the terminal step contributes no reward."""
+    pows = discount_powers(m.discount, max(len(traj.actions), 1))
+    return math.fsum(
+        pows[t] * m.reward[traj.states[t], a] for t, a in enumerate(traj.actions)
+    )
+
+
+def trajectory_penalty_total(
+    traj: Trajectory, m: Cmdp, k: int, scheme: PenaltyScheme, lam: float
+) -> float:
+    """Sum of the literal per-epoch penalty amounts along one path.
+
+    Walks the per-epoch case table directly: the running total before each
+    state is a plain float accumulation, one assessment per visited state
+    including the terminal one.
+    """
+    row = m.costs[k].tolist()
+    total = 0.0
+    before = 0.0
+    for epoch, s in enumerate(traj.states):
+        d = row[s]
+        total += penalty_amount(scheme, lam, before, d, m.budgets[k], epoch)
+        before += d
+    return total
 
 
 def count_deterministic_policies(m: Cmdp, quantum: float) -> int:

@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import small_cmdps
+from brute import discounted_return, small_cmdps, trajectory_cost
 from cmdp_forge.envs import ChainBranch, ChainSpec, make_chain
 from cmdp_forge.fixtures import two_action_chain
-from cmdp_forge.model import (
-    PROB_TOL,
-    Cmdp,
-    Trajectory,
-    discounted_return,
-    trajectory_cost,
-    validate_cmdp,
-)
+from cmdp_forge.model import PROB_TOL, Cmdp, Trajectory, validate_cmdp
 
 
 def make_line(costs, rewards, horizon=None, discount=1.0, budget=10.0):

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from dataclasses import replace
@@ -5,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from brute import discounted_return, trajectory_cost, trajectory_penalty_total
 from cmdp_forge import oracle
 from cmdp_forge.envs import make_gridworld, tiny_grid
 from cmdp_forge.extended import PolicyUndefined, TabularPolicy, augment, build_extended, ledger_rule
 from cmdp_forge.fixtures import fixture, fixture_pack, two_action_chain
-from cmdp_forge.model import Trajectory, discounted_return, trajectory_cost
+from cmdp_forge.model import Trajectory
 from cmdp_forge.oracle import (
     EnumerationCapExceeded,
     IncompleteMass,
@@ -17,7 +19,6 @@ from cmdp_forge.oracle import (
     enumerate_trajectories,
     random_policy,
     stats,
-    trajectory_penalty_total,
 )
 from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import backward_induction, cost_slack, evaluate_policy
@@ -58,6 +59,31 @@ def test_enumeration_cap_is_reported(monkeypatch):
     monkeypatch.setattr(oracle, "TRAJECTORY_CAP", 5)
     with pytest.raises(EnumerationCapExceeded, match="cap of 5"):
         enumerate_trajectories(f.cmdp, policy, f.quantum)
+
+
+@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+def collector(request):
+    """The collector set as the parameter says, and restored afterwards."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("p_risky, cap, raised", [
+    (0.5, oracle.TRAJECTORY_CAP, None),
+    (0.5, 1, EnumerationCapExceeded),
+    (math.nan, oracle.TRAJECTORY_CAP, PolicyUndefined),  # no row for the start
+])
+def test_enumeration_leaves_the_collector_as_it_found_it(collector, p_risky, cap, raised, monkeypatch):
+    monkeypatch.setattr(oracle, "TRAJECTORY_CAP", cap)
+    m, policy = two_action_chain(), chain_policy(p_risky)
+    if raised is None:
+        assert len(enumerate_trajectories(m, policy, 1.0)) == 2
+    else:
+        with pytest.raises(raised):
+            enumerate_trajectories(m, policy, 1.0)
+    assert gc.isenabled() is collector
 
 
 def test_noisy_grid_mass_sums_to_one():

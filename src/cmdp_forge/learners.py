@@ -68,16 +68,19 @@ def penalize_sample(
     lam: float,
     scheme: PenaltyScheme,
     budget: float,
+    horizon: int,
     t: int,
     gamma: float = 1.0,
 ) -> float:
     """Per-sample penalized reward for one stored transition.
 
     c is the cost accumulated before the arrival being assessed, d the
-    arriving state's cost and t the arrival's epoch; the amount is
-    ``penalty_amount``, discounted per step as amount / gamma^t when gamma < 1.
+    arriving state's cost, ``horizon`` the env's and t the arrival's epoch.
+    The amount is ``penalty_amount`` at that horizon, so an episode that
+    ends before it still pays a chance crossing in full; when gamma < 1 it
+    is discounted per step as amount / gamma^t.
     """
-    amount = penalty_amount(scheme, lam, c, d, budget, t)
+    amount = penalty_amount(scheme, lam, c, d, budget, horizon)
     if amount == 0.0:
         return r
     if gamma == 1.0:
@@ -265,7 +268,7 @@ def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
                     br, ba, brew, br2, bdone, bc, bd, bepoch = buffer.sample(rng)
                     rt = penalize_sample(
                         brew, bc, bd, sched.value, cfg.scheme, budget,
-                        gamma=cfg.gamma, t=bepoch,
+                        env.horizon, gamma=cfg.gamma, t=bepoch,
                     )
                     boot = 0.0 if bdone else max(tables.target[0, br2].tolist())
                     q = tables.critic.item(0, br, ba)
@@ -411,7 +414,7 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
                 key2 = tables.key(s2, c2)
                 rt = penalize_sample(
                     rew, c, d2, sched.value, cfg.scheme, budget,
-                    gamma=cfg.gamma, t=t + 1,
+                    env.horizon, gamma=cfg.gamma, t=t + 1,
                 )
                 seg.append((r, a, rt, d))
                 ep_return += rew

@@ -137,11 +137,12 @@ def _penalty_walk(states, row: list[float], budget: float, scheme: PenaltyScheme
     """The literal per-epoch penalty total along ``states``, over a cost row
     read as a list: the running total before each state is a plain float
     accumulation, one assessment per visited state, terminal included."""
+    horizon = len(states) - 1
     total = 0.0
     before = 0.0
-    for epoch, s in enumerate(states):
+    for s in states:
         d = row[s]
-        total += penalty_amount(scheme, lam, before, d, budget, epoch)
+        total += penalty_amount(scheme, lam, before, d, budget, horizon)
         before += d
     return total
 

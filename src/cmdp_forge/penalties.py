@@ -2,17 +2,21 @@
 
 Three interchangeable penalty shapes are supported.  Writing c for the cost
 accumulated before the current state and d for the current state's cost, the
-undiscounted amount subtracted at one assessment epoch t is
+undiscounted amount subtracted at one assessment epoch of a horizon-T
+trajectory is
 
                    safe            crossing (c <= cmax < c+d)   violated (c > cmax)
   risk-neutral     0               lam * (c + d)                lam * d
-  value-at-risk    0               lam * (t + 1)                lam
+  value-at-risk    0               lam * (T + 1)                0
   cvar             0               lam * (c + d - cmax)         lam * d
 
 Summed over the epochs of one trajectory these telescope to exactly
 lam * D, lam * (T + 1) and lam * (D - cmax)^+ respectively for trajectories
-whose total cost D exceeds the budget, and to zero otherwise.  A ledger at
-exactly the budget is safe (the boundary is non-strict on the safe side).
+whose total cost D exceeds the budget, and to zero otherwise.  The
+value-at-risk total is charged whole at the crossing, so a path that ends
+before the horizon (a sampled episode stopped at the goal) pays it too.  A
+ledger at exactly the budget is safe (the boundary is non-strict on the
+safe side).
 """
 
 from __future__ import annotations
@@ -32,17 +36,17 @@ def penalty_amount(
     cost_before: float,
     step_cost: float,
     budget: float,
-    epoch: int,
+    horizon: int,
 ) -> float:
     """Undiscounted penalty for one assessment epoch (table above)."""
     if cost_before > budget:
         if scheme is PenaltyScheme.VALUE_AT_RISK:
-            return lam
+            return 0.0
         return lam * step_cost
     if cost_before + step_cost > budget:
         if scheme is PenaltyScheme.RISK_NEUTRAL:
             return lam * (cost_before + step_cost)
         if scheme is PenaltyScheme.VALUE_AT_RISK:
-            return lam * (epoch + 1)
+            return lam * (horizon + 1)
         return lam * (cost_before + step_cost - budget)
     return 0.0

@@ -32,27 +32,26 @@ per distinct layer and call, takes each (action, node) value from
 forward walk (``_first_undefined``) steps with ``Layer.push``; neither
 reads the edge layout, which ``extended.Layer`` keeps to itself.
 
-An epoch is a deterministic function of its layer, penalty table, reward
-scale, V(t+1) and (under a policy) rows, so an epoch whose inputs are the
-last computed epoch's, the same objects and the same bytes, reuses its
-values.  That happens below the walk's fixed point, where every epoch shares
-one ``Layer``, once the values stop changing: rn and cvar on the large grid
-run about 75 of their 200 backups.  Value-at-risk with a weight (a new
-table per epoch), a discount below one with rewards on (a new scale per
-epoch) and a policy whose rows change never match.
+An epoch is a deterministic function of its layer (whose penalty table is
+formed from it alone), reward scale, V(t+1) and (under a policy) rows, so
+an epoch whose inputs are the last computed epoch's, the same layer and the
+same bytes, reuses its values.  That happens below the walk's fixed point,
+where every epoch shares one ``Layer``, once the values stop changing: rn,
+var and cvar on the large grid run about 75 of their 200 backups.  A
+discount below one with rewards on (a new scale per epoch) and a policy
+whose rows change never match.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .extended import AugState, ExtendedMdp, Layer, PolicyUndefined, TabularPolicy, augment
 from .model import Cmdp, discount_powers
-from .penalties import PenaltyScheme, penalty_amount
+from .penalties import penalty_amount
 
 # Action values within this distance of the row maximum count as ties;
 # the lowest action index among them wins, for reproducible reports.
@@ -103,42 +102,25 @@ def _cost_classes(m: Cmdp) -> list[tuple[list[float], np.ndarray]]:
     return out
 
 
-def _arrival_penalties(e: ExtendedMdp, layer: Layer, costs) -> Callable[[int], np.ndarray] | None:
-    """PEN(epoch)[l, s2]: the penalty for arriving at s2 at ``epoch`` from ledger l.
+def _arrival_penalties(e: ExtendedMdp, layer: Layer, costs) -> np.ndarray | None:
+    """PEN[l, s2]: the penalty for arriving at s2 from ledger l of ``layer``.
 
     ``costs`` is ``_cost_classes(e.base)``.  ``penalty_amount`` runs once per
-    layer and (ledger, distinct cost value, constraint) on the ledger's
-    decoded cost, whose inf takes the violated case; the amounts are summed
-    over constraints in index order.  Only value-at-risk reads the epoch,
-    lam * (epoch + 1) on a crossing, so its crossing mask is filled per
-    epoch; without it the table is formed once.  None when every weight is 0.
+    (ledger, distinct cost value, constraint) on the ledger's decoded cost,
+    whose inf takes the violated case; the amounts are summed over
+    constraints in index order.  No case reads the epoch, so the table is a
+    function of the layer alone.  None when every weight is 0.
     """
     m = e.base
-    parts = []
+    pen = None
     for k, lam in enumerate(e.lambdas):
         if lam == 0.0:
             continue
-        scheme, budget = e.schemes[k], m.budgets[k]
         values, cls = costs[k]
-        before = layer.cost[:, k]
-        amount = [[penalty_amount(scheme, lam, c, d, budget, 0) for d in values] for c in before.tolist()]
-        crossing = None
-        if scheme is PenaltyScheme.VALUE_AT_RISK:
-            crossing = ((before[:, None] <= budget) & (before[:, None] + np.array(values) > budget))[:, cls]
-        parts.append((np.array(amount)[:, cls], crossing, lam))
-    if not parts:
-        return None
-
-    def table(epoch: int) -> np.ndarray:
-        pen = np.zeros((len(layer.cost), m.n_states))
-        for amount, crossing, lam in parts:
-            pen += amount if crossing is None else np.where(crossing, lam * (epoch + 1), amount)
-        return pen
-
-    if all(crossing is None for _amount, crossing, _lam in parts):
-        fixed = table(0)
-        return lambda _epoch: fixed
-    return table
+        amount = np.array([[penalty_amount(e.schemes[k], lam, c, d, m.budgets[k], m.horizon) for d in values]
+                           for c in layer.cost[:, k].tolist()]).take(cls, axis=1)  # C order, as W is
+        pen = amount if pen is None else pen + amount
+    return pen
 
 
 def _sweep(
@@ -171,8 +153,8 @@ def _sweep(
     action -inf, which is how masking propagates.
 
     An epoch whose inputs are those of the last epoch computed (the same
-    ``Layer`` and penalty table objects, an equal scale, and V(t+1) and the
-    policy rows equal byte for byte) gives the same output, so it takes
+    ``Layer``, and so the same penalty table, an equal scale, and V(t+1)
+    and the policy rows equal byte for byte) gives the same output, so it takes
     V(t) = V(t+1) and greedy[t] = greedy[t+1] with no backup.  Bytes, not
     ``==``: a NaN still matches itself and -0.0 against 0.0 counts as a change.
     """
@@ -182,25 +164,24 @@ def _sweep(
         raise ValueError("policy is over another augmented space")
     pows = discount_powers(m.discount, T)
     costs = _cost_classes(m) if any(e.lambdas) else None
-    pens: dict[int, Callable[[int], np.ndarray] | None] = {}  # id(layer) -> PEN(epoch)
+    pens: dict[int, np.ndarray | None] = {}  # id(layer) -> PEN
     last = e.compiled[T]
     vnext = np.full(len(last.cost), terminal, dtype=float)[last.ledger]
     greedy: list[np.ndarray] = [None] * T
-    prev = None  # the inputs of the last epoch computed: (layer, PEN, scale, V(t+1), rows)
+    prev = None  # the inputs of the last epoch computed: (layer, scale, V(t+1), rows)
     for t in range(T - 1, -1, -1):
         layer = e.compiled[t]
         if id(layer) not in pens:
             pens[id(layer)] = _arrival_penalties(e, layer, costs)
-        pen = pens[id(layer)]
-        table = None if pen is None else pen(t + 1)
+        table = pens[id(layer)]
         scale = pows[t] if rewards else 0.0
         rows = None if policy is None else policy.rows[t]
-        if (prev is not None and layer is prev[0] and table is prev[1] and scale == prev[2]
-                and vnext.tobytes() == prev[3].tobytes()
-                and (rows is None or rows.tobytes() == prev[4].tobytes())):
+        if (prev is not None and layer is prev[0] and scale == prev[1]
+                and vnext.tobytes() == prev[2].tobytes()
+                and (rows is None or rows.tobytes() == prev[3].tobytes())):
             greedy[t] = greedy[t + 1]  # the same inputs give the same V(t) = V(t+1)
             continue
-        prev = layer, table, scale, vnext, rows
+        prev = layer, scale, vnext, rows
         w = vnext[layer.nx]
         if table is not None:
             w -= table
@@ -224,7 +205,7 @@ def _sweep(
         raise ValueError(f"policy puts probability on an unavailable action at augmented state {first}")
     initial = 0.0  # the epoch-0 assessment for occupying s0, nonzero only when d(s0) crosses
     for k, lam in enumerate(e.lambdas):
-        initial += penalty_amount(e.schemes[k], lam, 0.0, float(m.costs[k, m.s0]), m.budgets[k], 0)
+        initial += penalty_amount(e.schemes[k], lam, 0.0, float(m.costs[k, m.s0]), m.budgets[k], T)
     return float(vnext[0]) - initial, greedy
 
 

@@ -44,11 +44,12 @@ def trajectory_penalty_total(
     including the terminal one.
     """
     row = m.costs[k].tolist()
+    horizon = len(traj.states) - 1
     total = 0.0
     before = 0.0
-    for epoch, s in enumerate(traj.states):
+    for s in traj.states:
         d = row[s]
-        total += penalty_amount(scheme, lam, before, d, m.budgets[k], epoch)
+        total += penalty_amount(scheme, lam, before, d, m.budgets[k], horizon)
         before += d
     return total
 

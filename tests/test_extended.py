@@ -354,12 +354,12 @@ def full_resolution_value(m, lam, scheme):
                 acc = float(m.reward[s, a])
                 for s2, p in m.successors(s, a):
                     d2 = float(m.costs[0, s2])
-                    delta = penalty_amount(scheme, lam, tot, d2, m.budgets[0], t + 1)
+                    delta = penalty_amount(scheme, lam, tot, d2, m.budgets[0], T)
                     acc += p * (values[(s2, tot + d2)] - delta)
                 best = max(best, acc)
             layer[(s, tot)] = best
         values = layer
-    init_charge = penalty_amount(scheme, lam, 0.0, float(m.costs[0, m.s0]), m.budgets[0], 0)
+    init_charge = penalty_amount(scheme, lam, 0.0, float(m.costs[0, m.s0]), m.budgets[0], T)
     return values[start] - init_charge
 
 

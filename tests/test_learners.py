@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import statistics
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from cmdp_forge.cli import main
 from cmdp_forge.config import ExperimentConfig
-from cmdp_forge.envs import ChainBranch, ChainSpec, SampledKernelEnv, make_chain
+from cmdp_forge.envs import GRID_ACTIONS, ChainBranch, ChainSpec, GridWorldEnv, SampledKernelEnv, desk_grid, make_chain
 from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import two_action_chain
 from cmdp_forge.learners import (
@@ -25,19 +26,54 @@ from cmdp_forge.penalties import PenaltyScheme
 from cmdp_forge.solver import backward_induction, lambda_bounds, unconstrained_value
 
 RN = PenaltyScheme.RISK_NEUTRAL
+VAR = PenaltyScheme.VALUE_AT_RISK
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_safe_transition_keeps_the_reward():
-    assert penalize_sample(3.0, 0.3, 0.5, 2.0, RN, 2.0, t=1) == 3.0
+    assert penalize_sample(3.0, 0.3, 0.5, 2.0, RN, 2.0, horizon=5, t=1) == 3.0
 
 
 def test_crossing_transition_charges_the_running_total():
-    assert penalize_sample(-1.0, 1.5, 1.0, 2.0, RN, 2.0, t=1) == -6.0
+    assert penalize_sample(-1.0, 1.5, 1.0, 2.0, RN, 2.0, horizon=5, t=1) == -6.0
 
 
 def test_post_violation_transition_charges_the_step_cost():
-    assert penalize_sample(-1.0, 3.0, 1.5, 2.0, RN, 2.0, t=1) == -4.0
+    assert penalize_sample(-1.0, 3.0, 1.5, 2.0, RN, 2.0, horizon=5, t=1) == -4.0
+
+
+def charged_over_episode(env, actions, lam):
+    """Sum of rew - penalize_sample(...) under var over one episode, its
+    final cost, the steps taken and whether the env ended it."""
+    _s, c, _d = env.reset()
+    total = 0.0
+    for t, a in enumerate(actions, 1):
+        (_s, c2, d2), rew, done = env.step(a)
+        total += rew - penalize_sample(rew, c, d2, lam, VAR, env.budget, env.horizon, t=t)
+        c = c2
+        if done:
+            break
+    return total, c, t, done
+
+
+def test_a_violating_grid_episode_that_ends_at_the_goal_pays_the_whole_chance_penalty():
+    # Four `left` steps along the noise-free desk grid's bottom row cross
+    # three pits and reach the goal at step 4 of T = 50.  The exact model
+    # charges every violating path lam * (T + 1); so must the samples.
+    env = GridWorldEnv(replace(desk_grid(), noise_p=0.0), seed=0)
+    total, cost, steps, done = charged_over_episode(env, [GRID_ACTIONS.index("left")] * 4, 1.0)
+    assert (steps, done) == (4, True)  # ended before the horizon: at the goal
+    assert cost > env.budget
+    assert total == 1.0 * (50 + 1)
+
+
+def test_a_violating_chain_episode_pays_the_whole_chance_penalty():
+    # Chain episodes run to the horizon; the crossing comes at step 1 of 3.
+    m = make_chain(ChainSpec(branches=(ChainBranch("risky", 2.0, ((1.0, (3.0,)),)),),
+                             budgets=(2.0,), horizon=3))
+    total, cost, steps, done = charged_over_episode(SampledKernelEnv(m, seed=0), [0] * 3, 2.0)
+    assert (cost, steps, done) == (3.0, 3, True)
+    assert total == 2.0 * (3 + 1)
 
 
 def test_schedule_freezes_while_over_budget():

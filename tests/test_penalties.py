@@ -36,12 +36,15 @@ def test_cvar_crossing_charges_only_the_excess(lam):
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
-def test_chance_post_violation_charges_a_constant(lam):
-    assert penalty_amount(VAR, lam, 5.0, 1.0, 2.0, 4) == lam
+def test_chance_post_violation_charges_nothing(lam):
+    assert penalty_amount(VAR, lam, 5.0, 1.0, 2.0, 4) == 0.0
 
 
-def test_chance_crossing_scales_with_the_epoch():
-    assert penalty_amount(VAR, 2.0, 0.0, 3.0, 2.0, 4) == 2.0 * 5
+def test_chance_crossing_charges_the_whole_horizon():
+    # Whatever the ledger before it, the crossing pays lam * (T + 1) at once.
+    for before in (0.0, 1.0, 2.0):
+        assert penalty_amount(VAR, 2.0, before, 3.0, 2.0, 4) == 2.0 * 5
+        assert penalty_amount(VAR, 2.0, before, 3.0, 2.0, 50) == 2.0 * 51
 
 
 def test_boundary_totals_are_safe():

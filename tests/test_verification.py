@@ -272,18 +272,18 @@ def test_a_policy_optimal_at_zero_weight_alone_leaves_the_frontier():
 
 
 def test_a_sweep_the_oracle_disagrees_with_ends_in_fail_rows(monkeypatch):
-    # An oracle that charges a chance-scheme crossing lambda*(t + 2), one
+    # An oracle that charges a chance-scheme crossing lambda*(T + 2), one
     # epoch more than the sweep: the crossing's greedy policy is an end's
     # again, which must end the search, and every violating policy's
     # penalty total is then off its level.
     real = oracle.penalty_amount
 
-    def one_epoch_more(scheme, lam, before, step_cost, budget, epoch):
+    def one_step_more(scheme, lam, before, step_cost, budget, horizon):
         if scheme is VAR and before <= budget < before + step_cost:
-            return lam * (epoch + 2)
-        return real(scheme, lam, before, step_cost, budget, epoch)
+            return lam * (horizon + 2)
+        return real(scheme, lam, before, step_cost, budget, horizon)
 
-    monkeypatch.setattr(oracle, "penalty_amount", one_epoch_more)
+    monkeypatch.setattr(oracle, "penalty_amount", one_step_more)
     chance = run_all(fixture_pack())[ALL_KINDS.index("chance_penalty_equivalence")]
     failed = [r.fixture for r in chance.rows if not r.passed and r.note == "penalty total is s x level"]
     assert failed == ["two_action_chain", "three_branch_chain", "stochastic_chain", "grid3_det"]

@@ -13,13 +13,22 @@ schedule:
 
 Both learn in one table store, TableStore: a dense (rows, A) row per
 observation key, with a critic and a target plane for each checkpoint
-section (``q`` for the Q-learner; ``q1`` and ``qd1`` for the actor-critic,
-whose subclass ActorCriticTables adds the logits and Polyak averaging as one
-masked vector op).  A store also holds its checkpoint keys (``META``), its
-observation key rule ``key`` and its exploration-off action ``act``.  Each
-learner returns its store and its log; ``train`` writes the store's ``META``
-values and ``sections()``, and ``evaluate`` loads a checkpoint back into the
-store of its learner (``STORES``).
+section (``q`` for the Q-learner's QTables; ``q1`` and ``qd1`` for the
+actor-critic, whose ActorCriticTables adds the logits and Polyak averaging
+as one masked vector op).  A store also holds its checkpoint keys
+(``META``), its observation key rule ``key`` and its exploration-off action
+``act``.  Each learner returns its store and its log; ``train`` writes the
+store's ``META`` values and ``sections()``, and ``evaluate`` loads a
+checkpoint back into the store of its learner (``STORES``).
+
+What ``act`` reads at a row is a pure function of the row, so each store
+keeps it in one per-row ``memo``, formed on the row's first read: the greedy
+action for QTables; the probabilities, log-probabilities, ``qd`` row and
+soft-greedy scores for ActorCriticTables.  The store's writers of critic
+planes and logits (``learn_critic`` and ``step_actor``) drop the row's
+entry; target planes, which Polyak averaging and the target copy write, are
+never memoised.  A frozen store, as ``evaluate`` rolls it out, forms each
+row once.
 
 Both read their settings from the run's ExperimentConfig and take the seed
 as an argument; ``lr`` is the step size of the Q table and of both critics.
@@ -157,11 +166,15 @@ class TableStore:
     allocated (all zeros) only by ``row``.  Every value read out of the
     store is a Python float.  ``budget`` and ``quantum`` (finite and > 0,
     as the ``key_quantum`` config key) set the observation ``key`` of a row.
+    ``memo`` maps a row to what the learner's ``act`` reads there.  Past
+    ``from_sections``, which fills the store before any read, only the
+    subclass's own methods write a critic plane or logits row, and each
+    drops that row's entry.
     """
 
-    LEARNER = "safe_q"  # the learner that trains in this store
+    LEARNER: str  # the learner that trains in this store
     META: tuple[str, ...] = ("n_actions", "budget", "quantum")  # checkpoint keys, constructor arguments
-    SECTIONS: tuple[str, ...] = ("q",)  # checkpoint section of each critic plane
+    SECTIONS: tuple[str, ...]  # checkpoint section of each critic plane
     ROW_TABLES: tuple[str, ...] = ()  # (rows, A) arrays checkpointed at every row
     DROPPED: tuple[str, ...] = ()  # sections older versions wrote, read and ignored
     ARRAYS: tuple[str, ...] = ("critic", "target", "written")  # grown together
@@ -174,6 +187,7 @@ class TableStore:
         self.critic = np.zeros((len(self.SECTIONS), 64, n_actions))
         self.target = np.zeros_like(self.critic)
         self.written = np.zeros((64, n_actions), dtype=bool)
+        self.memo: dict[int, object] = {}
 
     def key(self, s: int, c: float) -> tuple[int, int]:
         """Observation key of state ``s`` at accumulated cost ``c``."""
@@ -190,14 +204,6 @@ class TableStore:
                     axis = old.ndim - 2  # the row axis
                     setattr(self, name, np.concatenate([old, np.zeros_like(old)], axis=axis))
         return r
-
-    def greedy(self, r: int) -> int:
-        """Lowest-index argmax of row ``r`` of the first critic plane."""
-        return argmax_low(self.critic[0, r].tolist())
-
-    def act(self, r: int, c: float, d: float) -> int:
-        """Exploration-off action at row ``r``: the greedy one."""
-        return self.greedy(r)
 
     def sections(self) -> dict[str, dict]:
         """Checkpoint tables: ROW_TABLES at every row, critic planes at written entries."""
@@ -236,10 +242,35 @@ class TableStore:
         return tables
 
 
+class QTables(TableStore):
+    """The Q-learner's store: one critic plane ``q``; the memo holds greedy actions."""
+
+    LEARNER = "safe_q"
+    SECTIONS = ("q",)
+
+    def greedy(self, r: int) -> int:
+        """Lowest-index argmax of row ``r`` of the q plane."""
+        a = self.memo.get(r)
+        if a is None:
+            a = self.memo[r] = argmax_low(self.critic[0, r].tolist())
+        return a
+
+    def act(self, r: int, c: float, d: float) -> int:
+        """Exploration-off action at row ``r``: the greedy one."""
+        return self.greedy(r)
+
+    def learn_critic(self, r: int, a: int, lr: float, target: float) -> None:
+        """One TD step of q[r, a] toward ``target``."""
+        q = self.critic.item(0, r, a)
+        self.critic[0, r, a] = q + lr * (target - q)
+        self.written[r, a] = True
+        self.memo.pop(r, None)
+
+
 def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
-    """Train a penalized Q table; returns (TableStore, log rows)."""
+    """Train a penalized Q table; returns (QTables, log rows)."""
     rng = random.Random(seed)
-    tables = TableStore(env.n_actions, env.budget, cfg.key_quantum)
+    tables = QTables(env.n_actions, env.budget, cfg.key_quantum)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     sched = LambdaSchedule(cfg.lambda0, cfg.lambda_floor, cfg.window)
     budget = env.budget
@@ -271,9 +302,7 @@ def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
                         env.horizon, gamma=cfg.gamma, t=bepoch,
                     )
                     boot = 0.0 if bdone else max(tables.target[0, br2].tolist())
-                    q = tables.critic.item(0, br, ba)
-                    tables.critic[0, br, ba] = q + cfg.lr * (rt + cfg.gamma * boot - q)
-                    tables.written[br, ba] = True
+                    tables.learn_critic(br, ba, cfg.lr, rt + cfg.gamma * boot)
             if steps % cfg.target_period == 0:
                 np.copyto(tables.target, tables.critic)
             r, c = r2, c2
@@ -311,24 +340,36 @@ class ActorCriticTables(TableStore):
         self.logits = np.zeros((64, n_actions))
         self.dirty = np.zeros((64, n_actions), dtype=bool)
 
-    def probabilities(self, r: int) -> list[float]:
-        """softmax of the logits row; a fresh row is uniform."""
-        row = self.logits[r].tolist()
-        top = max(row)
-        exps = [math.exp(z - top) for z in row]
-        total = sum(exps)
-        return [e / total for e in exps]
+    def view(self, r: int) -> tuple[list[float], list[float], list[float], list[float]]:
+        """Row ``r``'s memo: (probabilities, log-probabilities, qd, scores).
 
-    def log_probability(self, r: int, a: int, probs: list[float]) -> float:
-        """log of ``probs[a]``, the softmax of row ``r``; exact where it underflows to 0.0."""
-        if probs[a] > 0.0:
-            return math.log(probs[a])
-        row = self.logits[r].tolist()
-        top = max(row)
-        return (row[a] - top) - math.log(sum(math.exp(z - top) for z in row))
+        The probabilities are the softmax of the logits row (a fresh row is
+        uniform); a log-probability is exact as (z - top) - log(total) where
+        its probability underflows to 0.0; ``qd`` is the cost critic's row;
+        and scores[a] = q[a] - alpha_ent * log pi(a).  The lists are shared:
+        read them, never write them.
+        """
+        v = self.memo.get(r)
+        if v is None:
+            row = self.logits[r].tolist()
+            top = max(row)
+            exps = [math.exp(z - top) for z in row]
+            total = sum(exps)
+            probs = [e / total for e in exps]
+            logps = [math.log(p) if p > 0.0 else (z - top) - math.log(total)
+                     for z, p in zip(row, probs)]
+            q, qd = self.critic[:, r].tolist()
+            alpha = self.alpha_ent
+            v = self.memo[r] = (probs, logps, qd, [x - alpha * lp for x, lp in zip(q, logps)])
+        return v
+
+    def probabilities(self, r: int) -> list[float]:
+        """softmax of the logits row (shared: read, never write)."""
+        return self.view(r)[0]
 
     def entropy(self, r: int) -> float:
-        return -sum(p * math.log(p) for p in self.probabilities(r) if p > 0.0)
+        probs, logps, _qd, _scores = self.view(r)
+        return -sum(p * lp for p, lp in zip(probs, logps) if p > 0.0)
 
     def act(self, r: int, c: float, d: float) -> int:
         """Exploration-off action at row ``r``: ``constrained_action_select``."""
@@ -340,6 +381,7 @@ class ActorCriticTables(TableStore):
         self.critic[0, r, a] = q + lr * (ret_target - q)
         self.critic[1, r, a] = qd + lr * (cost_target - qd)
         self.dirty[r, a] = self.written[r, a] = True
+        self.memo.pop(r, None)
 
     def step_actor(self, r: int, a: int, step: float, probs: list[float]) -> None:
         """Policy-gradient step on one logits row: step * (onehot(a) - probs)."""
@@ -348,6 +390,7 @@ class ActorCriticTables(TableStore):
             z + step * ((1.0 if b == a else 0.0) - p)
             for b, (z, p) in enumerate(zip(row, probs))
         ]
+        self.memo.pop(r, None)
 
     def polyak(self, rho: float) -> None:
         """target <- rho * target + (1 - rho) * critic on every dirty entry.
@@ -365,7 +408,7 @@ class ActorCriticTables(TableStore):
         dirty[idx[np.maximum(gap[0], gap[1]) < 1e-12]] = False
 
 
-STORES = {store.LEARNER: store for store in (TableStore, ActorCriticTables)}  # by checkpoint learner
+STORES = {store.LEARNER: store for store in (QTables, ActorCriticTables)}  # by checkpoint learner
 
 
 def constrained_action_select(tables: ActorCriticTables, r: int, c: float, d: float, budget: float) -> int:
@@ -374,16 +417,14 @@ def constrained_action_select(tables: ActorCriticTables, r: int, c: float, d: fl
     Feasibility adds the future-cost estimate to the cost incurred so far,
     minus the current state's cost (counted in both).
     An empty feasible set falls back to the minimum predicted future cost.
-    Ties break to the lowest action index.
+    Ties break to the lowest action index.  ``qd`` and the scores come from
+    the row's memo (``view``); feasibility is tested at every call.
     """
-    probs = tables.probabilities(r)
-    q, qd = tables.critic[:, r].tolist()
-    n = tables.n_actions
-    feasible = [a for a in range(n) if qd[a] + c - d <= budget]
+    _probs, _logps, qd, scores = tables.view(r)
+    feasible = [a for a, x in enumerate(qd) if x + c - d <= budget]
     if not feasible:
         return argmax_low([-x for x in qd])
-    scores = [q[a] - tables.alpha_ent * tables.log_probability(r, a, probs) for a in feasible]
-    return feasible[argmax_low(scores)]
+    return feasible[argmax_low([scores[a] for a in feasible])]
 
 
 def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
@@ -425,12 +466,9 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
                 cost_boot = 0.0
             else:
                 r = tables.row(key)
-                probs = tables.probabilities(r)
+                probs, logps, _qd, _scores = tables.view(r)
                 a_tilde = inverse_cdf(enumerate(probs), rng.random())
-                ret_boot = (
-                    tables.target.item(0, r, a_tilde)
-                    - cfg.alpha_ent * tables.log_probability(r, a_tilde, probs)
-                )
+                ret_boot = tables.target.item(0, r, a_tilde) - cfg.alpha_ent * logps[a_tilde]
                 a_next = constrained_action_select(tables, r, c, d, budget)
                 cost_boot = tables.target.item(1, r, a_next)
             ret_target = ret_boot
@@ -438,13 +476,12 @@ def safe_actor_critic(env, cfg: ExperimentConfig, seed: int):
             for (r_i, a_i, rt_i, d_i) in reversed(seg):
                 ret_target = rt_i + cfg.gamma * ret_target
                 cost_target = d_i + cfg.gamma * cost_target
+                # The actor reads only the logits' memo, which the critic
+                # step leaves as it was: read it first, while it is kept.
+                probs, logps, _qd, _scores = tables.view(r_i)
                 tables.learn_critic(r_i, a_i, cfg.lr, ret_target, cost_target)
-                probs = tables.probabilities(r_i)
                 if safe:
-                    weight = cfg.safe_weight * (
-                        tables.target.item(0, r_i, a_i)
-                        - cfg.alpha_ent * tables.log_probability(r_i, a_i, probs)
-                    )
+                    weight = cfg.safe_weight * (tables.target.item(0, r_i, a_i) - cfg.alpha_ent * logps[a_i])
                 else:
                     weight = -cost_target
                 tables.step_actor(r_i, a_i, cfg.lr_actor * weight, probs)

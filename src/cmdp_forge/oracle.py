@@ -23,6 +23,9 @@ the noisy 3x3 grid's paths, and 105 ms paused (Python 3.11, one Xeon
 core).  The walk is handed itself as an argument instead of reading its
 own name from the closure, so no cycle holds it and, through it, the
 result: a dropped enumeration is freed at once by reference counting.
+``stats`` pauses the collector too: a path is a tuple, which the collector
+keeps tracking, so the first collection after an enumeration scans every
+live path, and without the pause it ran inside ``stats``.
 
 ``stats`` walks one return per run of consecutive paths that share their
 actions and every state but the last (the terminal step earns no reward,
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter, mul
 
@@ -66,6 +70,18 @@ class EnumerationCapExceeded(RuntimeError):
 
 class IncompleteMass(RuntimeError):
     pass
+
+
+@contextmanager
+def _collector_paused():
+    """The cyclic garbage collector off inside; the caller's setting restored however it ends."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def enumerate_trajectories(
@@ -123,13 +139,8 @@ def enumerate_trajectories(
                 states_path.pop()
             actions_path.pop()
 
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         walk(m.s0, advance((0,) * m.n_constraints, m.s0), 0, 1.0, walk)
-    finally:
-        if was_enabled:
-            gc.enable()
     return out
 
 
@@ -182,6 +193,7 @@ class OracleStats:
     penalized_objective: float
 
 
+@_collector_paused()
 def stats(
     trajs: list[Trajectory],
     m: Cmdp,

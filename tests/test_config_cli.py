@@ -877,6 +877,12 @@ def test_desk_actor_critic_checkpoint_is_pinned(tmp_path):
     assert _sha((tmp_path / "checkpoint_seed1.txt").read_bytes()) == (
         "ad6d883873b1525d4365ea323fe412575052bf41b3a2d92205f264a24c52dd08"
     )
+    # Digest recorded before the store memoised what `act` reads.
+    assert main(["--config", cfg_path, "--out", str(tmp_path), "--seeds", "1", "evaluate",
+                 "--checkpoint", str(tmp_path / "checkpoint_seed1.txt")]) == 0
+    assert _sha((tmp_path / "eval_report.csv").read_bytes()) == (
+        "447d3f091dec4b1814d73a938bc6f3b150b084ef2e6a440d9b36274c8bdef2ec"
+    )
 
 
 def test_train_aggregate_is_pinned(tmp_path):

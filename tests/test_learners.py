@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import math
+import random
 import statistics
 from dataclasses import replace
 from pathlib import Path
@@ -16,6 +18,7 @@ from cmdp_forge.fixtures import two_action_chain
 from cmdp_forge.learners import (
     ActorCriticTables,
     LambdaSchedule,
+    QTables,
     ReplayBuffer,
     constrained_action_select,
     penalize_sample,
@@ -23,7 +26,7 @@ from cmdp_forge.learners import (
     safe_q_learning,
 )
 from cmdp_forge.penalties import PenaltyScheme
-from cmdp_forge.solver import backward_induction, lambda_bounds, unconstrained_value
+from cmdp_forge.solver import argmax_low, backward_induction, lambda_bounds, unconstrained_value
 
 RN = PenaltyScheme.RISK_NEUTRAL
 VAR = PenaltyScheme.VALUE_AT_RISK
@@ -216,6 +219,12 @@ def test_desk_grid_q_learner_keeps_cost_under_budget(tmp_path):
     assert hashlib.sha256((tmp_path / "checkpoint_seed1.txt").read_bytes()).hexdigest() == (
         "0784e37ce89599e3a496f634b5fd1d6b945473e15ee6c90d1df0d6e896fe527e"
     )
+    # Digest recorded before the store memoised what `act` reads.
+    assert main(["--config", cfg_path, "--out", str(tmp_path), "--seeds", "1", "evaluate",
+                 "--checkpoint", str(tmp_path / "checkpoint_seed1.txt")]) == 0
+    assert hashlib.sha256((tmp_path / "eval_report.csv").read_bytes()).hexdigest() == (
+        "bf13cad94062c8c8d44ab1ec3e9e69b449b9515a89d449b0337067d1ef808ef1"
+    )
 
 
 def test_training_log_shape_and_determinism():
@@ -274,3 +283,76 @@ def test_store_rows_survive_growth_and_export_read_keys_only():
     assert all(type(v) is float for table in out.values() for v in table.values())
     again = ActorCriticTables.from_sections(out, 3, 2.0, 0.1, alpha_ent=0.1)
     assert again.sections() == out
+
+
+def _fresh_policy(tables, r):
+    """Row ``r``'s (probabilities, log-probabilities), formed from the logits as before the memo."""
+    row = tables.logits[r].tolist()
+    top = max(row)
+    exps = [math.exp(z - top) for z in row]
+    total = sum(exps)
+    probs = [e / total for e in exps]
+    logps = [
+        math.log(p) if p > 0.0 else (row[a] - top) - math.log(sum(math.exp(z - top) for z in row))
+        for a, p in enumerate(probs)
+    ]
+    return probs, logps
+
+
+def _fresh_select(tables, r, c, d):
+    """``constrained_action_select`` formed from the store's arrays as before the memo."""
+    _probs, logps = _fresh_policy(tables, r)
+    q, qd = tables.critic[:, r].tolist()
+    feasible = [a for a in range(tables.n_actions) if qd[a] + c - d <= tables.budget]
+    if not feasible:
+        return argmax_low([-x for x in qd])
+    return feasible[argmax_low([q[a] - tables.alpha_ent * logps[a] for a in feasible])]
+
+
+def _assert_reads_are_fresh(tables, rng):
+    for r in range(len(tables.rows)):
+        probs, logps = _fresh_policy(tables, r)
+        q, qd = tables.critic[:, r].tolist()
+        assert tables.view(r) == (probs, logps, qd, [x - tables.alpha_ent * lp for x, lp in zip(q, logps)])
+        assert tables.probabilities(r) == probs
+        assert tables.entropy(r) == -sum(p * math.log(p) for p in probs if p > 0.0)
+        for _ in range(4):
+            c, d = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
+            assert tables.act(r, c, d) == _fresh_select(tables, r, c, d)
+
+
+def test_actor_critic_reads_follow_every_write():
+    # Every read fills the memo of every row, so a write that left a row's
+    # entry in place would be read back stale at the next check.
+    rng = random.Random(33)
+    tables = ActorCriticTables(3, 2.0, 0.5, alpha_ent=0.3)
+    for s in range(4):
+        tables.row((s, 0))
+    underflowed = False
+    for _ in range(300):
+        r, a = rng.randrange(4), rng.randrange(3)
+        kind = rng.randrange(3)
+        if kind == 0:
+            tables.learn_critic(r, a, 0.5, rng.uniform(-5.0, 5.0), rng.uniform(-1.0, 3.0))
+        elif kind == 1:
+            # Large steps push some probabilities to 0.0: the exact log fallback.
+            tables.step_actor(r, a, rng.uniform(-400.0, 400.0), tables.probabilities(r))
+        else:
+            tables.polyak(0.5)  # target planes only, which no read takes from the memo
+        underflowed |= 0.0 in tables.probabilities(r)
+        _assert_reads_are_fresh(tables, rng)
+    assert underflowed
+
+
+def test_q_learner_reads_follow_every_write():
+    rng = random.Random(33)
+    tables = QTables(3, 2.0, 0.5)
+    for s in range(4):
+        tables.row((s, 0))
+    for _ in range(300):
+        r, a = rng.randrange(4), rng.randrange(3)
+        tables.learn_critic(r, a, 0.5, rng.uniform(-5.0, 5.0))
+        for row in range(4):
+            want = argmax_low(tables.critic[0, row].tolist())
+            assert tables.greedy(row) == want
+            assert tables.act(row, rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)) == want

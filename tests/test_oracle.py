@@ -86,6 +86,27 @@ def test_enumeration_leaves_the_collector_as_it_found_it(collector, p_risky, cap
     assert gc.isenabled() is collector
 
 
+@pytest.mark.parametrize("paths, raised", [(2, None), (1, IncompleteMass)])
+def test_stats_pause_the_collector_and_restore_it(collector, paths, raised, monkeypatch):
+    m = two_action_chain()
+    trajs = enumerate_trajectories(m, chain_policy(0.5), 1.0)[:paths]
+    seen = []
+    cost_side = oracle._cost_side
+
+    def spy(*args):  # records the collector's state inside stats
+        seen.append(gc.isenabled())
+        return cost_side(*args)
+
+    monkeypatch.setattr(oracle, "_cost_side", spy)
+    if raised is None:
+        assert stats(trajs, m).violation_prob == (0.5,)
+        assert seen == [False, False]
+    else:
+        with pytest.raises(raised):
+            stats(trajs, m)
+    assert gc.isenabled() is collector
+
+
 def test_noisy_grid_mass_sums_to_one():
     f = fixture("grid3_noisy")
     policy = greedy(f, [1.0], [RN])

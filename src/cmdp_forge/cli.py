@@ -40,7 +40,6 @@ import csv
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
@@ -112,6 +111,13 @@ def _log_row(r: TrainRow) -> tuple:
     return (r.episode, *map(format_number, (r.ret, r.final_cost, r.lam, r.explore, round(r.wall_ms, 3))))
 
 
+def _pool(workers: int):
+    """A pool of ``workers`` processes, imported here: only a parallel ``train`` starts one."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     """One run per (seed, lambda), in min(jobs, runs) worker processes when that is > 1.
 
@@ -125,7 +131,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     logs: dict[tuple, list[TrainRow]] = {}
     failures: list[tuple] = []
     workers = min(jobs, len(runs))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with _pool(workers) if workers > 1 else nullcontext() as pool:
         results = [partial(_train_one, cfg, seed, lam) for seed, lam in runs]
         if pool is not None:
             results = [pool.submit(run).result for run in results]

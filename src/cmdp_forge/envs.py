@@ -16,7 +16,8 @@ Two realizations of the same configuration:
     three-point support {lo, mid, hi} with equal mass.
   * sampled mode (``GridWorldEnv``) -> a step/reset environment drawing the
     configured cost distribution at each pit arrival.  Learners train on
-    this one.
+    this one.  Its step reads per-cell tables built from ``_moved``, the
+    move rule exact mode uses too.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .model import Cmdp, inverse_cdf
 
 GRID_ACTIONS = ("up", "right", "down", "left")
 _MOVES = ((-1, 0), (0, 1), (1, 0), (0, -1))
+_PLAIN, _GOAL, _PIT = "plain", "goal", "pit"  # GridWorldEnv's cell kinds
 
 
 @dataclass(frozen=True)
@@ -240,7 +242,11 @@ class GridWorldEnv:
 
     Observations are (cell index, accumulated cost including the current
     state, current state's cost).  Episodes end on reaching the goal or at
-    the horizon.
+    the horizon.  ``step`` reads two per-cell tables built once from
+    ``_moved``, the move rule ``make_gridworld`` uses: ``_next[s][a]``, the
+    cell index after move a from cell s, and ``_kind[s]``, one of _GOAL,
+    _PIT and _PLAIN.  Each step draws, in order, the noise test, the noise
+    action (when the test hits) and the pit cost (on a pit arrival).
     """
 
     def __init__(self, cfg: GridConfig, seed=0):
@@ -249,7 +255,13 @@ class GridWorldEnv:
         self.horizon = cfg.horizon
         self.budget = cfg.c_max
         self.rng = random.Random(seed)
-        self._cell = cfg.start
+        cells = [(r, c) for r in range(cfg.height) for c in range(cfg.width)]
+        self._next = [tuple(self.state_index(_moved(cfg, cell, b)) for b in range(self.n_actions))
+                      for cell in cells]
+        self._kind = [_GOAL if cell == cfg.goal else _PIT if cell in cfg.pits else _PLAIN
+                      for cell in cells]
+        self._goal_reward = cfg.step_reward + cfg.goal_reward
+        self._s = self.state_index(cfg.start)
         self._cost = 0.0
         self._t = 0
 
@@ -257,27 +269,25 @@ class GridWorldEnv:
         return cell[0] * self.cfg.width + cell[1]
 
     def reset(self):
-        self._cell = self.cfg.start
+        self._s = self.state_index(self.cfg.start)
         self._cost = 0.0
         self._t = 0
-        return (self.state_index(self._cell), self._cost, 0.0)
+        return (self._s, self._cost, 0.0)
 
     def step(self, a: int):
-        cfg = self.cfg
-        if self.rng.random() < cfg.noise_p:
-            a = self.rng.randrange(self.n_actions)
-        self._cell = _moved(cfg, self._cell, a)
+        cfg, rng = self.cfg, self.rng
+        if rng.random() < cfg.noise_p:
+            a = rng.randrange(self.n_actions)
+        s = self._s = self._next[self._s][a]
         self._t += 1
-        reward = cfg.step_reward
+        kind = self._kind[s]
+        if kind == _GOAL:
+            return (s, self._cost, 0.0), self._goal_reward, True
         d = 0.0
-        done = self._t >= self.horizon
-        if self._cell == cfg.goal:
-            reward += cfg.goal_reward
-            done = True
-        elif self._cell in cfg.pits:
-            d = cfg.pit_cost.sample(self.rng)
-        self._cost += d
-        return (self.state_index(self._cell), self._cost, d), reward, done
+        if kind == _PIT:
+            d = cfg.pit_cost.sample(rng)
+            self._cost += d  # elsewhere d = 0.0, which leaves the ledger (never -0.0) as it is
+        return (s, self._cost, d), cfg.step_reward, self._t >= self.horizon
 
 
 class SampledKernelEnv:

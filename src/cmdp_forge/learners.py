@@ -6,7 +6,9 @@ schedule:
   * safe_q_learning: off-policy one-step Q-learning with a replay ring, a
     periodically copied target table, epsilon-greedy exploration that ignores
     feasibility, and per-sample reward penalties.  Every ``update_every``
-    steps it makes a fixed TD_UPDATES = 8 sampled TD updates.
+    steps it makes a fixed TD_UPDATES = 8 sampled TD updates; each bootstraps
+    from its row's target maximum, formed for every row at the target copy
+    (``QTables.copy_target``), as the target plane is frozen between copies.
   * safe_actor_critic: softmax policy over logits with one reward critic and
     one cost critic, n-step backups, Polyak-averaged target tables,
     feasibility-constrained action selection, and a safe/unsafe actor branch.
@@ -26,9 +28,10 @@ keeps it in one per-row ``memo``, formed on the row's first read: the greedy
 action for QTables; the probabilities, log-probabilities, ``qd`` row and
 soft-greedy scores for ActorCriticTables.  The store's writers of critic
 planes and logits (``learn_critic`` and ``step_actor``) drop the row's
-entry; target planes, which Polyak averaging and the target copy write, are
-never memoised.  A frozen store, as ``evaluate`` rolls it out, forms each
-row once.
+entry.  Target planes are not in the memo: Polyak averaging writes the
+actor-critic's, and ``copy_target`` the Q store's, forming at that copy the
+target row maxima the Q-learner's bootstrap reads until the next one.  A
+frozen store, as ``evaluate`` rolls it out, forms each row once.
 
 Both read their settings from the run's ExperimentConfig and take the seed
 as an argument; ``lr`` is the step size of the Q table and of both critics.
@@ -136,7 +139,7 @@ class ReplayBuffer:
         self._next = (self._next + 1) % self.capacity
 
     def sample(self, rng: random.Random):
-        return self.items[rng.randrange(len(self.items))]
+        return rng.choice(self.items)
 
 
 @dataclass(frozen=True)
@@ -199,11 +202,15 @@ class TableStore:
         if r is None:
             r = self.rows[key] = len(self.rows)
             if r == len(self.written):
-                for name in self.ARRAYS:
-                    old = getattr(self, name)
-                    axis = old.ndim - 2  # the row axis
-                    setattr(self, name, np.concatenate([old, np.zeros_like(old)], axis=axis))
+                self.grow()
         return r
+
+    def grow(self) -> None:
+        """Double every array of ARRAYS along the row axis; the new rows are zeros."""
+        for name in self.ARRAYS:
+            old = getattr(self, name)
+            axis = old.ndim - 2  # the row axis
+            setattr(self, name, np.concatenate([old, np.zeros_like(old)], axis=axis))
 
     def sections(self) -> dict[str, dict]:
         """Checkpoint tables: ROW_TABLES at every row, critic planes at written entries."""
@@ -243,10 +250,32 @@ class TableStore:
 
 
 class QTables(TableStore):
-    """The Q-learner's store: one critic plane ``q``; the memo holds greedy actions."""
+    """The Q-learner's store: one critic plane ``q``; the memo holds greedy actions.
+
+    The target plane is written only by ``copy_target``, which also forms
+    ``target_max``: one float per array row, the maximum of that row of the
+    plane, the Q-learner's bootstrap.  Rows the arrays gain later read 0.0,
+    as their target rows are zeros.  numpy's row maximum equals Python's
+    ``max`` over the row's floats wherever no -0.0 or NaN is held, and the
+    q plane holds neither: it starts at +0.0; x + y is -0.0 only when both
+    are, so q + lr * (target - q) never is; and every TD target is finite.
+    """
 
     LEARNER = "safe_q"
     SECTIONS = ("q",)
+
+    def __init__(self, n_actions: int, budget: float, quantum: float):
+        super().__init__(n_actions, budget, quantum)
+        self.target_max = [0.0] * len(self.written)
+
+    def grow(self) -> None:
+        super().grow()
+        self.target_max.extend([0.0] * (len(self.written) - len(self.target_max)))
+
+    def copy_target(self) -> None:
+        """target <- critic, and every row's target maximum, kept in place in ``target_max``."""
+        np.copyto(self.target, self.critic)
+        self.target_max[:] = self.target[0].max(axis=1).tolist()
 
     def greedy(self, r: int) -> int:
         """Lowest-index argmax of row ``r`` of the q plane."""
@@ -273,7 +302,9 @@ def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
     tables = QTables(env.n_actions, env.budget, cfg.key_quantum)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     sched = LambdaSchedule(cfg.lambda0, cfg.lambda_floor, cfg.window)
-    budget = env.budget
+    budget, horizon = env.budget, env.horizon
+    lr, gamma, scheme = cfg.lr, cfg.gamma, cfg.scheme
+    target_max = tables.target_max  # updated in place by copy_target and by growth
     log: list[TrainRow] = []
     steps = 0
     for episode in range(cfg.episodes):
@@ -284,7 +315,7 @@ def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
         ep_return = 0.0
         done = False
         t = 0
-        while not done and t < env.horizon:
+        while not done and t < horizon:
             if rng.random() < eps:
                 a = rng.randrange(tables.n_actions)
             else:
@@ -297,14 +328,11 @@ def safe_q_learning(env, cfg: ExperimentConfig, seed: int):
             if steps % cfg.update_every == 0:
                 for _ in range(TD_UPDATES):
                     br, ba, brew, br2, bdone, bc, bd, bepoch = buffer.sample(rng)
-                    rt = penalize_sample(
-                        brew, bc, bd, sched.value, cfg.scheme, budget,
-                        env.horizon, gamma=cfg.gamma, t=bepoch,
-                    )
-                    boot = 0.0 if bdone else max(tables.target[0, br2].tolist())
-                    tables.learn_critic(br, ba, cfg.lr, rt + cfg.gamma * boot)
+                    rt = penalize_sample(brew, bc, bd, sched.value, scheme, budget, horizon, bepoch, gamma)
+                    boot = 0.0 if bdone else target_max[br2]
+                    tables.learn_critic(br, ba, lr, rt + gamma * boot)
             if steps % cfg.target_period == 0:
-                np.copyto(tables.target, tables.critic)
+                tables.copy_target()
             r, c = r2, c2
             t += 1
         sched.record(c, budget)

@@ -877,6 +877,9 @@ def test_desk_actor_critic_checkpoint_is_pinned(tmp_path):
     assert _sha((tmp_path / "checkpoint_seed1.txt").read_bytes()) == (
         "ad6d883873b1525d4365ea323fe412575052bf41b3a2d92205f264a24c52dd08"
     )
+    # Recorded before the table-driven GridWorld step.
+    log = _strip_wall((tmp_path / "train_seed1.csv").read_text())
+    assert _sha(log.encode()) == "cca12508b9e798a64f6f617eb5f54f0518a5680a6cd10de5dda519a13aed0882"
     # Digest recorded before the store memoised what `act` reads.
     assert main(["--config", cfg_path, "--out", str(tmp_path), "--seeds", "1", "evaluate",
                  "--checkpoint", str(tmp_path / "checkpoint_seed1.txt")]) == 0
@@ -1009,7 +1012,7 @@ def test_jobs_start_at_most_one_worker_per_run(tmp_path, monkeypatch):
         def submit(self, run):
             return SimpleNamespace(result=run)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_pool", InlinePool)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(CHAIN_TRAIN)
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "two"), "--jobs", "64", "train"]) == 0
@@ -1019,3 +1022,15 @@ def test_jobs_start_at_most_one_worker_per_run(tmp_path, monkeypatch):
     assert asked == [2]
     two = (tmp_path / "two" / "checkpoint_seed7.txt").read_text()
     assert two == (tmp_path / "one" / "checkpoint_seed7.txt").read_text()
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    """Only a parallel ``train`` needs the process pool, so the CLI imports it there."""
+    src = Path(cmdp_forge.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cmdp_forge.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

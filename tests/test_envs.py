@@ -1,7 +1,11 @@
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cmdp_forge.envs import (
+    GRID_ACTIONS,
     ChainBranch,
     ChainSpec,
     GridConfig,
@@ -15,6 +19,7 @@ from cmdp_forge.envs import (
     large_grid,
     tiny_grid,
     validate_grid_config,
+    _moved,
 )
 from cmdp_forge.extended import TabularPolicy, augment
 from cmdp_forge.fixtures import fixture, two_cost_chain
@@ -127,6 +132,58 @@ def test_goal_absorbs_and_ends_the_episode():
     (s, c, d), r, done = env.step(3)
     (s, c, d), r, done = env.step(3)
     assert done and r == 99.0
+
+
+class ReferenceGridEnv:
+    """GridWorldEnv's step as it read before the per-cell tables: the move
+    rule, the goal test and the pit test evaluated on the cell at every step."""
+
+    def __init__(self, cfg, seed):
+        self.cfg = cfg
+        self.rng = random.Random(seed)
+
+    def reset(self):
+        self.cell, self.cost, self.t = self.cfg.start, 0.0, 0
+
+    def step(self, a):
+        cfg = self.cfg
+        if self.rng.random() < cfg.noise_p:
+            a = self.rng.randrange(len(GRID_ACTIONS))
+        self.cell = _moved(cfg, self.cell, a)
+        self.t += 1
+        reward = cfg.step_reward
+        d = 0.0
+        done = self.t >= cfg.horizon
+        if self.cell == cfg.goal:
+            reward += cfg.goal_reward
+            done = True
+        elif self.cell in cfg.pits:
+            d = cfg.pit_cost.sample(self.rng)
+        self.cost += d
+        return (self.cell[0] * cfg.width + self.cell[1], self.cost, d), reward, done
+
+
+@pytest.mark.parametrize("preset", [desk_grid, large_grid, tiny_grid])
+@pytest.mark.parametrize("noise_p", [0.0, 0.05])
+@pytest.mark.parametrize("pit_cost", [PitCost.uniform(1.0, 1.5), PitCost.of_support((0.5, 1.0), (2.0, 3.0))])
+def test_table_step_matches_the_reference_step(preset, noise_p, pit_cost):
+    cfg = replace(preset(), noise_p=noise_p, pit_cost=pit_cost)
+    env, ref = GridWorldEnv(cfg, seed=5), ReferenceGridEnv(cfg, seed=5)
+    actions = random.Random(f"{preset.__name__}:{noise_p}:{pit_cost.kind}")
+    kinds = set()
+    for _ in range(40):
+        assert env.reset() == (cfg.start[0] * cfg.width + cfg.start[1], 0.0, 0.0)
+        ref.reset()
+        done = False
+        while not done:
+            # Biased towards the pit-lined bottom row and the goal to its left.
+            a = actions.choice((2, 3, 3, 0, 1))
+            got, want = env.step(a), ref.step(a)
+            assert repr(got) == repr(want)
+            done = got[2]
+            kinds.add("goal" if ref.cell == cfg.goal else "pit" if ref.cell in cfg.pits else "plain")
+        assert env.rng.getstate() == ref.rng.getstate()
+    assert kinds == {"goal", "pit", "plain"}
 
 
 def test_ascii_map_marks_everything():

@@ -216,6 +216,11 @@ def test_desk_grid_q_learner_keeps_cost_under_budget(tmp_path):
         tail = list(csv.DictReader(fh))[-1000:]
     assert statistics.fmean(float(r["final_cost"]) for r in tail) <= 2.0
     assert statistics.fmean(float(r["return"]) for r in tail) > 0.0
+    # The log without its wall_ms column, recorded before the per-copy target maxima.
+    log = "\n".join(line.rsplit(",", 1)[0] for line in (tmp_path / "train_seed1.csv").read_text().splitlines())
+    assert hashlib.sha256(log.encode()).hexdigest() == (
+        "e97f431fd89e4eb7619ed242da4233c506d5f43b28226a0b12a70523cce2364c"
+    )
     assert hashlib.sha256((tmp_path / "checkpoint_seed1.txt").read_bytes()).hexdigest() == (
         "0784e37ce89599e3a496f634b5fd1d6b945473e15ee6c90d1df0d6e896fe527e"
     )
@@ -356,3 +361,29 @@ def test_q_learner_reads_follow_every_write():
             want = argmax_low(tables.critic[0, row].tolist())
             assert tables.greedy(row) == want
             assert tables.act(row, rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)) == want
+
+
+def test_q_learner_bootstraps_follow_every_target_copy():
+    # The bootstrap of row r is target_max[r], formed at the copy; it must
+    # read as the target row's maximum through writes, copies and growth.
+    rng = random.Random(34)
+    tables = QTables(3, 2.0, 0.5)
+    bootstrap = tables.target_max  # bound once, as safe_q_learning binds it
+    n = 4
+    for s in range(n):
+        tables.row((s, 0))
+    copies = 0
+    for _ in range(600):
+        kind = rng.randrange(10)
+        if kind == 0:
+            tables.copy_target()
+            copies += 1
+        elif kind == 1:
+            tables.row((n, 0))  # the 65th row doubles every array
+            n += 1
+        else:
+            tables.learn_critic(rng.randrange(n), rng.randrange(3), 0.5, rng.uniform(-5.0, 5.0))
+        assert len(bootstrap) == len(tables.written)
+        for r in range(n):
+            assert repr(bootstrap[r]) == repr(max(tables.target[0, r].tolist()))
+    assert n > 64 and len(tables.written) == 128 and copies > 20

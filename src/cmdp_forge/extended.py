@@ -283,6 +283,8 @@ def _space(m: Cmdp, quantum: float
     reach = m.reach  # successors in the order a walk over every (action, successor) pair meets them
     initial = (m.s0, advance((0,) * K, m.s0))
     seen: dict[AugState, AugState] = {initial: initial}  # insertion-ordered; layers reuse these
+    # moved[L][s2]: the canonical (s2, advance(L, s2)), None until the walk first meets (L, s2).
+    moved: dict[tuple[int, ...], list[AugState | None]] = {}
     layers: list[tuple[AugState, ...]] = [(initial,)]
     compiled: list[Layer] = []
     for t in range(m.horizon):
@@ -292,19 +294,23 @@ def _space(m: Cmdp, quantum: float
         rows = [[-1] * S for _ in range(len(layer.nx))]  # nx as lists, -1: (L, s2) not seen yet
         for (s, ledger), l in zip(nodes, layer.ledger.tolist()):
             row = rows[l]
+            arrivals = moved.get(ledger) or moved.setdefault(ledger, [None] * S)
             for s2 in reach[s]:
                 if row[s2] >= 0:
                     continue
-                x2 = (s2, advance(ledger, s2))
-                j = nxt.get(x2)
-                if j is None:
+                x2 = arrivals[s2]
+                if x2 is None:
+                    x2 = (s2, advance(ledger, s2))
                     if x2 not in seen:
                         if len(seen) >= MAX_STATES:
                             raise LedgerCapExceeded(
                                 f"reachable augmented states exceed the cap of {MAX_STATES}"
                             )
                         seen[x2] = x2
-                    j = nxt[seen[x2]] = len(nxt)
+                    x2 = arrivals[s2] = seen[x2]
+                j = nxt.get(x2)
+                if j is None:
+                    j = nxt[x2] = len(nxt)
                 row[s2] = j
         layer.nx[:] = rows
         layer.nx.setflags(write=False)

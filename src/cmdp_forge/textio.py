@@ -21,7 +21,12 @@ come before the first section header):
 
 Numbers render canonically (integral values without a decimal point,
 others via shortest round-trip repr), so load -> dump -> load is
-value-identical and dump is idempotent for decimal inputs.
+value-identical and dump is idempotent for decimal inputs.  Both
+directions do their per-entry work once per distinct value: the dump
+formats each distinct transition probability once (0.0 and -0.0 share
+an entry; both render as 0), the load parses each distinct
+``[transition]`` token once with ``float`` and stores the checked rows
+in one assignment.
 
 Checkpoint files reuse the same key = value / [section] shape; table rows
 are "state bucket action = value", bucket an integer >= 0 or V (over budget).
@@ -40,6 +45,19 @@ from .model import Cmdp
 
 class FormatError(ValueError):
     pass
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``; nothing is kept
+    for a key whose ``fn`` raises."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def format_number(x: float) -> str:
@@ -91,10 +109,11 @@ def dump_cmdp(m: Cmdp) -> str:
         name = m.action_names[a] if m.action_names else f"a{a}"
         out.append(f"{a} = {name}")
     out.append("[transition]")
+    render = _Memo(format_number).__getitem__
+    rows = m.transition.tolist()
     for s in range(m.n_states):
         for a in m.actions_at(s):
-            row = " ".join(format_number(p) for p in m.transition[s, a])
-            out.append(f"{s} {a} = {row}")
+            out.append(f"{s} {a} = {' '.join(map(render, rows[s][a]))}")
     out.append("[reward]")
     for s in range(m.n_states):
         for a in m.actions_at(s):
@@ -129,6 +148,7 @@ def load_cmdp(text: str) -> Cmdp:
     transitions: list[tuple[int, int, int, list[float]]] = []
     rewards: list[tuple[int, int, int, float]] = []
     costs: dict[int, list[tuple[int, int, float]]] = {}
+    number = _Memo(float).__getitem__
 
     for lineno, section, key, value in _parse_lines(text):
         try:
@@ -142,7 +162,7 @@ def load_cmdp(text: str) -> Cmdp:
                 actions.append((int(key), value))
             elif section == "transition":
                 s, a = key.split()
-                transitions.append((lineno, int(s), int(a), [float(v) for v in value.split()]))
+                transitions.append((lineno, int(s), int(a), list(map(number, value.split()))))
             elif section == "reward":
                 s, a = key.split()
                 rewards.append((lineno, int(s), int(a), float(value)))
@@ -186,12 +206,16 @@ def load_cmdp(text: str) -> Cmdp:
         _in_range(lineno, "state", s, S)
         _in_range(lineno, "action", a, A)
         if len(row) != S:
-            raise FormatError(f"transition row ({s},{a}) has {len(row)} entries for {S} states")
-        transition[s, a] = row
+            raise FormatError(
+                f"line {lineno}: transition row ({s},{a}) has {len(row)} entries for {S} states"
+            )
+    if transitions:
+        _, s, a, rows = zip(*transitions)
+        transition[s, a] = rows
         available[s, a] = True
     for lineno, s, a, r in rewards:
         if not available[_in_range(lineno, "state", s, S), _in_range(lineno, "action", a, A)]:
-            raise FormatError(f"reward listed for unavailable pair ({s},{a})")
+            raise FormatError(f"line {lineno}: reward listed for unavailable pair ({s},{a})")
         reward[s, a] = r
     for k, rows in costs.items():
         for lineno, s, d in rows:

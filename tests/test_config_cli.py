@@ -16,7 +16,7 @@ import cmdp_forge
 from cmdp_forge import cli
 from cmdp_forge.cli import main
 from cmdp_forge.config import _ENV_PARSERS, KEYS, ConfigError, ExperimentConfig, load_config
-from cmdp_forge.envs import GridConfig, desk_grid
+from cmdp_forge.envs import GridConfig, desk_grid, large_grid, make_gridworld
 from cmdp_forge.extended import build_extended
 from cmdp_forge.fixtures import stochastic_chain, two_action_chain
 from cmdp_forge.oracle import enumerate_trajectories, stats
@@ -433,6 +433,41 @@ def test_bounds_command_on_a_model_file(tmp_path):
     assert rows["cost_slack"] == "2"
     assert rows["lambda_expected_cost"] == "0.5"
     assert rows["lambda_chance"] == "2"
+
+
+def _noise_free_rows(best, worst, lambda_expected_cost, lambda_chance):
+    return [("best_return", best), ("worst_case_return", worst), ("cost_slack", "0.75"),
+            ("lambda_expected_cost", lambda_expected_cost), ("lambda_chance", lambda_chance),
+            ("alpha", "0.25"), ("feasible_worst_case", "1")]
+
+
+# bounds.csv's rows and the dead end ``bounds`` prints on each grid's model file,
+# as recorded before the load parsed each token once and the walk advanced
+# each (ledger, successor) once.
+GRID_BOUNDS = {
+    "desk": (desk_grid(), [("feasible_worst_case", "0")], "r4c3@1.0 with ledger (4,) at step 1"),
+    "large": (large_grid(), [("feasible_worst_case", "0")], "r7c6@1.0 with ledger (4,) at step 1"),
+    "desk noise-free": (replace(desk_grid(), noise_p=0.0),
+                        _noise_free_rows("95.99999999999999", "93.99999999999999", "2.6666666666666665", "4"),
+                        None),
+    "large noise-free": (replace(large_grid(), noise_p=0.0),
+                         _noise_free_rows("92.99999999999997", "85", "10.666666666666629", "15.999999999999943"),
+                         None),
+}
+
+
+@pytest.mark.parametrize("name", GRID_BOUNDS)
+def test_bounds_on_the_grid_model_files_is_pinned(tmp_path, capsys, name):
+    cfg, rows, dead_end = GRID_BOUNDS[name]
+    model = tmp_path / "grid.cmdp"
+    model.write_text(dump_cmdp(make_gridworld(cfg, "exact")))
+    assert main(["--out", str(tmp_path), "bounds", str(model), "--alpha", "0.25", "--quantum", "0.25"]) == 0
+    assert (tmp_path / "bounds.csv").read_text() == "quantity,value\n" + "".join(f"{q},{v}\n" for q, v in rows)
+    printed = "".join(f"{q} = {v}\n" for q, v in rows)
+    if dead_end is not None:
+        printed = ("worst case infeasible: worst-case constrained problem is infeasible: "
+                   f"no feasible action at {dead_end}\n" + printed)
+    assert capsys.readouterr().out == printed
 
 
 CHAIN_MODEL = dump_cmdp(two_action_chain())

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+from brute import small_cmdps
 
 from cmdp_forge import extended
-from cmdp_forge.envs import desk_grid, large_grid, make_gridworld
+from cmdp_forge.envs import desk_grid, large_grid, make_gridworld, tiny_grid
 from cmdp_forge.extended import (
     VIOLATED,
     LedgerCapExceeded,
@@ -60,30 +63,51 @@ def reference_layers(m, quantum):
     """Independent builder: advance the ledger on every (node, action, successor).
 
     A plain breadth-first walk with no memoising; it returns (states,
-    layers) in discovery order.
+    layers) in discovery order.  Each layer is a function of the one before
+    it alone, so once a layer repeats, every later one does.
     """
     advance = ledger_rule(m, quantum)
     initial = (m.s0, advance((0,) * m.n_constraints, m.s0))
     seen = {initial: None}
     layers = [(initial,)]
-    frontier = {initial: None}
     for _ in range(m.horizon):
+        if len(layers) > 1 and layers[-1] == layers[-2]:
+            layers.append(layers[-1])
+            continue
         nxt = {}
-        for (s, ledger) in frontier:
+        for (s, ledger) in layers[-1]:
             for a in m.actions_at(s):
                 for s2, _p in m.successors(s, a):
                     x2 = (s2, advance(ledger, s2))
                     nxt.setdefault(x2, None)
                     seen.setdefault(x2, None)
         layers.append(tuple(nxt))
-        frontier = nxt
     return tuple(seen), tuple(layers)
+
+
+def reference_nx(m, quantum, layers, t):
+    """Layer t's nx table as lists: row L, column s2 holds the index in
+    layers[t + 1] of (s2, advance(L, s2)) where a node of layer t with
+    ledger L moves to s2, else -1; every entry is -1 at t = T."""
+    advance = ledger_rule(m, quantum)
+    ledgers = list(dict.fromkeys(ledger for _s, ledger in layers[t]))
+    nx = [[-1] * m.n_states for _ in ledgers]
+    if t < m.horizon:
+        index = {x: i for i, x in enumerate(layers[t + 1])}
+        for s, ledger in layers[t]:
+            for a in m.actions_at(s):
+                for s2, _p in m.successors(s, a):
+                    nx[ledgers.index(ledger)][s2] = index[s2, advance(ledger, s2)]
+    return nx
 
 
 def test_compiled_build_keeps_the_reference_discovery_order():
     models = [(f.name, f.cmdp, f.quantum) for f in fixture_pack()]
     models.append(("desk", make_gridworld(desk_grid(), "exact"), 0.25))
     models.append(("desk noise-free", make_gridworld(replace(desk_grid(), noise_p=0.0), "exact"), 0.25))
+    models.append(("large", make_gridworld(large_grid(), "exact"), 0.25))
+    models.append(("large noise-free", make_gridworld(replace(large_grid(), noise_p=0.0), "exact"), 0.25))
+    models.append(("tiny", make_gridworld(tiny_grid(), "exact"), 0.25))
     for name, m, quantum in models:
         K = m.n_constraints
         e = build_extended(m, [0.5] * K, [RN] * K, quantum)
@@ -91,7 +115,14 @@ def test_compiled_build_keeps_the_reference_discovery_order():
         advance = ledger_rule(m, quantum)
         assert e.states == states, name
         assert e.layers == layers, name
+        # A shared Layer is checked at its first epoch, and recurs only where
+        # that epoch's layer and the next repeat.
+        first = {}
         for t, layer in enumerate(e.compiled):
+            around = layers[t:t + 2]
+            if first.setdefault(id(layer), around) is not around:
+                assert first[id(layer)] == around, (name, t)
+                continue
             state = [s for s, _ledger in layers[t]]
             # Ledger ids number the layer's distinct ledgers in first-seen order.
             distinct = list(dict.fromkeys(ledger for _s, ledger in layers[t]))
@@ -130,6 +161,16 @@ def test_compiled_build_keeps_the_reference_discovery_order():
                     start += end
             else:  # no action is taken at layer T
                 assert layer.pairs.size == layer.flat.size == 0 and not layer.ok.any()
+
+
+@settings(max_examples=80)
+@given(small_cmdps())
+def test_the_walk_matches_the_reference_on_random_models(m):
+    e = augment(m, 0.5)
+    states, layers = reference_layers(m, 0.5)
+    assert e.states == states and e.layers == layers
+    for t, layer in enumerate(e.compiled):
+        assert layer.nx.tolist() == reference_nx(m, 0.5, layers, t), t
 
 
 @pytest.mark.parametrize("grid, fixed", [(desk_grid, 17), (large_grid, 23)])

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmdp_forge.envs import desk_grid, large_grid, make_gridworld
 from cmdp_forge.fixtures import fixture_pack, two_action_chain
 from cmdp_forge.cli import _checkpoint
 from cmdp_forge.learners import STORES
@@ -41,12 +44,28 @@ def models_equal(a, b):
     )
 
 
+# The sha256 of each grid's model file, as the dump wrote it before it formatted
+# each distinct number once.
+GRID_DUMPS = {
+    "desk": (desk_grid(), "e1371730aa02df7742f070fea1cb74cfc561f280c7b300d3a3b2464ddabf60b4"),
+    "desk noise-free": (replace(desk_grid(), noise_p=0.0),
+                        "f9aaa7c0d1dc54e3500f5860804085aba5eaf609b931a89ceced89ba79780b4e"),
+    "large": (large_grid(), "415c0bb55d1b55ea026a09a2545e4c255a65149826c2a3e9895a07a5e32cf934"),
+    "large noise-free": (replace(large_grid(), noise_p=0.0),
+                         "dfea871910720df86838921c1c3838de3a4fdb484a20f95e848d37094dd7d7ce"),
+}
+
+
 def test_round_trip_every_fixture():
-    for f in fixture_pack():
-        text = dump_cmdp(f.cmdp)
+    models = [(f.name, f.cmdp, None) for f in fixture_pack()]
+    models += [(name, make_gridworld(cfg, "exact"), sha) for name, (cfg, sha) in GRID_DUMPS.items()]
+    for name, m, sha in models:
+        text = dump_cmdp(m)
+        if sha is not None:
+            assert hashlib.sha256(text.encode()).hexdigest() == sha, name
         again = load_cmdp(text)
-        assert models_equal(f.cmdp, again), f.name
-        assert dump_cmdp(again) == text, f.name
+        assert models_equal(m, again), name
+        assert dump_cmdp(again) == text, name
 
 
 def test_decimal_values_survive_exactly():
@@ -83,6 +102,10 @@ budget.1 = 1.25
     assert m.budgets == (1.25,)
 
 
+# Two states and one action; the [transition] rows start on line 10.
+TRANSITION_HEAD = "s0 = 0\nhorizon = 1\nbudget.1 = 1\n[states]\n0 = a\n1 = b\n[actions]\n0 = go\n[transition]\n"
+
+
 @pytest.mark.parametrize(
     "mutation,needle",
     [
@@ -93,6 +116,14 @@ budget.1 = 1.25
          "missing scalar key budget.1"),
         ("s0 = 0\nhorizon = 1\nbudget.1 = 1\n[states]\n0 = a\n[actions]\n0 = x\n"
          "[transition]\n0 0 = 1\n[reward]\n0 0 broken\n", "expected 'key = value'"),
+        (TRANSITION_HEAD + "0 0 = 0 x\n1 0 = 0 1\n", r"^line 10: could not convert string to float: 'x'$"),
+        (TRANSITION_HEAD + "0 0 = 1\n1 0 = 0 1\n", r"^line 10: transition row \(0,0\) has 1 entries for 2 states$"),
+        (TRANSITION_HEAD + "0 0 =\n1 0 = 0 1\n", r"^line 10: transition row \(0,0\) has 0 entries for 2 states$"),
+        (TRANSITION_HEAD + "0 0 = 0 1\n2 0 = 0 1\n", r"^line 11: state index 2 is not in \[0, 2\)$"),
+        (TRANSITION_HEAD + "0 0 = 0 1\n1 1 = 0 1\n", r"^line 11: action index 1 is not in \[0, 1\)$"),
+        # Tokens are parsed as each line is read, before any row length is checked.
+        (TRANSITION_HEAD + "0 0 = 1\n1 0 = 0 y\n", r"^line 11: could not convert string to float: 'y'$"),
+        (TRANSITION_HEAD + "0 0 = 0 1\n[reward]\n1 0 = 1\n", r"^line 12: reward listed for unavailable pair \(1,0\)$"),
     ],
 )
 def test_malformed_files_are_named(mutation, needle):
